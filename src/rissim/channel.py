@@ -88,12 +88,20 @@ def los_cascaded_channel(
     if rician_k_db is not None:
         if rng is None:
             raise ValueError("rician_k_db requires an rng")
-        k_lin = 10.0 ** (rician_k_db / 10.0)
-        sigma = amplitude / math.sqrt(k_lin)
-        n = n_h * n_v
-        scatter = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
-        los = los + scatter
+        los = los + rician_scatter(amplitude, rician_k_db, n_h * n_v, rng)
     return CascadedChannel(h_c=los, ue_id=ue_id, nu_deg=nu_deg, psi_deg=psi_deg)
+
+
+def rician_scatter(
+    amplitude: float, rician_k_db: float, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Complex Gaussian scatter with per-element power ``amplitude**2 / K``.
+
+    Draws the ``n`` real parts, then the ``n`` imaginary parts.
+    """
+    k_lin = 10.0 ** (rician_k_db / 10.0)
+    sigma = amplitude / math.sqrt(k_lin)
+    return sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
 
 
 def effective_channel(phi, h_c) -> complex:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import engine, presets
 from .array_model import beam_metrics, design_phase_offsets, pattern_gains, upa_profile
-from .config import ConfigError, ExperimentConfig, parse_text, serialize
+from .config import ConfigError, ExperimentConfig, parse_text, serialize, to_slots
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -126,7 +126,7 @@ def _emit_run(cfg: ExperimentConfig, out_dir: Path, tag: str, histogram: bool = 
     print(summary.as_kv_text(), end="")
     if histogram:
         hist = engine.scheduling_histogram(
-            trace, len(cfg.ues), start_slot=round(cfg.sim.warmup_s * 2000)
+            trace, len(cfg.ues), start_slot=to_slots(cfg.sim.warmup_s)
         )
         hist_path = out_dir / f"{tag}_histogram.csv"
         with open(hist_path, "w") as f:

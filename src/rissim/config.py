@@ -9,7 +9,9 @@ parse -> serialize -> parse is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import cmath
+import math
+from dataclasses import dataclass, field, fields
 
 RIS_MODES = ("periodic", "iid", "genie", "off")
 SCHED_KINDS = ("pf", "rr")
@@ -18,6 +20,11 @@ SLOT_MS = 0.5
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names every offending key."""
+
+
+def to_slots(seconds: float) -> int:
+    """Whole slots in a span of ``seconds``."""
+    return round(seconds * 1000.0 / SLOT_MS)
 
 
 @dataclass(frozen=True)
@@ -292,9 +299,42 @@ def parse_text(text: str) -> ExperimentConfig:
     return from_flat(flat)
 
 
+def _finite(value) -> bool:
+    if isinstance(value, (tuple, list)):
+        return all(_finite(v) for v in value)
+    if isinstance(value, complex):
+        return cmath.isfinite(value)
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return True
+
+
+def _flat_values(cfg: ExperimentConfig) -> dict[str, object]:
+    """Every config value under its flat key; per-UE values as tuples."""
+    values: dict[str, object] = {
+        "budget.tx_power_dbm": cfg.tx_power_dbm,
+        "budget.rsrp_offset_db": cfg.rsrp_offset_db,
+    }
+    for section in ("geom", "ris", "sched", "la", "sim", "chan"):
+        part = getattr(cfg, section)
+        for f in fields(part):
+            values[f"{section}.{f.name}"] = getattr(part, f.name)
+    for f in fields(UeConfig):
+        key = "ue.angles" if f.name in ("nu_deg", "psi_deg") else f"ue.{f.name}"
+        values[key] = values.get(key, ()) + tuple(getattr(u, f.name) for u in cfg.ues)
+    return values
+
+
 def validate(cfg: ExperimentConfig) -> None:
     """Raise ConfigError naming every invalid key."""
-    errors: list[str] = []
+    errors = [
+        f"{key}: must be finite, got {value}"
+        for key, value in _flat_values(cfg).items()
+        if not _finite(value)
+    ]
+    if errors:
+        # Range checks below are meaningless on NaN, which compares false.
+        raise ConfigError("; ".join(errors))
     if cfg.geom.n_h < 1:
         errors.append(f"geom.n_h: must be >= 1, got {cfg.geom.n_h}")
     if cfg.geom.n_v < 1:

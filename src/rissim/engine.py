@@ -17,7 +17,10 @@ are bit-reproducible and enabling scatter does not perturb HARQ draws.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -27,10 +30,11 @@ from . import link_adapt as la_mod
 from . import ris_control as rc
 from . import scheduler as sched_mod
 from .array_model import design_phase_offsets
-from .config import SLOT_MS, ExperimentConfig, scaled
+from .config import SLOT_MS, ExperimentConfig, scaled, to_slots
 from .link_adapt import MCS_TABLE_64QAM, HarqProcess, LinkAdaptState, McsTable
 
 SUBCARRIERS_PER_PRB = 12
+DRAW_CHUNK = 4096  # block-outcome uniforms drawn per refill
 
 DL = "dl"
 MIXED = "mixed"
@@ -66,6 +70,17 @@ def tb_bits(mcs: int, table: McsTable = MCS_TABLE_64QAM, prbs: int = 106, symbol
     return math.floor(table.se(mcs) * SUBCARRIERS_PER_PRB * prbs * symbols)
 
 
+def tb_table(
+    prbs: int = 106, table: McsTable = MCS_TABLE_64QAM, pattern: TddPattern = DEFAULT_TDD
+) -> dict[int, tuple[int, ...]]:
+    """TB size per (schedulable DL symbols, MCS index) for one run."""
+    return {
+        symbols: tuple(tb_bits(e.index, table, prbs, symbols) for e in table)
+        for symbols in sorted(set(pattern.dl_symbols))
+        if symbols > 0
+    }
+
+
 class SlotRecord(NamedTuple):
     slot: int
     time_ms: float
@@ -77,6 +92,79 @@ class SlotRecord(NamedTuple):
     tb_bits: int
     outcome: str  # "ack" | "nack" | "idle"
     is_retx: bool
+
+
+class Trace(Sequence):
+    """Per-slot trace held as columns; items are SlotRecords built on access.
+
+    ``row`` is the link-table row in force at the slot, which is the
+    surface state except in mode "off" (the last row, state -1).  The
+    tables change at every channel rebuild: epoch ``e`` covers the slots
+    from ``e * coherence`` on.  ``ue`` and ``mcs`` are None on idle
+    (uplink) slots.
+    """
+
+    def __init__(self, n_slots: int, off_row: int, coherence: int = 0):
+        self.off_row = off_row
+        self.coherence = coherence
+        self.row = [0] * n_slots
+        self.ue: list[int | None] = [None] * n_slots
+        self.mcs: list[int | None] = [None] * n_slots
+        self.tb_bits = [0] * n_slots
+        self.nack = [False] * n_slots
+        self.retx = [False] * n_slots
+        self.rsrp: list[list[tuple[float, ...]]] = []  # per epoch, per row
+        self.snr: list[list[list[float]]] = []  # per epoch, per row, per UE
+
+    def add_epoch(self, rsrp: list[tuple[float, ...]], snr: list[list[float]]) -> None:
+        self.rsrp.append(rsrp)
+        self.snr.append(snr)
+
+    def state_of(self, row: int) -> int:
+        return -1 if row == self.off_row else row
+
+    def epochs(self):
+        """(first slot, end slot, RSRP rows, SNR rows) of each table epoch."""
+        n = len(self.row)
+        span = self.coherence or n
+        for e, (rsrp, snr) in enumerate(zip(self.rsrp, self.snr)):
+            yield e * span, min((e + 1) * span, n), rsrp, snr
+
+    def __len__(self) -> int:
+        return len(self.row)
+
+    def _record(self, t: int) -> SlotRecord:
+        e = t // self.coherence if self.coherence else 0
+        row, ue = self.row[t], self.ue[t]
+        return SlotRecord(
+            t,
+            t * SLOT_MS,
+            self.state_of(row),
+            ue,
+            self.rsrp[e][row],
+            None if ue is None else self.snr[e][row][ue],
+            self.mcs[t],
+            self.tb_bits[t],
+            "idle" if ue is None else "nack" if self.nack[t] else "ack",
+            self.retx[t],
+        )
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._record(t) for t in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("trace index out of range")
+        return self._record(index)
+
+    def __iter__(self):
+        return map(self._record, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass
@@ -146,55 +234,102 @@ class LinkTables:
     def n_states(self) -> int:
         return self.snr_db.shape[0] - 1
 
+    def as_lists(self):
+        """(snr, se, rsrp, bler) as nested lists of the same floats.
+
+        Plain-float lookups are what make the slot loop cheap; RSRP rows
+        are tuples because trace records share them.
+        """
+        rsrp = [tuple(r) for r in self.rsrp.tolist()]
+        return self.snr_db.tolist(), self.se.tolist(), rsrp, self.bler.tolist()
+
+
+@dataclass(frozen=True)
+class LinkSetup:
+    """The parts of the link tables that stay fixed over a run.
+
+    Only the scatter term is redrawn when the tables are rebuilt.
+    """
+
+    los: tuple[np.ndarray, ...]  # per-UE line-of-sight cascaded channel
+    weights: tuple[np.ndarray, ...]  # per-state realized reflection weights
+    budgets: tuple[ch.LinkBudget, ...]  # per UE
+    thresholds_db: tuple[float, ...]  # per-MCS BLER midpoints
+    aligned_state: tuple[int, ...]  # per-UE index of its own beam state, or -1
+
+
+def link_setup(cfg: ExperimentConfig, dist: rc.SamplingDistribution) -> LinkSetup:
+    """Compute the run constants of :func:`build_link_tables` once."""
+    g = cfg.geom
+    aligned = []
+    for ue in cfg.ues:
+        try:
+            aligned.append(rc.genie_state_for(ue, dist))
+        except LookupError:
+            aligned.append(-1)
+    return LinkSetup(
+        los=tuple(
+            ch.los_cascaded_channel(
+                ue.nu_deg, ue.psi_deg, g.n_h, g.n_v, g.spacing_ratio, amplitude=_amplitude(cfg)
+            ).h_c
+            for ue in cfg.ues
+        ),
+        weights=tuple(state.reflection_weights() for state in dist.states),
+        budgets=tuple(
+            ch.LinkBudget(
+                tx_power_dbm=cfg.tx_power_dbm,
+                pathloss_db=ue.pathloss_db,
+                noise_dbm=ue.noise_dbm,
+                rsrp_offset_db=cfg.rsrp_offset_db,
+            )
+            for ue in cfg.ues
+        ),
+        thresholds_db=MCS_TABLE_64QAM.thresholds_db(cfg.la.impl_margin_db),
+        aligned_state=tuple(aligned),
+    )
+
+
+def _amplitude(cfg: ExperimentConfig) -> float:
+    """Per-element amplitude of the line-of-sight cascaded channel."""
+    return 1.0 / (cfg.geom.n_h * cfg.geom.n_v)
+
 
 def build_link_tables(
     cfg: ExperimentConfig,
     dist: rc.SamplingDistribution,
     rng_channel: np.random.Generator,
     rician_k_db: float | None = None,
+    setup: LinkSetup | None = None,
 ) -> LinkTables:
-    g = cfg.geom
-    n_ues = len(cfg.ues)
-    n_states = len(dist)
-    snr_db = np.zeros((n_states + 1, n_ues))
-    se = np.zeros((n_states + 1, n_ues))
-    rsrp = np.zeros((n_states + 1, n_ues))
-    bler_tab = np.zeros((n_states + 1, n_ues, len(MCS_TABLE_64QAM)))
-    aligned = []
-    for k, ue in enumerate(cfg.ues):
-        budget = ch.LinkBudget(
-            tx_power_dbm=cfg.tx_power_dbm,
-            pathloss_db=ue.pathloss_db,
-            noise_dbm=ue.noise_dbm,
-            rsrp_offset_db=cfg.rsrp_offset_db,
-        )
-        h_c = ch.los_cascaded_channel(
-            ue.nu_deg,
-            ue.psi_deg,
-            g.n_h,
-            g.n_v,
-            g.spacing_ratio,
-            amplitude=1.0 / (g.n_h * g.n_v),
-            rician_k_db=rician_k_db,
-            rng=rng_channel if rician_k_db is not None else None,
-            ue_id=k,
-        )
-        effs = [ch.effective_channel(state, h_c) + ue.direct_leak for state in dist.states]
+    """Link tables for one channel draw.
+
+    ``setup`` carries the per-run constants; a run builds it once with
+    :func:`link_setup` and passes it to every rebuild.  Scatter is drawn
+    from ``rng_channel`` UE by UE, real parts before imaginary parts.
+    """
+    if setup is None:
+        setup = link_setup(cfg, dist)
+    shape = (len(dist) + 1, len(cfg.ues))
+    snr_db = np.zeros(shape)
+    se = np.zeros(shape)
+    rsrp = np.zeros(shape)
+    bler_tab = np.zeros(shape + (len(setup.thresholds_db),))
+    for k, (ue, los, budget) in enumerate(zip(cfg.ues, setup.los, setup.budgets)):
+        h = los
+        if rician_k_db is not None:
+            h = los + ch.rician_scatter(_amplitude(cfg), rician_k_db, los.size, rng_channel)
+        effs = [complex(np.sum(w * h)) + ue.direct_leak for w in setup.weights]
         effs.append(complex(ue.noris_gain))
         for s, h_eff in enumerate(effs):
             lin = ch.snr_linear(h_eff, budget)
-            snr_db[s, k] = 10.0 * math.log10(lin) if lin > 0 else -np.inf
+            snr = 10.0 * math.log10(lin) if lin > 0 else -math.inf
+            snr_db[s, k] = snr
             se[s, k] = ch.spectral_efficiency(lin)
             rsrp[s, k] = ch.rsrp_dbm(h_eff, budget)
-            for e in MCS_TABLE_64QAM:
-                bler_tab[s, k, e.index] = la_mod.bler(
-                    snr_db[s, k], e.index, MCS_TABLE_64QAM, cfg.la.slope, cfg.la.impl_margin_db
-                )
-        try:
-            aligned.append(rc.genie_state_for(ue, dist))
-        except LookupError:
-            aligned.append(-1)
-    return LinkTables(snr_db=snr_db, se=se, rsrp=rsrp, bler=bler_tab, aligned_state=tuple(aligned))
+            bler_tab[s, k] = la_mod.bler_curve(snr, setup.thresholds_db, cfg.la.slope)
+    return LinkTables(
+        snr_db=snr_db, se=se, rsrp=rsrp, bler=bler_tab, aligned_state=setup.aligned_state
+    )
 
 
 def build_distribution(cfg: ExperimentConfig) -> rc.SamplingDistribution:
@@ -210,7 +345,7 @@ def build_distribution(cfg: ExperimentConfig) -> rc.SamplingDistribution:
     return rc.SamplingDistribution(states=states, probs=probs)
 
 
-def run(cfg: ExperimentConfig) -> tuple[list[SlotRecord], RunSummary]:
+def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     """Simulate one configuration; returns the slot trace and summary.
 
     Summary statistics cover slots at or after the warm-up boundary;
@@ -221,8 +356,8 @@ def run(cfg: ExperimentConfig) -> tuple[list[SlotRecord], RunSummary]:
     validate(cfg)
     n_ues = len(cfg.ues)
     alpha, ts_slots = scaled(cfg)
-    n_slots = round(cfg.sim.duration_s * 1000.0 / SLOT_MS)
-    warmup_slot = round(cfg.sim.warmup_s * 1000.0 / SLOT_MS)
+    n_slots = to_slots(cfg.sim.duration_s)
+    warmup_slot = to_slots(cfg.sim.warmup_s)
     window_slots = max(1, round(cfg.la.window_ms / SLOT_MS / cfg.sim.ts_scaling))
     cqi_slots = max(1, round(cfg.la.cqi_period_ms / SLOT_MS / cfg.sim.ts_scaling))
 
@@ -235,193 +370,172 @@ def run(cfg: ExperimentConfig) -> tuple[list[SlotRecord], RunSummary]:
     dist = build_distribution(cfg)
     rician = cfg.chan.rician_k_db
     coherence = cfg.chan.coherence_slots if rician is not None else 0
-    tables = build_link_tables(cfg, dist, rng_channel, rician)
+    setup = link_setup(cfg, dist)
+    tables = build_link_tables(cfg, dist, rng_channel, rician, setup)
     off_row = tables.n_states  # lookup row for mode "off"
+    aligned_state = tables.aligned_state
     mode = cfg.ris.mode
-    if mode == "genie" and any(a < 0 for a in tables.aligned_state):
+    genie = mode == "genie"
+    switching = mode in ("periodic", "iid")
+    if genie and any(a < 0 for a in aligned_state):
         from .config import ConfigError
 
         raise ConfigError("ris.mode: genie requires a state aligned to every UE (ris.angles)")
     policy = rc.SwitchPolicy(
-        mode=mode if mode in ("periodic", "iid") else "periodic",
+        mode=mode if switching else "periodic",
         ts_slots=ts_slots,
         seed=ris_seed,
         offset_slots=cfg.ris.offset_slots,
     )
 
-    pf_cfg = sched_mod.PfConfig(alpha=alpha, ewma_floor=cfg.sched.floor)
-    sched_states = [sched_mod.UeSchedState(t_avg=cfg.sched.floor) for _ in range(n_ues)]
-    la_states = [LinkAdaptState(mcs=cfg.la.mcs_min, mcs_min=cfg.la.mcs_min) for _ in range(n_ues)]
-    harq: list[HarqProcess | None] = [None] * n_ues
+    la = cfg.la
+    floor = cfg.sched.floor
+    round_robin = cfg.sched.kind == "rr"
+    pf_cfg = sched_mod.PfConfig(alpha=alpha, ewma_floor=floor)
+    sched_states = [sched_mod.UeSchedState(t_avg=floor) for _ in range(n_ues)]
+    la_states = [LinkAdaptState(mcs=la.mcs_min, mcs_min=la.mcs_min) for _ in range(n_ues)]
     stats = [UeRunStats() for _ in range(n_ues)]
+    select_ue, rr_select = sched_mod.select_ue, sched_mod.rr_select
+    ewma_update, harq_on_nack, cqi_update = (
+        sched_mod.ewma_update, la_mod.harq_on_nack, la_mod.cqi_update,
+    )
+
+    trace = Trace(n_slots, off_row, coherence)
+    rows, ues, mcss, tbs, nacks, retxs = (
+        trace.row, trace.ue, trace.mcs, trace.tb_bits, trace.nack, trace.retx,
+    )
+    snr_tab, se_tab, rsrp_tab, bler_tab = tables.as_lists()
+    trace.add_epoch(rsrp_tab, snr_tab)
+
+    # Per TDD phase: None on uplink slots, else the TB size per MCS index.
+    tb_sizes = tb_table(cfg.sim.prbs)
+    phase_tb = tuple(
+        None if kind == UL else tb_sizes[symbols]
+        for kind, symbols in zip(DEFAULT_TDD.kinds, DEFAULT_TDD.dl_symbols)
+    )
+    period = DEFAULT_TDD.period_slots
+    # One uniform per transmission; chunked draws equal the scalar ones.
+    bler_draw = chain.from_iterable(
+        iter(lambda: rng_blocks.random(DRAW_CHUNK).tolist(), None)
+    ).__next__
 
     rate_est = [0.0] * n_ues  # CQI-cadence rate estimates driving the scheduler
-    trace: list[SlotRecord] = []
     dl_counter = 0
-    genie_state = tables.aligned_state[0] if mode == "genie" else 0
-
     new_tx_bits = acked_bits = discarded_bits = 0
-    measured_dl_slots = 0
-    measured_slots = 0
-    cur_interval = -1
-    cur_state = 0
-
-    snr_tab, se_tab, rsrp_tab, bler_tab = tables.snr_db, tables.se, tables.rsrp, tables.bler
-    aligned_state = tables.aligned_state
-    bler_draw = rng_blocks.random  # one uniform per transmission
+    # At most one block is in flight: a pending retransmission preempts
+    # every other UE, so its UE is served in the next downlink slot.
+    proc: HarqProcess | None = None
+    proc_ue = 0
+    next_switch, offset = 0, cfg.ris.offset_slots
+    if mode == "off":
+        state, row = -1, off_row
+    else:
+        state = row = aligned_state[0] if genie else 0
 
     for t in range(n_slots):
         # Scatter evolves on its own coherence grid, from its own stream.
-        if coherence > 0 and t > 0 and t % coherence == 0:
-            tables = build_link_tables(cfg, dist, rng_channel, rician)
-            snr_tab, se_tab, rsrp_tab, bler_tab = (
-                tables.snr_db, tables.se, tables.rsrp, tables.bler,
-            )
+        if coherence and t and t % coherence == 0:
+            tables = build_link_tables(cfg, dist, rng_channel, rician, setup)
+            snr_tab, se_tab, rsrp_tab, bler_tab = tables.as_lists()
+            trace.add_epoch(rsrp_tab, snr_tab)
 
-        if mode == "off":
-            state = -1
-            row = off_row
-        elif mode == "genie":
-            state = genie_state
-            row = state
-        else:
-            # State draws are per switching interval; cache across slots.
-            interval = (t + policy.offset_slots) // policy.ts_slots
-            if interval != cur_interval:
-                cur_interval = interval
-                cur_state = rc.state_at_slot(t, policy, dist)
-            state = cur_state
-            row = state
+        # State draws are per switching interval.
+        if switching and t == next_switch:
+            state = row = rc.state_at_slot(t, policy, dist)
+            next_switch = ((t + offset) // ts_slots + 1) * ts_slots - offset
 
         # CQI cadence: refresh the scheduler-side rate estimates and caps
         # from the channel each UE currently measures.
         if t % cqi_slots == 0:
             for k in range(n_ues):
-                meas_row = aligned_state[k] if mode == "genie" else row
-                cap = la_mod.cqi_update(
-                    snr_tab[meas_row, k],
+                meas_row = aligned_state[k] if genie else row
+                las = la_states[k]
+                las.mcs_max_from_cqi = cqi_update(
+                    snr_tab[meas_row][k],
                     MCS_TABLE_64QAM,
-                    cfg.la.cqi_backoff_db,
-                    cfg.la.impl_margin_db,
-                    cfg.la.mcs_min,
+                    la.cqi_backoff_db,
+                    la.impl_margin_db,
+                    la.mcs_min,
                 )
-                la_states[k].mcs_max_from_cqi = cap
-                la_states[k].clamp()
-                rate_est[k] = se_tab[meas_row, k]
+                las.clamp()
+                rate_est[k] = se_tab[meas_row][k]
 
-        kind, symbols = slot_kind(t)
-        in_window = t >= warmup_slot
-        if in_window:
-            measured_slots += 1
-
-        if kind == UL:
-            trace.append(
-                SlotRecord(t, t * SLOT_MS, state, None, tuple(rsrp_tab[row]), None, None, 0, "idle", False)
-            )
-            if (t + 1) % window_slots == 0:
-                for k in range(n_ues):
-                    m = la_mod.measure_bler(la_states[k].window())
-                    la_mod.step_mcs(la_states[k], m, cfg.la.bler_low, cfg.la.bler_high)
-                    la_states[k].reset_window()
-            continue
-
-        if in_window:
-            measured_dl_slots += 1
-
-        # UE selection: pending retransmissions preempt the policy.
-        ue = next((k for k in range(n_ues) if sched_states[k].pending_retx), None)
-        if ue is None:
-            if cfg.sched.kind == "rr":
-                ue = sched_mod.rr_select(dl_counter, n_ues)
-            else:
-                ue = sched_mod.select_ue(sched_states, rate_est, pf_cfg)
-        dl_counter += 1
-
-        if mode == "genie":
-            state = aligned_state[ue]
-            row = state
-            genie_state = state
-
-        proc = harq[ue]
-        if proc is not None:
-            mcs_used = proc.mcs_used
-            tb = proc.tb_bits
-            is_retx = True
+        tb_row = phase_tb[t % period]
+        if tb_row is None:
+            rows[t] = row  # uplink: an idle row
         else:
-            mcs_used = la_states[ue].mcs
-            tb = tb_bits(mcs_used, MCS_TABLE_64QAM, cfg.sim.prbs, symbols)
-            is_retx = False
-            proc = HarqProcess(tb_bits=tb, mcs_used=mcs_used)
-            harq[ue] = proc
-            new_tx_bits += tb
-
-        nack = bler_draw() < bler_tab[row, ue, mcs_used]
-        if nack:
-            decision = la_mod.harq_on_nack(proc)
-            if decision == la_mod.RETRANSMIT:
-                sched_states[ue].pending_retx = True
-            else:
-                discarded_bits += proc.tb_bits
-                harq[ue] = None
-                sched_states[ue].pending_retx = False
-        else:
-            acked_bits += proc.tb_bits
-            if in_window:
-                stats[ue].acked_bits += proc.tb_bits
-            harq[ue] = None
-            sched_states[ue].pending_retx = False
-
-        la_states[ue].win_scheduled += 1
-        if is_retx:
-            la_states[ue].win_retx += 1
-
-        sched_states[ue].served_slots += 1
-        served_aligned = state == aligned_state[ue]
-        if served_aligned:
-            sched_states[ue].served_slots_aligned += 1
-        if in_window:
-            st = stats[ue]
-            st.scheduled += 1
-            if is_retx:
-                st.retx += 1
-            if served_aligned:
-                st.served_aligned += 1
-            else:
-                st.served_misaligned += 1
-            for k in range(n_ues):
-                sk = stats[k]
-                if row == aligned_state[k]:
-                    sk.rsrp_aligned_sum += rsrp_tab[row, k]
-                    sk.rsrp_aligned_n += 1
+            if proc is None:
+                if round_robin:
+                    ue = rr_select(dl_counter, n_ues)
                 else:
-                    sk.rsrp_misaligned_sum += rsrp_tab[row, k]
-                    sk.rsrp_misaligned_n += 1
+                    ue = select_ue(sched_states, rate_est, pf_cfg)
+                mcs = la_states[ue].mcs
+                tb = tb_row[mcs]
+                proc, proc_ue = HarqProcess(tb_bits=tb, mcs_used=mcs), ue
+                new_tx_bits += tb
+                retx = False
+            else:
+                ue, mcs, tb = proc_ue, proc.mcs_used, proc.tb_bits
+                retx = True
+            dl_counter += 1
+            if genie:
+                state = row = aligned_state[ue]
 
-        sched_mod.ewma_update(sched_states, ue, rate_est, alpha, cfg.sched.floor)
+            nack = bler_draw() < bler_tab[row][ue][mcs]
+            in_window = t >= warmup_slot
+            if nack:
+                if harq_on_nack(proc) == la_mod.DISCARD:
+                    discarded_bits += tb
+                    proc = None
+            else:
+                acked_bits += tb
+                if in_window:
+                    stats[ue].acked_bits += tb
+                proc = None
 
-        trace.append(
-            SlotRecord(
-                t,
-                t * SLOT_MS,
-                state,
-                ue,
-                tuple(rsrp_tab[row]),
-                float(snr_tab[row, ue]),
-                mcs_used,
-                tb,
-                "nack" if nack else "ack",
-                is_retx,
-            )
-        )
+            las = la_states[ue]
+            las.win_scheduled += 1
+            if retx:
+                las.win_retx += 1
 
+            if in_window:
+                st = stats[ue]
+                st.scheduled += 1
+                if retx:
+                    st.retx += 1
+                if state == aligned_state[ue]:
+                    st.served_aligned += 1
+                else:
+                    st.served_misaligned += 1
+                rsrp_row = rsrp_tab[row]
+                for k in range(n_ues):
+                    sk = stats[k]
+                    if row == aligned_state[k]:
+                        sk.rsrp_aligned_sum += rsrp_row[k]
+                        sk.rsrp_aligned_n += 1
+                    else:
+                        sk.rsrp_misaligned_sum += rsrp_row[k]
+                        sk.rsrp_misaligned_n += 1
+
+            ewma_update(sched_states, ue, rate_est, alpha, floor)
+
+            rows[t] = row
+            ues[t] = ue
+            mcss[t] = mcs
+            tbs[t] = tb
+            nacks[t] = nack
+            retxs[t] = retx
+
+        # Outer loop: step every UE's MCS at the end of each BLER window.
         if (t + 1) % window_slots == 0:
-            for k in range(n_ues):
-                m = la_mod.measure_bler(la_states[k].window())
-                la_mod.step_mcs(la_states[k], m, cfg.la.bler_low, cfg.la.bler_high)
-                la_states[k].reset_window()
+            for las in la_states:
+                la_mod.step_mcs(las, la_mod.measure_bler(las.window()), la.bler_low, la.bler_high)
+                las.reset_window()
 
-    inflight_bits = sum(p.tb_bits for p in harq if p is not None)
+    inflight_bits = proc.tb_bits if proc is not None else 0
     measured_s = max(cfg.sim.duration_s - cfg.sim.warmup_s, 0.0) if n_slots else 0.0
+    measured_slots = max(n_slots - warmup_slot, 0)
+    measured_dl_slots = dl_slot_count(warmup_slot, n_slots)
     tput = tuple(
         (s.acked_bits / measured_s / 1e6) if measured_s > 0 else 0.0 for s in stats
     )
@@ -466,8 +580,22 @@ def run(cfg: ExperimentConfig) -> tuple[list[SlotRecord], RunSummary]:
     return trace, summary
 
 
+def dl_slot_count(start: int, stop: int, pattern: TddPattern = DEFAULT_TDD) -> int:
+    """Number of downlink-schedulable slots in ``[start, stop)``."""
+    start = max(start, 0)
+    if stop <= start:
+        return 0
+    per_period = sum(1 for kind in pattern.kinds if kind != UL)
+
+    def below(t: int) -> int:
+        full, rest = divmod(t, pattern.period_slots)
+        return full * per_period + sum(1 for kind in pattern.kinds[:rest] if kind != UL)
+
+    return below(stop) - below(start)
+
+
 def scheduling_histogram(
-    trace: list[SlotRecord],
+    trace: Trace,
     n_ues: int,
     aligned_state: tuple[int, ...] | None = None,
     start_slot: int = 0,
@@ -481,18 +609,19 @@ def scheduling_histogram(
     """
     if aligned_state is None:
         aligned_state = tuple(range(n_ues))
-    rows = [r for r in trace if r.slot >= start_slot]
-    total = len(rows)
-    dl_total = sum(1 for r in rows if slot_kind(r.slot)[0] != UL)
+    start = max(start_slot, 0)
+    total = max(len(trace) - start, 0)
+    dl_total = dl_slot_count(start, len(trace))
+    served = Counter(zip(islice(trace.ue, start, None), islice(trace.row, start, None)))
     counts_aligned = [0] * n_ues
     counts_mis = [0] * n_ues
-    for r in rows:
-        if r.ue is None:
+    for (ue, row), n in served.items():
+        if ue is None:
             continue
-        if r.ris_state == aligned_state[r.ue]:
-            counts_aligned[r.ue] += 1
+        if trace.state_of(row) == aligned_state[ue]:
+            counts_aligned[ue] += n
         else:
-            counts_mis[r.ue] += 1
+            counts_mis[ue] += n
     out = []
     for k in range(n_ues):
         out.append(
@@ -540,19 +669,30 @@ def sweep_alpha(
     return rows
 
 
-def write_trace_csv(trace: list[SlotRecord], path, n_ues: int | None = None) -> None:
+def write_trace_csv(trace: Trace, path, n_ues: int | None = None) -> None:
     """Exact trace schema: slot,time_ms,ris_state,ue,rsrp0_dbm,...,snr_db,mcs,tb_bits,outcome,is_retx."""
     if n_ues is None:
         n_ues = len(trace[0].rsrp_dbm) if trace else 0
     rsrp_cols = ",".join(f"rsrp{k}_dbm" for k in range(n_ues))
     lines = [f"slot,time_ms,ris_state,ue,{rsrp_cols},snr_db,mcs,tb_bits,outcome,is_retx"]
-    for r in trace:
-        rsrps = ",".join(f"{v:.4f}" for v in r.rsrp_dbm)
-        lines.append(
-            f"{r.slot},{r.time_ms:.1f},{r.ris_state},"
-            f"{'' if r.ue is None else r.ue},{rsrps},"
-            f"{'' if r.snr_db is None else f'{r.snr_db:.4f}'},"
-            f"{'' if r.mcs is None else r.mcs},{r.tb_bits},{r.outcome},{int(r.is_retx)}"
-        )
+    columns = (trace.row, trace.ue, trace.mcs, trace.tb_bits, trace.nack, trace.retx)
+    for lo, hi, rsrp_rows, snr_rows in trace.epochs():
+        # Format each table entry once per epoch, not once per slot.
+        heads = [
+            (f"{trace.state_of(r)},", "," + ",".join(f"{v:.4f}" for v in rsrp))
+            for r, rsrp in enumerate(rsrp_rows)
+        ]
+        snrs = [[f"{v:.4f}" for v in snr] for snr in snr_rows]
+        for t, row, ue, mcs, tb, nack, retx in zip(
+            range(lo, hi), *(c[lo:hi] for c in columns)
+        ):
+            state, rsrps = heads[row]
+            if ue is None:
+                lines.append(f"{t},{t * SLOT_MS:.1f},{state}{rsrps},,,{tb},idle,{int(retx)}")
+            else:
+                lines.append(
+                    f"{t},{t * SLOT_MS:.1f},{state}{ue}{rsrps},{snrs[row][ue]},{mcs},{tb},"
+                    f"{'nack' if nack else 'ack'},{int(retx)}"
+                )
     with open(path, "w", newline="") as f:
         f.write("\n".join(lines) + "\n")

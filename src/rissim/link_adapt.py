@@ -12,7 +12,7 @@ at the same MCS at most three times before it is discarded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Outer-loop defaults; overridable per run through the la.* config keys.
 BLER_LOW = 0.05
@@ -38,6 +38,7 @@ class McsTable:
     def __init__(self, entries: list[McsEntry]):
         self.entries = sorted(entries, key=lambda e: e.index)
         self._by_index = {e.index: e for e in self.entries}
+        self._thresholds: dict[float, tuple[float, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -61,6 +62,15 @@ class McsTable:
     def threshold_db(self, index: int, impl_margin_db: float = DEFAULT_IMPL_MARGIN_DB) -> float:
         """SNR anchor of the block-error curve for one entry."""
         return 10.0 * math.log10(2.0 ** self.se(index) - 1.0) + impl_margin_db
+
+    def thresholds_db(self, impl_margin_db: float = DEFAULT_IMPL_MARGIN_DB) -> tuple[float, ...]:
+        """``threshold_db`` of every entry, in table order; cached per margin."""
+        try:
+            return self._thresholds[impl_margin_db]
+        except KeyError:
+            thresholds = tuple(self.threshold_db(e.index, impl_margin_db) for e in self.entries)
+            self._thresholds[impl_margin_db] = thresholds
+            return thresholds
 
 
 # 64QAM PDSCH table: 29 entries, modulation orders 2/4/6, peak 5.5547.
@@ -111,14 +121,24 @@ def bler(
     Strictly decreasing in SNR and, at fixed SNR, non-decreasing in the
     MCS index (thresholds grow with spectral efficiency).
     """
-    thr = table.threshold_db(mcs, impl_margin_db)
-    x = model_slope * (snr_db - thr)
-    # Guard the exp against overflow at extreme SNR offsets.
-    if x > 700.0:
-        return 0.0
-    if x < -700.0:
-        return 1.0
-    return 1.0 / (1.0 + math.exp(x))
+    return bler_curve(snr_db, (table.threshold_db(mcs, impl_margin_db),), model_slope)[0]
+
+
+def bler_curve(
+    snr_db: float, thresholds_db, model_slope: float = DEFAULT_SLOPE
+) -> list[float]:
+    """Block-error probability at one SNR for each curve midpoint in ``thresholds_db``."""
+    out = []
+    for thr in thresholds_db:
+        x = model_slope * (snr_db - thr)
+        # Guard the exp against overflow at extreme SNR offsets.
+        if x > 700.0:
+            out.append(0.0)
+        elif x < -700.0:
+            out.append(1.0)
+        else:
+            out.append(1.0 / (1.0 + math.exp(x)))
+    return out
 
 
 def measure_bler(window: tuple[int, int]) -> float:
@@ -176,10 +196,8 @@ def cqi_update(
     ``snr_db - cqi_backoff_db``, floored at ``mcs_min``."""
     cap = mcs_min
     limit = snr_db - cqi_backoff_db
-    for e in table.entries:
-        if e.index < mcs_min:
-            continue
-        if table.threshold_db(e.index, impl_margin_db) <= limit:
+    for e, thr in zip(table.entries, table.thresholds_db(impl_margin_db)):
+        if e.index >= mcs_min and thr <= limit:
             cap = e.index
     return cap
 
@@ -191,7 +209,6 @@ class HarqProcess:
     tb_bits: int
     mcs_used: int
     attempts: int = 1
-    is_retx: bool = field(default=False, compare=False)
 
 
 RETRANSMIT = "retransmit"
@@ -203,6 +220,5 @@ def harq_on_nack(proc: HarqProcess) -> str:
     the attempt budget is spent, then discard."""
     if proc.attempts < MAX_ATTEMPTS:
         proc.attempts += 1
-        proc.is_retx = True
         return RETRANSMIT
     return DISCARD

@@ -18,17 +18,13 @@ class UeSchedState:
     """Scheduler-side state of one UE."""
 
     t_avg: float = EWMA_FLOOR
-    last_inst_se: float = 0.0
     pending_retx: bool = False
-    served_slots: int = 0
-    served_slots_aligned: int = 0
 
 
 @dataclass(frozen=True)
 class PfConfig:
     alpha: float
     ewma_floor: float = EWMA_FLOOR
-    tie_rule: str = "lowest_index"
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -49,14 +45,15 @@ def select_ue(states: list[UeSchedState], inst_se: list[float], cfg: PfConfig) -
     index among them); otherwise the argmax of the PF metric, ties
     broken to the lowest index.
     """
-    if not states or len(states) != len(inst_se):
-        raise ValueError("states and inst_se must be non-empty and the same length")
+    if not states:
+        raise ValueError("states must be non-empty")
     for k, s in enumerate(states):
         if s.pending_retx:
             return k
+    floor = cfg.ewma_floor
     best, best_metric = 0, -1.0
-    for k, (s, se) in enumerate(zip(states, inst_se)):
-        m = pf_metric(se, s.t_avg, cfg.ewma_floor)
+    for k, s in enumerate(states):
+        m = inst_se[k] / max(s.t_avg, floor)
         if m > best_metric:
             best, best_metric = k, m
     return best
@@ -72,10 +69,10 @@ def ewma_update(
     """One EWMA tick: every UE decays, the served UE adds its rate."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    decay = 1.0 - alpha
     for k, s in enumerate(states):
         target = alpha * inst_se[k] if k == scheduled else 0.0
-        s.t_avg = max((1.0 - alpha) * s.t_avg + target, floor)
-        s.last_inst_se = inst_se[k]
+        s.t_avg = max(decay * s.t_avg + target, floor)
     return states
 
 

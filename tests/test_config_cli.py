@@ -136,3 +136,44 @@ class TestCli:
         assert rc == 0
         emitted = parse_text((tmp_path / "schedule_periodic_config.txt").read_text())
         assert emitted == cfg
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("budget.tx_power_dbm", "nan"),
+            ("budget.tx_power_dbm", "inf"),
+            ("ue.noise_dbm", "nan,nan"),
+            ("ue.noise_dbm", "-inf,-120"),
+            ("chan.rician_k_db", "nan"),
+        ],
+    )
+    def test_cli_rejects_with_config_code(self, tmp_path, capsys, key, value):
+        rc = main(
+            [
+                "--out-dir", str(tmp_path),
+                "--duration-s", "3",
+                "--set", "sim.warmup_s=1",
+                "--set", f"{key}={value}",
+                "schedule",
+            ]
+        )
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_parse_names_key(self):
+        text = serialize(ExperimentConfig()).replace(
+            "budget.rsrp_offset_db = 0.0", "budget.rsrp_offset_db = -inf"
+        )
+        with pytest.raises(ConfigError, match="budget.rsrp_offset_db"):
+            parse_text(text)
+
+    def test_run_rejects_config_built_in_code(self):
+        from rissim.engine import run
+
+        cfg = presets.schedule_config(duration_s=1.0, warmup_s=0.0)
+        cfg = replace(cfg, sim=replace(cfg.sim, duration_s=float("nan")))
+        with pytest.raises(ConfigError, match="sim.duration_s"):
+            run(cfg)

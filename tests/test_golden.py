@@ -1,0 +1,163 @@
+"""Golden hashes: exact trace, summary, histogram and link-table bytes.
+
+Every speed-up of the slot loop or the link-table builder must keep
+these digests.  A change that moves one on purpose must say why and
+re-pin it; regenerate the table with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from rissim import presets
+from rissim.config import ChannelConfig, to_slots
+from rissim.engine import (
+    build_distribution,
+    build_link_tables,
+    run,
+    scheduling_histogram,
+    write_trace_csv,
+)
+
+
+def _short(mode="periodic", **kwargs):
+    cfg = presets.schedule_config(mode=mode, duration_s=4.0, warmup_s=1.0, **kwargs)
+    return replace(cfg, ris=replace(cfg.ris, ts_slots=2000))
+
+
+def _rr():
+    cfg = _short()
+    return replace(cfg, sched=replace(cfg.sched, kind="rr"))
+
+
+def _rician():
+    return replace(_short(), chan=ChannelConfig(rician_k_db=6.0, coherence_slots=20))
+
+
+def _three_ues():
+    return _short().with_overrides(
+        {
+            "ue.angles": "20:0,40:0,-30:0",
+            "ue.pathloss_db": "60.0,61.5,59.0",
+            "ue.noise_dbm": "-60.0,-58.5,-61.0",
+            "ue.direct_leak": "0.01+0.02j,-0.015+0.005j,0j",
+            "ue.noris_gain": "0.1,0.12,0.08",
+        }
+    )
+
+
+CONFIGS = {
+    "periodic": _short,
+    "iid": lambda: _short(mode="iid"),
+    "genie": lambda: _short(mode="genie"),
+    "off": lambda: _short(mode="off"),
+    "rr": _rr,
+    "rician": _rician,
+    "single_ue": lambda: presets.single_ue_config(0, ris_on=True, duration_s=4.0, warmup_s=1.0),
+    "three_ues": _three_ues,
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(cfg, tmp_dir) -> tuple[str, str, str]:
+    """SHA-256 of the trace CSV, the summary text and the histogram repr."""
+    trace, summary = run(cfg)
+    path = tmp_dir / "trace.csv"
+    write_trace_csv(trace, path, n_ues=len(cfg.ues))
+    start = to_slots(cfg.sim.warmup_s)
+    hist = scheduling_histogram(trace, len(cfg.ues), start_slot=start)
+    return (
+        _sha(path.read_bytes()),
+        _sha(summary.as_kv_text().encode()),
+        _sha(repr(hist).encode()),
+    )
+
+
+def table_digest(cfg, rebuilds: int = 3) -> str:
+    """SHA-256 over the link-table bytes of the first ``rebuilds`` channel draws."""
+    dist = build_distribution(cfg)
+    rng = np.random.default_rng(3)
+    h = hashlib.sha256()
+    for _ in range(rebuilds):
+        tables = build_link_tables(cfg, dist, rng, cfg.chan.rician_k_db)
+        for a in (tables.snr_db, tables.se, tables.rsrp, tables.bler):
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+PINS = {
+    "genie": (
+        "297700938fe5b460d76ad3ba2dd7d3a08fd1faca01a11f673c9b0a124c8d1e14",
+        "5b6a7a809a1969c4c496f4de6b415c008b4c79b39aea9b7a5ab455001bf5c0bc",
+        "a8e89b4a62c8f36323629d77c191c39dc09f8da251cb04b984554880bd865054",
+    ),
+    "iid": (
+        "113a27748d14c7992a0d5ae50c8dc698447598ebd63270e3d0a2458ccdd1fbe4",
+        "48aae0e3efac1073aec0a3730a4ad5e10be2fc20d2cc2b36ce15074738e4fc79",
+        "18516100e99c1caadf461ee10053b1e78ffe8134f6bed48c34bb59155297954c",
+    ),
+    "off": (
+        "d92ed805110db04ca52f2fd4922a0917bfcfdcc92bb49c8d6bf09b270fd1078d",
+        "6c6a74b2a50b23c3bfa168c432a8458272125fa7ac56e046739ead0b1aac8c34",
+        "f08cd6adfcd14b1f4f863e9af181eaea885db626504883061047c0f409caba6d",
+    ),
+    "periodic": (
+        "50975c86f4e4e5de9a98daff41497185a5bfe98bed8973d5c0db14ba9b4deb29",
+        "f598c56999b685d263fe1b562e9377139d456b15d879dd51977bbdfe5ccd94fa",
+        "f376975385356bdeaf367a3596b18968467494942ec57fce12fcd7a920669e6b",
+    ),
+    "rician": (
+        "cb3b83efa9bb8d1455c30fec3ba50f340af3084d088c5149a1307a818db55e9a",
+        "077b16c5e3521bcabc91d0c35d53f1ebbf7f276d9a55a5c93d27199453cfcb57",
+        "5ec8c42f59a158daecd5789c29666078b839411bee71fc33ec9b3525271b0e0e",
+    ),
+    "rr": (
+        "2ee6bcb54d84fcdcd6ad7428abbcca47bc02b2b346fec389acd36597db19db43",
+        "289ffdd43e3961ea7a5fa3ae53e968f65c575c7d45997db2c70e610fa87d67ac",
+        "73bee1dcaecfa7572fd7954d90e295d88163835211d99f820a2a31fdb1b2374b",
+    ),
+    "single_ue": (
+        "9e2c50c021314560d683a1ba69b1b853ba4353c103b6a57011258f29e7943569",
+        "e4a52b8c9ce04cc417f7a949312443141442e6c825e7ba95c54823e343221351",
+        "d7d292f3ea1c547d4eb1614d080929a35123857b9937bb4a14c37162127c3056",
+    ),
+    "three_ues": (
+        "355b9b9225f13690a923646d30f651aa7163a9a825bcdf5d210e54b662448a0a",
+        "dd63927e8c2c22e9197e8734b79665df4f1112be129ba12faa23b7fe90e75653",
+        "4ad3de5f8f5c34d1a37acac714740944ac8024a8cbaa2bd430f6b501d1416a92",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_digests(name, tmp_path):
+    assert digests(CONFIGS[name](), tmp_path) == PINS[name]
+
+
+TABLE_PINS = {
+    "rician": "3f1761d31495abc406507556c06fd0bcd011ca4ffa4b76ffa7ddbcdb0ec73db5",
+    "three_ues": "792730f2a0ce3502608153f45fc4259e86f3bb0eb41c97f002ef406371a70082",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_PINS))
+def test_golden_link_tables(name):
+    assert table_digest(CONFIGS[name]()) == TABLE_PINS[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as d:
+        for name in sorted(CONFIGS):
+            print(f"    {name!r}: {digests(CONFIGS[name](), Path(d))!r},")  # PINS
+    for name in ("rician", "three_ues"):
+        print(f"    {name!r}: {table_digest(CONFIGS[name]())!r},")  # TABLE_PINS

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import engine, presets
 from .array_model import beam_metrics, design_phase_offsets, pattern_gains, upa_profile
-from .config import ConfigError, ExperimentConfig, parse_text, serialize, to_slots
+from .config import ConfigError, ExperimentConfig, parse_text, serialize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,20 +125,20 @@ def _emit_run(cfg: ExperimentConfig, out_dir: Path, tag: str, histogram: bool = 
     print(f"summary -> {summary_path}")
     print(summary.as_kv_text(), end="")
     if histogram:
-        hist = engine.scheduling_histogram(
-            trace, len(cfg.ues), start_slot=to_slots(cfg.sim.warmup_s)
-        )
         hist_path = out_dir / f"{tag}_histogram.csv"
+        fractions = zip(
+            summary.served_frac_aligned_dl,
+            summary.served_frac_misaligned_dl,
+            summary.served_frac_aligned_total,
+            summary.served_frac_misaligned_total,
+        )
         with open(hist_path, "w") as f:
             f.write(
                 "ue,aligned_fraction,misaligned_fraction,"
                 "aligned_fraction_total,misaligned_fraction_total\n"
             )
-            for k, row in enumerate(hist):
-                f.write(
-                    f"{k},{row['aligned_fraction']:.6f},{row['misaligned_fraction']:.6f},"
-                    f"{row['aligned_fraction_total']:.6f},{row['misaligned_fraction_total']:.6f}\n"
-                )
+            for k, row in enumerate(fractions):
+                f.write(f"{k}," + ",".join(f"{v:.6f}" for v in row) + "\n")
         print(f"histogram -> {hist_path}")
 
 

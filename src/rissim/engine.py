@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, islice
 from typing import NamedTuple
 
@@ -30,35 +30,23 @@ from . import link_adapt as la_mod
 from . import ris_control as rc
 from . import scheduler as sched_mod
 from .array_model import design_phase_offsets
-from .config import SLOT_MS, ExperimentConfig, scaled, to_slots
+from .config import SLOT_MS, ConfigError, ExperimentConfig, scaled, to_slots, validate
 from .link_adapt import MCS_TABLE_64QAM, HarqProcess, LinkAdaptState, McsTable
 
 SUBCARRIERS_PER_PRB = 12
 DRAW_CHUNK = 4096  # block-outcome uniforms drawn per refill
 
-DL = "dl"
-MIXED = "mixed"
-UL = "ul"
+# One TDD period: slot roles and schedulable DL symbols, 6 downlink, 1 mixed, 3 uplink.
+TDD_KINDS = ("dl",) * 6 + ("mixed",) + ("ul",) * 3
+TDD_DL_SYMBOLS = (13,) * 6 + (6,) + (0,) * 3
 
 
-@dataclass(frozen=True)
-class TddPattern:
-    """Slot roles within one period: 6 downlink, 1 mixed, 3 uplink."""
-
-    period_slots: int = 10
-    kinds: tuple[str, ...] = (DL,) * 6 + (MIXED,) + (UL,) * 3
-    dl_symbols: tuple[int, ...] = (13,) * 6 + (6,) + (0,) * 3
-
-
-DEFAULT_TDD = TddPattern()
-
-
-def slot_kind(t: int, pattern: TddPattern = DEFAULT_TDD) -> tuple[str, int]:
+def slot_kind(t: int) -> tuple[str, int]:
     """(kind, schedulable DL symbols) of slot ``t``."""
     if t < 0:
         raise ValueError(f"slot index must be >= 0, got {t}")
-    i = t % pattern.period_slots
-    return pattern.kinds[i], pattern.dl_symbols[i]
+    i = t % len(TDD_KINDS)
+    return TDD_KINDS[i], TDD_DL_SYMBOLS[i]
 
 
 def tb_bits(mcs: int, table: McsTable = MCS_TABLE_64QAM, prbs: int = 106, symbols: int = 13) -> int:
@@ -70,13 +58,11 @@ def tb_bits(mcs: int, table: McsTable = MCS_TABLE_64QAM, prbs: int = 106, symbol
     return math.floor(table.se(mcs) * SUBCARRIERS_PER_PRB * prbs * symbols)
 
 
-def tb_table(
-    prbs: int = 106, table: McsTable = MCS_TABLE_64QAM, pattern: TddPattern = DEFAULT_TDD
-) -> dict[int, tuple[int, ...]]:
+def tb_table(prbs: int = 106, table: McsTable = MCS_TABLE_64QAM) -> dict[int, tuple[int, ...]]:
     """TB size per (schedulable DL symbols, MCS index) for one run."""
     return {
         symbols: tuple(tb_bits(e.index, table, prbs, symbols) for e in table)
-        for symbols in sorted(set(pattern.dl_symbols))
+        for symbols in sorted(set(TDD_DL_SYMBOLS))
         if symbols > 0
     }
 
@@ -123,6 +109,14 @@ class Trace(Sequence):
     def state_of(self, row: int) -> int:
         return -1 if row == self.off_row else row
 
+    def is_aligned(self, row: int, aligned_state: int) -> bool:
+        """Whether a slot on table ``row`` is aligned to a UE whose own beam
+        state is ``aligned_state``; the no-surface row never is.
+
+        The run summary and :func:`scheduling_histogram` both use this rule.
+        """
+        return row != self.off_row and row == aligned_state
+
     def epochs(self):
         """(first slot, end slot, RSRP rows, SNR rows) of each table epoch."""
         n = len(self.row)
@@ -165,19 +159,6 @@ class Trace(Sequence):
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-
-@dataclass
-class UeRunStats:
-    acked_bits: int = 0
-    scheduled: int = 0
-    retx: int = 0
-    served_aligned: int = 0
-    served_misaligned: int = 0
-    rsrp_aligned_sum: float = 0.0
-    rsrp_aligned_n: int = 0
-    rsrp_misaligned_sum: float = 0.0
-    rsrp_misaligned_n: int = 0
 
 
 @dataclass
@@ -351,8 +332,6 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     Summary statistics cover slots at or after the warm-up boundary;
     the bit-conservation counters cover the whole run.
     """
-    from .config import validate
-
     validate(cfg)
     n_ues = len(cfg.ues)
     alpha, ts_slots = scaled(cfg)
@@ -378,8 +357,6 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     genie = mode == "genie"
     switching = mode in ("periodic", "iid")
     if genie and any(a < 0 for a in aligned_state):
-        from .config import ConfigError
-
         raise ConfigError("ris.mode: genie requires a state aligned to every UE (ris.angles)")
     policy = rc.SwitchPolicy(
         mode=mode if switching else "periodic",
@@ -394,7 +371,6 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     pf_cfg = sched_mod.PfConfig(alpha=alpha, ewma_floor=floor)
     sched_states = [sched_mod.UeSchedState(t_avg=floor) for _ in range(n_ues)]
     la_states = [LinkAdaptState(mcs=la.mcs_min, mcs_min=la.mcs_min) for _ in range(n_ues)]
-    stats = [UeRunStats() for _ in range(n_ues)]
     select_ue, rr_select = sched_mod.select_ue, sched_mod.rr_select
     ewma_update, harq_on_nack, cqi_update = (
         sched_mod.ewma_update, la_mod.harq_on_nack, la_mod.cqi_update,
@@ -408,12 +384,8 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     trace.add_epoch(rsrp_tab, snr_tab)
 
     # Per TDD phase: None on uplink slots, else the TB size per MCS index.
-    tb_sizes = tb_table(cfg.sim.prbs)
-    phase_tb = tuple(
-        None if kind == UL else tb_sizes[symbols]
-        for kind, symbols in zip(DEFAULT_TDD.kinds, DEFAULT_TDD.dl_symbols)
-    )
-    period = DEFAULT_TDD.period_slots
+    phase_tb = tuple(map(tb_table(cfg.sim.prbs).get, TDD_DL_SYMBOLS))
+    period = len(TDD_DL_SYMBOLS)
     # One uniform per transmission; chunked draws equal the scalar ones.
     bler_draw = chain.from_iterable(
         iter(lambda: rng_blocks.random(DRAW_CHUNK).tolist(), None)
@@ -428,9 +400,9 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     proc_ue = 0
     next_switch, offset = 0, cfg.ris.offset_slots
     if mode == "off":
-        state, row = -1, off_row
+        row = off_row
     else:
-        state = row = aligned_state[0] if genie else 0
+        row = aligned_state[0] if genie else 0
 
     for t in range(n_slots):
         # Scatter evolves on its own coherence grid, from its own stream.
@@ -441,7 +413,7 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
 
         # State draws are per switching interval.
         if switching and t == next_switch:
-            state = row = rc.state_at_slot(t, policy, dist)
+            row = rc.state_at_slot(t, policy, dist)
             next_switch = ((t + offset) // ts_slots + 1) * ts_slots - offset
 
         # CQI cadence: refresh the scheduler-side rate estimates and caps
@@ -479,43 +451,21 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
                 retx = True
             dl_counter += 1
             if genie:
-                state = row = aligned_state[ue]
+                row = aligned_state[ue]
 
             nack = bler_draw() < bler_tab[row][ue][mcs]
-            in_window = t >= warmup_slot
             if nack:
                 if harq_on_nack(proc) == la_mod.DISCARD:
                     discarded_bits += tb
                     proc = None
             else:
                 acked_bits += tb
-                if in_window:
-                    stats[ue].acked_bits += tb
                 proc = None
 
             las = la_states[ue]
             las.win_scheduled += 1
             if retx:
                 las.win_retx += 1
-
-            if in_window:
-                st = stats[ue]
-                st.scheduled += 1
-                if retx:
-                    st.retx += 1
-                if state == aligned_state[ue]:
-                    st.served_aligned += 1
-                else:
-                    st.served_misaligned += 1
-                rsrp_row = rsrp_tab[row]
-                for k in range(n_ues):
-                    sk = stats[k]
-                    if row == aligned_state[k]:
-                        sk.rsrp_aligned_sum += rsrp_row[k]
-                        sk.rsrp_aligned_n += 1
-                    else:
-                        sk.rsrp_misaligned_sum += rsrp_row[k]
-                        sk.rsrp_misaligned_n += 1
 
             ewma_update(sched_states, ue, rate_est, alpha, floor)
 
@@ -534,44 +484,53 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
 
     inflight_bits = proc.tb_bits if proc is not None else 0
     measured_s = max(cfg.sim.duration_s - cfg.sim.warmup_s, 0.0) if n_slots else 0.0
-    measured_slots = max(n_slots - warmup_slot, 0)
-    measured_dl_slots = dl_slot_count(warmup_slot, n_slots)
-    tput = tuple(
-        (s.acked_bits / measured_s / 1e6) if measured_s > 0 else 0.0 for s in stats
+
+    # Window statistics: one pass over the trace columns from the warm-up
+    # slot on.  RSRP sums add in slot order, so the means keep their bits.
+    aligned_rows = [[trace.is_aligned(r, a) for a in aligned_state] for r in range(off_row + 1)]
+    scheduled, retx_count, window_acked = [0] * n_ues, [0] * n_ues, [0] * n_ues
+    rsrp_sum = [[0.0, 0.0] for _ in range(n_ues)]  # per UE: [misaligned, aligned]
+    rsrp_n = [[0, 0] for _ in range(n_ues)]
+    columns = (trace.row, trace.ue, trace.tb_bits, trace.nack, trace.retx)
+    window = zip(*(islice(c, warmup_slot, None) for c in columns))  # no column copies
+    for lo, hi, rsrp_rows, _ in trace.epochs():
+        # Per table row: what each UE's RSRP adds to on a downlink slot.
+        adds = [
+            tuple(zip(rsrp_sum, rsrp_n, hits, rsrp)) for rsrp, hits in zip(rsrp_rows, aligned_rows)
+        ]
+        for row, ue, tb, nack, retx in islice(window, max(hi - max(lo, warmup_slot), 0)):
+            if ue is None:
+                continue
+            scheduled[ue] += 1
+            retx_count[ue] += retx
+            if not nack:
+                window_acked[ue] += tb
+            for sums, counts, hit, rsrp in adds[row]:
+                sums[hit] += rsrp
+                counts[hit] += 1
+
+    def mean_rsrp(hit: int) -> tuple[float, ...]:
+        return tuple(s[hit] / n[hit] if n[hit] else float("nan") for s, n in zip(rsrp_sum, rsrp_n))
+
+    tput = tuple((b / measured_s / 1e6) if measured_s > 0 else 0.0 for b in window_acked)
+    total_served = sum(scheduled)
+    aligned_dl, misaligned_dl, aligned_total, misaligned_total = _served_fractions(
+        trace, aligned_state, warmup_slot
     )
-    total_served = sum(s.scheduled for s in stats)
     summary = RunSummary(
         duration_s=cfg.sim.duration_s,
         measured_s=measured_s,
         n_slots=n_slots,
         throughput_mbps=tput,
         aggregate_mbps=float(sum(tput)),
-        long_run_bler=tuple(
-            (s.retx / s.scheduled) if s.scheduled else 0.0 for s in stats
-        ),
-        mean_rsrp_aligned_dbm=tuple(
-            (s.rsrp_aligned_sum / s.rsrp_aligned_n) if s.rsrp_aligned_n else float("nan")
-            for s in stats
-        ),
-        mean_rsrp_misaligned_dbm=tuple(
-            (s.rsrp_misaligned_sum / s.rsrp_misaligned_n) if s.rsrp_misaligned_n else float("nan")
-            for s in stats
-        ),
-        served_frac_aligned_dl=tuple(
-            (s.served_aligned / measured_dl_slots) if measured_dl_slots else 0.0 for s in stats
-        ),
-        served_frac_misaligned_dl=tuple(
-            (s.served_misaligned / measured_dl_slots) if measured_dl_slots else 0.0 for s in stats
-        ),
-        served_frac_aligned_total=tuple(
-            (s.served_aligned / measured_slots) if measured_slots else 0.0 for s in stats
-        ),
-        served_frac_misaligned_total=tuple(
-            (s.served_misaligned / measured_slots) if measured_slots else 0.0 for s in stats
-        ),
-        served_share=tuple(
-            (s.scheduled / total_served) if total_served else 0.0 for s in stats
-        ),
+        long_run_bler=tuple((r / s) if s else 0.0 for r, s in zip(retx_count, scheduled)),
+        mean_rsrp_aligned_dbm=mean_rsrp(1),
+        mean_rsrp_misaligned_dbm=mean_rsrp(0),
+        served_frac_aligned_dl=aligned_dl,
+        served_frac_misaligned_dl=misaligned_dl,
+        served_frac_aligned_total=aligned_total,
+        served_frac_misaligned_total=misaligned_total,
+        served_share=tuple((s / total_served) if total_served else 0.0 for s in scheduled),
         new_tx_bits=new_tx_bits,
         acked_bits=acked_bits,
         discarded_bits=discarded_bits,
@@ -580,18 +539,27 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     return trace, summary
 
 
-def dl_slot_count(start: int, stop: int, pattern: TddPattern = DEFAULT_TDD) -> int:
-    """Number of downlink-schedulable slots in ``[start, stop)``."""
-    start = max(start, 0)
-    if stop <= start:
-        return 0
-    per_period = sum(1 for kind in pattern.kinds if kind != UL)
+def _served_fractions(
+    trace: Trace, aligned_state: Sequence[int], start_slot: int = 0
+) -> tuple[tuple[float, ...], ...]:
+    """Per-UE served-slot fractions split by :meth:`Trace.is_aligned`.
 
-    def below(t: int) -> int:
-        full, rest = divmod(t, pattern.period_slots)
-        return full * per_period + sum(1 for kind in pattern.kinds[:rest] if kind != UL)
-
-    return below(stop) - below(start)
+    Returns the aligned and misaligned fractions of the downlink-schedulable
+    slots from ``start_slot`` on, then the same two over all those slots.
+    """
+    n_ues = len(aligned_state)
+    start = max(start_slot, 0)
+    total = max(len(trace) - start, 0)
+    served = Counter(zip(islice(trace.ue, start, None), islice(trace.row, start, None)))
+    counts = [[0] * n_ues, [0] * n_ues]  # [misaligned, aligned] per UE
+    dl_total = 0  # every downlink-schedulable slot serves one UE
+    for (ue, row), n in served.items():
+        if ue is not None:
+            counts[trace.is_aligned(row, aligned_state[ue])][ue] += n
+            dl_total += n
+    return tuple(
+        tuple(c / d if d else 0.0 for c in counts[hit]) for d in (dl_total, total) for hit in (1, 0)
+    )
 
 
 def scheduling_histogram(
@@ -605,34 +573,16 @@ def scheduling_histogram(
     ``aligned_fraction``/``misaligned_fraction`` use the DL-schedulable
     slots as denominator; the ``*_total`` variants use all slots from
     ``start_slot`` on.  By default state ``k`` counts as aligned to
-    UE ``k``.
+    UE ``k``; a run's own mapping is ``LinkTables.aligned_state``, and its
+    summary's ``served_frac_*`` fields hold these fractions under it.
     """
     if aligned_state is None:
         aligned_state = tuple(range(n_ues))
-    start = max(start_slot, 0)
-    total = max(len(trace) - start, 0)
-    dl_total = dl_slot_count(start, len(trace))
-    served = Counter(zip(islice(trace.ue, start, None), islice(trace.row, start, None)))
-    counts_aligned = [0] * n_ues
-    counts_mis = [0] * n_ues
-    for (ue, row), n in served.items():
-        if ue is None:
-            continue
-        if trace.state_of(row) == aligned_state[ue]:
-            counts_aligned[ue] += n
-        else:
-            counts_mis[ue] += n
-    out = []
-    for k in range(n_ues):
-        out.append(
-            {
-                "aligned_fraction": counts_aligned[k] / dl_total if dl_total else 0.0,
-                "misaligned_fraction": counts_mis[k] / dl_total if dl_total else 0.0,
-                "aligned_fraction_total": counts_aligned[k] / total if total else 0.0,
-                "misaligned_fraction_total": counts_mis[k] / total if total else 0.0,
-            }
-        )
-    return out
+    keys = (
+        "aligned_fraction", "misaligned_fraction",
+        "aligned_fraction_total", "misaligned_fraction_total",
+    )
+    return [dict(zip(keys, ue)) for ue in zip(*_served_fractions(trace, aligned_state, start_slot))]
 
 
 def sweep_alpha(
@@ -646,8 +596,6 @@ def sweep_alpha(
     """
     if not alphas:
         raise ValueError("alphas must be non-empty")
-    from dataclasses import replace
-
     rows = []
     for i, alpha in enumerate(alphas):
         sub_seed = int(np.random.SeedSequence((cfg.sim.seed, i)).generate_state(1)[0])

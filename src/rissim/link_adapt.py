@@ -14,13 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Outer-loop defaults; overridable per run through the la.* config keys.
-BLER_LOW = 0.05
-BLER_HIGH = 0.15
-MCS_MIN = 3
-DEFAULT_SLOPE = 2.0
-DEFAULT_IMPL_MARGIN_DB = 3.0
-DEFAULT_CQI_BACKOFF_DB = 2.0
+from .config import LaConfig  # the one source of the la.* defaults used below
+
 MAX_ATTEMPTS = 4  # 1 initial transmission + 3 retransmissions
 
 
@@ -59,11 +54,11 @@ class McsTable:
     def max_index(self) -> int:
         return self.entries[-1].index
 
-    def threshold_db(self, index: int, impl_margin_db: float = DEFAULT_IMPL_MARGIN_DB) -> float:
+    def threshold_db(self, index: int, impl_margin_db: float = LaConfig.impl_margin_db) -> float:
         """SNR anchor of the block-error curve for one entry."""
         return 10.0 * math.log10(2.0 ** self.se(index) - 1.0) + impl_margin_db
 
-    def thresholds_db(self, impl_margin_db: float = DEFAULT_IMPL_MARGIN_DB) -> tuple[float, ...]:
+    def thresholds_db(self, impl_margin_db: float = LaConfig.impl_margin_db) -> tuple[float, ...]:
         """``threshold_db`` of every entry, in table order; cached per margin."""
         try:
             return self._thresholds[impl_margin_db]
@@ -113,8 +108,8 @@ def bler(
     snr_db: float,
     mcs: int,
     table: McsTable = MCS_TABLE_64QAM,
-    model_slope: float = DEFAULT_SLOPE,
-    impl_margin_db: float = DEFAULT_IMPL_MARGIN_DB,
+    model_slope: float = LaConfig.slope,
+    impl_margin_db: float = LaConfig.impl_margin_db,
 ) -> float:
     """Block-error probability: logistic in SNR, midpoint at the entry threshold.
 
@@ -125,7 +120,7 @@ def bler(
 
 
 def bler_curve(
-    snr_db: float, thresholds_db, model_slope: float = DEFAULT_SLOPE
+    snr_db: float, thresholds_db, model_slope: float = LaConfig.slope
 ) -> list[float]:
     """Block-error probability at one SNR for each curve midpoint in ``thresholds_db``."""
     out = []
@@ -153,8 +148,8 @@ def measure_bler(window: tuple[int, int]) -> float:
 class LinkAdaptState:
     """Per-UE outer-loop state."""
 
-    mcs: int = MCS_MIN
-    mcs_min: int = MCS_MIN
+    mcs: int = LaConfig.mcs_min
+    mcs_min: int = LaConfig.mcs_min
     mcs_max_from_cqi: int = 28
     win_scheduled: int = 0
     win_retx: int = 0
@@ -173,8 +168,8 @@ class LinkAdaptState:
 def step_mcs(
     state: LinkAdaptState,
     measured_bler: float,
-    bler_low: float = BLER_LOW,
-    bler_high: float = BLER_HIGH,
+    bler_low: float = LaConfig.bler_low,
+    bler_high: float = LaConfig.bler_high,
 ) -> LinkAdaptState:
     """One outer-loop step at a window boundary: +-1 and clamp."""
     if measured_bler < bler_low:
@@ -188,9 +183,9 @@ def step_mcs(
 def cqi_update(
     snr_db: float,
     table: McsTable = MCS_TABLE_64QAM,
-    cqi_backoff_db: float = DEFAULT_CQI_BACKOFF_DB,
-    impl_margin_db: float = DEFAULT_IMPL_MARGIN_DB,
-    mcs_min: int = MCS_MIN,
+    cqi_backoff_db: float = LaConfig.cqi_backoff_db,
+    impl_margin_db: float = LaConfig.impl_margin_db,
+    mcs_min: int = LaConfig.mcs_min,
 ) -> int:
     """Channel-quality cap: largest index whose threshold fits under
     ``snr_db - cqi_backoff_db``, floored at ``mcs_min``."""

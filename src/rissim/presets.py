@@ -18,7 +18,6 @@ two requirements need different noise figures (see README).
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from . import channel as ch
 from .array_model import design_phase_offsets, upa_profile
@@ -180,7 +179,3 @@ def sweep_config(
     """
     return schedule_config(duration_s=duration_s, seed=seed, ts_scaling=ts_scaling)
 
-
-def no_surface_config(**kwargs) -> ExperimentConfig:
-    cfg = schedule_config(**kwargs)
-    return replace(cfg, ris=replace(cfg.ris, mode="off"))

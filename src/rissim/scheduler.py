@@ -10,28 +10,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-EWMA_FLOOR = 1e-6
+from .config import SchedConfig
 
 
 @dataclass
 class UeSchedState:
     """Scheduler-side state of one UE."""
 
-    t_avg: float = EWMA_FLOOR
+    t_avg: float = SchedConfig.floor
     pending_retx: bool = False
 
 
 @dataclass(frozen=True)
 class PfConfig:
     alpha: float
-    ewma_floor: float = EWMA_FLOOR
+    ewma_floor: float = SchedConfig.floor
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
 
 
-def pf_metric(inst_se: float, t_avg: float, floor: float = EWMA_FLOOR) -> float:
+def pf_metric(inst_se: float, t_avg: float, floor: float = SchedConfig.floor) -> float:
     """Instantaneous-to-average rate ratio with a division floor."""
     if inst_se < 0.0:
         raise ValueError(f"inst_se must be non-negative, got {inst_se}")
@@ -64,7 +64,7 @@ def ewma_update(
     scheduled: int,
     inst_se: list[float],
     alpha: float,
-    floor: float = EWMA_FLOOR,
+    floor: float = SchedConfig.floor,
 ) -> list[UeSchedState]:
     """One EWMA tick: every UE decays, the served UE adds its rate."""
     if not 0.0 < alpha < 1.0:

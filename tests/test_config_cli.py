@@ -137,6 +137,37 @@ class TestCli:
         emitted = parse_text((tmp_path / "schedule_periodic_config.txt").read_text())
         assert emitted == cfg
 
+    def test_histogram_file_matches_summary(self, tmp_path):
+        # Swapped state angles: state 0 serves UE 1's direction.
+        rc = main(
+            [
+                "--out-dir", str(tmp_path),
+                "--duration-s", "4",
+                "--set", "sim.warmup_s=1",
+                "--set", "ris.ts_slots=2000",
+                "--set", "ris.angles=45:0,30:0",
+                "schedule",
+            ]
+        )
+        assert rc == 0
+        summary = dict(
+            line.split("=")
+            for line in (tmp_path / "schedule_periodic_summary.txt").read_text().splitlines()
+        )
+        header, *rows = (tmp_path / "schedule_periodic_histogram.csv").read_text().splitlines()
+        fields = {
+            "aligned_fraction": "served_frac_aligned_dl",
+            "misaligned_fraction": "served_frac_misaligned_dl",
+            "aligned_fraction_total": "served_frac_aligned_total",
+            "misaligned_fraction_total": "served_frac_misaligned_total",
+        }
+        assert header.split(",") == ["ue", *fields]
+        assert len(rows) == 2
+        for row in rows:
+            ue, *values = row.split(",")
+            for value, key in zip(values, fields.values()):
+                assert value == summary[f"{key}.{ue}"]
+
 
 class TestNonFinite:
     @pytest.mark.parametrize(

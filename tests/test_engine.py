@@ -8,7 +8,6 @@ import pytest
 from rissim import presets
 from rissim.config import ChannelConfig
 from rissim.engine import (
-    DEFAULT_TDD,
     MCS_TABLE_64QAM,
     run,
     scheduling_histogram,
@@ -207,6 +206,42 @@ class TestGenieAggregates:
         cfg = replace(cfg, ues=ues, rsrp_offset_db=offset)
         _, sg = run(cfg)
         assert sg.aggregate_mbps == pytest.approx(np.mean(singles), rel=0.02)
+
+
+class TestAlignmentRule:
+    """The summary and the histogram share one rule: a served slot is aligned
+    when its table row is the served UE's own beam state, and the no-surface
+    row never is."""
+
+    def test_no_surface_slot_is_never_aligned(self):
+        # Neither state points at a UE, so both UEs have no beam state.
+        cfg = presets.schedule_config(mode="off", duration_s=2.0, warmup_s=0.5)
+        cfg = cfg.with_overrides({"ris.angles": "10:0,60:0"})
+        trace, summary = run(cfg)
+        assert summary.served_frac_aligned_dl == (0.0, 0.0)
+        assert summary.served_frac_aligned_total == (0.0, 0.0)
+        assert sum(summary.served_frac_misaligned_dl) == pytest.approx(1.0)
+        assert all(np.isnan(summary.mean_rsrp_aligned_dbm))
+        hist = scheduling_histogram(trace, 2, aligned_state=(-1, -1), start_slot=1000)
+        assert tuple(row["misaligned_fraction"] for row in hist) == (
+            summary.served_frac_misaligned_dl
+        )
+
+    def test_summary_matches_histogram_under_swapped_states(self):
+        # State 0 points at UE 1 and state 1 at UE 0.
+        cfg = short_schedule(duration_s=4.0, warmup_s=1.0)
+        cfg = cfg.with_overrides({"ris.angles": "45:0,30:0"})
+        trace, summary = run(cfg)
+        hist = scheduling_histogram(trace, 2, aligned_state=(1, 0), start_slot=2000)
+        fields = (
+            ("aligned_fraction", summary.served_frac_aligned_dl),
+            ("misaligned_fraction", summary.served_frac_misaligned_dl),
+            ("aligned_fraction_total", summary.served_frac_aligned_total),
+            ("misaligned_fraction_total", summary.served_frac_misaligned_total),
+        )
+        for key, values in fields:
+            assert tuple(row[key] for row in hist) == values
+        assert summary.served_frac_aligned_dl[0] > summary.served_frac_misaligned_dl[0]
 
 
 class TestSweep:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -59,32 +58,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_globals(cfg: ExperimentConfig, args) -> ExperimentConfig:
+def _config(args, base) -> ExperimentConfig:
+    """The one config path: ``--config`` or the preset ``base()``, then
+    ``--set``, ``--seed`` and ``--duration-s`` as flat-key overrides."""
+    cfg = parse_text(args.config.read_text()) if args.config is not None else base()
     overrides = {}
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
-    if overrides:
-        cfg = cfg.with_overrides(overrides)
     if args.seed is not None:
-        cfg = replace(cfg, sim=replace(cfg.sim, seed=args.seed))
+        overrides["sim.seed"] = str(args.seed)
     if args.duration_s is not None:
-        cfg = replace(cfg, sim=replace(cfg.sim, duration_s=args.duration_s))
-    return cfg
-
-
-def _base_config(args, preset_builder) -> ExperimentConfig:
-    if args.config is not None:
-        cfg = parse_text(args.config.read_text())
-    else:
-        cfg = preset_builder()
-    return _apply_globals(cfg, args)
+        overrides["sim.duration_s"] = repr(args.duration_s)
+    return cfg.with_overrides(overrides) if overrides else cfg
 
 
 def cmd_beam_pattern(args) -> int:
-    g = presets.GEOMETRY
+    g = _config(args, ExperimentConfig).geom  # default geometry is presets.GEOMETRY; no calibration
     offsets = design_phase_offsets(g.n_h, g.n_v) if g.dither else None
     out_dir: Path = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -143,27 +135,22 @@ def _emit_run(cfg: ExperimentConfig, out_dir: Path, tag: str, histogram: bool = 
 
 
 def cmd_single_ue(args) -> int:
-    ris_on = args.ris == "on"
-    cfg = _apply_globals(presets.single_ue_config(args.ue - 1, ris_on=ris_on), args)
+    cfg = _config(args, lambda: presets.single_ue_config(args.ue - 1, ris_on=args.ris == "on"))
     _emit_run(cfg, args.out_dir, f"single_ue{args.ue}_{args.ris}")
     return EXIT_OK
 
 
 def cmd_schedule(args) -> int:
-    def builder():
-        return presets.schedule_config(alpha=args.alpha, mode=args.mode)
-
-    cfg = _base_config(args, builder)
+    cfg = _config(args, lambda: presets.schedule_config(alpha=args.alpha, mode=args.mode))
     _emit_run(cfg, args.out_dir, f"schedule_{args.mode}", histogram=True)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    cfg = _base_config(args, presets.sweep_config)
+    cfg = _config(args, presets.sweep_config)
     rows = engine.sweep_alpha(cfg, list(args.alphas))
-    _, genie_summary = engine.run(replace(cfg, ris=replace(cfg.ris, mode="genie"),
-                                          sched=replace(cfg.sched, kind="rr")))
-    _, off_summary = engine.run(replace(cfg, ris=replace(cfg.ris, mode="off")))
+    _, genie_summary = engine.run(cfg.with_overrides({"ris.mode": "genie", "sched.kind": "rr"}))
+    _, off_summary = engine.run(cfg.with_overrides({"ris.mode": "off"}))
     out_dir: Path = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep_alpha.csv"

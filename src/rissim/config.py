@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 RIS_MODES = ("periodic", "iid", "genie", "off")
 SCHED_KINDS = ("pf", "rr")
@@ -107,7 +107,14 @@ class ExperimentConfig:
         return from_flat(flat)
 
 
+_UE_COLUMNS = fields(UeConfig)[2:]  # per-UE keys besides the ue.angles pairs
+
+
 def _fmt(value) -> str:
+    if isinstance(value, (tuple, list)):  # lists join with ",", angle pairs with ":"
+        return ",".join(
+            ":".join(map(_fmt, v)) if isinstance(v, (tuple, list)) else _fmt(v) for v in value
+        )
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -125,159 +132,105 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parse_float_list(s: str) -> list[float]:
-    return [float(x) for x in s.split(",")] if s else []
+def _parse_angles(s: str) -> tuple[tuple[float, float], ...]:
+    pairs = []
+    for item in s.split(","):
+        nu, _, psi = item.partition(":")
+        pairs.append((float(nu), float(psi) if psi else 0.0))
+    return tuple(pairs)
 
-def _parse_complex_list(s: str) -> list[complex]:
-    return [complex(x) for x in s.split(",")] if s else []
+
+def _list_of(parse):
+    return lambda s: tuple(parse(x) for x in s.split(",")) if s else ()
+
+
+# Value parser per field annotation; an optional field parses as its base type.
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": _parse_bool,
+    "complex": complex,
+    "tuple[float, ...]": _list_of(float),
+    "tuple[tuple[float, float], ...]": _parse_angles,
+}
+
+
+def _parser(f):
+    return _PARSERS[f.type.removesuffix(" | None")]
+
+
+def _flat_values(cfg: ExperimentConfig) -> dict[str, object]:
+    """Every config value under its flat key: ``<section>.<field>``, the
+    per-UE columns ``ue.angles`` (``(nu, psi)`` pairs) and ``ue.<field>``,
+    and ``budget.<field>`` for the top-level scalars."""
+    values: dict[str, object] = {}
+    for f in fields(cfg):
+        part = getattr(cfg, f.name)
+        if f.name == "ues":
+            values["ue.angles"] = tuple((u.nu_deg, u.psi_deg) for u in part)
+            for g in _UE_COLUMNS:
+                values[f"ue.{g.name}"] = tuple(getattr(u, g.name) for u in part)
+        elif f.default_factory is not MISSING:  # a section; the factory is its class
+            for g in fields(part):
+                values[f"{f.name}.{g.name}"] = getattr(part, g.name)
+        else:
+            values[f"budget.{f.name}"] = part
+    return values
 
 
 def to_flat(cfg: ExperimentConfig) -> dict[str, str]:
-    """Canonical flat key -> value-string form."""
-    flat = {
-        "geom.n_h": _fmt(cfg.geom.n_h),
-        "geom.n_v": _fmt(cfg.geom.n_v),
-        "geom.spacing_ratio": _fmt(cfg.geom.spacing_ratio),
-        "geom.dither": _fmt(cfg.geom.dither),
-        "ue.angles": ",".join(f"{_fmt(u.nu_deg)}:{_fmt(u.psi_deg)}" for u in cfg.ues),
-        "ue.pathloss_db": ",".join(_fmt(u.pathloss_db) for u in cfg.ues),
-        "ue.noise_dbm": ",".join(_fmt(u.noise_dbm) for u in cfg.ues),
-        "ue.direct_leak": ",".join(_fmt(u.direct_leak) for u in cfg.ues),
-        "ue.noris_gain": ",".join(_fmt(u.noris_gain) for u in cfg.ues),
-        "ris.mode": cfg.ris.mode,
-        "ris.ts_slots": _fmt(cfg.ris.ts_slots),
-        "ris.offset_slots": _fmt(cfg.ris.offset_slots),
-        "sched.kind": cfg.sched.kind,
-        "sched.alpha": _fmt(cfg.sched.alpha),
-        "sched.floor": _fmt(cfg.sched.floor),
-        "la.impl_margin_db": _fmt(cfg.la.impl_margin_db),
-        "la.slope": _fmt(cfg.la.slope),
-        "la.cqi_backoff_db": _fmt(cfg.la.cqi_backoff_db),
-        "la.window_ms": _fmt(cfg.la.window_ms),
-        "la.cqi_period_ms": _fmt(cfg.la.cqi_period_ms),
-        "la.bler_low": _fmt(cfg.la.bler_low),
-        "la.bler_high": _fmt(cfg.la.bler_high),
-        "la.mcs_min": _fmt(cfg.la.mcs_min),
-        "sim.duration_s": _fmt(cfg.sim.duration_s),
-        "sim.warmup_s": _fmt(cfg.sim.warmup_s),
-        "sim.seed": _fmt(cfg.sim.seed),
-        "sim.ts_scaling": _fmt(cfg.sim.ts_scaling),
-        "sim.prbs": _fmt(cfg.sim.prbs),
-        "budget.tx_power_dbm": _fmt(cfg.tx_power_dbm),
-        "budget.rsrp_offset_db": _fmt(cfg.rsrp_offset_db),
+    """Canonical flat key -> value-string form; unset optional keys (None,
+    or ``chan.coherence_slots`` 0) are left out."""
+    return {
+        key: _fmt(value)
+        for key, value in _flat_values(cfg).items()
+        if value is not None and not (key == "chan.coherence_slots" and value == 0)
     }
-    if cfg.ris.seed is not None:
-        flat["ris.seed"] = _fmt(cfg.ris.seed)
-    if cfg.ris.angles is not None:
-        flat["ris.angles"] = ",".join(f"{_fmt(nu)}:{_fmt(psi)}" for nu, psi in cfg.ris.angles)
-    if cfg.ris.probs is not None:
-        flat["ris.probs"] = ",".join(_fmt(p) for p in cfg.ris.probs)
-    if cfg.chan.rician_k_db is not None:
-        flat["chan.rician_k_db"] = _fmt(cfg.chan.rician_k_db)
-    if cfg.chan.coherence_slots:
-        flat["chan.coherence_slots"] = _fmt(cfg.chan.coherence_slots)
-    return flat
 
 
 def from_flat(flat: dict[str, str]) -> ExperimentConfig:
-    """Build a config from flat key/value strings; unknown keys are errors."""
+    """Build a config from the keys of :func:`to_flat`; an absent key keeps
+    its dataclass default, an unknown key is an error."""
     known = dict(flat)
 
-    def take(key: str, parser, default):
-        if key in known:
-            raw = known.pop(key)
-            try:
-                return parser(raw)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from None
-        return default
+    def take(key: str, parse):
+        raw = known.pop(key)
+        try:
+            return parse(raw)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from None
 
-    defaults = ExperimentConfig()
-    geom = GeometryConfig(
-        n_h=take("geom.n_h", int, defaults.geom.n_h),
-        n_v=take("geom.n_v", int, defaults.geom.n_v),
-        spacing_ratio=take("geom.spacing_ratio", float, defaults.geom.spacing_ratio),
-        dither=take("geom.dither", _parse_bool, defaults.geom.dither),
-    )
+    def take_fields(prefix: str, flds, parser=_parser) -> dict:
+        """Keyword arguments from the ``<prefix>.<field>`` keys present."""
+        return {
+            g.name: take(f"{prefix}.{g.name}", parser(g))
+            for g in flds
+            if f"{prefix}.{g.name}" in known
+        }
 
-    def parse_angles(s: str) -> list[tuple[float, float]]:
-        pairs = []
-        for item in s.split(","):
-            nu, _, psi = item.partition(":")
-            pairs.append((float(nu), float(psi) if psi else 0.0))
-        return pairs
-
-    angles = take("ue.angles", parse_angles, [(u.nu_deg, u.psi_deg) for u in defaults.ues])
-    n_ues = len(angles)
-
-    def per_ue(key: str, parser, default_value) -> list:
-        values = take(key, parser, None)
-        if values is None:
-            return [default_value] * n_ues
-        if len(values) != n_ues:
-            raise ConfigError(f"{key}: expected {n_ues} entries, got {len(values)}")
-        return values
-
-    pathloss = per_ue("ue.pathloss_db", _parse_float_list, UeConfig(0.0).pathloss_db)
-    noise = per_ue("ue.noise_dbm", _parse_float_list, UeConfig(0.0).noise_dbm)
-    leak = per_ue("ue.direct_leak", _parse_complex_list, UeConfig(0.0).direct_leak)
-    noris = per_ue("ue.noris_gain", _parse_float_list, UeConfig(0.0).noris_gain)
-    ues = tuple(
-        UeConfig(
-            nu_deg=angles[k][0],
-            psi_deg=angles[k][1],
-            pathloss_db=pathloss[k],
-            noise_dbm=noise[k],
-            direct_leak=leak[k],
-            noris_gain=noris[k],
-        )
-        for k in range(n_ues)
-    )
-
-    probs_raw = take("ris.probs", _parse_float_list, None)
-    ris_angles_raw = take("ris.angles", parse_angles, None)
-    ris = RisConfig(
-        mode=take("ris.mode", str, defaults.ris.mode),
-        ts_slots=take("ris.ts_slots", int, defaults.ris.ts_slots),
-        seed=take("ris.seed", int, None),
-        offset_slots=take("ris.offset_slots", int, defaults.ris.offset_slots),
-        angles=tuple(tuple(p) for p in ris_angles_raw) if ris_angles_raw is not None else None,
-        probs=tuple(probs_raw) if probs_raw is not None else None,
-    )
-    sched = SchedConfig(
-        kind=take("sched.kind", str, defaults.sched.kind),
-        alpha=take("sched.alpha", float, defaults.sched.alpha),
-        floor=take("sched.floor", float, defaults.sched.floor),
-    )
-    la = LaConfig(
-        impl_margin_db=take("la.impl_margin_db", float, defaults.la.impl_margin_db),
-        slope=take("la.slope", float, defaults.la.slope),
-        cqi_backoff_db=take("la.cqi_backoff_db", float, defaults.la.cqi_backoff_db),
-        window_ms=take("la.window_ms", float, defaults.la.window_ms),
-        cqi_period_ms=take("la.cqi_period_ms", float, defaults.la.cqi_period_ms),
-        bler_low=take("la.bler_low", float, defaults.la.bler_low),
-        bler_high=take("la.bler_high", float, defaults.la.bler_high),
-        mcs_min=take("la.mcs_min", int, defaults.la.mcs_min),
-    )
-    sim = SimConfig(
-        duration_s=take("sim.duration_s", float, defaults.sim.duration_s),
-        warmup_s=take("sim.warmup_s", float, defaults.sim.warmup_s),
-        seed=take("sim.seed", int, defaults.sim.seed),
-        ts_scaling=take("sim.ts_scaling", float, defaults.sim.ts_scaling),
-        prbs=take("sim.prbs", int, defaults.sim.prbs),
-    )
-    chan = ChannelConfig(
-        rician_k_db=take("chan.rician_k_db", float, None),
-        coherence_slots=take("chan.coherence_slots", int, 0),
-    )
-    tx = take("budget.tx_power_dbm", float, defaults.tx_power_dbm)
-    offset = take("budget.rsrp_offset_db", float, defaults.rsrp_offset_db)
+    kwargs = {}
+    for f in fields(ExperimentConfig):
+        if f.name == "ues":
+            default = tuple((u.nu_deg, u.psi_deg) for u in f.default)
+            angles = take("ue.angles", _parse_angles) if "ue.angles" in known else default
+            columns = take_fields("ue", _UE_COLUMNS, lambda g: _list_of(_parser(g)))
+            for name, column in columns.items():
+                if len(column) != len(angles):
+                    raise ConfigError(
+                        f"ue.{name}: expected {len(angles)} entries, got {len(column)}"
+                    )
+            kwargs["ues"] = tuple(
+                UeConfig(nu, psi, **{name: column[k] for name, column in columns.items()})
+                for k, (nu, psi) in enumerate(angles)
+            )
+        elif f.default_factory is not MISSING:  # a section; the factory is its class
+            kwargs[f.name] = f.default_factory(**take_fields(f.name, fields(f.default_factory)))
+        else:
+            kwargs.update(take_fields("budget", [f]))
     if known:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(known)))
-    cfg = ExperimentConfig(
-        geom=geom, ues=ues, ris=ris, sched=sched, la=la, sim=sim, chan=chan,
-        tx_power_dbm=tx, rsrp_offset_db=offset,
-    )
+    cfg = ExperimentConfig(**kwargs)
     validate(cfg)
     return cfg
 
@@ -309,38 +262,39 @@ def _finite(value) -> bool:
     return True
 
 
-def _flat_values(cfg: ExperimentConfig) -> dict[str, object]:
-    """Every config value under its flat key; per-UE values as tuples."""
-    values: dict[str, object] = {
-        "budget.tx_power_dbm": cfg.tx_power_dbm,
-        "budget.rsrp_offset_db": cfg.rsrp_offset_db,
-    }
-    for section in ("geom", "ris", "sched", "la", "sim", "chan"):
-        part = getattr(cfg, section)
-        for f in fields(part):
-            values[f"{section}.{f.name}"] = getattr(part, f.name)
-    for f in fields(UeConfig):
-        key = "ue.angles" if f.name in ("nu_deg", "psi_deg") else f"ue.{f.name}"
-        values[key] = values.get(key, ()) + tuple(getattr(u, f.name) for u in cfg.ues)
-    return values
+# Single-key rules: flat key -> (requirement, test).
+_RULES = {
+    "geom.n_h": (">= 1", lambda v: v >= 1),
+    "geom.n_v": (">= 1", lambda v: v >= 1),
+    "geom.spacing_ratio": ("positive", lambda v: v > 0),
+    "ris.mode": (f"one of {RIS_MODES}", lambda v: v in RIS_MODES),
+    "ris.ts_slots": (">= 1", lambda v: v >= 1),
+    "ris.offset_slots": (">= 0", lambda v: v >= 0),
+    "sched.kind": (f"one of {SCHED_KINDS}", lambda v: v in SCHED_KINDS),
+    "sched.floor": ("positive", lambda v: v > 0),
+    "la.window_ms": ("positive", lambda v: v > 0),
+    "la.cqi_period_ms": ("positive", lambda v: v > 0),
+    "la.mcs_min": ("in [0, 28]", lambda v: 0 <= v <= 28),
+    "la.slope": ("positive", lambda v: v > 0),
+    "sim.duration_s": (">= 0", lambda v: v >= 0),
+    "sim.ts_scaling": ("positive", lambda v: v > 0),
+    "sim.prbs": (">= 1", lambda v: v >= 1),
+    "chan.coherence_slots": (">= 0", lambda v: v >= 0),
+}
 
 
 def validate(cfg: ExperimentConfig) -> None:
     """Raise ConfigError naming every invalid key."""
-    errors = [
-        f"{key}: must be finite, got {value}"
-        for key, value in _flat_values(cfg).items()
-        if not _finite(value)
-    ]
+    values = _flat_values(cfg)
+    errors = [f"{key}: must be finite, got {v}" for key, v in values.items() if not _finite(v)]
     if errors:
         # Range checks below are meaningless on NaN, which compares false.
         raise ConfigError("; ".join(errors))
-    if cfg.geom.n_h < 1:
-        errors.append(f"geom.n_h: must be >= 1, got {cfg.geom.n_h}")
-    if cfg.geom.n_v < 1:
-        errors.append(f"geom.n_v: must be >= 1, got {cfg.geom.n_v}")
-    if cfg.geom.spacing_ratio <= 0:
-        errors.append(f"geom.spacing_ratio: must be positive, got {cfg.geom.spacing_ratio}")
+    errors = [
+        f"{key}: must be {need}, got {values[key]!r}"
+        for key, (need, ok) in _RULES.items()
+        if not ok(values[key])
+    ]
     if not cfg.ues:
         errors.append("ue.angles: need at least one UE")
     for k, u in enumerate(cfg.ues):
@@ -351,12 +305,6 @@ def validate(cfg: ExperimentConfig) -> None:
                 f"ue.noise_dbm: UE {k} noise {u.noise_dbm} dBm does not leave a usable link "
                 f"(tx - pathloss = {cfg.tx_power_dbm - u.pathloss_db} dBm)"
             )
-    if cfg.ris.mode not in RIS_MODES:
-        errors.append(f"ris.mode: must be one of {RIS_MODES}, got {cfg.ris.mode!r}")
-    if cfg.ris.ts_slots < 1:
-        errors.append(f"ris.ts_slots: must be >= 1, got {cfg.ris.ts_slots}")
-    if cfg.ris.offset_slots < 0:
-        errors.append(f"ris.offset_slots: must be >= 0, got {cfg.ris.offset_slots}")
     n_states = len(cfg.ris.angles) if cfg.ris.angles is not None else len(cfg.ues)
     if cfg.ris.angles is not None:
         for nu, psi in cfg.ris.angles:
@@ -368,8 +316,6 @@ def validate(cfg: ExperimentConfig) -> None:
             errors.append("ris.probs: must have one probability per state")
         elif any(p < 0 for p in cfg.ris.probs) or abs(sum(cfg.ris.probs) - 1.0) > 1e-9:
             errors.append("ris.probs: must be non-negative and sum to 1")
-    if cfg.sched.kind not in SCHED_KINDS:
-        errors.append(f"sched.kind: must be one of {SCHED_KINDS}, got {cfg.sched.kind!r}")
     effective_alpha = cfg.sched.alpha * cfg.sim.ts_scaling
     if not 0.0 < cfg.sched.alpha < 1.0:
         errors.append(f"sched.alpha: must be in (0, 1), got {cfg.sched.alpha}")
@@ -378,33 +324,15 @@ def validate(cfg: ExperimentConfig) -> None:
             f"sched.alpha: ts-scaled value {effective_alpha} leaves (0, 1) "
             f"(sim.ts_scaling = {cfg.sim.ts_scaling})"
         )
-    if cfg.sched.floor <= 0:
-        errors.append(f"sched.floor: must be positive, got {cfg.sched.floor}")
     if not 0.0 <= cfg.la.bler_low < cfg.la.bler_high <= 1.0:
         errors.append(
             f"la.bler_low/la.bler_high: need 0 <= low < high <= 1, got "
             f"{cfg.la.bler_low}/{cfg.la.bler_high}"
         )
-    if cfg.la.window_ms <= 0:
-        errors.append(f"la.window_ms: must be positive, got {cfg.la.window_ms}")
-    if cfg.la.cqi_period_ms <= 0:
-        errors.append(f"la.cqi_period_ms: must be positive, got {cfg.la.cqi_period_ms}")
-    if not 0 <= cfg.la.mcs_min <= 28:
-        errors.append(f"la.mcs_min: must be in [0, 28], got {cfg.la.mcs_min}")
-    if cfg.la.slope <= 0:
-        errors.append(f"la.slope: must be positive, got {cfg.la.slope}")
-    if cfg.sim.duration_s < 0:
-        errors.append(f"sim.duration_s: must be >= 0, got {cfg.sim.duration_s}")
     if cfg.sim.warmup_s < 0 or (cfg.sim.duration_s > 0 and cfg.sim.warmup_s >= cfg.sim.duration_s):
         errors.append(
             f"sim.warmup_s: must be in [0, sim.duration_s), got {cfg.sim.warmup_s}"
         )
-    if cfg.sim.ts_scaling <= 0:
-        errors.append(f"sim.ts_scaling: must be positive, got {cfg.sim.ts_scaling}")
-    if cfg.sim.prbs < 1:
-        errors.append(f"sim.prbs: must be >= 1, got {cfg.sim.prbs}")
-    if cfg.chan.coherence_slots < 0:
-        errors.append(f"chan.coherence_slots: must be >= 0, got {cfg.chan.coherence_slots}")
     if errors:
         raise ConfigError("; ".join(errors))
 

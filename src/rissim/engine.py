@@ -16,6 +16,7 @@ are bit-reproducible and enabling scatter does not perturb HARQ draws.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import Counter
 from collections.abc import Sequence
@@ -87,12 +88,14 @@ class Trace(Sequence):
     surface state except in mode "off" (the last row, state -1).  The
     tables change at every channel rebuild: epoch ``e`` covers the slots
     from ``e * coherence`` on.  ``ue`` and ``mcs`` are None on idle
-    (uplink) slots.
+    (uplink) slots.  ``aligned_state`` is the run's per-UE own beam
+    state (``LinkTables.aligned_state``), set by :func:`run`.
     """
 
     def __init__(self, n_slots: int, off_row: int, coherence: int = 0):
         self.off_row = off_row
         self.coherence = coherence
+        self.aligned_state: tuple[int, ...] = ()
         self.row = [0] * n_slots
         self.ue: list[int | None] = [None] * n_slots
         self.mcs: list[int | None] = [None] * n_slots
@@ -109,13 +112,13 @@ class Trace(Sequence):
     def state_of(self, row: int) -> int:
         return -1 if row == self.off_row else row
 
-    def is_aligned(self, row: int, aligned_state: int) -> bool:
-        """Whether a slot on table ``row`` is aligned to a UE whose own beam
-        state is ``aligned_state``; the no-surface row never is.
+    def is_aligned(self, row: int, ue: int) -> bool:
+        """Whether a slot on table ``row`` is aligned to UE ``ue``: the row is
+        the UE's own beam state, and the no-surface row never is.
 
         The run summary and :func:`scheduling_histogram` both use this rule.
         """
-        return row != self.off_row and row == aligned_state
+        return row != self.off_row and row == self.aligned_state[ue]
 
     def epochs(self):
         """(first slot, end slot, RSRP rows, SNR rows) of each table epoch."""
@@ -377,6 +380,7 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     )
 
     trace = Trace(n_slots, off_row, coherence)
+    trace.aligned_state = aligned_state
     rows, ues, mcss, tbs, nacks, retxs = (
         trace.row, trace.ue, trace.mcs, trace.tb_bits, trace.nack, trace.retx,
     )
@@ -487,7 +491,7 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
 
     # Window statistics: one pass over the trace columns from the warm-up
     # slot on.  RSRP sums add in slot order, so the means keep their bits.
-    aligned_rows = [[trace.is_aligned(r, a) for a in aligned_state] for r in range(off_row + 1)]
+    aligned_rows = [[trace.is_aligned(r, k) for k in range(n_ues)] for r in range(off_row + 1)]
     scheduled, retx_count, window_acked = [0] * n_ues, [0] * n_ues, [0] * n_ues
     rsrp_sum = [[0.0, 0.0] for _ in range(n_ues)]  # per UE: [misaligned, aligned]
     rsrp_n = [[0, 0] for _ in range(n_ues)]
@@ -515,7 +519,7 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     tput = tuple((b / measured_s / 1e6) if measured_s > 0 else 0.0 for b in window_acked)
     total_served = sum(scheduled)
     aligned_dl, misaligned_dl, aligned_total, misaligned_total = _served_fractions(
-        trace, aligned_state, warmup_slot
+        trace, warmup_slot
     )
     summary = RunSummary(
         duration_s=cfg.sim.duration_s,
@@ -539,15 +543,13 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     return trace, summary
 
 
-def _served_fractions(
-    trace: Trace, aligned_state: Sequence[int], start_slot: int = 0
-) -> tuple[tuple[float, ...], ...]:
+def _served_fractions(trace: Trace, start_slot: int = 0) -> tuple[tuple[float, ...], ...]:
     """Per-UE served-slot fractions split by :meth:`Trace.is_aligned`.
 
     Returns the aligned and misaligned fractions of the downlink-schedulable
     slots from ``start_slot`` on, then the same two over all those slots.
     """
-    n_ues = len(aligned_state)
+    n_ues = len(trace.aligned_state)
     start = max(start_slot, 0)
     total = max(len(trace) - start, 0)
     served = Counter(zip(islice(trace.ue, start, None), islice(trace.row, start, None)))
@@ -555,7 +557,7 @@ def _served_fractions(
     dl_total = 0  # every downlink-schedulable slot serves one UE
     for (ue, row), n in served.items():
         if ue is not None:
-            counts[trace.is_aligned(row, aligned_state[ue])][ue] += n
+            counts[trace.is_aligned(row, ue)][ue] += n
             dl_total += n
     return tuple(
         tuple(c / d if d else 0.0 for c in counts[hit]) for d in (dl_total, total) for hit in (1, 0)
@@ -572,17 +574,21 @@ def scheduling_histogram(
 
     ``aligned_fraction``/``misaligned_fraction`` use the DL-schedulable
     slots as denominator; the ``*_total`` variants use all slots from
-    ``start_slot`` on.  By default state ``k`` counts as aligned to
-    UE ``k``; a run's own mapping is ``LinkTables.aligned_state``, and its
-    summary's ``served_frac_*`` fields hold these fractions under it.
+    ``start_slot`` on.  Alignment follows the run's own beam-to-UE
+    mapping, ``trace.aligned_state``, under which the summary's
+    ``served_frac_*`` fields hold these fractions; an explicit
+    ``aligned_state`` replaces it.
     """
-    if aligned_state is None:
-        aligned_state = tuple(range(n_ues))
+    if aligned_state is not None:
+        trace = copy.copy(trace)  # shares the columns
+        trace.aligned_state = tuple(aligned_state)
+    if n_ues != len(trace.aligned_state):
+        raise ValueError(f"n_ues is {n_ues}, but the trace has {len(trace.aligned_state)} UEs")
     keys = (
         "aligned_fraction", "misaligned_fraction",
         "aligned_fraction_total", "misaligned_fraction_total",
     )
-    return [dict(zip(keys, ue)) for ue in zip(*_served_fractions(trace, aligned_state, start_slot))]
+    return [dict(zip(keys, ue)) for ue in zip(*_served_fractions(trace, start_slot))]
 
 
 def sweep_alpha(

@@ -1,17 +1,31 @@
 """Config round-trip, validation messages, and the CLI surface."""
 
+import io
+import re
+from contextlib import redirect_stderr
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from rissim import presets
+from rissim import cli, presets
 from rissim.cli import main
 from rissim.config import (
+    RIS_MODES,
+    SCHED_KINDS,
+    ChannelConfig,
     ConfigError,
     ExperimentConfig,
+    GeometryConfig,
+    LaConfig,
+    RisConfig,
+    SchedConfig,
+    SimConfig,
+    UeConfig,
     parse_text,
     serialize,
+    to_flat,
 )
 
 
@@ -208,3 +222,163 @@ class TestNonFinite:
         cfg = replace(cfg, sim=replace(cfg.sim, duration_s=float("nan")))
         with pytest.raises(ConfigError, match="sim.duration_s"):
             run(cfg)
+
+
+# Generated configs: every section field, 1..4 UEs, optional keys present or absent.
+_finite_floats = st.floats(-50.0, 50.0)
+
+
+@st.composite
+def experiment_configs(draw):
+    n_ues = draw(st.integers(1, 4))
+    ues = tuple(
+        UeConfig(
+            nu_deg=draw(st.floats(-90.0, 90.0)),
+            psi_deg=draw(st.floats(-90.0, 90.0)),
+            pathloss_db=draw(st.floats(40.0, 120.0)),
+            noise_dbm=draw(st.floats(-200.0, -130.0)),
+            direct_leak=draw(
+                st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+            ),
+            noris_gain=draw(st.floats(0.0, 1.0)),
+        )
+        for _ in range(n_ues)
+    )
+    angles = draw(
+        st.none()
+        | st.lists(st.tuples(st.floats(-90.0, 90.0), st.floats(-90.0, 90.0)), min_size=1, max_size=4)
+        .map(tuple)
+    )
+    n_states = len(angles) if angles is not None else n_ues
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=n_states, max_size=n_states))
+    probs = draw(st.sampled_from([None, tuple(w / sum(weights) for w in weights)]))
+    duration = draw(st.floats(0.0, 500.0))
+    return ExperimentConfig(
+        geom=GeometryConfig(
+            n_h=draw(st.integers(1, 64)),
+            n_v=draw(st.integers(1, 64)),
+            spacing_ratio=draw(st.floats(0.01, 2.0)),
+            dither=draw(st.booleans()),
+        ),
+        ues=ues,
+        ris=RisConfig(
+            mode=draw(st.sampled_from(RIS_MODES)),
+            ts_slots=draw(st.integers(1, 10**6)),
+            seed=draw(st.none() | st.integers(0, 2**63)),
+            offset_slots=draw(st.integers(0, 10**4)),
+            angles=angles,
+            probs=probs,
+        ),
+        sched=SchedConfig(
+            kind=draw(st.sampled_from(SCHED_KINDS)),
+            alpha=draw(st.floats(1e-7, 0.49)),
+            floor=draw(st.floats(1e-9, 1.0)),
+        ),
+        la=LaConfig(
+            impl_margin_db=draw(_finite_floats),
+            slope=draw(st.floats(0.01, 10.0)),
+            cqi_backoff_db=draw(_finite_floats),
+            window_ms=draw(st.floats(0.5, 1000.0)),
+            cqi_period_ms=draw(st.floats(0.5, 1000.0)),
+            bler_low=draw(st.floats(0.0, 0.49)),
+            bler_high=draw(st.floats(0.5, 1.0)),
+            mcs_min=draw(st.integers(0, 28)),
+        ),
+        sim=SimConfig(
+            duration_s=duration,
+            warmup_s=duration * draw(st.floats(0.0, 0.99)),
+            seed=draw(st.integers(0, 2**63)),
+            ts_scaling=draw(st.floats(0.1, 2.0)),
+            prbs=draw(st.integers(1, 273)),
+        ),
+        chan=ChannelConfig(
+            rician_k_db=draw(st.none() | _finite_floats),
+            coherence_slots=draw(st.integers(0, 10**4)),
+        ),
+        tx_power_dbm=draw(st.floats(0.0, 40.0)),
+        rsrp_offset_db=draw(st.floats(-100.0, 100.0)),
+    )
+
+
+def _cli_config(argv):
+    """The config the CLI builds for ``argv`` on the default base."""
+    return cli._config(cli._build_parser().parse_args([*argv, "beam-pattern"]), ExperimentConfig)
+
+
+class TestGeneratedConfigs:
+    @given(experiment_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_text_round_trip(self, cfg):
+        assert parse_text(serialize(cfg)) == cfg
+
+    @given(experiment_configs())
+    @settings(max_examples=50, deadline=None)
+    def test_every_key_accepted_by_set(self, cfg):
+        sets = [arg for k, v in to_flat(cfg).items() for arg in ("--set", f"{k}={v}")]
+        assert _cli_config(sets) == cfg
+
+    @given(st.from_regex(r"[a-z]{1,8}\.[a-z_]{1,12}", fullmatch=True))
+    @settings(max_examples=50, deadline=None)
+    def test_unknown_key_exits_2_naming_it(self, key):
+        assume(key not in to_flat(_all_optional_keys_set()))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            rc = main(["--set", f"{key}=1", "beam-pattern"])
+        assert rc == 2
+        assert key in err.getvalue()
+
+    def test_seed_and_duration_flags_are_overrides(self):
+        flags = _cli_config(["--seed", "17", "--duration-s", "30.5"])
+        sets = _cli_config(["--set", "sim.seed=17", "--set", "sim.duration_s=30.5"])
+        assert flags == sets == replace(
+            ExperimentConfig(), sim=replace(ExperimentConfig().sim, seed=17, duration_s=30.5)
+        )
+        assert _cli_config(["--set", "sim.seed=5", "--seed", "17"]).sim.seed == 17
+
+
+def _all_optional_keys_set():
+    base = ExperimentConfig()
+    return replace(
+        base,
+        ris=replace(base.ris, seed=3, angles=((30.0, 0.0), (45.0, 0.0)), probs=(0.5, 0.5)),
+        chan=ChannelConfig(rician_k_db=6.0, coherence_slots=20),
+    )
+
+
+class TestOneConfigPath:
+    @pytest.mark.parametrize(
+        "command",
+        [["single-ue", "--ue", "1"], ["beam-pattern", "--steer-deg", "30"]],
+    )
+    def test_config_file_with_unknown_key_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.cfg"
+        path.write_text("nonsense.key = 3\n")
+        rc = main(["--config", str(path), "--out-dir", str(tmp_path / "out"), *command])
+        assert rc == 2
+        assert "nonsense.key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_beam_pattern_reads_geometry(self, tmp_path):
+        cfg = replace(ExperimentConfig(), geom=replace(ExperimentConfig().geom, n_h=16))
+        path = tmp_path / "geom.cfg"
+        path.write_text(serialize(cfg))
+        coarse = ["beam-pattern", "--steer-deg", "30", "--grid-step-deg", "0.1"]
+        for name, extra in (
+            ("default", []),
+            ("set", ["--set", "geom.n_h=16"]),
+            ("file", ["--config", str(path)]),
+        ):
+            assert main(["--out-dir", str(tmp_path / name), *extra, *coarse]) == 0
+        default, by_set, by_file = (
+            (tmp_path / name / "pattern_30deg.csv").read_text() for name in ("default", "set", "file")
+        )
+        assert by_set != default
+        assert by_file == by_set
+
+
+class TestReadmeKeys:
+    def test_readme_lists_every_flat_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = re.findall(r"^\| `([a-z_]+\.[a-z_]+)`", readme, flags=re.MULTILINE)
+        assert len(listed) == len(set(listed))
+        assert set(listed) == set(to_flat(_all_optional_keys_set()))

@@ -243,6 +243,23 @@ class TestAlignmentRule:
             assert tuple(row[key] for row in hist) == values
         assert summary.served_frac_aligned_dl[0] > summary.served_frac_misaligned_dl[0]
 
+    def test_histogram_defaults_to_the_runs_own_mapping(self):
+        # No aligned_state given: the trace carries the run's swapped mapping.
+        cfg = short_schedule(duration_s=4.0, warmup_s=1.0)
+        cfg = cfg.with_overrides({"ris.angles": "45:0,30:0"})
+        trace, summary = run(cfg)
+        hist = scheduling_histogram(trace, 2, start_slot=2000)
+        assert tuple(row["aligned_fraction"] for row in hist) == summary.served_frac_aligned_dl
+        assert tuple(row["misaligned_fraction_total"] for row in hist) == (
+            summary.served_frac_misaligned_total
+        )
+        assert trace.aligned_state == (1, 0)
+
+    def test_histogram_rejects_wrong_ue_count(self):
+        trace, _ = run(short_schedule(duration_s=1.0, warmup_s=0.0))
+        with pytest.raises(ValueError, match="n_ues"):
+            scheduling_histogram(trace, 3)
+
 
 class TestSweep:
     def test_single_alpha_row_matches_run(self):

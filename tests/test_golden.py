@@ -1,4 +1,4 @@
-"""Golden hashes: exact trace, summary, histogram and link-table bytes.
+"""Golden hashes: exact trace, summary, histogram, link-table and config-text bytes.
 
 Every speed-up of the slot loop or the link-table builder must keep
 these digests.  A change that moves one on purpose must say why and
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from rissim import presets
-from rissim.config import ChannelConfig, to_slots
+from rissim.config import ChannelConfig, ExperimentConfig, serialize, to_slots
 from rissim.engine import (
     build_distribution,
     build_link_tables,
@@ -152,6 +152,39 @@ def test_golden_link_tables(name):
     assert table_digest(CONFIGS[name]()) == TABLE_PINS[name]
 
 
+def _optional_sections():
+    base = ExperimentConfig()
+    return replace(
+        base,
+        ris=replace(base.ris, angles=((10.0, 0.0), (60.0, 5.0)), probs=(0.25, 0.75), seed=9),
+        chan=ChannelConfig(rician_k_db=12.0, coherence_slots=400),
+    )
+
+
+TEXT_CONFIGS = {
+    "default": ExperimentConfig,
+    "schedule": presets.schedule_config,
+    "sweep": presets.sweep_config,
+    "single_ue_0_on": lambda: presets.single_ue_config(0),
+    "single_ue_1_off": lambda: presets.single_ue_config(1, ris_on=False),
+    "optional_sections": _optional_sections,
+}
+
+TEXT_PINS = {
+    "default": "34029d2d8635dd74dc82b8e206d15409632b12d700c6c1ac8c77c533ba5fde5a",
+    "optional_sections": "c647c307fb6297f8864381d93cbb2e539ba1799e46af8b438c94cf52ea7aa526",
+    "schedule": "35e1a449a77410e933820e6c2dfd4780a56c01a22713c57dffce27a2e8517ad9",
+    "single_ue_0_on": "bc34791c7624b739a989154743c6eca09772a769ae9b4f5f7366350bb7436308",
+    "single_ue_1_off": "53add788e4f8ea6d1865130e8e6b503217ebb838a2ed1de20f74c0c8ee2f0a0a",
+    "sweep": "25524243c317db3f0a20df516e24707c0da3d2147c8845a4d81d8915b4669683",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_PINS))
+def test_golden_config_text(name):
+    assert _sha(serialize(TEXT_CONFIGS[name]()).encode()) == TEXT_PINS[name]
+
+
 if __name__ == "__main__":
     import tempfile
     from pathlib import Path
@@ -161,3 +194,5 @@ if __name__ == "__main__":
             print(f"    {name!r}: {digests(CONFIGS[name](), Path(d))!r},")  # PINS
     for name in ("rician", "three_ues"):
         print(f"    {name!r}: {table_digest(CONFIGS[name]())!r},")  # TABLE_PINS
+    for name in sorted(TEXT_CONFIGS):
+        print(f"    {name!r}: {_sha(serialize(TEXT_CONFIGS[name]()).encode())!r},")  # TEXT_PINS

@@ -71,6 +71,14 @@ def design_phase_offsets(n_h: int, n_v: int, seed: int = DESIGN_DITHER_SEED) -> 
     return rng.uniform(-np.pi, np.pi, size=n_h * n_v)
 
 
+def _weights(code: np.ndarray, phase_offsets: np.ndarray | None) -> np.ndarray:
+    """Per-element reflection phasors exp(j*(offset + pi*code)), flattened."""
+    phases = np.pi * np.asarray(code).astype(float).ravel()
+    if phase_offsets is not None:
+        phases = phases + np.asarray(phase_offsets).ravel()
+    return np.exp(1j * phases)
+
+
 @dataclass(frozen=True)
 class RisPhaseProfile:
     """One selectable surface configuration.
@@ -87,9 +95,6 @@ class RisPhaseProfile:
     code: np.ndarray
     nu_deg: float
     psi_deg: float
-    n_h: int
-    n_v: int
-    spacing_ratio: float
     phase_offsets: np.ndarray | None = field(default=None)
 
     def __len__(self) -> int:
@@ -97,10 +102,7 @@ class RisPhaseProfile:
 
     def reflection_weights(self) -> np.ndarray:
         """Realized per-element reflection phasors exp(j*(offset + pi*code))."""
-        phases = np.pi * self.code.astype(float)
-        if self.phase_offsets is not None:
-            phases = phases + self.phase_offsets
-        return np.exp(1j * phases)
+        return _weights(self.code, self.phase_offsets)
 
 
 def upa_profile(
@@ -133,21 +135,8 @@ def upa_profile(
         code=code,
         nu_deg=nu_deg,
         psi_deg=psi_deg,
-        n_h=n_h,
-        n_v=n_v,
-        spacing_ratio=spacing_ratio,
         phase_offsets=phase_offsets,
     )
-
-
-def _weights(code: np.ndarray, n_h: int, n_v: int, phase_offsets: np.ndarray | None) -> np.ndarray:
-    code = np.asarray(code)
-    if code.size != n_h * n_v:
-        raise ValueError(f"code length {code.size} does not match {n_h}x{n_v} array")
-    phases = np.pi * code.astype(float).ravel()
-    if phase_offsets is not None:
-        phases = phases + np.asarray(phase_offsets).ravel()
-    return np.exp(1j * phases)
 
 
 def pattern_gains(
@@ -167,7 +156,10 @@ def pattern_gains(
     and observation path phases at its position; the fully coherent
     gain equals ``n_h * n_v``.
     """
-    w = _weights(code, n_h, n_v, phase_offsets).reshape(n_h, n_v)
+    code = np.asarray(code)
+    if code.size != n_h * n_v:
+        raise ValueError(f"code length {code.size} does not match {n_h}x{n_v} array")
+    w = _weights(code, phase_offsets).reshape(n_h, n_v)
     inc_h = steering_vector(illum_angle_deg, n_h, spacing_ratio)
     inc_v = steering_vector(0.0, n_v, spacing_ratio)
     # Vertical observation factor at elevation 0 is all-ones, so the

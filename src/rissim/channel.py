@@ -1,7 +1,8 @@
 """Cascaded channels through the reflecting surface and link-budget maps.
 
-A UE's cascaded channel is the element-wise product of the feeder-side
-and UE-side channel vectors.  Under a surface configuration the
+A UE's cascaded channel is one complex gain per surface element: the
+line-of-sight planar-array response at the UE's angles under broadside
+feed, optionally plus Rician scatter.  Under a surface configuration the
 effective link collapses to a complex scalar, which the link budget
 maps to SNR, Shannon spectral efficiency and an RSRP reading.
 """
@@ -19,19 +20,6 @@ RSRP_FLOOR_DBM = -156.0  # NR reporting floor
 
 
 @dataclass(frozen=True)
-class CascadedChannel:
-    """Per-UE cascaded channel vector with its angular coordinates."""
-
-    h_c: np.ndarray
-    ue_id: int = 0
-    nu_deg: float = float("nan")
-    psi_deg: float = float("nan")
-
-    def __len__(self) -> int:
-        return self.h_c.size
-
-
-@dataclass(frozen=True)
 class LinkBudget:
     """Scalar budget that converts an effective channel gain to SNR/RSRP.
 
@@ -45,21 +33,6 @@ class LinkBudget:
     rsrp_offset_db: float = 0.0
 
 
-def cascade(
-    h1: np.ndarray,
-    h2k: np.ndarray,
-    ue_id: int = 0,
-    nu_deg: float = float("nan"),
-    psi_deg: float = float("nan"),
-) -> CascadedChannel:
-    """Element-wise (Hadamard) product of the two channel segments."""
-    h1 = np.asarray(h1, dtype=complex)
-    h2k = np.asarray(h2k, dtype=complex)
-    if h1.shape != h2k.shape:
-        raise ValueError(f"segment lengths differ: {h1.shape} vs {h2k.shape}")
-    return CascadedChannel(h_c=h1 * h2k, ue_id=ue_id, nu_deg=nu_deg, psi_deg=psi_deg)
-
-
 def los_cascaded_channel(
     nu_deg: float,
     psi_deg: float,
@@ -69,8 +42,7 @@ def los_cascaded_channel(
     amplitude: float = 1.0,
     rician_k_db: float | None = None,
     rng: np.random.Generator | None = None,
-    ue_id: int = 0,
-) -> CascadedChannel:
+) -> np.ndarray:
     """Line-of-sight cascaded channel at angles (nu, psi), broadside feed.
 
     The deterministic component is ``amplitude`` times the planar-array
@@ -89,7 +61,7 @@ def los_cascaded_channel(
         if rng is None:
             raise ValueError("rician_k_db requires an rng")
         los = los + rician_scatter(amplitude, rician_k_db, n_h * n_v, rng)
-    return CascadedChannel(h_c=los, ue_id=ue_id, nu_deg=nu_deg, psi_deg=psi_deg)
+    return los
 
 
 def rician_scatter(
@@ -113,7 +85,7 @@ def effective_channel(phi, h_c) -> complex:
     RisPhaseProfile, in which case the realized one-bit reflection
     weights are applied.
     """
-    h = h_c.h_c if isinstance(h_c, CascadedChannel) else np.asarray(h_c, dtype=complex)
+    h = np.asarray(h_c, dtype=complex)
     if isinstance(phi, RisPhaseProfile):
         w = phi.reflection_weights()
         if w.size != h.size:

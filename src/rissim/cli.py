@@ -18,7 +18,7 @@ import numpy as np
 
 from . import engine, presets
 from .array_model import beam_metrics, design_phase_offsets, pattern_gains, upa_profile
-from .config import ConfigError, ExperimentConfig, parse_text, serialize
+from .config import RIS_MODES, ConfigError, ExperimentConfig, parse_text, serialize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,21 +46,31 @@ def _build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--csv-step-deg", type=float, default=0.1)
 
     su = sub.add_parser("single-ue", help="one connected UE, surface on or off")
-    su.add_argument("--ue", type=int, choices=(1, 2), required=True)
-    su.add_argument("--ris", choices=("on", "off"), default="on")
+    su.add_argument("--ue", type=int, choices=(1, 2), help="preset UE; required without --config")
+    su.add_argument("--ris", choices=("on", "off"), help="ris.mode genie or off (preset: on)")
 
     sc = sub.add_parser("schedule", help="two-UE alternating-surface run")
-    sc.add_argument("--alpha", type=float, default=presets.BASE_ALPHA)
-    sc.add_argument("--mode", choices=("periodic", "iid", "genie", "off"), default="periodic")
+    sc.add_argument("--alpha", type=float, help=f"sched.alpha (preset: {presets.BASE_ALPHA!r})")
+    sc.add_argument("--mode", choices=RIS_MODES, help="ris.mode (preset: periodic)")
 
     sw = sub.add_parser("sweep-alpha", help="throughput vs EWMA weight table")
     sw.add_argument("--alphas", type=float, nargs="+", default=list(presets.SWEEP_ALPHAS))
     return p
 
 
+# Flags that stand for a flat key: argparse dest -> (key, value text).
+_FLAG_KEYS = {
+    "alpha": ("sched.alpha", repr),
+    "mode": ("ris.mode", str),
+    "ris": ("ris.mode", {"on": "genie", "off": "off"}.get),
+    "seed": ("sim.seed", str),
+    "duration_s": ("sim.duration_s", repr),
+}
+
+
 def _config(args, base) -> ExperimentConfig:
     """The one config path: ``--config`` or the preset ``base()``, then
-    ``--set``, ``--seed`` and ``--duration-s`` as flat-key overrides."""
+    ``--set``, then the flags of ``_FLAG_KEYS`` given, as flat-key overrides."""
     cfg = parse_text(args.config.read_text()) if args.config is not None else base()
     overrides = {}
     for item in args.set:
@@ -68,10 +78,10 @@ def _config(args, base) -> ExperimentConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
-    if args.seed is not None:
-        overrides["sim.seed"] = str(args.seed)
-    if args.duration_s is not None:
-        overrides["sim.duration_s"] = repr(args.duration_s)
+    for dest, (key, text) in _FLAG_KEYS.items():
+        value = getattr(args, dest, None)  # a subcommand's flags exist on it only
+        if value is not None:
+            overrides[key] = text(value)
     return cfg.with_overrides(overrides) if overrides else cfg
 
 
@@ -135,14 +145,23 @@ def _emit_run(cfg: ExperimentConfig, out_dir: Path, tag: str, histogram: bool = 
 
 
 def cmd_single_ue(args) -> int:
-    cfg = _config(args, lambda: presets.single_ue_config(args.ue - 1, ris_on=args.ris == "on"))
-    _emit_run(cfg, args.out_dir, f"single_ue{args.ue}_{args.ris}")
+    def preset():
+        if args.ue is None:
+            raise ConfigError("--ue: required without --config")
+        return presets.single_ue_config(args.ue - 1, ris_on=args.ris != "off")
+
+    cfg = _config(args, preset)
+    if args.config is not None and args.ue is not None:
+        raise ConfigError("--ue: picks a preset UE and has no config key; --config sets the UEs")
+    ue = "" if args.ue is None else args.ue
+    _emit_run(cfg, args.out_dir, f"single_ue{ue}_{'off' if cfg.ris.mode == 'off' else 'on'}")
     return EXIT_OK
 
 
 def cmd_schedule(args) -> int:
-    cfg = _config(args, lambda: presets.schedule_config(alpha=args.alpha, mode=args.mode))
-    _emit_run(cfg, args.out_dir, f"schedule_{args.mode}", histogram=True)
+    # Without --config the mode picks the preset: genie runs round robin.
+    cfg = _config(args, lambda: presets.schedule_config(mode=args.mode or "periodic"))
+    _emit_run(cfg, args.out_dir, f"schedule_{cfg.ris.mode}", histogram=True)
     return EXIT_OK
 
 

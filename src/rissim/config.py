@@ -331,7 +331,8 @@ def validate(cfg: ExperimentConfig) -> None:
         )
     if cfg.sim.warmup_s < 0 or (cfg.sim.duration_s > 0 and cfg.sim.warmup_s >= cfg.sim.duration_s):
         errors.append(
-            f"sim.warmup_s: must be in [0, sim.duration_s), got {cfg.sim.warmup_s}"
+            f"sim.warmup_s: must be in [0, sim.duration_s = {cfg.sim.duration_s}), "
+            f"got {cfg.sim.warmup_s}"
         )
     if errors:
         raise ConfigError("; ".join(errors))

@@ -241,6 +241,10 @@ class LinkSetup:
     thresholds_db: tuple[float, ...]  # per-MCS BLER midpoints
     aligned_state: tuple[int, ...]  # per-UE index of its own beam state, or -1
 
+    def surface_channels(self, h: np.ndarray) -> list[complex]:
+        """Effective channel of every surface state over the cascaded channel ``h``."""
+        return [complex(np.sum(w * h)) for w in self.weights]
+
 
 def link_setup(cfg: ExperimentConfig, dist: rc.SamplingDistribution) -> LinkSetup:
     """Compute the run constants of :func:`build_link_tables` once."""
@@ -255,7 +259,7 @@ def link_setup(cfg: ExperimentConfig, dist: rc.SamplingDistribution) -> LinkSetu
         los=tuple(
             ch.los_cascaded_channel(
                 ue.nu_deg, ue.psi_deg, g.n_h, g.n_v, g.spacing_ratio, amplitude=_amplitude(cfg)
-            ).h_c
+            )
             for ue in cfg.ues
         ),
         weights=tuple(state.reflection_weights() for state in dist.states),
@@ -282,14 +286,14 @@ def build_link_tables(
     cfg: ExperimentConfig,
     dist: rc.SamplingDistribution,
     rng_channel: np.random.Generator,
-    rician_k_db: float | None = None,
     setup: LinkSetup | None = None,
 ) -> LinkTables:
     """Link tables for one channel draw.
 
     ``setup`` carries the per-run constants; a run builds it once with
-    :func:`link_setup` and passes it to every rebuild.  Scatter is drawn
-    from ``rng_channel`` UE by UE, real parts before imaginary parts.
+    :func:`link_setup` and passes it to every rebuild.  With
+    ``chan.rician_k_db`` set, scatter is drawn from ``rng_channel`` UE by
+    UE, real parts before imaginary parts.
     """
     if setup is None:
         setup = link_setup(cfg, dist)
@@ -298,11 +302,12 @@ def build_link_tables(
     se = np.zeros(shape)
     rsrp = np.zeros(shape)
     bler_tab = np.zeros(shape + (len(setup.thresholds_db),))
+    rician_k_db = cfg.chan.rician_k_db
     for k, (ue, los, budget) in enumerate(zip(cfg.ues, setup.los, setup.budgets)):
         h = los
         if rician_k_db is not None:
             h = los + ch.rician_scatter(_amplitude(cfg), rician_k_db, los.size, rng_channel)
-        effs = [complex(np.sum(w * h)) + ue.direct_leak for w in setup.weights]
+        effs = [h_eff + ue.direct_leak for h_eff in setup.surface_channels(h)]
         effs.append(complex(ue.noris_gain))
         for s, h_eff in enumerate(effs):
             lin = ch.snr_linear(h_eff, budget)
@@ -350,10 +355,9 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     ris_seed = cfg.ris.seed if cfg.ris.seed is not None else int(ss_ris.generate_state(1)[0])
 
     dist = build_distribution(cfg)
-    rician = cfg.chan.rician_k_db
-    coherence = cfg.chan.coherence_slots if rician is not None else 0
+    coherence = cfg.chan.coherence_slots if cfg.chan.rician_k_db is not None else 0
     setup = link_setup(cfg, dist)
-    tables = build_link_tables(cfg, dist, rng_channel, rician, setup)
+    tables = build_link_tables(cfg, dist, rng_channel, setup)
     off_row = tables.n_states  # lookup row for mode "off"
     aligned_state = tables.aligned_state
     mode = cfg.ris.mode
@@ -411,7 +415,7 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     for t in range(n_slots):
         # Scatter evolves on its own coherence grid, from its own stream.
         if coherence and t and t % coherence == 0:
-            tables = build_link_tables(cfg, dist, rng_channel, rician, setup)
+            tables = build_link_tables(cfg, dist, rng_channel, setup)
             snr_tab, se_tab, rsrp_tab, bler_tab = tables.as_lists()
             trace.add_epoch(rsrp_tab, snr_tab)
 

@@ -50,10 +50,6 @@ class McsTable:
     def se(self, index: int) -> float:
         return self.entry(index).se
 
-    @property
-    def max_index(self) -> int:
-        return self.entries[-1].index
-
     def threshold_db(self, index: int, impl_margin_db: float = LaConfig.impl_margin_db) -> float:
         """SNR anchor of the block-error curve for one entry."""
         return 10.0 * math.log10(2.0 ** self.se(index) - 1.0) + impl_margin_db

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 
-from . import channel as ch
-from .array_model import design_phase_offsets, upa_profile
+from . import engine
 from .config import (
     ExperimentConfig,
     GeometryConfig,
@@ -69,19 +68,18 @@ def _intersect_circles(c1: complex, r1: float, c2: complex, r2: float) -> comple
 
 
 def _calibrate(snr_aligned_db: tuple[float, float]) -> tuple[tuple[UeConfig, ...], float]:
-    """Solve per-UE budgets and the shared RSRP offset from the targets."""
-    g = GEOMETRY
-    offsets = design_phase_offsets(g.n_h, g.n_v)
-    amp = 1.0 / (g.n_h * g.n_v)
-    states = [
-        upa_profile(nu, psi, g.n_h, g.n_v, g.spacing_ratio, offsets) for nu, psi in UE_ANGLES
-    ]
+    """Solve per-UE budgets and the shared RSRP offset from the targets.
+
+    The surface channels come from the engine's own link setup, with one
+    beam state per UE (state ``k`` steered at UE ``k``).
+    """
+    cfg = ExperimentConfig(geom=GEOMETRY, ues=tuple(UeConfig(nu, psi) for nu, psi in UE_ANGLES))
+    setup = engine.link_setup(cfg, engine.build_distribution(cfg))
     ues = []
     rsrp_offset_db = 0.0
     for k, (nu, psi) in enumerate(UE_ANGLES):
-        h_c = ch.los_cascaded_channel(nu, psi, g.n_h, g.n_v, g.spacing_ratio, amplitude=amp)
-        own = ch.effective_channel(states[k], h_c)
-        other = ch.effective_channel(states[1 - k], h_c)
+        effs = setup.surface_channels(setup.los[k])
+        own, other = effs[k], effs[1 - k]
         gap_db = RSRP_ALIGNED_DBM[k] - RSRP_MISALIGNED_DBM[k]
         mis_target = abs(own) * 10.0 ** (-gap_db / 20.0)
         # |own + d| = |own| keeps the aligned level; |other + d| = target

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import QUARTER_WAVE, RisPhaseProfile, upa_profile
+from .array_model import RisPhaseProfile, upa_profile  # noqa: F401  (engine calls rc.upa_profile)
 
 PROB_TOL = 1e-9
+GENIE_TOL_DEG = 1e-9  # a state within this of a UE's angles is steered at it
 
 
 @dataclass(frozen=True)
@@ -55,26 +56,6 @@ class SwitchPolicy:
             raise ValueError(f"ts_slots must be >= 1, got {self.ts_slots}")
 
 
-def two_state_distribution(
-    nu1_deg: float,
-    psi1_deg: float,
-    nu2_deg: float,
-    psi2_deg: float,
-    n_h: int,
-    n_v: int,
-    spacing_ratio: float = QUARTER_WAVE,
-    phase_offsets: np.ndarray | None = None,
-) -> SamplingDistribution:
-    """Equal-probability two-state set steered at the two angle pairs."""
-    return SamplingDistribution(
-        states=[
-            upa_profile(nu1_deg, psi1_deg, n_h, n_v, spacing_ratio, phase_offsets),
-            upa_profile(nu2_deg, psi2_deg, n_h, n_v, spacing_ratio, phase_offsets),
-        ],
-        probs=[0.5, 0.5],
-    )
-
-
 def _iid_draw(seed: int, interval: int, probs: list[float]) -> int:
     rng = np.random.default_rng(np.random.SeedSequence((seed, interval)))
     u = rng.random()
@@ -101,12 +82,13 @@ def state_at_slot(t: int, policy: SwitchPolicy, dist: SamplingDistribution) -> i
     return _iid_draw(policy.seed, interval, dist.probs)
 
 
-def genie_state_for(ue, dist: SamplingDistribution, tol_deg: float = 1e-9) -> int:
+def genie_state_for(ue, dist: SamplingDistribution) -> int:
     """Index of the state steered at a UE's (nu, psi); LookupError if none.
 
     ``ue`` is anything with ``nu_deg`` and ``psi_deg`` attributes.
     """
+    tol = GENIE_TOL_DEG
     for i, s in enumerate(dist.states):
-        if abs(s.nu_deg - ue.nu_deg) <= tol_deg and abs(s.psi_deg - ue.psi_deg) <= tol_deg:
+        if abs(s.nu_deg - ue.nu_deg) <= tol and abs(s.psi_deg - ue.psi_deg) <= tol:
             return i
     raise LookupError(f"no state aligned to ({ue.nu_deg}, {ue.psi_deg}) deg")

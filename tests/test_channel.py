@@ -11,7 +11,6 @@ from rissim.array_model import array_factor, design_phase_offsets, upa_profile
 from rissim.channel import (
     LinkBudget,
     RSRP_FLOOR_DBM,
-    cascade,
     effective_channel,
     los_cascaded_channel,
     rsrp_dbm,
@@ -22,33 +21,10 @@ from rissim.channel import (
 BUDGET = LinkBudget(tx_power_dbm=23.0, pathloss_db=60.0, noise_dbm=-37.0)  # tx-pl-noise = 0 dB
 
 
-class TestCascade:
-    def test_ones_times_ones(self):
-        out = cascade(np.ones(4), np.ones(4))
-        np.testing.assert_allclose(out.h_c, np.ones(4))
-
-    def test_complex_product(self):
-        out = cascade(np.array([1, 1j]), np.array([1j, 1j]))
-        np.testing.assert_allclose(out.h_c, [1j, -1])
-
-    @given(st.integers(1, 16), st.integers(0, 2**32 - 1))
-    @settings(max_examples=50)
-    def test_magnitudes_multiply(self, n, seed):
-        rng = np.random.default_rng(seed)
-        h1 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        h2 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        out = cascade(h1, h2)
-        np.testing.assert_allclose(np.abs(out.h_c), np.abs(h1) * np.abs(h2), rtol=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            cascade(np.ones(3), np.ones(4))
-
-
 class TestLosChannel:
     def test_boresight_two_by_two_is_ones(self):
         ch = los_cascaded_channel(0.0, 0.0, 2, 2, amplitude=1.0)
-        np.testing.assert_allclose(ch.h_c, np.ones(4))
+        np.testing.assert_allclose(ch, np.ones(4))
 
     def test_continuous_match_recovers_full_gain(self):
         ch = los_cascaded_channel(30.0, 0.0, 8, 8, amplitude=0.7)
@@ -64,14 +40,14 @@ class TestLosChannel:
         power = 0.0
         for _ in range(n_draws):
             ch = los_cascaded_channel(30.0, 0.0, 4, 4, amplitude=1.0, rician_k_db=k_db, rng=rng)
-            power += float(np.mean(np.abs(ch.h_c - los.h_c) ** 2))
+            power += float(np.mean(np.abs(ch - los) ** 2))
         ratio = (power / n_draws) / 1.0  # per-element LoS power is amplitude^2 = 1
         assert ratio == pytest.approx(10 ** (-k_db / 10.0), rel=0.05)
 
     def test_determinism_per_seed(self):
         a = los_cascaded_channel(30.0, 0.0, 8, 8, rician_k_db=5.0, rng=np.random.default_rng(4))
         b = los_cascaded_channel(30.0, 0.0, 8, 8, rician_k_db=5.0, rng=np.random.default_rng(4))
-        np.testing.assert_array_equal(a.h_c, b.h_c)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestEffectiveChannel:

@@ -1,6 +1,7 @@
 """Config round-trip, validation messages, and the CLI surface."""
 
 import io
+import math
 import re
 from contextlib import redirect_stderr
 from dataclasses import replace
@@ -183,6 +184,70 @@ class TestCli:
                 assert value == summary[f"{key}.{ue}"]
 
 
+class TestSubcommandFlags:
+    """Subcommand flags are overrides on top of ``--config``; output tags come
+    from the config that ran."""
+
+    @pytest.fixture
+    def run_cfg(self, tmp_path):
+        cfg = presets.schedule_config(duration_s=2.0, warmup_s=0.5)
+        path = tmp_path / "run.cfg"
+        path.write_text(serialize(cfg))
+        return cfg, path
+
+    def test_schedule_flags_override_config_file(self, tmp_path, run_cfg):
+        cfg, path = run_cfg
+        argv = ["--config", str(path), "--out-dir", str(tmp_path / "out"), "schedule"]
+        assert main([*argv, "--mode", "iid", "--alpha", "0.01"]) == 0
+        emitted = parse_text((tmp_path / "out" / "schedule_iid_config.txt").read_text())
+        assert emitted == replace(
+            cfg, ris=replace(cfg.ris, mode="iid"), sched=replace(cfg.sched, alpha=0.01)
+        )
+        assert not list((tmp_path / "out").glob("schedule_periodic_*"))
+
+    def test_schedule_tag_follows_config_file_mode(self, tmp_path, run_cfg):
+        cfg, _ = run_cfg
+        path = tmp_path / "off.cfg"
+        path.write_text(serialize(replace(cfg, ris=replace(cfg.ris, mode="off"))))
+        assert main(["--config", str(path), "--out-dir", str(tmp_path), "schedule"]) == 0
+        assert parse_text((tmp_path / "schedule_off_config.txt").read_text()).ris.mode == "off"
+
+    def test_schedule_preset_flags_keep_the_preset(self, tmp_path):
+        # Without --config the flags pick the preset: genie runs round robin.
+        argv = ["--out-dir", str(tmp_path), "--duration-s", "0", "schedule"]
+        assert main([*argv, "--mode", "genie", "--alpha", "0.01"]) == 0
+        want = presets.schedule_config(alpha=0.01, mode="genie", duration_s=0.0)
+        assert (tmp_path / "schedule_genie_config.txt").read_text() == serialize(want)
+
+    def test_single_ue_ris_flag_overrides_config_file(self, tmp_path):
+        cfg = presets.single_ue_config(1, duration_s=2.0, warmup_s=0.5)
+        path = tmp_path / "one.cfg"
+        path.write_text(serialize(cfg))
+        argv = ["--config", str(path), "--out-dir", str(tmp_path), "single-ue", "--ris", "off"]
+        assert main(argv) == 0
+        emitted = parse_text((tmp_path / "single_ue_off_config.txt").read_text())
+        assert emitted == replace(cfg, ris=replace(cfg.ris, mode="off"))
+
+    def test_single_ue_rejects_ue_with_config(self, tmp_path, capsys, run_cfg):
+        _, path = run_cfg
+        out = tmp_path / "out"
+        argv = ["--config", str(path), "--out-dir", str(out), "single-ue", "--ue", "2", "--ris", "off"]
+        assert main(argv) == 2
+        assert "--ue" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_ue_needs_ue_without_config(self, tmp_path, capsys):
+        assert main(["--out-dir", str(tmp_path), "single-ue", "--ris", "on"]) == 2
+        assert "--ue" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_short_duration_error_names_the_duration(self, tmp_path, capsys):
+        assert main(["--out-dir", str(tmp_path), "--duration-s", "2", "schedule"]) == 2
+        err = capsys.readouterr().err
+        assert "sim.warmup_s" in err and "sim.duration_s = 2.0" in err
+        assert not list(tmp_path.iterdir())
+
+
 class TestNonFinite:
     @pytest.mark.parametrize(
         "key,value",
@@ -286,7 +351,9 @@ def experiment_configs(draw):
         ),
         sim=SimConfig(
             duration_s=duration,
-            warmup_s=duration * draw(st.floats(0.0, 0.99)),
+            # Strictly below a positive duration, also where duration * f
+            # rounds back up to it (subnormal durations).
+            warmup_s=min(duration * draw(st.floats(0.0, 0.99)), math.nextafter(duration, 0.0)),
             seed=draw(st.integers(0, 2**63)),
             ts_scaling=draw(st.floats(0.1, 2.0)),
             prbs=draw(st.integers(1, 273)),

@@ -16,6 +16,7 @@ from rissim.engine import (
     tb_bits,
     write_trace_csv,
 )
+from rissim.link_adapt import MAX_ATTEMPTS
 
 
 def short_schedule(duration_s=12.0, warmup_s=2.0, **kwargs):
@@ -206,6 +207,42 @@ class TestGenieAggregates:
         cfg = replace(cfg, ues=ues, rsrp_offset_db=offset)
         _, sg = run(cfg)
         assert sg.aggregate_mbps == pytest.approx(np.mean(singles), rel=0.02)
+
+
+class TestRetransmissions:
+    """The engine's own HARQ rule: a NACKed block that is not discarded is
+    retransmitted in the next downlink slot, before any new block."""
+
+    @pytest.mark.parametrize("kind", ["pf", "rr"])
+    def test_nack_retransmits_same_block_next_downlink_slot(self, kind):
+        # A high BLER band keeps the MCS aggressive: many NACKs and discards.
+        cfg = presets.schedule_config(duration_s=4.0, warmup_s=1.0).with_overrides(
+            {"la.bler_low": "0.6", "la.bler_high": "0.9", "sched.kind": kind}
+        )
+        trace, summary = run(cfg)
+        pending = None  # (ue, mcs, tb_bits) of the block awaiting retransmission
+        attempts = retx_slots = discards = discarded_bits = 0
+        for t in range(len(trace)):
+            if trace.ue[t] is None:
+                continue
+            block = (trace.ue[t], trace.mcs[t], trace.tb_bits[t])
+            if pending is None:
+                assert not trace.retx[t], f"slot {t}: retransmission without a pending block"
+                attempts = 1
+            else:
+                assert trace.retx[t] and block == pending, f"slot {t}: pending block not resent"
+                attempts += 1
+                retx_slots += 1
+            pending = None
+            if trace.nack[t]:
+                if attempts < MAX_ATTEMPTS:
+                    pending = block
+                else:  # discarded: the next downlink slot starts a new block
+                    discards += 1
+                    discarded_bits += block[2]
+        assert retx_slots > 0 and discards > 0
+        assert discarded_bits == summary.discarded_bits
+        assert summary.inflight_bits == (pending[2] if pending else 0)
 
 
 class TestAlignmentRule:

@@ -50,7 +50,7 @@ def _reference_tables(cfg, dist, rng, rician_k_db):
         budget = ch.LinkBudget(cfg.tx_power_dbm, ue.pathloss_db, ue.noise_dbm, cfg.rsrp_offset_db)
         h_c = ch.los_cascaded_channel(
             ue.nu_deg, ue.psi_deg, g.n_h, g.n_v, g.spacing_ratio,
-            amplitude=1.0 / (g.n_h * g.n_v), rician_k_db=rician_k_db, rng=rng, ue_id=k,
+            amplitude=1.0 / (g.n_h * g.n_v), rician_k_db=rician_k_db, rng=rng,
         )
         effs = [ch.effective_channel(state, h_c) + ue.direct_leak for state in dist.states]
         effs.append(complex(ue.noris_gain))
@@ -93,7 +93,7 @@ def test_hoisted_builder_is_bitwise_equal_to_reference(rician_k_db):
     rng_fast = np.random.default_rng(5)
     rng_ref = np.random.default_rng(5)
     for _ in range(4):
-        tables = build_link_tables(cfg, dist, rng_fast, rician_k_db, setup)
+        tables = build_link_tables(cfg, dist, rng_fast, setup)
         reference = _reference_tables(cfg, dist, rng_ref, rician_k_db)
         for got, want in zip((tables.snr_db, tables.se, tables.rsrp, tables.bler), reference):
             assert got.shape == want.shape
@@ -107,10 +107,8 @@ def test_builder_without_setup_matches_hoisted():
     cfg = _three_ue_config()
     cfg = cfg.with_overrides({"chan.rician_k_db": "10", "chan.coherence_slots": "20"})
     dist = build_distribution(cfg)
-    fresh = build_link_tables(cfg, dist, np.random.default_rng(2), 10.0)
-    hoisted = build_link_tables(
-        cfg, dist, np.random.default_rng(2), 10.0, link_setup(cfg, dist)
-    )
+    fresh = build_link_tables(cfg, dist, np.random.default_rng(2))
+    hoisted = build_link_tables(cfg, dist, np.random.default_rng(2), link_setup(cfg, dist))
     assert fresh.bler.tobytes() == hoisted.bler.tobytes()
     assert fresh.aligned_state == hoisted.aligned_state == (0, 1, 2)
 

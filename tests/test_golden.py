@@ -86,7 +86,7 @@ def table_digest(cfg, rebuilds: int = 3) -> str:
     rng = np.random.default_rng(3)
     h = hashlib.sha256()
     for _ in range(rebuilds):
-        tables = build_link_tables(cfg, dist, rng, cfg.chan.rician_k_db)
+        tables = build_link_tables(cfg, dist, rng)
         for a in (tables.snr_db, tables.se, tables.rsrp, tables.bler):
             h.update(a.tobytes())
     return h.hexdigest()

@@ -5,18 +5,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rissim.ris_control import (
-    SamplingDistribution,
-    SwitchPolicy,
-    genie_state_for,
-    state_at_slot,
-    two_state_distribution,
-)
+from rissim.array_model import upa_profile
+from rissim.ris_control import SamplingDistribution, SwitchPolicy, genie_state_for, state_at_slot
+
+
+def _two_states(nu1_deg, nu2_deg, n):
+    """Equal-probability states steered at two azimuths on an n x n surface."""
+    states = [upa_profile(nu, 0.0, n, n) for nu in (nu1_deg, nu2_deg)]
+    return SamplingDistribution(states=states, probs=[0.5, 0.5])
 
 
 @pytest.fixture(scope="module")
 def dist():
-    return two_state_distribution(30.0, 0.0, 45.0, 0.0, 8, 8)
+    return _two_states(30.0, 45.0, 8)
 
 
 class TestDistribution:
@@ -27,7 +28,7 @@ class TestDistribution:
         assert dist.states[1].nu_deg == 45.0
 
     def test_identical_angles_still_two_entries(self):
-        d = two_state_distribution(30.0, 0.0, 30.0, 0.0, 4, 4)
+        d = _two_states(30.0, 30.0, 4)
         assert len(d) == 2
 
     def test_probs_must_sum_to_one(self, dist):

@@ -171,23 +171,6 @@ def pattern_gains(
     return e_obs @ col
 
 
-def array_factor(
-    code: np.ndarray,
-    illum_angle_deg: float,
-    obs_angle_deg: float,
-    n_h: int,
-    n_v: int,
-    spacing_ratio: float = QUARTER_WAVE,
-    phase_offsets: np.ndarray | None = None,
-) -> complex:
-    """Far-field gain at a single observation angle."""
-    return complex(
-        pattern_gains(
-            code, illum_angle_deg, np.array([obs_angle_deg]), n_h, n_v, spacing_ratio, phase_offsets
-        )[0]
-    )
-
-
 @dataclass(frozen=True)
 class BeamMetrics:
     peak_angle_deg: float

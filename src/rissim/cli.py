@@ -68,10 +68,8 @@ _FLAG_KEYS = {
 }
 
 
-def _config(args, base) -> ExperimentConfig:
-    """The one config path: ``--config`` or the preset ``base()``, then
-    ``--set``, then the flags of ``_FLAG_KEYS`` given, as flat-key overrides."""
-    cfg = parse_text(args.config.read_text()) if args.config is not None else base()
+def _overrides(args) -> dict[str, str]:
+    """``--set``, then the flags of ``_FLAG_KEYS`` given, as flat-key overrides."""
     overrides = {}
     for item in args.set:
         if "=" not in item:
@@ -82,10 +80,21 @@ def _config(args, base) -> ExperimentConfig:
         value = getattr(args, dest, None)  # a subcommand's flags exist on it only
         if value is not None:
             overrides[key] = text(value)
+    return overrides
+
+
+def _config(args, base) -> ExperimentConfig:
+    """The one config path: ``--config`` or the preset ``base()``, then the overrides."""
+    cfg = parse_text(args.config.read_text()) if args.config is not None else base()
+    overrides = _overrides(args)
     return cfg.with_overrides(overrides) if overrides else cfg
 
 
 def cmd_beam_pattern(args) -> int:
+    # Only the geometry shapes a pattern: any other override would be ignored.
+    ignored = [key for key in _overrides(args) if not key.startswith("geom.")]
+    if ignored:
+        raise ConfigError(f"{', '.join(ignored)}: beam-pattern takes only geom.* overrides")
     g = _config(args, ExperimentConfig).geom  # default geometry is presets.GEOMETRY; no calibration
     offsets = design_phase_offsets(g.n_h, g.n_v) if g.dither else None
     out_dir: Path = args.out_dir
@@ -119,7 +128,7 @@ def _emit_run(cfg: ExperimentConfig, out_dir: Path, tag: str, histogram: bool = 
     out_dir.mkdir(parents=True, exist_ok=True)
     trace, summary = engine.run(cfg)
     trace_path = out_dir / f"{tag}_trace.csv"
-    engine.write_trace_csv(trace, trace_path, n_ues=len(cfg.ues))
+    engine.write_trace_csv(trace, trace_path)
     summary_path = out_dir / f"{tag}_summary.txt"
     summary_path.write_text(summary.as_kv_text())
     (out_dir / f"{tag}_config.txt").write_text(serialize(cfg))

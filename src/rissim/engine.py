@@ -16,7 +16,6 @@ are bit-reproducible and enabling scatter does not perturb HARQ draws.
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import Counter
 from collections.abc import Sequence
@@ -40,14 +39,6 @@ DRAW_CHUNK = 4096  # block-outcome uniforms drawn per refill
 # One TDD period: slot roles and schedulable DL symbols, 6 downlink, 1 mixed, 3 uplink.
 TDD_KINDS = ("dl",) * 6 + ("mixed",) + ("ul",) * 3
 TDD_DL_SYMBOLS = (13,) * 6 + (6,) + (0,) * 3
-
-
-def slot_kind(t: int) -> tuple[str, int]:
-    """(kind, schedulable DL symbols) of slot ``t``."""
-    if t < 0:
-        raise ValueError(f"slot index must be >= 0, got {t}")
-    i = t % len(TDD_KINDS)
-    return TDD_KINDS[i], TDD_DL_SYMBOLS[i]
 
 
 def tb_bits(mcs: int, table: McsTable = MCS_TABLE_64QAM, prbs: int = 106, symbols: int = 13) -> int:
@@ -116,7 +107,7 @@ class Trace(Sequence):
         """Whether a slot on table ``row`` is aligned to UE ``ue``: the row is
         the UE's own beam state, and the no-surface row never is.
 
-        The run summary and :func:`scheduling_histogram` both use this rule.
+        The run summary's aligned and misaligned fields use this rule.
         """
         return row != self.off_row and row == self.aligned_state[ue]
 
@@ -375,12 +366,11 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     la = cfg.la
     floor = cfg.sched.floor
     round_robin = cfg.sched.kind == "rr"
-    pf_cfg = sched_mod.PfConfig(alpha=alpha, ewma_floor=floor)
-    sched_states = [sched_mod.UeSchedState(t_avg=floor) for _ in range(n_ues)]
+    t_avg = [floor] * n_ues  # PF average rates
     la_states = [LinkAdaptState(mcs=la.mcs_min, mcs_min=la.mcs_min) for _ in range(n_ues)]
     select_ue, rr_select = sched_mod.select_ue, sched_mod.rr_select
-    ewma_update, harq_on_nack, cqi_update = (
-        sched_mod.ewma_update, la_mod.harq_on_nack, la_mod.cqi_update,
+    ewma_update, harq_on_nack, cqi_update, step_mcs = (
+        sched_mod.ewma_update, la_mod.harq_on_nack, la_mod.cqi_update, la_mod.step_mcs,
     )
 
     trace = Trace(n_slots, off_row, coherence)
@@ -448,7 +438,7 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
                 if round_robin:
                     ue = rr_select(dl_counter, n_ues)
                 else:
-                    ue = select_ue(sched_states, rate_est, pf_cfg)
+                    ue = select_ue(t_avg, rate_est, floor)
                 mcs = la_states[ue].mcs
                 tb = tb_row[mcs]
                 proc, proc_ue = HarqProcess(tb_bits=tb, mcs_used=mcs), ue
@@ -475,7 +465,7 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
             if retx:
                 las.win_retx += 1
 
-            ewma_update(sched_states, ue, rate_est, alpha, floor)
+            ewma_update(t_avg, ue, rate_est, alpha, floor)
 
             rows[t] = row
             ues[t] = ue
@@ -487,8 +477,7 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
         # Outer loop: step every UE's MCS at the end of each BLER window.
         if (t + 1) % window_slots == 0:
             for las in la_states:
-                la_mod.step_mcs(las, la_mod.measure_bler(las.window()), la.bler_low, la.bler_high)
-                las.reset_window()
+                step_mcs(las, la.bler_low, la.bler_high)
 
     inflight_bits = proc.tb_bits if proc is not None else 0
     measured_s = max(cfg.sim.duration_s - cfg.sim.warmup_s, 0.0) if n_slots else 0.0
@@ -547,14 +536,13 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     return trace, summary
 
 
-def _served_fractions(trace: Trace, start_slot: int = 0) -> tuple[tuple[float, ...], ...]:
+def _served_fractions(trace: Trace, start: int) -> tuple[tuple[float, ...], ...]:
     """Per-UE served-slot fractions split by :meth:`Trace.is_aligned`.
 
     Returns the aligned and misaligned fractions of the downlink-schedulable
-    slots from ``start_slot`` on, then the same two over all those slots.
+    slots from slot ``start`` on, then the same two over all those slots.
     """
     n_ues = len(trace.aligned_state)
-    start = max(start_slot, 0)
     total = max(len(trace) - start, 0)
     served = Counter(zip(islice(trace.ue, start, None), islice(trace.row, start, None)))
     counts = [[0] * n_ues, [0] * n_ues]  # [misaligned, aligned] per UE
@@ -566,33 +554,6 @@ def _served_fractions(trace: Trace, start_slot: int = 0) -> tuple[tuple[float, .
     return tuple(
         tuple(c / d if d else 0.0 for c in counts[hit]) for d in (dl_total, total) for hit in (1, 0)
     )
-
-
-def scheduling_histogram(
-    trace: Trace,
-    n_ues: int,
-    aligned_state: tuple[int, ...] | None = None,
-    start_slot: int = 0,
-) -> list[dict[str, float]]:
-    """Per-UE served-slot fractions split by surface alignment.
-
-    ``aligned_fraction``/``misaligned_fraction`` use the DL-schedulable
-    slots as denominator; the ``*_total`` variants use all slots from
-    ``start_slot`` on.  Alignment follows the run's own beam-to-UE
-    mapping, ``trace.aligned_state``, under which the summary's
-    ``served_frac_*`` fields hold these fractions; an explicit
-    ``aligned_state`` replaces it.
-    """
-    if aligned_state is not None:
-        trace = copy.copy(trace)  # shares the columns
-        trace.aligned_state = tuple(aligned_state)
-    if n_ues != len(trace.aligned_state):
-        raise ValueError(f"n_ues is {n_ues}, but the trace has {len(trace.aligned_state)} UEs")
-    keys = (
-        "aligned_fraction", "misaligned_fraction",
-        "aligned_fraction_total", "misaligned_fraction_total",
-    )
-    return [dict(zip(keys, ue)) for ue in zip(*_served_fractions(trace, start_slot))]
 
 
 def sweep_alpha(
@@ -627,11 +588,9 @@ def sweep_alpha(
     return rows
 
 
-def write_trace_csv(trace: Trace, path, n_ues: int | None = None) -> None:
+def write_trace_csv(trace: Trace, path) -> None:
     """Exact trace schema: slot,time_ms,ris_state,ue,rsrp0_dbm,...,snr_db,mcs,tb_bits,outcome,is_retx."""
-    if n_ues is None:
-        n_ues = len(trace[0].rsrp_dbm) if trace else 0
-    rsrp_cols = ",".join(f"rsrp{k}_dbm" for k in range(n_ues))
+    rsrp_cols = ",".join(f"rsrp{k}_dbm" for k in range(len(trace.aligned_state)))
     lines = [f"slot,time_ms,ris_state,ue,{rsrp_cols},snr_db,mcs,tb_bits,outcome,is_retx"]
     columns = (trace.row, trace.ue, trace.mcs, trace.tb_bits, trace.nack, trace.retx)
     for lo, hi, rsrp_rows, snr_rows in trace.epochs():

@@ -100,25 +100,14 @@ MCS_TABLE_64QAM = McsTable(
 )
 
 
-def bler(
-    snr_db: float,
-    mcs: int,
-    table: McsTable = MCS_TABLE_64QAM,
-    model_slope: float = LaConfig.slope,
-    impl_margin_db: float = LaConfig.impl_margin_db,
-) -> float:
-    """Block-error probability: logistic in SNR, midpoint at the entry threshold.
-
-    Strictly decreasing in SNR and, at fixed SNR, non-decreasing in the
-    MCS index (thresholds grow with spectral efficiency).
-    """
-    return bler_curve(snr_db, (table.threshold_db(mcs, impl_margin_db),), model_slope)[0]
-
-
 def bler_curve(
     snr_db: float, thresholds_db, model_slope: float = LaConfig.slope
 ) -> list[float]:
-    """Block-error probability at one SNR for each curve midpoint in ``thresholds_db``."""
+    """Block-error probability at one SNR for each curve midpoint in ``thresholds_db``.
+
+    Logistic in SNR (dB) with its midpoint at the threshold:
+    decreasing in SNR and, at fixed SNR, increasing with the threshold.
+    """
     out = []
     for thr in thresholds_db:
         x = model_slope * (snr_db - thr)
@@ -130,14 +119,6 @@ def bler_curve(
         else:
             out.append(1.0 / (1.0 + math.exp(x)))
     return out
-
-
-def measure_bler(window: tuple[int, int]) -> float:
-    """Retransmission ratio of a (scheduled_count, retx_count) window."""
-    scheduled, retx = window
-    if scheduled <= 0:
-        return 0.0
-    return retx / scheduled
 
 
 @dataclass
@@ -153,27 +134,22 @@ class LinkAdaptState:
     def clamp(self) -> None:
         self.mcs = min(max(self.mcs, self.mcs_min), self.mcs_max_from_cqi)
 
-    def window(self) -> tuple[int, int]:
-        return (self.win_scheduled, self.win_retx)
 
-    def reset_window(self) -> None:
-        self.win_scheduled = 0
-        self.win_retx = 0
+def step_mcs(state: LinkAdaptState, bler_low: float, bler_high: float) -> None:
+    """One outer-loop step at a window boundary.
 
-
-def step_mcs(
-    state: LinkAdaptState,
-    measured_bler: float,
-    bler_low: float = LaConfig.bler_low,
-    bler_high: float = LaConfig.bler_high,
-) -> LinkAdaptState:
-    """One outer-loop step at a window boundary: +-1 and clamp."""
-    if measured_bler < bler_low:
+    The window's retransmission ratio (0.0 for an empty window) moves the
+    MCS by one step up below ``bler_low`` or down above ``bler_high``; the
+    index is then clamped and the window counters reset.
+    """
+    scheduled = state.win_scheduled
+    measured = state.win_retx / scheduled if scheduled > 0 else 0.0
+    if measured < bler_low:
         state.mcs += 1
-    elif measured_bler > bler_high:
+    elif measured > bler_high:
         state.mcs -= 1
     state.clamp()
-    return state
+    state.win_scheduled = state.win_retx = 0
 
 
 def cqi_update(

@@ -120,7 +120,11 @@ def schedule_config(
     ts_scaling: float = 1.0,
     warmup_s: float = 20.0,
 ) -> ExperimentConfig:
-    """Two-UE scheduling run: alternating surface plus PF scheduler."""
+    """Two-UE scheduling run: alternating surface plus PF scheduler.
+
+    Mode "genie" is the reference instead: round-robin service with the
+    surface aligned to the served UE.
+    """
     ues, rsrp_offset = _calibrate(SNR_ALIGNED_SCHED_DB)
     kind = "rr" if mode == "genie" else "pf"
     return ExperimentConfig(
@@ -135,11 +139,6 @@ def schedule_config(
         tx_power_dbm=TX_POWER_DBM,
         rsrp_offset_db=rsrp_offset,
     )
-
-
-def genie_config(**kwargs) -> ExperimentConfig:
-    """Round-robin service with the surface aligned to the served UE."""
-    return schedule_config(mode="genie", **kwargs)
 
 
 def single_ue_config(

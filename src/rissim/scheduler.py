@@ -1,79 +1,38 @@
 """Per-slot UE selection: proportional fair with EWMA averaging, plus a
-round-robin baseline.  Pending retransmissions preempt both policies.
+round-robin baseline.
 
-The EWMA is applied literally at every scheduling opportunity: the
-average of an unscheduled UE decays toward the floor, which is what
-makes a starved UE's metric rise over time.
+Both PF functions take the per-UE average rates as one plain list,
+``t_avg``, which ``ewma_update`` updates in place.  The EWMA is applied literally at every scheduling
+opportunity: the average of an unscheduled UE decays toward the floor,
+which is what makes a starved UE's metric rise over time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from .config import SchedConfig
-
-
-@dataclass
-class UeSchedState:
-    """Scheduler-side state of one UE."""
-
-    t_avg: float = SchedConfig.floor
-    pending_retx: bool = False
-
-
-@dataclass(frozen=True)
-class PfConfig:
-    alpha: float
-    ewma_floor: float = SchedConfig.floor
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-
-
-def pf_metric(inst_se: float, t_avg: float, floor: float = SchedConfig.floor) -> float:
-    """Instantaneous-to-average rate ratio with a division floor."""
-    if inst_se < 0.0:
-        raise ValueError(f"inst_se must be non-negative, got {inst_se}")
-    return inst_se / max(t_avg, floor)
-
-
-def select_ue(states: list[UeSchedState], inst_se: list[float], cfg: PfConfig) -> int:
-    """Index of the UE to serve this slot.
-
-    Any UE with a pending retransmission preempts the metric (lowest
-    index among them); otherwise the argmax of the PF metric, ties
-    broken to the lowest index.
-    """
-    if not states:
-        raise ValueError("states must be non-empty")
-    for k, s in enumerate(states):
-        if s.pending_retx:
-            return k
-    floor = cfg.ewma_floor
+def select_ue(t_avg: list[float], inst_se: list[float], floor: float) -> int:
+    """Index of the UE with the largest PF metric ``inst_se / max(t_avg, floor)``,
+    ties broken to the lowest index."""
+    if not t_avg:
+        raise ValueError("t_avg must be non-empty")
     best, best_metric = 0, -1.0
-    for k, s in enumerate(states):
-        m = inst_se[k] / max(s.t_avg, floor)
+    for k, avg in enumerate(t_avg):
+        m = inst_se[k] / max(avg, floor)
         if m > best_metric:
             best, best_metric = k, m
     return best
 
 
 def ewma_update(
-    states: list[UeSchedState],
-    scheduled: int,
-    inst_se: list[float],
-    alpha: float,
-    floor: float = SchedConfig.floor,
-) -> list[UeSchedState]:
+    t_avg: list[float], scheduled: int, inst_se: list[float], alpha: float, floor: float
+) -> None:
     """One EWMA tick: every UE decays, the served UE adds its rate."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     decay = 1.0 - alpha
-    for k, s in enumerate(states):
+    for k, avg in enumerate(t_avg):
         target = alpha * inst_se[k] if k == scheduled else 0.0
-        s.t_avg = max(decay * s.t_avg + target, floor)
-    return states
+        t_avg[k] = max(decay * avg + target, floor)
 
 
 def rr_select(dl_slot_counter: int, n_ues: int) -> int:

@@ -10,7 +10,6 @@ from rissim.array_model import (
     DegeneratePatternError,
     beam_metrics,
     design_phase_offsets,
-    array_factor,
     pattern_gains,
     quantize_one_bit,
     steering_vector,
@@ -91,7 +90,7 @@ class TestUpaProfile:
 class TestArrayFactor:
     def test_uniform_code_specular_gain_is_element_count(self):
         code = np.zeros(64, dtype=np.uint8)
-        assert abs(array_factor(code, 0.0, 0.0, 8, 8)) == pytest.approx(64.0, rel=1e-12)
+        assert abs(pattern_gains(code, 0.0, 0.0, 8, 8)[0]) == pytest.approx(64.0, rel=1e-12)
 
     def test_steered_profile_peaks_at_target(self):
         # Plain and dithered variants of the 32x32 profile; argmax of the
@@ -106,13 +105,13 @@ class TestArrayFactor:
         rng = np.random.default_rng(3)
         code = rng.integers(0, 2, size=64).astype(np.uint8)
         for theta in (7.0, 22.5, 61.0):
-            a = abs(array_factor(code, 0.0, theta, 8, 8))
-            b = abs(array_factor(code, 0.0, -theta, 8, 8))
+            a = abs(pattern_gains(code, 0.0, theta, 8, 8)[0])
+            b = abs(pattern_gains(code, 0.0, -theta, 8, 8)[0])
             assert a == pytest.approx(b, rel=1e-9)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            array_factor(np.zeros(10, dtype=np.uint8), 0.0, 0.0, 8, 8)
+            pattern_gains(np.zeros(10, dtype=np.uint8), 0.0, 0.0, 8, 8)
 
 
 class TestOneBitOptimality:

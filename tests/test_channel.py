@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rissim import presets
-from rissim.array_model import array_factor, design_phase_offsets, upa_profile
+from rissim.array_model import design_phase_offsets, pattern_gains, upa_profile
 from rissim.channel import (
     LinkBudget,
     RSRP_FLOOR_DBM,
@@ -73,9 +73,7 @@ class TestEffectiveChannel:
             other = upa_profile(other_deg, 0.0, 32, 32, 0.25, offsets)
             aligned = abs(effective_channel(own, h))
             crossed = abs(effective_channel(other, h))
-            oracle = abs(
-                array_factor(other.code, 0.0, own_deg, 32, 32, 0.25, offsets)
-            )
+            oracle = abs(pattern_gains(other.code, 0.0, own_deg, 32, 32, 0.25, offsets)[0])
             assert crossed == pytest.approx(oracle, rel=1e-9)
             assert 20 * math.log10(aligned / crossed) >= 7.0
 

@@ -3,6 +3,7 @@
 import io
 import math
 import re
+import shlex
 from contextlib import redirect_stderr
 from dataclasses import replace
 from pathlib import Path
@@ -442,10 +443,40 @@ class TestOneConfigPath:
         assert by_set != default
         assert by_file == by_set
 
+    @pytest.mark.parametrize(
+        "overrides,keys",
+        [
+            (["--seed", "5", "--set", "ris.mode=off"], ["sim.seed", "ris.mode"]),
+            (["--duration-s", "3"], ["sim.duration_s"]),
+            (["--set", "geom.n_h=16", "--set", "sched.alpha=0.1"], ["sched.alpha"]),
+        ],
+    )
+    def test_beam_pattern_rejects_non_geometry_overrides(self, tmp_path, capsys, overrides, keys):
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), *overrides, "beam-pattern", "--steer-deg", "30"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys), err
+        assert "beam-pattern takes only geom.* overrides" in err
+        assert not out.exists()
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
 
 class TestReadmeKeys:
     def test_readme_lists_every_flat_key(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        listed = re.findall(r"^\| `([a-z_]+\.[a-z_]+)`", readme, flags=re.MULTILINE)
+        listed = re.findall(r"^\| `([a-z_]+\.[a-z_]+)`", README, flags=re.MULTILINE)
         assert len(listed) == len(set(listed))
         assert set(listed) == set(to_flat(_all_optional_keys_set()))
+
+
+class TestReadmeCommands:
+    def test_experiment_commands_parse(self):
+        section = README.split("## Experiment commands", 1)[1].split("\n## ", 1)[0]
+        commands = [line for line in section.splitlines() if line.startswith("rissim ")]
+        assert len(commands) == 3
+        parser = cli._build_parser()
+        for line in commands:
+            args = parser.parse_args(shlex.split(line)[1:])
+            assert args.command in ("beam-pattern", "schedule", "sweep-alpha"), line

@@ -9,9 +9,9 @@ from rissim import presets
 from rissim.config import ChannelConfig
 from rissim.engine import (
     MCS_TABLE_64QAM,
+    TDD_DL_SYMBOLS,
+    TDD_KINDS,
     run,
-    scheduling_histogram,
-    slot_kind,
     sweep_alpha,
     tb_bits,
     write_trace_csv,
@@ -25,25 +25,48 @@ def short_schedule(duration_s=12.0, warmup_s=2.0, **kwargs):
     return replace(cfg, ris=replace(cfg.ris, ts_slots=4000))
 
 
+def served_fractions(trace, aligned_state, start):
+    """The summary's four ``served_frac_*`` fields, counted slot by slot: a
+    served slot is aligned when the surface is in the served UE's own beam
+    state, which a slot without the surface (state -1) never is."""
+    counts = {True: [0] * len(aligned_state), False: [0] * len(aligned_state)}
+    rows = trace[start:]
+    for r in rows:
+        if r.ue is not None:
+            counts[0 <= r.ris_state == aligned_state[r.ue]][r.ue] += 1
+    dl = sum(counts[True]) + sum(counts[False])
+    return tuple(
+        tuple(c / d for c in counts[hit]) for d in (dl, len(rows)) for hit in (True, False)
+    )
+
+
+def summary_fractions(summary):
+    return (
+        summary.served_frac_aligned_dl,
+        summary.served_frac_misaligned_dl,
+        summary.served_frac_aligned_total,
+        summary.served_frac_misaligned_total,
+    )
+
+
 class TestTddStructure:
+    """One TDD period as the slot loop reads it: slot ``t`` has phase ``t % 10``."""
+
     def test_first_slot_is_full_downlink(self):
-        assert slot_kind(0) == ("dl", 13)
+        assert (TDD_KINDS[0], TDD_DL_SYMBOLS[0]) == ("dl", 13)
 
     def test_slot_six_is_mixed(self):
-        assert slot_kind(6) == ("mixed", 6)
+        assert (TDD_KINDS[6], TDD_DL_SYMBOLS[6]) == ("mixed", 6)
 
     def test_slot_seventeen_is_uplink(self):
-        assert slot_kind(17) == ("ul", 0)
+        phase = 17 % len(TDD_KINDS)
+        assert (TDD_KINDS[phase], TDD_DL_SYMBOLS[phase]) == ("ul", 0)
 
     def test_period_composition(self):
-        kinds = [slot_kind(t)[0] for t in range(10)]
-        assert kinds.count("dl") == 6
-        assert kinds.count("ul") == 3
-        assert kinds.count("mixed") == 1
-
-    def test_negative_slot_rejected(self):
-        with pytest.raises(ValueError):
-            slot_kind(-1)
+        assert len(TDD_KINDS) == len(TDD_DL_SYMBOLS) == 10
+        assert TDD_KINDS.count("dl") == 6
+        assert TDD_KINDS.count("ul") == 3
+        assert TDD_KINDS.count("mixed") == 1
 
 
 class TestTransportBlocks:
@@ -78,6 +101,14 @@ class TestRunBasics:
         assert summary.aggregate_mbps == 0.0
         assert summary.new_tx_bits == 0
 
+    def test_empty_trace_csv_header_names_every_ue(self, tmp_path):
+        trace, _ = run(presets.schedule_config(duration_s=0.0, warmup_s=0.0))
+        path = tmp_path / "empty.csv"
+        write_trace_csv(trace, path)
+        assert path.read_text() == (
+            "slot,time_ms,ris_state,ue,rsrp0_dbm,rsrp1_dbm,snr_db,mcs,tb_bits,outcome,is_retx\n"
+        )
+
     def test_bit_conservation(self):
         trace, summary = run(short_schedule())
         assert summary.conservation_holds()
@@ -99,8 +130,7 @@ class TestRunBasics:
     def test_idle_rows_only_on_uplink_slots(self):
         trace, _ = run(short_schedule(duration_s=5.0, warmup_s=1.0))
         for r in trace:
-            kind, _ = slot_kind(r.slot)
-            if kind == "ul":
+            if TDD_KINDS[r.slot % len(TDD_KINDS)] == "ul":
                 assert r.outcome == "idle" and r.ue is None and r.tb_bits == 0
             else:
                 assert r.outcome in ("ack", "nack") and r.ue is not None and r.tb_bits > 0
@@ -166,13 +196,12 @@ class TestRsrpAlternation:
 
 
 class TestHistogram:
+    """The served-slot histogram is the summary's four ``served_frac_*`` fields."""
+
     def test_genie_has_no_misaligned_service(self):
-        cfg = replace(presets.genie_config(duration_s=8.0, warmup_s=1.0))
-        trace, _ = run(cfg)
-        hist = scheduling_histogram(trace, 2)
-        for row in hist:
-            assert row["misaligned_fraction"] == 0.0
-            assert row["aligned_fraction"] > 0.0
+        _, summary = run(presets.schedule_config(mode="genie", duration_s=8.0, warmup_s=1.0))
+        assert summary.served_frac_misaligned_dl == (0.0, 0.0)
+        assert all(f > 0.0 for f in summary.served_frac_aligned_dl)
 
     def test_round_robin_aligned_quarter_on_dl_basis(self):
         # Independence of the round-robin phase and the surface phase
@@ -189,11 +218,10 @@ class TestHistogram:
             sched=replace(cfg.sched, kind="rr"),
             ris=replace(cfg.ris, ts_slots=3000),
         )
-        trace, summary = run(cfg)
+        _, summary = run(cfg)
         assert sum(summary.long_run_bler) < 0.01
-        hist = scheduling_histogram(trace, 2, start_slot=4000)
-        for row in hist:
-            assert row["aligned_fraction"] == pytest.approx(0.25, abs=0.03)
+        for frac in summary.served_frac_aligned_dl:
+            assert frac == pytest.approx(0.25, abs=0.03)
 
 
 class TestGenieAggregates:
@@ -203,7 +231,7 @@ class TestGenieAggregates:
             _, s = run(presets.single_ue_config(k, ris_on=True, duration_s=30.0, warmup_s=5.0))
             singles.append(s.throughput_mbps[0])
         ues, offset = presets._calibrate(presets.SNR_ALIGNED_SINGLE_DB)
-        cfg = presets.genie_config(duration_s=30.0, warmup_s=5.0)
+        cfg = presets.schedule_config(mode="genie", duration_s=30.0, warmup_s=5.0)
         cfg = replace(cfg, ues=ues, rsrp_offset_db=offset)
         _, sg = run(cfg)
         assert sg.aggregate_mbps == pytest.approx(np.mean(singles), rel=0.02)
@@ -246,9 +274,9 @@ class TestRetransmissions:
 
 
 class TestAlignmentRule:
-    """The summary and the histogram share one rule: a served slot is aligned
-    when its table row is the served UE's own beam state, and the no-surface
-    row never is."""
+    """The summary's served fractions, which the CLI writes as the histogram,
+    follow one rule: a served slot is aligned when its table row is the
+    served UE's own beam state, and the no-surface row never is."""
 
     def test_no_surface_slot_is_never_aligned(self):
         # Neither state points at a UE, so both UEs have no beam state.
@@ -259,43 +287,25 @@ class TestAlignmentRule:
         assert summary.served_frac_aligned_total == (0.0, 0.0)
         assert sum(summary.served_frac_misaligned_dl) == pytest.approx(1.0)
         assert all(np.isnan(summary.mean_rsrp_aligned_dbm))
-        hist = scheduling_histogram(trace, 2, aligned_state=(-1, -1), start_slot=1000)
-        assert tuple(row["misaligned_fraction"] for row in hist) == (
-            summary.served_frac_misaligned_dl
-        )
+        assert trace.aligned_state == (-1, -1)
+        assert served_fractions(trace, (-1, -1), 1000) == summary_fractions(summary)
 
     def test_summary_matches_histogram_under_swapped_states(self):
         # State 0 points at UE 1 and state 1 at UE 0.
         cfg = short_schedule(duration_s=4.0, warmup_s=1.0)
         cfg = cfg.with_overrides({"ris.angles": "45:0,30:0"})
         trace, summary = run(cfg)
-        hist = scheduling_histogram(trace, 2, aligned_state=(1, 0), start_slot=2000)
-        fields = (
-            ("aligned_fraction", summary.served_frac_aligned_dl),
-            ("misaligned_fraction", summary.served_frac_misaligned_dl),
-            ("aligned_fraction_total", summary.served_frac_aligned_total),
-            ("misaligned_fraction_total", summary.served_frac_misaligned_total),
-        )
-        for key, values in fields:
-            assert tuple(row[key] for row in hist) == values
+        assert served_fractions(trace, (1, 0), 2000) == summary_fractions(summary)
         assert summary.served_frac_aligned_dl[0] > summary.served_frac_misaligned_dl[0]
 
     def test_histogram_defaults_to_the_runs_own_mapping(self):
-        # No aligned_state given: the trace carries the run's swapped mapping.
+        # The trace carries the run's swapped mapping, not state k for UE k.
         cfg = short_schedule(duration_s=4.0, warmup_s=1.0)
         cfg = cfg.with_overrides({"ris.angles": "45:0,30:0"})
         trace, summary = run(cfg)
-        hist = scheduling_histogram(trace, 2, start_slot=2000)
-        assert tuple(row["aligned_fraction"] for row in hist) == summary.served_frac_aligned_dl
-        assert tuple(row["misaligned_fraction_total"] for row in hist) == (
-            summary.served_frac_misaligned_total
-        )
         assert trace.aligned_state == (1, 0)
-
-    def test_histogram_rejects_wrong_ue_count(self):
-        trace, _ = run(short_schedule(duration_s=1.0, warmup_s=0.0))
-        with pytest.raises(ValueError, match="n_ues"):
-            scheduling_histogram(trace, 3)
+        assert served_fractions(trace, trace.aligned_state, 2000) == summary_fractions(summary)
+        assert served_fractions(trace, (0, 1), 2000) != summary_fractions(summary)
 
 
 class TestSweep:
@@ -316,9 +326,9 @@ class TestSweep:
         # slot misaligned.
         cfg = short_schedule(duration_s=4.0, warmup_s=1.0)
         cfg = replace(cfg, ris=replace(cfg.ris, angles=((10.0, 0.0), (60.0, 0.0))))
-        trace, _ = run(cfg)
-        hist = scheduling_histogram(trace, 2, aligned_state=(-2, -2), start_slot=2000)
-        assert all(row["aligned_fraction"] == 0.0 for row in hist)
+        trace, summary = run(cfg)
+        assert trace.aligned_state == (-1, -1)
+        assert summary.served_frac_aligned_dl == (0.0, 0.0)
 
     def test_ts_scaling_compresses_dwells(self):
         # Doubling the compression factor halves the dwell in slots: the

@@ -60,9 +60,8 @@ def _reference_tables(cfg, dist, rng, rician_k_db):
             se[s, k] = ch.spectral_efficiency(lin)
             rsrp[s, k] = ch.rsrp_dbm(h_eff, budget)
             for e in MCS_TABLE_64QAM:
-                bler[s, k, e.index] = la.bler(
-                    snr_db[s, k], e.index, MCS_TABLE_64QAM, cfg.la.slope, cfg.la.impl_margin_db
-                )
+                thr = MCS_TABLE_64QAM.threshold_db(e.index, cfg.la.impl_margin_db)
+                bler[s, k, e.index] = la.bler_curve(snr_db[s, k], (thr,), cfg.la.slope)[0]
     return snr_db, se, rsrp, bler
 
 

@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 
 from rissim import presets
-from rissim.config import ChannelConfig, ExperimentConfig, serialize, to_slots
-from rissim.engine import (
-    build_distribution,
-    build_link_tables,
-    run,
-    scheduling_histogram,
-    write_trace_csv,
+from rissim.config import ChannelConfig, ExperimentConfig, serialize
+from rissim.engine import build_distribution, build_link_tables, run, write_trace_csv
+
+HISTOGRAM_KEYS = (
+    "aligned_fraction", "misaligned_fraction",
+    "aligned_fraction_total", "misaligned_fraction_total",
 )
 
 
@@ -67,12 +66,21 @@ def _sha(data: bytes) -> str:
 
 
 def digests(cfg, tmp_dir) -> tuple[str, str, str]:
-    """SHA-256 of the trace CSV, the summary text and the histogram repr."""
+    """SHA-256 of the trace CSV, the summary text and the histogram repr.
+
+    The histogram is the summary's four ``served_frac_*`` fields as one
+    dict per UE.
+    """
     trace, summary = run(cfg)
     path = tmp_dir / "trace.csv"
-    write_trace_csv(trace, path, n_ues=len(cfg.ues))
-    start = to_slots(cfg.sim.warmup_s)
-    hist = scheduling_histogram(trace, len(cfg.ues), start_slot=start)
+    write_trace_csv(trace, path)
+    fractions = (
+        summary.served_frac_aligned_dl,
+        summary.served_frac_misaligned_dl,
+        summary.served_frac_aligned_total,
+        summary.served_frac_misaligned_total,
+    )
+    hist = [dict(zip(HISTOGRAM_KEYS, ue)) for ue in zip(*fractions)]
     return (
         _sha(path.read_bytes()),
         _sha(summary.as_kv_text().encode()),

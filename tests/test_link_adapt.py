@@ -1,20 +1,29 @@
 """MCS table, block-error curve, outer-loop stepping, CQI cap, HARQ."""
 
+import math
+
 import numpy as np
 import pytest
 
+from rissim.config import LaConfig
 from rissim.link_adapt import (
     DISCARD,
     HarqProcess,
     LinkAdaptState,
     MCS_TABLE_64QAM,
     RETRANSMIT,
-    bler,
+    bler_curve,
     cqi_update,
     harq_on_nack,
-    measure_bler,
     step_mcs,
 )
+
+THRESHOLDS = MCS_TABLE_64QAM.thresholds_db()
+BAND = (LaConfig.bler_low, LaConfig.bler_high)
+
+
+def windowed(mcs=10, scheduled=0, retx=0, **kwargs):
+    return LinkAdaptState(mcs=mcs, win_scheduled=scheduled, win_retx=retx, **kwargs)
 
 
 class TestMcsTable:
@@ -40,22 +49,19 @@ class TestMcsTable:
 
 class TestBlerModel:
     def test_midpoint_at_threshold(self):
-        thr = MCS_TABLE_64QAM.threshold_db(10)
-        assert bler(thr, 10) == pytest.approx(0.5)
+        assert bler_curve(THRESHOLDS[10], THRESHOLDS)[10] == pytest.approx(0.5)
 
     def test_deep_tail(self):
-        thr = MCS_TABLE_64QAM.threshold_db(10)
-        assert bler(thr + 20.0, 10, model_slope=1.0) < 1e-8
+        assert bler_curve(THRESHOLDS[10] + 20.0, THRESHOLDS, 1.0)[10] < 1e-8
 
     def test_monotone_in_snr_and_mcs(self):
         # Exhaustive sweep on a 0.1 dB grid around each threshold.
-        for mcs in range(29):
-            thr = MCS_TABLE_64QAM.threshold_db(mcs)
+        for mcs, thr in enumerate(THRESHOLDS):
             grid = np.arange(thr - 10.0, thr + 30.0, 0.1)
-            values = [bler(s, mcs) for s in grid]
+            values = [bler_curve(s, THRESHOLDS)[mcs] for s in grid]
             assert all(b < a for a, b in zip(values, values[1:]))
         for snr in (-5.0, 5.0, 15.0, 25.0):
-            by_mcs = [bler(snr, m) for m in range(29)]
+            by_mcs = bler_curve(snr, THRESHOLDS)
             rises = [
                 i for i, (a, b) in enumerate(zip(by_mcs, by_mcs[1:])) if b < a - 1e-15
             ]
@@ -65,31 +71,55 @@ class TestBlerModel:
 
 
 class TestMeasureBler:
+    """``step_mcs`` measures the window's retransmission ratio, 0.0 when empty."""
+
     @pytest.mark.parametrize("window,expected", [((10, 1), 0.1), ((0, 0), 0.0), ((20, 4), 0.2)])
     def test_ratio(self, window, expected):
-        assert measure_bler(window) == pytest.approx(expected)
+        # A band of width 0 at the ratio holds the MCS; moving its low edge
+        # one float up makes the same window step up.
+        held = windowed(10, *window)
+        step_mcs(held, expected, expected)
+        raised = windowed(10, *window)
+        step_mcs(raised, math.nextafter(expected, 1.0), 1.0)
+        assert (held.mcs, raised.mcs) == (10, 11)
 
 
 class TestStepMcs:
     def test_step_up_on_low_bler(self):
-        s = LinkAdaptState(mcs=10)
-        assert step_mcs(s, 0.02).mcs == 11
+        s = windowed(10, scheduled=50, retx=1)  # 0.02
+        step_mcs(s, *BAND)
+        assert s.mcs == 11
 
     def test_step_down_on_high_bler(self):
-        s = LinkAdaptState(mcs=10)
-        assert step_mcs(s, 0.20).mcs == 9
+        s = windowed(10, scheduled=50, retx=10)  # 0.20
+        step_mcs(s, *BAND)
+        assert s.mcs == 9
 
     def test_floor_clamp(self):
-        s = LinkAdaptState(mcs=3)
-        assert step_mcs(s, 0.20).mcs == 3
+        s = windowed(3, scheduled=50, retx=10)
+        step_mcs(s, *BAND)
+        assert s.mcs == 3
 
     def test_dead_zone(self):
-        s = LinkAdaptState(mcs=10)
-        assert step_mcs(s, 0.10).mcs == 10
+        s = windowed(10, scheduled=50, retx=5)  # 0.10
+        step_mcs(s, *BAND)
+        assert s.mcs == 10
 
     def test_cqi_cap_clamp(self):
-        s = LinkAdaptState(mcs=20, mcs_max_from_cqi=20)
-        assert step_mcs(s, 0.01).mcs == 20
+        s = windowed(20, scheduled=100, retx=1, mcs_max_from_cqi=20)
+        step_mcs(s, *BAND)
+        assert s.mcs == 20
+
+    def test_empty_window_steps_up(self):
+        # A UE not served in the window measures 0.0, below the band.
+        s = windowed(10)
+        step_mcs(s, *BAND)
+        assert s.mcs == 11
+
+    def test_window_reset(self):
+        s = windowed(10, scheduled=50, retx=10)
+        step_mcs(s, *BAND)
+        assert (s.win_scheduled, s.win_retx) == (0, 0)
 
 
 class TestCqiCap:
@@ -126,6 +156,7 @@ def _drive_link(snr_db, n_windows, rng, state=None, slots_per_window=140):
     """Minimal closed-loop driver: one UE scheduled every slot with
     stop-and-wait HARQ, outer-loop stepping at window boundaries."""
     state = state or LinkAdaptState()
+    curve = bler_curve(snr_db, THRESHOLDS)
     proc = None
     total_sched = total_retx = 0
     events = []
@@ -136,7 +167,7 @@ def _drive_link(snr_db, n_windows, rng, state=None, slots_per_window=140):
             else:
                 mcs_used, is_retx = state.mcs, False
                 proc = HarqProcess(tb_bits=1, mcs_used=mcs_used)
-            nack = rng.random() < bler(snr_db, mcs_used)
+            nack = rng.random() < curve[mcs_used]
             if nack:
                 if harq_on_nack(proc) == DISCARD:
                     proc = None
@@ -147,11 +178,10 @@ def _drive_link(snr_db, n_windows, rng, state=None, slots_per_window=140):
             if is_retx:
                 state.win_retx += 1
                 total_retx += 1
-        measured = measure_bler(state.window())
+        measured = state.win_retx / state.win_scheduled
         mcs_before = state.mcs
-        step_mcs(state, measured)
+        step_mcs(state, *BAND)
         events.append((measured, mcs_before, state.mcs))
-        state.reset_window()
     return state, events, total_retx / total_sched
 
 

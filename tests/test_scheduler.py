@@ -5,52 +5,40 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rissim.scheduler import (
-    PfConfig,
-    UeSchedState,
-    ewma_update,
-    pf_metric,
-    rr_select,
-    select_ue,
-)
+from rissim.config import SchedConfig
+from rissim.scheduler import ewma_update, rr_select, select_ue
 
-CFG = PfConfig(alpha=0.1)
+FLOOR = SchedConfig.floor
 
 
 class TestPfMetric:
+    """The metric ``select_ue`` maximises: rate over average, the average floored."""
+
     def test_simple_ratio(self):
-        assert pf_metric(2.0, 1.0) == pytest.approx(2.0)
+        # 2.0 / 1.0 = 2.0 against 3.9 / 2.0 = 1.95, then against 4.1 / 2.0 = 2.05.
+        assert select_ue([1.0, 2.0], [2.0, 3.9], FLOOR) == 0
+        assert select_ue([1.0, 2.0], [2.0, 4.1], FLOOR) == 1
 
     def test_zero_rate(self):
-        assert pf_metric(0.0, 5.0) == 0.0
+        # A zero rate scores 0 even over the smallest average.
+        assert select_ue([1e-9, 1e3], [0.0, 1e-3], FLOOR) == 1
 
     def test_floor_guards_division(self):
-        assert pf_metric(1.0, 0.0, 1e-6) == pytest.approx(1e6)
+        # A zero average divides by the floor: 1 / 1e-6 beats 1e5 / 1, 1 / 1e-4 does not.
+        assert select_ue([0.0, 1.0], [1.0, 1e5], 1e-6) == 0
+        assert select_ue([0.0, 1.0], [1.0, 1e5], 1e-4) == 1
 
 
 class TestSelectUe:
     def test_argmax(self):
-        states = [UeSchedState(t_avg=1.0), UeSchedState(t_avg=1.0)]
-        assert select_ue(states, [3.0, 1.0], CFG) == 0
-
-    def test_retx_priority_overrides_metric(self):
-        states = [UeSchedState(t_avg=1.0), UeSchedState(t_avg=1.0, pending_retx=True)]
-        assert select_ue(states, [100.0, 0.1], CFG) == 1
-
-    def test_retx_tie_lowest_index(self):
-        states = [
-            UeSchedState(pending_retx=True),
-            UeSchedState(pending_retx=True),
-        ]
-        assert select_ue(states, [1.0, 1.0], CFG) == 0
+        assert select_ue([1.0, 1.0], [3.0, 1.0], FLOOR) == 0
 
     def test_metric_tie_lowest_index(self):
-        states = [UeSchedState(t_avg=2.0), UeSchedState(t_avg=2.0)]
-        assert select_ue(states, [1.0, 1.0], CFG) == 0
+        assert select_ue([2.0, 2.0], [1.0, 1.0], FLOOR) == 0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            select_ue([], [], CFG)
+            select_ue([], [], FLOOR)
 
     @given(
         t_avgs=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6),
@@ -63,34 +51,30 @@ class TestSelectUe:
         # long as the scaled averages stay above the division floor.
         n = len(t_avgs)
         rates = rates[:n]
-        base = select_ue([UeSchedState(t_avg=t) for t in t_avgs], rates, CFG)
-        scaled = select_ue(
-            [UeSchedState(t_avg=t * scale) for t in t_avgs],
-            [r * scale for r in rates],
-            CFG,
-        )
+        base = select_ue(list(t_avgs), rates, FLOOR)
+        scaled = select_ue([t * scale for t in t_avgs], [r * scale for r in rates], FLOOR)
         assert base == scaled
 
 
 class TestEwma:
     def test_served_update(self):
-        states = [UeSchedState(t_avg=1.0)]
-        ewma_update(states, 0, [3.0], 0.5)
-        assert states[0].t_avg == pytest.approx(2.0)
+        t_avg = [1.0]
+        ewma_update(t_avg, 0, [3.0], 0.5, FLOOR)
+        assert t_avg[0] == pytest.approx(2.0)
 
     def test_unserved_pure_decay(self):
-        states = [UeSchedState(t_avg=1.0), UeSchedState(t_avg=1.0)]
-        ewma_update(states, 0, [3.0, 3.0], 0.5)
-        assert states[1].t_avg == pytest.approx(0.5)
+        t_avg = [1.0, 1.0]
+        ewma_update(t_avg, 0, [3.0, 3.0], 0.5, FLOOR)
+        assert t_avg[1] == pytest.approx(0.5)
 
     def test_vanishing_alpha_first_order(self):
-        states = [UeSchedState(t_avg=1.0)]
-        ewma_update(states, 0, [3.0], 1e-9)
-        assert abs(states[0].t_avg - 1.0) < 1e-8
+        t_avg = [1.0]
+        ewma_update(t_avg, 0, [3.0], 1e-9, FLOOR)
+        assert abs(t_avg[0] - 1.0) < 1e-8
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
-            ewma_update([UeSchedState()], 0, [1.0], 1.0)
+            ewma_update([FLOOR], 0, [1.0], 1.0, FLOOR)
 
     @given(
         alpha=st.floats(0.01, 0.99),
@@ -98,17 +82,17 @@ class TestEwma:
     )
     @settings(max_examples=1000, deadline=None)
     def test_fixed_point_reached_within_five_time_constants(self, alpha, rate):
-        states = [UeSchedState()]
+        t_avg = [FLOOR]
         for _ in range(math.ceil(5.0 / alpha)):
-            ewma_update(states, 0, [rate], alpha)
-        assert states[0].t_avg == pytest.approx(rate, rel=0.01)
+            ewma_update(t_avg, 0, [rate], alpha, FLOOR)
+        assert t_avg[0] == pytest.approx(rate, rel=0.01)
 
     def test_fixed_point_small_alpha_spot_check(self):
         alpha = 5e-5
-        states = [UeSchedState()]
+        t_avg = [FLOOR]
         for _ in range(math.ceil(5.0 / alpha)):
-            ewma_update(states, 0, [2.5], alpha)
-        assert states[0].t_avg == pytest.approx(2.5, rel=0.01)
+            ewma_update(t_avg, 0, [2.5], alpha, FLOOR)
+        assert t_avg[0] == pytest.approx(2.5, rel=0.01)
 
 
 class TestRoundRobin:
@@ -131,13 +115,12 @@ class TestFairnessExtreme:
         # Per-slot alternation of a symmetric two-level rate pair; with a
         # heavy EWMA weight the long-run served shares stay near 50%.
         alpha = 0.9
-        cfg = PfConfig(alpha=alpha)
-        states = [UeSchedState(), UeSchedState()]
+        t_avg = [FLOOR, FLOOR]
         served = [0, 0]
         for t in range(10_000):
             rates = [3.0, 1.0] if t % 2 == 0 else [1.0, 3.0]
-            k = select_ue(states, rates, cfg)
+            k = select_ue(t_avg, rates, FLOOR)
             served[k] += 1
-            ewma_update(states, k, rates, alpha)
+            ewma_update(t_avg, k, rates, alpha, FLOOR)
         share = served[0] / sum(served)
         assert 0.45 <= share <= 0.55

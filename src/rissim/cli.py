@@ -11,6 +11,7 @@ rows.  Exit codes: 0 success, 2 configuration error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -90,7 +91,23 @@ def _config(args, base) -> ExperimentConfig:
     return cfg.with_overrides(overrides) if overrides else cfg
 
 
+def _check_beam_flags(args) -> None:
+    """The ranges the pattern code accepts; NaN fails every comparison."""
+    bad = [
+        f"--steer-deg: must be in [-90, 90], got {s!r}"
+        for s in args.steer_deg
+        if not -90.0 <= s <= 90.0
+    ]
+    if not 0.0 < args.grid_step_deg <= 0.1:
+        bad.append(f"--grid-step-deg: must be in (0, 0.1], got {args.grid_step_deg!r}")
+    if not 0.0 < args.csv_step_deg < math.inf:
+        bad.append(f"--csv-step-deg: must be positive and finite, got {args.csv_step_deg!r}")
+    if bad:
+        raise ConfigError("; ".join(bad))
+
+
 def cmd_beam_pattern(args) -> int:
+    _check_beam_flags(args)
     # Only the geometry shapes a pattern: any other override would be ignored.
     ignored = [key for key in _overrides(args) if not key.startswith("geom.")]
     if ignored:
@@ -176,9 +193,7 @@ def cmd_schedule(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _config(args, presets.sweep_config)
-    rows = engine.sweep_alpha(cfg, list(args.alphas))
-    _, genie_summary = engine.run(cfg.with_overrides({"ris.mode": "genie", "sched.kind": "rr"}))
-    _, off_summary = engine.run(cfg.with_overrides({"ris.mode": "off"}))
+    rows, genie_summary, off_summary = engine.sweep_table(cfg, list(args.alphas))
     out_dir: Path = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep_alpha.csv"

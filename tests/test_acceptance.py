@@ -20,7 +20,7 @@ from rissim.array_model import (
     upa_profile,
 )
 from rissim.config import SchedConfig
-from rissim.engine import run, sweep_alpha, write_trace_csv
+from rissim.engine import run, sweep_table, write_trace_csv
 from rissim.scheduler import ewma_update, select_ue
 
 WARMUP_S = 20.0
@@ -39,11 +39,8 @@ def schedule_run():
 
 @pytest.fixture(scope="module")
 def sweep_results():
-    cfg = presets.sweep_config()
-    rows = sweep_alpha(cfg, list(presets.SWEEP_ALPHAS))
-    _, genie = run(replace(cfg, ris=replace(cfg.ris, mode="genie"), sched=replace(cfg.sched, kind="rr")))
-    _, off = run(replace(cfg, ris=replace(cfg.ris, mode="off")))
-    return rows, genie, off
+    # The CLI's table: the alpha rows and both references in one pool.
+    return sweep_table(presets.sweep_config(), list(presets.SWEEP_ALPHAS))
 
 
 def test_criterion_1_beam_geometry():

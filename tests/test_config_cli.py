@@ -460,6 +460,25 @@ class TestOneConfigPath:
         assert "beam-pattern takes only geom.* overrides" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags,flag",
+        [
+            (["--csv-step-deg", "-1"], "--csv-step-deg"),
+            (["--csv-step-deg", "0"], "--csv-step-deg"),
+            (["--csv-step-deg", "inf"], "--csv-step-deg"),
+            (["--grid-step-deg", "5"], "--grid-step-deg"),
+            (["--grid-step-deg", "0"], "--grid-step-deg"),
+            (["--steer-deg", "95"], "--steer-deg"),
+            (["--steer-deg", "30", "nan"], "--steer-deg"),
+        ],
+    )
+    def test_beam_pattern_rejects_bad_flags(self, tmp_path, capsys, flags, flag):
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "beam-pattern", "--steer-deg", "30", *flags])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"config error: {flag}: must be")
+        assert not out.exists()
+
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 

@@ -1,17 +1,21 @@
 """Slot loop: TDD structure, transport blocks, accounting, traces."""
 
+import concurrent.futures
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rissim import presets
-from rissim.config import ChannelConfig
+from rissim.cli import main
+from rissim.config import ChannelConfig, ConfigError
 from rissim.engine import (
     MCS_TABLE_64QAM,
     TDD_DL_SYMBOLS,
     TDD_KINDS,
     run,
+    run_summaries,
     sweep_alpha,
     tb_bits,
     write_trace_csv,
@@ -340,3 +344,88 @@ class TestSweep:
         switches1 = sum(1 for a, b in zip(t1, t1[1:]) if a.ris_state != b.ris_state)
         switches2 = sum(1 for a, b in zip(t2, t2[1:]) if a.ris_state != b.ris_state)
         assert switches2 == pytest.approx(2 * switches1, abs=1)
+
+
+def _pool_configs():
+    """Independent runs of different kinds; the first is the longest."""
+    three_ues = {
+        "ue.angles": "20:0,40:0,-30:0",
+        "ue.pathloss_db": "60.0,61.5,59.0",
+        "ue.noise_dbm": "-60.0,-58.5,-61.0",
+        "ue.direct_leak": "0.01+0.02j,-0.015+0.005j,0j",
+        "ue.noris_gain": "0.1,0.12,0.08",
+    }
+    short = short_schedule(duration_s=2.0, warmup_s=0.5)
+    return [
+        short_schedule(duration_s=6.0, warmup_s=1.0),
+        presets.single_ue_config(0, ris_on=True, duration_s=2.0, warmup_s=0.5),
+        short.with_overrides({**three_ues, "ris.mode": "iid"}),
+        short.with_overrides({"ris.mode": "off"}),
+        short.with_overrides({"ris.mode": "genie", "sched.kind": "rr"}),
+    ]
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was created")
+
+
+class TestRunSummaries:
+    # as_kv_text, not ==: mode off has a NaN mean RSRP, and NaN != NaN.
+
+    def test_pool_equals_serial_in_input_order(self, monkeypatch):
+        # Three workers: the long first run ends after the next three.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        cfgs = _pool_configs()
+        serial = [run(cfg)[1].as_kv_text() for cfg in cfgs]
+        assert [s.as_kv_text() for s in run_summaries(cfgs)] == serial
+        assert len(set(serial)) == len(cfgs)
+
+    def test_one_cpu_runs_in_process(self, monkeypatch):
+        cfgs = _pool_configs()[1:3]
+        serial = [run(cfg)[1].as_kv_text() for cfg in cfgs]
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert [s.as_kv_text() for s in run_summaries(cfgs)] == serial
+
+    def test_cpu_count_without_affinity_call(self, monkeypatch):
+        cfgs = _pool_configs()[1:3]
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert len(run_summaries(cfgs)) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(AssertionError, match="pool was created"):
+            run_summaries(cfgs)
+
+    def test_single_config_runs_in_process(self, monkeypatch):
+        cfg = _pool_configs()[1]
+        serial = run(cfg)[1].as_kv_text()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert [s.as_kv_text() for s in run_summaries([cfg])] == [serial]
+        assert run_summaries([]) == []
+        # Two configs on two CPUs do reach the pool.
+        with pytest.raises(AssertionError, match="pool was created"):
+            run_summaries([cfg, cfg])
+
+    def test_worker_error_keeps_type_and_message(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        short = short_schedule(duration_s=1.0, warmup_s=0.5)
+        no_aligned_state = short.with_overrides({"ris.mode": "genie", "ris.angles": "10:0,60:0"})
+        with pytest.raises(ConfigError, match="ris.mode: genie requires a state aligned"):
+            run_summaries([short, no_aligned_state])
+
+    def test_sweep_error_exits_2_naming_the_key(self, tmp_path, capsys):
+        rc = main(
+            [
+                "--out-dir", str(tmp_path),
+                "--duration-s", "1",
+                "--set", "sim.warmup_s=0.5",
+                "--set", "ris.angles=10:0,60:0",
+                "sweep-alpha", "--alphas", "0.01",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "config error: ris.mode: genie requires a state aligned to every UE (ris.angles)\n"
+        assert not (tmp_path / "sweep_alpha.csv").exists()

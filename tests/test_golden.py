@@ -1,4 +1,4 @@
-"""Golden hashes: exact trace, summary, histogram, link-table and config-text bytes.
+"""Golden hashes: exact trace, summary, histogram, link-table, config-text and sweep bytes.
 
 Every speed-up of the slot loop or the link-table builder must keep
 these digests.  A change that moves one on purpose must say why and
@@ -8,12 +8,15 @@ re-pin it; regenerate the table with
 """
 
 import hashlib
+import io
+from contextlib import redirect_stdout
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rissim import presets
+from rissim.cli import main
 from rissim.config import ChannelConfig, ExperimentConfig, serialize
 from rissim.engine import build_distribution, build_link_tables, run, write_trace_csv
 
@@ -193,6 +196,25 @@ def test_golden_config_text(name):
     assert _sha(serialize(TEXT_CONFIGS[name]()).encode()) == TEXT_PINS[name]
 
 
+# A short sweep through the CLI: its runs execute on the worker pool.
+SWEEP_ARGS = (
+    "--duration-s", "4", "--set", "sim.warmup_s=1", "sweep-alpha", "--alphas", "0.01", "5e-4",
+)
+SWEEP_PIN = "9f1c73189cb65fbb43f1abadede094a2020b8e715b52555b3bb54e1329465f90"
+
+
+def sweep_digest(out_dir) -> str:
+    """SHA-256 of the ``sweep_alpha.csv`` the CLI writes for ``SWEEP_ARGS``."""
+    with redirect_stdout(io.StringIO()):
+        rc = main(["--out-dir", str(out_dir), *SWEEP_ARGS])
+    assert rc == 0
+    return _sha((out_dir / "sweep_alpha.csv").read_bytes())
+
+
+def test_golden_sweep_csv(tmp_path):
+    assert sweep_digest(tmp_path) == SWEEP_PIN
+
+
 if __name__ == "__main__":
     import tempfile
     from pathlib import Path
@@ -204,3 +226,5 @@ if __name__ == "__main__":
         print(f"    {name!r}: {table_digest(CONFIGS[name]())!r},")  # TABLE_PINS
     for name in sorted(TEXT_CONFIGS):
         print(f"    {name!r}: {_sha(serialize(TEXT_CONFIGS[name]()).encode())!r},")  # TEXT_PINS
+    with tempfile.TemporaryDirectory() as d:
+        print(f"SWEEP_PIN = {sweep_digest(Path(d))!r}")

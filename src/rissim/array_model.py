@@ -23,6 +23,7 @@ plain two-level surface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -165,10 +166,23 @@ def pattern_gains(
     # Vertical observation factor at elevation 0 is all-ones, so the
     # vertical dimension collapses into a per-column sum.
     col = (w * inc_v[np.newaxis, :]).sum(axis=1) * inc_h
-    obs = np.atleast_1d(np.asarray(obs_angles_deg, dtype=float))
-    phase = -2.0 * np.pi * spacing_ratio * np.sin(np.deg2rad(obs))
+    obs = np.asarray(obs_angles_deg, dtype=float)
+    return _observation_basis(obs.tobytes(), n_h, spacing_ratio) @ col
+
+
+@lru_cache(maxsize=8)
+def _observation_basis(obs_bytes: bytes, n_h: int, spacing_ratio: float) -> np.ndarray:
+    """Horizontal observation phasors, one row per angle of the float64 grid
+    ``obs_bytes``.
+
+    The matrix depends only on the grid, ``n_h`` and the spacing, not on the
+    code, so every steer target on one grid shares it.  It is returned
+    read-only because every caller gets the same array.
+    """
+    phase = -2.0 * np.pi * spacing_ratio * np.sin(np.deg2rad(np.frombuffer(obs_bytes)))
     e_obs = np.exp(1j * np.outer(phase, np.arange(n_h)))
-    return e_obs @ col
+    e_obs.flags.writeable = False
+    return e_obs
 
 
 @dataclass(frozen=True)

@@ -92,11 +92,15 @@ def _config(args, base) -> ExperimentConfig:
 
 
 def _check_beam_flags(args) -> None:
-    """The ranges the pattern code accepts; NaN fails every comparison."""
+    """The ranges the pattern code accepts; NaN fails every comparison.
+
+    The metrics and the CSV observe 0 to 90 deg, so a negative target's
+    main lobe would be off the grid.
+    """
     bad = [
-        f"--steer-deg: must be in [-90, 90], got {s!r}"
+        f"--steer-deg: must be in [0, 90], got {s!r}"
         for s in args.steer_deg
-        if not -90.0 <= s <= 90.0
+        if not 0.0 <= s <= 90.0
     ]
     if not 0.0 < args.grid_step_deg <= 0.1:
         bad.append(f"--grid-step-deg: must be in (0, 0.1], got {args.grid_step_deg!r}")
@@ -116,23 +120,22 @@ def cmd_beam_pattern(args) -> int:
     offsets = design_phase_offsets(g.n_h, g.n_v) if g.dither else None
     out_dir: Path = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
+    n = g.n_h * g.n_v
+    angles = np.arange(0.0, 90.0 + args.csv_step_deg / 2, args.csv_step_deg)
+    angle_cells = [f"{a:.4f}," for a in angles.tolist()]
     for steer in args.steer_deg:
         profile = upa_profile(steer, 0.0, g.n_h, g.n_v, g.spacing_ratio, offsets)
         m = beam_metrics(
             profile.code, 0.0, g.n_h, g.n_v, g.spacing_ratio,
             grid_step_deg=args.grid_step_deg, phase_offsets=offsets,
         )
-        angles = np.arange(0.0, 90.0 + args.csv_step_deg / 2, args.csv_step_deg)
         gains = np.abs(
             pattern_gains(profile.code, 0.0, angles, g.n_h, g.n_v, g.spacing_ratio, offsets)
         )
-        n = g.n_h * g.n_v
+        db = 20.0 * np.log10(np.maximum(gains, 1e-12) / n)
         path = out_dir / f"pattern_{steer:g}deg.csv"
-        with open(path, "w") as f:
-            f.write("angle_deg,gain_db\n")
-            for a, v in zip(angles, gains):
-                db = 20.0 * np.log10(max(v, 1e-12) / n)
-                f.write(f"{a:.4f},{db:.4f}\n")
+        rows = "".join(f"{a}{v:.4f}\n" for a, v in zip(angle_cells, db.tolist()))
+        path.write_text("angle_deg,gain_db\n" + rows)
         print(
             f"steer={steer:g} peak={m.peak_angle_deg:.2f} deg "
             f"peak_gain={m.peak_gain_db:.2f} dB hpbw={m.hpbw_deg:.2f} deg "

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rissim.array_model import (
     DegeneratePatternError,
+    _observation_basis,
     beam_metrics,
     design_phase_offsets,
     pattern_gains,
@@ -112,6 +113,46 @@ class TestArrayFactor:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             pattern_gains(np.zeros(10, dtype=np.uint8), 0.0, 0.0, 8, 8)
+
+
+def _uncached_gains(code, illum_deg, obs_deg, n_h, n_v, spacing, offsets):
+    """``pattern_gains`` with the observation basis built on every call."""
+    phases = np.pi * code.astype(float)
+    if offsets is not None:
+        phases = phases + offsets
+    w = np.exp(1j * phases).reshape(n_h, n_v)
+    inc_h = steering_vector(illum_deg, n_h, spacing)
+    inc_v = steering_vector(0.0, n_v, spacing)
+    col = (w * inc_v[np.newaxis, :]).sum(axis=1) * inc_h
+    obs = np.atleast_1d(np.asarray(obs_deg, dtype=float))
+    phase = -2.0 * np.pi * spacing * np.sin(np.deg2rad(obs))
+    return np.exp(1j * np.outer(phase, np.arange(n_h))) @ col
+
+
+class TestObservationBasisCache:
+    GRIDS = (np.arange(0.0, 90.025, 0.05), np.arange(0.0, 90.05, 0.1), 22.5)
+
+    def test_cached_gains_equal_uncached_read_only_and_bounded(self):
+        # Steer targets interleave the grids as beam-pattern does; the 12
+        # (grid, n_h, spacing) keys outnumber the cache, so some are evicted.
+        _observation_basis.cache_clear()
+        maxsize = _observation_basis.cache_info().maxsize
+        setups = list(itertools.product(((8, 8), (32, 32)), (0.25, 0.5)))
+        assert len(setups) * len(self.GRIDS) > maxsize
+        for (n_h, n_v), spacing in setups:
+            offsets = design_phase_offsets(n_h, n_v) if n_h == 32 else None
+            for steer in (0.0, 17.5, 41.0):
+                code = upa_profile(steer, 0.0, n_h, n_v, spacing, offsets).code
+                for grid in self.GRIDS:
+                    got = pattern_gains(code, 5.0, grid, n_h, n_v, spacing, offsets)
+                    want = _uncached_gains(code, 5.0, grid, n_h, n_v, spacing, offsets)
+                    assert np.array_equal(got, want)
+                    assert _observation_basis.cache_info().currsize <= maxsize
+        info = _observation_basis.cache_info()
+        assert info.misses == len(setups) * len(self.GRIDS)  # built once per grid
+        assert info.currsize == maxsize
+        basis = _observation_basis(np.asarray(self.GRIDS[1]).tobytes(), 32, 0.5)
+        assert not basis.flags.writeable  # every caller shares it
 
 
 class TestOneBitOptimality:

@@ -469,6 +469,7 @@ class TestOneConfigPath:
             (["--grid-step-deg", "5"], "--grid-step-deg"),
             (["--grid-step-deg", "0"], "--grid-step-deg"),
             (["--steer-deg", "95"], "--steer-deg"),
+            (["--steer-deg", "-30"], "--steer-deg"),
             (["--steer-deg", "30", "nan"], "--steer-deg"),
         ],
     )

@@ -1,4 +1,5 @@
-"""Golden hashes: exact trace, summary, histogram, link-table, config-text and sweep bytes.
+"""Golden hashes: exact trace, summary, histogram, link-table, config-text, sweep and
+beam-pattern bytes.
 
 Every speed-up of the slot loop or the link-table builder must keep
 these digests.  A change that moves one on purpose must say why and
@@ -215,6 +216,48 @@ def test_golden_sweep_csv(tmp_path):
     assert sweep_digest(tmp_path) == SWEEP_PIN
 
 
+# beam-pattern through the CLI: several targets on the default grids, and one
+# target on the coarsest metrics grid with a coarser CSV grid.
+BEAM_ARGS = {
+    "default": ("--steer-deg", "0", "7.25", "30", "60"),
+    "coarse": ("--steer-deg", "45", "--grid-step-deg", "0.1", "--csv-step-deg", "0.25"),
+}
+
+
+def beam_digests(args, out_dir) -> dict[str, str]:
+    """SHA-256 of each CSV ``beam-pattern`` writes for ``args``, and of its stdout.
+
+    The output directory is replaced by ``<out>`` in the stdout first.
+    """
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        rc = main(["--out-dir", str(out_dir), "beam-pattern", *args])
+    assert rc == 0
+    pins = {p.name: _sha(p.read_bytes()) for p in sorted(out_dir.glob("pattern_*deg.csv"))}
+    pins["stdout"] = _sha(buf.getvalue().replace(str(out_dir), "<out>").encode())
+    return pins
+
+
+BEAM_PINS = {
+    "coarse": {
+        "pattern_45deg.csv": "319d9fd798d34aeda518e8460730c017c0af550c8e51656aaf4e3eaa93da1589",
+        "stdout": "bf94c6574e7e634f3a8c64e048c31f8997850bdddc7615a503b9829e25d14a35",
+    },
+    "default": {
+        "pattern_0deg.csv": "ad5262f6ea8dc96d889e37f991088a0b730576d376ba4e8a89b6abea7b94928a",
+        "pattern_30deg.csv": "e73c271d35660acb34211e1c40fbc3f74ab591d4777aeb4b7b1ccfd787d03fca",
+        "pattern_60deg.csv": "d7d53da766a1bd105d4724e299399a4453fa4e47c0eeb26b2b980e691da7f59a",
+        "pattern_7.25deg.csv": "e8a815495e32a83fd3871a26a5cffcaf8343d02c7f47f4bf419fa6136b533265",
+        "stdout": "199a863224844d3e53f0d44850d8c8cd8416279f5c00fe4d1975e67d298ef3ba",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEAM_ARGS))
+def test_golden_beam_pattern(name, tmp_path):
+    assert beam_digests(BEAM_ARGS[name], tmp_path) == BEAM_PINS[name]
+
+
 if __name__ == "__main__":
     import tempfile
     from pathlib import Path
@@ -228,3 +271,6 @@ if __name__ == "__main__":
         print(f"    {name!r}: {_sha(serialize(TEXT_CONFIGS[name]()).encode())!r},")  # TEXT_PINS
     with tempfile.TemporaryDirectory() as d:
         print(f"SWEEP_PIN = {sweep_digest(Path(d))!r}")
+    for name in sorted(BEAM_ARGS):
+        with tempfile.TemporaryDirectory() as d:
+            print(f"    {name!r}: {beam_digests(BEAM_ARGS[name], Path(d))!r},")  # BEAM_PINS

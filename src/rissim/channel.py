@@ -71,9 +71,13 @@ def rician_scatter(
 
     Draws the ``n`` real parts, then the ``n`` imaginary parts.
     """
-    k_lin = 10.0 ** (rician_k_db / 10.0)
-    sigma = amplitude / math.sqrt(k_lin)
+    sigma = scatter_sigma(amplitude, rician_k_db)
     return sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+
+
+def scatter_sigma(amplitude: float, rician_k_db: float) -> float:
+    """Scatter scale ``amplitude / sqrt(K)``: per-element power ``amplitude**2 / K``."""
+    return amplitude / math.sqrt(10.0 ** (rician_k_db / 10.0))
 
 
 def effective_channel(phi, h_c) -> complex:

@@ -21,6 +21,7 @@ import os
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from itertools import chain, islice
 from typing import NamedTuple
 
@@ -36,6 +37,7 @@ from .link_adapt import MCS_TABLE_64QAM, HarqProcess, LinkAdaptState, McsTable
 
 SUBCARRIERS_PER_PRB = 12
 DRAW_CHUNK = 4096  # block-outcome uniforms drawn per refill
+EPOCH_BLOCK = 16  # coherence epochs whose link tables are built together
 
 # One TDD period: slot roles and schedulable DL symbols, 6 downlink, 1 mixed, 3 uplink.
 TDD_KINDS = ("dl",) * 6 + ("mixed",) + ("ul",) * 3
@@ -81,7 +83,7 @@ class Trace(Sequence):
     tables change at every channel rebuild: epoch ``e`` covers the slots
     from ``e * coherence`` on.  ``ue`` and ``mcs`` are None on idle
     (uplink) slots.  ``aligned_state`` is the run's per-UE own beam
-    state (``LinkTables.aligned_state``), set by :func:`run`.
+    state (``LinkSetup.aligned_state``), set by :func:`run`.
     """
 
     def __init__(self, n_slots: int, off_row: int, coherence: int = 0):
@@ -94,10 +96,10 @@ class Trace(Sequence):
         self.tb_bits = [0] * n_slots
         self.nack = [False] * n_slots
         self.retx = [False] * n_slots
-        self.rsrp: list[list[tuple[float, ...]]] = []  # per epoch, per row
-        self.snr: list[list[list[float]]] = []  # per epoch, per row, per UE
+        self.rsrp: list[list[tuple[float, ...]]] = []  # per epoch, per row, per UE
+        self.snr: list[list[tuple[float, ...]]] = []  # per epoch, per row, per UE
 
-    def add_epoch(self, rsrp: list[tuple[float, ...]], snr: list[list[float]]) -> None:
+    def add_epoch(self, rsrp: list[tuple[float, ...]], snr: list[tuple[float, ...]]) -> None:
         self.rsrp.append(rsrp)
         self.snr.append(snr)
 
@@ -176,6 +178,19 @@ class RunSummary:
     discarded_bits: int
     inflight_bits: int
 
+    def __eq__(self, other):
+        """Field by field, with NaN equal to NaN.
+
+        A UE with no aligned (or no misaligned) slot has a NaN mean RSRP,
+        and two identical runs must still compare equal.
+        """
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            len(a) == len(b) and all(map(_same, a, b)) if isinstance(a, tuple) else _same(a, b)
+            for a, b in zip(vars(self).values(), vars(other).values())
+        )
+
     def conservation_holds(self) -> bool:
         return self.new_tx_bits == self.acked_bits + self.discarded_bits + self.inflight_bits
 
@@ -192,39 +207,51 @@ class RunSummary:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class LinkTables:
-    """Per-(state, UE) channel constants precomputed for the slot loop.
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
 
-    Row L (one past the last state) holds the no-surface scalar channel
-    so that mode "off" shares the lookup path.
+
+class LinkTables(NamedTuple):
+    """Per-(row, UE) channel constants of one coherence epoch, as plain floats.
+
+    Rows are the surface states, then the no-surface scalar channel, so
+    that mode "off" shares the lookup path.  Plain-float lookups are what
+    make the slot loop cheap; RSRP rows are tuples because trace records
+    share them.  A BLER row is computed when it is first indexed (see
+    :class:`_BlerOnFirstUse`); ``bler[row][ue][:]`` gives the whole row.
     """
 
-    snr_db: np.ndarray  # (L+1, K)
-    se: np.ndarray  # (L+1, K)
-    rsrp: np.ndarray  # (L+1, K)
-    bler: np.ndarray  # (L+1, K, 29)
-    aligned_state: tuple[int, ...]  # per-UE index of its own beam state
+    snr_db: list[tuple[float, ...]]  # per row, per UE
+    se: list[tuple[float, ...]]
+    rsrp: list[tuple[float, ...]]
+    bler: list[list]  # per row, per UE: block-error probability per MCS index
 
-    @property
-    def n_states(self) -> int:
-        return self.snr_db.shape[0] - 1
 
-    def as_lists(self):
-        """(snr, se, rsrp, bler) as nested lists of the same floats.
+class _BlerOnFirstUse:
+    """The BLER row of one (table row, UE) until it is first indexed.
 
-        Plain-float lookups are what make the slot loop cheap; RSRP rows
-        are tuples because trace records share them.
-        """
-        rsrp = [tuple(r) for r in self.rsrp.tolist()]
-        return self.snr_db.tolist(), self.se.tolist(), rsrp, self.bler.tolist()
+    A Rician epoch lasts a few slots, in which the slot loop reads the
+    row in force for the UEs it serves, not every row.  The first index
+    computes the row from its SNR and puts the list in this placeholder's
+    place, so later lookups are plain list indexing.
+    """
+
+    __slots__ = ("cells", "ue", "snr_db", "curve")
+
+    def __init__(self, cells: list, ue: int, snr_db: float, curve):
+        self.cells, self.ue, self.snr_db, self.curve = cells, ue, snr_db, curve
+
+    def __getitem__(self, index):
+        row = self.cells[self.ue] = self.curve(self.snr_db)
+        return row[index]
 
 
 @dataclass(frozen=True)
 class LinkSetup:
     """The parts of the link tables that stay fixed over a run.
 
-    Only the scatter term is redrawn when the tables are rebuilt.
+    Only the scatter term is redrawn when the tables are rebuilt, into
+    the buffers of :attr:`block_buffers`.
     """
 
     los: tuple[np.ndarray, ...]  # per-UE line-of-sight cascaded channel
@@ -233,9 +260,36 @@ class LinkSetup:
     thresholds_db: tuple[float, ...]  # per-MCS BLER midpoints
     aligned_state: tuple[int, ...]  # per-UE index of its own beam state, or -1
 
-    def surface_channels(self, h: np.ndarray) -> list[complex]:
-        """Effective channel of every surface state over the cascaded channel ``h``."""
-        return [complex(np.sum(w * h)) for w in self.weights]
+    @cached_property
+    def block_buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Scratch for :data:`EPOCH_BLOCK` epochs of scatter, allocated on first use.
+
+        Normals (B, K, 2, n), cascaded channels (B, K, n) and their
+        products with one state's weights (B, K, n); about 1.5 MiB for the
+        presets' two UEs and 1,024 elements.
+        """
+        k, n = len(self.los), self.los[0].size
+        return (
+            np.empty((EPOCH_BLOCK, k, 2, n)),
+            np.empty((EPOCH_BLOCK, k, n), dtype=complex),
+            np.empty((EPOCH_BLOCK, k, n), dtype=complex),
+        )
+
+    def surface_channels(self, h: np.ndarray, prod: np.ndarray | None = None) -> np.ndarray:
+        """Effective channel of every surface state over the cascaded channels ``h``.
+
+        ``h`` holds the elements on its last axis; the states come first in
+        the result.  ``np.sum`` over each contiguous row adds in the same
+        order as over that row alone, so a block of channels gives the bits
+        of one channel at a time.  ``prod`` is scratch of ``h``'s shape.
+        """
+        if prod is None:
+            prod = np.empty(h.shape, dtype=complex)
+        sums = np.empty((len(self.weights),) + h.shape[:-1], dtype=complex)
+        for s, w in enumerate(self.weights):
+            np.multiply(w, h, out=prod)
+            sums[s] = prod.sum(axis=-1)
+        return sums
 
 
 def link_setup(cfg: ExperimentConfig, dist: rc.SamplingDistribution) -> LinkSetup:
@@ -279,38 +333,79 @@ def build_link_tables(
     dist: rc.SamplingDistribution,
     rng_channel: np.random.Generator,
     setup: LinkSetup | None = None,
-) -> LinkTables:
-    """Link tables for one channel draw.
+    n_epochs: int = 1,
+) -> list[LinkTables]:
+    """Link tables of ``n_epochs`` successive channel draws, one per coherence epoch.
 
     ``setup`` carries the per-run constants; a run builds it once with
-    :func:`link_setup` and passes it to every rebuild.  With
-    ``chan.rician_k_db`` set, scatter is drawn from ``rng_channel`` UE by
-    UE, real parts before imaginary parts.
+    :func:`link_setup` and passes it to every call.  Without
+    ``chan.rician_k_db`` every epoch has the same tables.  With it, each
+    epoch draws scatter from ``rng_channel`` UE by UE, real parts before
+    imaginary parts: the stream of successive
+    :func:`channel.rician_scatter` calls, drawn :data:`EPOCH_BLOCK`
+    epochs per call into ``setup.block_buffers``.
     """
     if setup is None:
         setup = link_setup(cfg, dist)
-    shape = (len(dist) + 1, len(cfg.ues))
-    snr_db = np.zeros(shape)
-    se = np.zeros(shape)
-    rsrp = np.zeros(shape)
-    bler_tab = np.zeros(shape + (len(setup.thresholds_db),))
-    rician_k_db = cfg.chan.rician_k_db
-    for k, (ue, los, budget) in enumerate(zip(cfg.ues, setup.los, setup.budgets)):
-        h = los
-        if rician_k_db is not None:
-            h = los + ch.rician_scatter(_amplitude(cfg), rician_k_db, los.size, rng_channel)
-        effs = [h_eff + ue.direct_leak for h_eff in setup.surface_channels(h)]
-        effs.append(complex(ue.noris_gain))
-        for s, h_eff in enumerate(effs):
-            lin = ch.snr_linear(h_eff, budget)
-            snr = 10.0 * math.log10(lin) if lin > 0 else -math.inf
-            snr_db[s, k] = snr
-            se[s, k] = ch.spectral_efficiency(lin)
-            rsrp[s, k] = ch.rsrp_dbm(h_eff, budget)
-            bler_tab[s, k] = la_mod.bler_curve(snr, setup.thresholds_db, cfg.la.slope)
-    return LinkTables(
-        snr_db=snr_db, se=se, rsrp=rsrp, bler=bler_tab, aligned_state=setup.aligned_state
-    )
+    los = np.stack(setup.los)  # (K, n)
+    leaks = [ue.direct_leak for ue in cfg.ues]
+    off = _row_values([complex(ue.noris_gain) for ue in cfg.ues], setup.budgets)
+    curve = partial(la_mod.bler_curve, thresholds_db=setup.thresholds_db, model_slope=cfg.la.slope)
+    tables = []
+    for first in range(0, n_epochs, EPOCH_BLOCK):
+        m = min(EPOCH_BLOCK, n_epochs - first)
+        if cfg.chan.rician_k_db is None:
+            sums = setup.surface_channels(np.broadcast_to(los, (m,) + los.shape))
+        else:
+            normals, h, prod = (a[:m] for a in setup.block_buffers)
+            rng_channel.standard_normal(out=normals)
+            # rician_scatter's complex operations as real ones, in its order;
+            # numpy divides a complex by a real by multiplying by the reciprocal.
+            normals *= ch.scatter_sigma(_amplitude(cfg), cfg.chan.rician_k_db)
+            normals *= 1.0 / math.sqrt(2.0)
+            np.add(los.real, normals[:, :, 0], out=h.real)
+            np.add(los.imag, normals[:, :, 1], out=h.imag)
+            sums = setup.surface_channels(h, prod)
+        surface = sums.transpose(1, 0, 2).tolist()
+        off_bler = _lazy_bler(off[0], curve)  # the no-surface row is the same in every epoch
+        for rows in surface:  # per epoch: per state, per UE
+            values = [
+                _row_values([h_eff + leak for h_eff, leak in zip(row, leaks)], setup.budgets)
+                for row in rows
+            ] + [off]
+            snr_db = [snr for snr, _, _ in values]
+            tables.append(LinkTables(
+                snr_db,
+                [se for _, se, _ in values],
+                [rsrp for _, _, rsrp in values],
+                [_lazy_bler(snr, curve) for snr in snr_db[:-1]] + [off_bler],
+            ))
+    return tables
+
+
+def _row_values(effs: list[complex], budgets) -> tuple[tuple[float, ...], ...]:
+    """(SNR dB, spectral efficiency, RSRP) per UE of one table row, in scalar math.
+
+    ``numpy``'s vectorised log and exp differ from ``math``'s in the last
+    bit on some inputs, and the MAC decisions compare against these values.
+    """
+    values = []
+    for h_eff, budget in zip(effs, budgets):
+        lin = ch.snr_linear(h_eff, budget)
+        values.append((
+            10.0 * math.log10(lin) if lin > 0 else -math.inf,
+            ch.spectral_efficiency(lin),
+            ch.rsrp_dbm(h_eff, budget),
+        ))
+    return tuple(zip(*values))
+
+
+def _lazy_bler(snr_db: tuple[float, ...], curve) -> list:
+    """One table row's per-UE BLER rows, each computed from ``snr_db`` on first use."""
+    cells = [None] * len(snr_db)
+    for k, snr in enumerate(snr_db):
+        cells[k] = _BlerOnFirstUse(cells, k, snr, curve)
+    return cells
 
 
 def build_distribution(cfg: ExperimentConfig) -> rc.SamplingDistribution:
@@ -349,9 +444,8 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     dist = build_distribution(cfg)
     coherence = cfg.chan.coherence_slots if cfg.chan.rician_k_db is not None else 0
     setup = link_setup(cfg, dist)
-    tables = build_link_tables(cfg, dist, rng_channel, setup)
-    off_row = tables.n_states  # lookup row for mode "off"
-    aligned_state = tables.aligned_state
+    off_row = len(dist)  # lookup row for mode "off"
+    aligned_state = setup.aligned_state
     mode = cfg.ris.mode
     genie = mode == "genie"
     switching = mode in ("periodic", "iid")
@@ -379,7 +473,13 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     rows, ues, mcss, tbs, nacks, retxs = (
         trace.row, trace.ue, trace.mcs, trace.tb_bits, trace.nack, trace.retx,
     )
-    snr_tab, se_tab, rsrp_tab, bler_tab = tables.as_lists()
+    # One table per coherence epoch, built EPOCH_BLOCK epochs at a time.
+    n_epochs = -(-max(n_slots, 1) // coherence) if coherence else 1
+    next_tables = chain.from_iterable(
+        build_link_tables(cfg, dist, rng_channel, setup, min(EPOCH_BLOCK, n_epochs - first))
+        for first in range(0, n_epochs, EPOCH_BLOCK)
+    ).__next__
+    snr_tab, se_tab, rsrp_tab, bler_tab = next_tables()
     trace.add_epoch(rsrp_tab, snr_tab)
 
     # Per TDD phase: None on uplink slots, else the TB size per MCS index.
@@ -406,8 +506,7 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     for t in range(n_slots):
         # Scatter evolves on its own coherence grid, from its own stream.
         if coherence and t and t % coherence == 0:
-            tables = build_link_tables(cfg, dist, rng_channel, setup)
-            snr_tab, se_tab, rsrp_tab, bler_tab = tables.as_lists()
+            snr_tab, se_tab, rsrp_tab, bler_tab = next_tables()
             trace.add_epoch(rsrp_tab, snr_tab)
 
         # State draws are per switching interval.
@@ -651,16 +750,21 @@ def write_trace_csv(trace: Trace, path) -> None:
             for r, rsrp in enumerate(rsrp_rows)
         ]
         snrs = [[f"{v:.4f}" for v in snr] for snr in snr_rows]
-        for t, row, ue, mcs, tb, nack, retx in zip(
-            range(lo, hi), *(c[lo:hi] for c in columns)
-        ):
-            state, rsrps = heads[row]
-            if ue is None:
-                lines.append(f"{t},{t * SLOT_MS:.1f},{state}{rsrps},,,{tb},idle,{int(retx)}")
-            else:
-                lines.append(
-                    f"{t},{t * SLOT_MS:.1f},{state}{ue}{rsrps},{snrs[row][ue]},{mcs},{tb},"
-                    f"{'nack' if nack else 'ack'},{int(retx)}"
-                )
+        # Everything after the time is formatted once per distinct slot in the epoch.
+        tails = {}
+        for t, key in zip(range(lo, hi), zip(*(c[lo:hi] for c in columns))):
+            tail = tails.get(key)
+            if tail is None:
+                row, ue, mcs, tb, nack, retx = key
+                state, rsrps = heads[row]
+                if ue is None:
+                    tail = f"{state}{rsrps},,,{tb},idle,{int(retx)}"
+                else:
+                    tail = (
+                        f"{state}{ue}{rsrps},{snrs[row][ue]},{mcs},{tb},"
+                        f"{'nack' if nack else 'ack'},{int(retx)}"
+                    )
+                tails[key] = tail
+            lines.append(f"{t},{t * SLOT_MS:.1f},{tail}")
     with open(path, "w", newline="") as f:
         f.write("\n".join(lines) + "\n")

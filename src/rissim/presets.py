@@ -78,7 +78,7 @@ def _calibrate(snr_aligned_db: tuple[float, float]) -> tuple[tuple[UeConfig, ...
     ues = []
     rsrp_offset_db = 0.0
     for k, (nu, psi) in enumerate(UE_ANGLES):
-        effs = setup.surface_channels(setup.los[k])
+        effs = setup.surface_channels(setup.los[k]).tolist()
         own, other = effs[k], effs[1 - k]
         gap_db = RSRP_ALIGNED_DBM[k] - RSRP_MISALIGNED_DBM[k]
         mis_target = abs(own) * 10.0 ** (-gap_db / 20.0)

@@ -120,20 +120,20 @@ class TestCalibratedLevels:
         from rissim.engine import build_distribution, build_link_tables
 
         cfg = presets.schedule_config()
-        tables = build_link_tables(cfg, build_distribution(cfg), np.random.default_rng(0))
+        [tables] = build_link_tables(cfg, build_distribution(cfg), np.random.default_rng(0))
         for k, (hi, lo) in enumerate(zip(presets.RSRP_ALIGNED_DBM, presets.RSRP_MISALIGNED_DBM)):
-            assert tables.rsrp[k, k] == pytest.approx(hi, abs=1e-6)
-            assert tables.rsrp[1 - k, k] == pytest.approx(lo, abs=1e-6)
+            assert tables.rsrp[k][k] == pytest.approx(hi, abs=1e-6)
+            assert tables.rsrp[1 - k][k] == pytest.approx(lo, abs=1e-6)
 
     def test_single_ue_preset_rsrp_with_and_without_surface(self):
         from rissim.engine import build_distribution, build_link_tables
 
         for k in range(2):
             cfg = presets.single_ue_config(k, ris_on=True)
-            tables = build_link_tables(cfg, build_distribution(cfg), np.random.default_rng(0))
-            assert tables.rsrp[0, 0] == pytest.approx(presets.RSRP_ALIGNED_DBM[k], abs=1e-6)
+            [tables] = build_link_tables(cfg, build_distribution(cfg), np.random.default_rng(0))
+            assert tables.rsrp[0][0] == pytest.approx(presets.RSRP_ALIGNED_DBM[k], abs=1e-6)
             # Last row is the no-surface scalar channel.
-            assert tables.rsrp[-1, 0] == pytest.approx(presets.RSRP_NO_SURFACE_DBM[k], abs=1e-6)
+            assert tables.rsrp[-1][0] == pytest.approx(presets.RSRP_NO_SURFACE_DBM[k], abs=1e-6)
 
     def test_pure_geometry_alignment_gap_exceeds_7db(self):
         # Without the residual direct path the gap is set by the array

@@ -1,6 +1,7 @@
 """Slot loop: TDD structure, transport blocks, accounting, traces."""
 
 import concurrent.futures
+import math
 import os
 from dataclasses import replace
 
@@ -151,6 +152,17 @@ class TestDeterminism:
         write_trace_csv(t1, p1)
         write_trace_csv(t2, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_summaries_with_nan_rsrp_compare_equal(self):
+        # Mode "off" has no aligned slot, so every aligned mean RSRP is NaN.
+        cfg = presets.schedule_config(mode="off", duration_s=0.5, warmup_s=0.0)
+        _, s1 = run(cfg)
+        _, s2 = run(cfg)
+        assert all(math.isnan(v) for v in s1.mean_rsrp_aligned_dbm)
+        assert s1 == s2
+        assert s1 != replace(s1, acked_bits=s1.acked_bits + 1)
+        assert s1 != replace(s1, mean_rsrp_aligned_dbm=(0.0,) * len(cfg.ues))
+        assert s1 != replace(s1, served_share=s1.served_share[:1])
 
     def test_seed_changes_outcomes(self):
         t1, _ = run(short_schedule(duration_s=6.0, warmup_s=1.0, seed=1))

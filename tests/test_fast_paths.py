@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from rissim import channel as ch
+from rissim import engine
 from rissim import link_adapt as la
 from rissim import presets
 from rissim.config import ChannelConfig
 from rissim.engine import (
     DRAW_CHUNK,
+    EPOCH_BLOCK,
     MCS_TABLE_64QAM,
     build_distribution,
     build_link_tables,
@@ -36,6 +38,19 @@ def test_chunked_uniforms_equal_scalar_draws():
     draws = chunked.random(DRAW_CHUNK).tolist() + chunked.random(DRAW_CHUNK).tolist()
     assert draws == [scalar.random() for _ in range(2 * DRAW_CHUNK)]
     assert chunked.random() == scalar.random()
+
+
+def test_block_draw_equals_successive_scatter_calls():
+    n_ues, n = 3, 64
+    block, successive = np.random.default_rng(7), np.random.default_rng(7)
+    normals = np.empty((EPOCH_BLOCK, n_ues, 2, n))
+    block.standard_normal(out=normals)
+    sigma = ch.scatter_sigma(0.01, 6.0)
+    for epoch in normals:
+        for re, im in epoch:
+            want = ch.rician_scatter(0.01, 6.0, n, successive)
+            assert (sigma * (re + 1j * im) / math.sqrt(2.0)).tobytes() == want.tobytes()
+    assert block.bit_generator.state == successive.bit_generator.state
 
 
 def _reference_tables(cfg, dist, rng, rician_k_db):
@@ -65,19 +80,26 @@ def _reference_tables(cfg, dist, rng, rician_k_db):
     return snr_db, se, rsrp, bler
 
 
-def _three_ue_config():
+def _arrays(tables):
+    """(snr, se, rsrp, bler) of one epoch's tables as arrays, every BLER row in full."""
+    bler = [[row[:] for row in cells] for cells in tables.bler]
+    return tuple(np.array(a) for a in (tables.snr_db, tables.se, tables.rsrp, bler))
+
+
+THREE_UES = {
+    "ue.angles": ("20:0", "40:5", "-30:0"),
+    "ue.pathloss_db": ("60.0", "61.5", "59.0"),
+    "ue.noise_dbm": ("-60.0", "-58.5", "-61.0"),
+    "ue.direct_leak": ("0.01+0.02j", "-0.015+0.005j", "0j"),
+    "ue.noris_gain": ("0.1", "0.0", "0.08"),  # UE 1 has no signal without the surface
+}
+
+
+def _three_ue_config(n_ues=3):
+    """The first ``n_ues`` of three UEs with distinct budgets."""
     cfg = presets.schedule_config(duration_s=1.0, warmup_s=0.0)
-    return cfg.with_overrides(
-        {
-            "ue.angles": "20:0,40:5,-30:0",
-            "ue.pathloss_db": "60.0,61.5,59.0",
-            "ue.noise_dbm": "-60.0,-58.5,-61.0",
-            "ue.direct_leak": "0.01+0.02j,-0.015+0.005j,0j",
-            "ue.noris_gain": "0.1,0.0,0.08",  # UE 1 has no signal without the surface
-            "la.slope": "1.5",
-            "la.impl_margin_db": "2.5",
-        }
-    )
+    overrides = {key: ",".join(values[:n_ues]) for key, values in THREE_UES.items()}
+    return cfg.with_overrides({**overrides, "la.slope": "1.5", "la.impl_margin_db": "2.5"})
 
 
 @pytest.mark.parametrize("rician_k_db", [None, 6.0, -3.0])
@@ -91,25 +113,65 @@ def test_hoisted_builder_is_bitwise_equal_to_reference(rician_k_db):
     setup = link_setup(cfg, dist)
     rng_fast = np.random.default_rng(5)
     rng_ref = np.random.default_rng(5)
-    for _ in range(4):
-        tables = build_link_tables(cfg, dist, rng_fast, setup)
+    # A full and a partial block in one call, then a second call on the same stream.
+    epochs = [
+        *build_link_tables(cfg, dist, rng_fast, setup, EPOCH_BLOCK + 1),
+        *build_link_tables(cfg, dist, rng_fast, setup),
+    ]
+    for tables in epochs:
         reference = _reference_tables(cfg, dist, rng_ref, rician_k_db)
-        for got, want in zip((tables.snr_db, tables.se, tables.rsrp, tables.bler), reference):
+        for got, want in zip(_arrays(tables), reference):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
     # Both consumed the channel stream identically.
     assert rng_fast.random() == rng_ref.random()
-    assert np.isneginf(tables.snr_db[-1, 1]) and tables.rsrp[-1, 1] == ch.RSRP_FLOOR_DBM
+    assert np.isneginf(tables.snr_db[-1][1]) and tables.rsrp[-1][1] == ch.RSRP_FLOOR_DBM
+
+
+@pytest.mark.parametrize("n_epochs", [EPOCH_BLOCK - 1, EPOCH_BLOCK, EPOCH_BLOCK + 1])
+@pytest.mark.parametrize("coherence", [1, 13, 20])
+@pytest.mark.parametrize("n_ues", [1, 2, 3])
+def test_run_tables_are_bitwise_equal_to_reference(n_ues, coherence, n_epochs, monkeypatch):
+    # Genie mode reads every UE's aligned row at each CQI report.
+    cfg = _three_ue_config(n_ues).with_overrides(
+        {
+            "ris.mode": "genie",
+            "chan.rician_k_db": "6",
+            "chan.coherence_slots": str(coherence),
+            # The last epoch is cut short where it can be.
+            "sim.duration_s": str((n_epochs * coherence - coherence // 2) * 0.5e-3),
+        }
+    )
+    built = []
+
+    def spy(*args):
+        tables = build_link_tables(*args)
+        built.extend(tables)
+        return tables
+
+    monkeypatch.setattr(engine, "build_link_tables", spy)
+    trace, _ = engine.run(cfg)
+    assert len(trace) == n_epochs * coherence - coherence // 2
+    assert len(built) == len(trace.snr) == n_epochs
+    rng_ref = np.random.default_rng(np.random.SeedSequence(cfg.sim.seed).spawn(3)[0])
+    dist = build_distribution(cfg)
+    for tables, snr, rsrp in zip(built, trace.snr, trace.rsrp):
+        assert snr is tables.snr_db and rsrp is tables.rsrp
+        reference = _reference_tables(cfg, dist, rng_ref, 6.0)
+        for got, want in zip(_arrays(tables), reference):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_builder_without_setup_matches_hoisted():
     cfg = _three_ue_config()
     cfg = cfg.with_overrides({"chan.rician_k_db": "10", "chan.coherence_slots": "20"})
     dist = build_distribution(cfg)
-    fresh = build_link_tables(cfg, dist, np.random.default_rng(2))
-    hoisted = build_link_tables(cfg, dist, np.random.default_rng(2), link_setup(cfg, dist))
-    assert fresh.bler.tobytes() == hoisted.bler.tobytes()
-    assert fresh.aligned_state == hoisted.aligned_state == (0, 1, 2)
+    setup = link_setup(cfg, dist)
+    [fresh] = build_link_tables(cfg, dist, np.random.default_rng(2))
+    [hoisted] = build_link_tables(cfg, dist, np.random.default_rng(2), setup)
+    for got, want in zip(_arrays(fresh), _arrays(hoisted)):
+        assert got.tobytes() == want.tobytes()
+    assert setup.aligned_state == (0, 1, 2)
 
 
 def test_trace_is_a_sequence_of_slot_records():

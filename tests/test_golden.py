@@ -53,6 +53,19 @@ def _three_ues():
     )
 
 
+def _rician_three_ues():
+    # Three UEs, surface switches inside coherence epochs, and 8000 slots: not a
+    # whole number of blocks of 13-slot epochs, so the last block is partial.
+    return _three_ues().with_overrides(
+        {
+            "ris.mode": "iid",
+            "ris.ts_slots": "7",
+            "chan.rician_k_db": "6",
+            "chan.coherence_slots": "13",
+        }
+    )
+
+
 CONFIGS = {
     "periodic": _short,
     "iid": lambda: _short(mode="iid"),
@@ -60,6 +73,7 @@ CONFIGS = {
     "off": lambda: _short(mode="off"),
     "rr": _rr,
     "rician": _rician,
+    "rician_three_ues": _rician_three_ues,
     "single_ue": lambda: presets.single_ue_config(0, ris_on=True, duration_s=4.0, warmup_s=1.0),
     "three_ues": _three_ues,
 }
@@ -93,14 +107,16 @@ def digests(cfg, tmp_dir) -> tuple[str, str, str]:
 
 
 def table_digest(cfg, rebuilds: int = 3) -> str:
-    """SHA-256 over the link-table bytes of the first ``rebuilds`` channel draws."""
+    """SHA-256 over the link-table bytes of the first ``rebuilds`` channel draws.
+
+    The draws come from one builder call; every BLER row is read in full.
+    """
     dist = build_distribution(cfg)
-    rng = np.random.default_rng(3)
     h = hashlib.sha256()
-    for _ in range(rebuilds):
-        tables = build_link_tables(cfg, dist, rng)
-        for a in (tables.snr_db, tables.se, tables.rsrp, tables.bler):
-            h.update(a.tobytes())
+    for tables in build_link_tables(cfg, dist, np.random.default_rng(3), n_epochs=rebuilds):
+        bler = [[row[:] for row in cells] for cells in tables.bler]
+        for a in (tables.snr_db, tables.se, tables.rsrp, bler):
+            h.update(np.array(a).tobytes())
     return h.hexdigest()
 
 
@@ -130,6 +146,11 @@ PINS = {
         "077b16c5e3521bcabc91d0c35d53f1ebbf7f276d9a55a5c93d27199453cfcb57",
         "5ec8c42f59a158daecd5789c29666078b839411bee71fc33ec9b3525271b0e0e",
     ),
+    "rician_three_ues": (
+        "e42c06feac6c29f02e544b4f5da59175e01135df5dd62e2ae6658d6315b32317",
+        "60ce8d599b0e5c1b79513f128a353aac3bfd4206bd54e95dd392b535aa5fb9df",
+        "c3156666303ae385632c4f14f0c61e6b0faa3c25efda679578fa1c5baefc4d20",
+    ),
     "rr": (
         "2ee6bcb54d84fcdcd6ad7428abbcca47bc02b2b346fec389acd36597db19db43",
         "289ffdd43e3961ea7a5fa3ae53e968f65c575c7d45997db2c70e610fa87d67ac",
@@ -155,6 +176,7 @@ def test_golden_digests(name, tmp_path):
 
 TABLE_PINS = {
     "rician": "3f1761d31495abc406507556c06fd0bcd011ca4ffa4b76ffa7ddbcdb0ec73db5",
+    "rician_three_ues": "d9255f106d5e92f409ba76b62c61ba14c9055c41121751105027c542c5c86061",
     "three_ues": "792730f2a0ce3502608153f45fc4259e86f3bb0eb41c97f002ef406371a70082",
 }
 
@@ -265,7 +287,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as d:
         for name in sorted(CONFIGS):
             print(f"    {name!r}: {digests(CONFIGS[name](), Path(d))!r},")  # PINS
-    for name in ("rician", "three_ues"):
+    for name in sorted(TABLE_PINS):
         print(f"    {name!r}: {table_digest(CONFIGS[name]())!r},")  # TABLE_PINS
     for name in sorted(TEXT_CONFIGS):
         print(f"    {name!r}: {_sha(serialize(TEXT_CONFIGS[name]()).encode())!r},")  # TEXT_PINS

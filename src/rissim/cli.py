@@ -121,7 +121,9 @@ def cmd_beam_pattern(args) -> int:
     out_dir: Path = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     n = g.n_h * g.n_v
-    angles = np.arange(0.0, 90.0 + args.csv_step_deg / 2, args.csv_step_deg)
+    # The CSV ends at the last multiple of the step within 90 deg; rounding absorbs
+    # the float error of 90 / step (the default 0.1 deg gives 901 angles, 0 to 90).
+    angles = np.arange(math.floor(round(90.0 / args.csv_step_deg, 9)) + 1) * args.csv_step_deg
     angle_cells = [f"{a:.4f}," for a in angles.tolist()]
     for steer in args.steer_deg:
         profile = upa_profile(steer, 0.0, g.n_h, g.n_v, g.spacing_ratio, offsets)
@@ -196,7 +198,11 @@ def cmd_schedule(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _config(args, presets.sweep_config)
-    rows, genie_summary, off_summary = engine.sweep_table(cfg, list(args.alphas))
+    alphas = list(args.alphas)
+    summaries = engine.sweep_table(cfg, alphas)
+    # (CSV mode, stdout label, alpha column) per summary; the reference rows show NaN alpha.
+    rows = [("random", f"alpha={a:g}", a) for a in alphas]
+    rows += [("genie", "genie", math.nan), ("no_ris", "no-ris", math.nan)]
     out_dir: Path = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep_alpha.csv"
@@ -205,19 +211,11 @@ def cmd_sweep(args) -> int:
     ] + [f"served_share{k}" for k in range(len(cfg.ues))]
     with open(path, "w") as f:
         f.write(",".join(cols) + "\n")
-        for row in rows:
-            f.write(
-                "random,"
-                + ",".join(f"{row[c]:.6f}" for c in cols[1:])
-                + "\n"
-            )
-        for name, s in (("genie", genie_summary), ("no_ris", off_summary)):
-            vals = [float("nan"), float("nan"), s.aggregate_mbps] + list(s.throughput_mbps) + list(s.served_share)
-            f.write(name + "," + ",".join(f"{v:.6f}" for v in vals) + "\n")
-    for row in rows:
-        print(f"alpha={row['alpha']:g} aggregate={row['aggregate_mbps']:.2f} Mbit/s")
-    print(f"genie aggregate={genie_summary.aggregate_mbps:.2f} Mbit/s")
-    print(f"no-ris aggregate={off_summary.aggregate_mbps:.2f} Mbit/s")
+        for (mode, _, alpha), s in zip(rows, summaries):
+            vals = [alpha, 1.0 / alpha, s.aggregate_mbps, *s.throughput_mbps, *s.served_share]
+            f.write(mode + "," + ",".join(f"{v:.6f}" for v in vals) + "\n")
+    for (_, label, _), s in zip(rows, summaries):
+        print(f"{label} aggregate={s.aggregate_mbps:.2f} Mbit/s")
     print(f"table -> {path}")
     return EXIT_OK
 

@@ -329,6 +329,11 @@ def validate(cfg: ExperimentConfig) -> None:
             f"la.bler_low/la.bler_high: need 0 <= low < high <= 1, got "
             f"{cfg.la.bler_low}/{cfg.la.bler_high}"
         )
+    if cfg.chan.coherence_slots > 0 and cfg.chan.rician_k_db is None:
+        errors.append(
+            f"chan.coherence_slots: needs chan.rician_k_db (the scatter it redraws), "
+            f"got {cfg.chan.coherence_slots} without it"
+        )
     if cfg.sim.warmup_s < 0 or (cfg.sim.duration_s > 0 and cfg.sim.warmup_s >= cfg.sim.duration_s):
         errors.append(
             f"sim.warmup_s: must be in [0, sim.duration_s = {cfg.sim.duration_s}), "

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
@@ -33,7 +32,7 @@ from . import ris_control as rc
 from . import scheduler as sched_mod
 from .array_model import design_phase_offsets
 from .config import SLOT_MS, ConfigError, ExperimentConfig, scaled, to_slots, validate
-from .link_adapt import MCS_TABLE_64QAM, HarqProcess, LinkAdaptState, McsTable
+from .link_adapt import MCS_TABLE_64QAM, HarqProcess, LinkAdaptState
 
 SUBCARRIERS_PER_PRB = 12
 DRAW_CHUNK = 4096  # block-outcome uniforms drawn per refill
@@ -44,19 +43,19 @@ TDD_KINDS = ("dl",) * 6 + ("mixed",) + ("ul",) * 3
 TDD_DL_SYMBOLS = (13,) * 6 + (6,) + (0,) * 3
 
 
-def tb_bits(mcs: int, table: McsTable = MCS_TABLE_64QAM, prbs: int = 106, symbols: int = 13) -> int:
+def tb_bits(mcs: int, prbs: int = 106, symbols: int = 13) -> int:
     """Transport-block size: spectral efficiency times resource elements."""
     if symbols <= 0:
         raise ValueError(f"symbols must be positive, got {symbols}")
     if prbs < 1:
         raise ValueError(f"prbs must be >= 1, got {prbs}")
-    return math.floor(table.se(mcs) * SUBCARRIERS_PER_PRB * prbs * symbols)
+    return math.floor(MCS_TABLE_64QAM[mcs].se * SUBCARRIERS_PER_PRB * prbs * symbols)
 
 
-def tb_table(prbs: int = 106, table: McsTable = MCS_TABLE_64QAM) -> dict[int, tuple[int, ...]]:
+def tb_table(prbs: int = 106) -> dict[int, tuple[int, ...]]:
     """TB size per (schedulable DL symbols, MCS index) for one run."""
     return {
-        symbols: tuple(tb_bits(e.index, table, prbs, symbols) for e in table)
+        symbols: tuple(tb_bits(mcs, prbs, symbols) for mcs in range(len(MCS_TABLE_64QAM)))
         for symbols in sorted(set(TDD_DL_SYMBOLS))
         if symbols > 0
     }
@@ -318,7 +317,7 @@ def link_setup(cfg: ExperimentConfig, dist: rc.SamplingDistribution) -> LinkSetu
             )
             for ue in cfg.ues
         ),
-        thresholds_db=MCS_TABLE_64QAM.thresholds_db(cfg.la.impl_margin_db),
+        thresholds_db=la_mod.thresholds_db(cfg.la.impl_margin_db),
         aligned_state=tuple(aligned),
     )
 
@@ -521,11 +520,7 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
                 meas_row = aligned_state[k] if genie else row
                 las = la_states[k]
                 las.mcs_max_from_cqi = cqi_update(
-                    snr_tab[meas_row][k],
-                    MCS_TABLE_64QAM,
-                    la.cqi_backoff_db,
-                    la.impl_margin_db,
-                    la.mcs_min,
+                    snr_tab[meas_row][k], setup.thresholds_db, la.cqi_backoff_db, la.mcs_min
                 )
                 las.clamp()
                 rate_est[k] = se_tab[meas_row][k]
@@ -585,7 +580,7 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     # Window statistics: one pass over the trace columns from the warm-up
     # slot on.  RSRP sums add in slot order, so the means keep their bits.
     aligned_rows = [[trace.is_aligned(r, k) for k in range(n_ues)] for r in range(off_row + 1)]
-    scheduled, retx_count, window_acked = [0] * n_ues, [0] * n_ues, [0] * n_ues
+    scheduled, served_aligned, retx_count, window_acked = ([0] * n_ues for _ in range(4))
     rsrp_sum = [[0.0, 0.0] for _ in range(n_ues)]  # per UE: [misaligned, aligned]
     rsrp_n = [[0, 0] for _ in range(n_ues)]
     columns = (trace.row, trace.ue, trace.tb_bits, trace.nack, trace.retx)
@@ -599,6 +594,7 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
             if ue is None:
                 continue
             scheduled[ue] += 1
+            served_aligned[ue] += aligned_rows[row][ue]
             retx_count[ue] += retx
             if not nack:
                 window_acked[ue] += tb
@@ -609,11 +605,13 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     def mean_rsrp(hit: int) -> tuple[float, ...]:
         return tuple(s[hit] / n[hit] if n[hit] else float("nan") for s, n in zip(rsrp_sum, rsrp_n))
 
+    def fractions(counts: list[int], total: int) -> tuple[float, ...]:
+        return tuple(c / total if total else 0.0 for c in counts)
+
+    served_misaligned = [s - a for s, a in zip(scheduled, served_aligned)]
+    dl_slots = sum(scheduled)  # every downlink slot serves one UE
+    measured_slots = max(n_slots - warmup_slot, 0)
     tput = tuple((b / measured_s / 1e6) if measured_s > 0 else 0.0 for b in window_acked)
-    total_served = sum(scheduled)
-    aligned_dl, misaligned_dl, aligned_total, misaligned_total = _served_fractions(
-        trace, warmup_slot
-    )
     summary = RunSummary(
         duration_s=cfg.sim.duration_s,
         measured_s=measured_s,
@@ -623,37 +621,17 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
         long_run_bler=tuple((r / s) if s else 0.0 for r, s in zip(retx_count, scheduled)),
         mean_rsrp_aligned_dbm=mean_rsrp(1),
         mean_rsrp_misaligned_dbm=mean_rsrp(0),
-        served_frac_aligned_dl=aligned_dl,
-        served_frac_misaligned_dl=misaligned_dl,
-        served_frac_aligned_total=aligned_total,
-        served_frac_misaligned_total=misaligned_total,
-        served_share=tuple((s / total_served) if total_served else 0.0 for s in scheduled),
+        served_frac_aligned_dl=fractions(served_aligned, dl_slots),
+        served_frac_misaligned_dl=fractions(served_misaligned, dl_slots),
+        served_frac_aligned_total=fractions(served_aligned, measured_slots),
+        served_frac_misaligned_total=fractions(served_misaligned, measured_slots),
+        served_share=fractions(scheduled, dl_slots),
         new_tx_bits=new_tx_bits,
         acked_bits=acked_bits,
         discarded_bits=discarded_bits,
         inflight_bits=inflight_bits,
     )
     return trace, summary
-
-
-def _served_fractions(trace: Trace, start: int) -> tuple[tuple[float, ...], ...]:
-    """Per-UE served-slot fractions split by :meth:`Trace.is_aligned`.
-
-    Returns the aligned and misaligned fractions of the downlink-schedulable
-    slots from slot ``start`` on, then the same two over all those slots.
-    """
-    n_ues = len(trace.aligned_state)
-    total = max(len(trace) - start, 0)
-    served = Counter(zip(islice(trace.ue, start, None), islice(trace.row, start, None)))
-    counts = [[0] * n_ues, [0] * n_ues]  # [misaligned, aligned] per UE
-    dl_total = 0  # every downlink-schedulable slot serves one UE
-    for (ue, row), n in served.items():
-        if ue is not None:
-            counts[trace.is_aligned(row, ue)][ue] += n
-            dl_total += n
-    return tuple(
-        tuple(c / d if d else 0.0 for c in counts[hit]) for d in (dl_total, total) for hit in (1, 0)
-    )
 
 
 def _summary(cfg: ExperimentConfig) -> RunSummary:
@@ -697,45 +675,20 @@ def _alpha_configs(cfg: ExperimentConfig, alphas: list[float]) -> list[Experimen
     return cfgs
 
 
-def _alpha_rows(alphas: list[float], summaries: list[RunSummary]) -> list[dict[str, float]]:
-    return [
-        {
-            "alpha": alpha,
-            "inv_alpha": 1.0 / alpha,
-            "aggregate_mbps": summary.aggregate_mbps,
-            **{f"throughput{k}_mbps": v for k, v in enumerate(summary.throughput_mbps)},
-            **{f"served_share{k}": v for k, v in enumerate(summary.served_share)},
-        }
-        for alpha, summary in zip(alphas, summaries)
-    ]
+def sweep_table(cfg: ExperimentConfig, alphas: list[float]) -> list[RunSummary]:
+    """One independent run per EWMA weight, then the genie round-robin and
+    no-surface references: ``len(alphas) + 2`` summaries in that order.
 
-
-def sweep_alpha(
-    cfg: ExperimentConfig, alphas: list[float]
-) -> list[dict[str, float]]:
-    """One independent run per EWMA weight, shared geometry and pairing.
-
-    Each run gets an independent seed derived from the master seed; the
-    configured time-compression factor applies to every point, so the
-    (alpha, switching-interval) pairing is preserved across the sweep.
+    Each alpha run gets an independent seed derived from the master seed;
+    the configured time-compression factor applies to every point, so the
+    (alpha, switching-interval) pairing is preserved across the sweep.  The
+    reference runs keep the master seed and ``sched.alpha``.  All the runs
+    go to one :func:`run_summaries` call.
     """
-    return _alpha_rows(alphas, run_summaries(_alpha_configs(cfg, alphas)))
-
-
-def sweep_table(
-    cfg: ExperimentConfig, alphas: list[float]
-) -> tuple[list[dict[str, float]], RunSummary, RunSummary]:
-    """:func:`sweep_alpha`'s rows plus the genie round-robin and no-surface references.
-
-    All the runs go to one :func:`run_summaries` call.  The reference runs
-    keep the master seed and ``sched.alpha``.
-    """
-    cfgs = _alpha_configs(cfg, alphas) + [
+    return run_summaries(_alpha_configs(cfg, alphas) + [
         cfg.with_overrides({"ris.mode": "genie", "sched.kind": "rr"}),
         cfg.with_overrides({"ris.mode": "off"}),
-    ]
-    *summaries, genie, off = run_summaries(cfgs)
-    return _alpha_rows(alphas, summaries), genie, off
+    ])
 
 
 def write_trace_csv(trace: Trace, path) -> None:
@@ -744,24 +697,26 @@ def write_trace_csv(trace: Trace, path) -> None:
     lines = [f"slot,time_ms,ris_state,ue,{rsrp_cols},snr_db,mcs,tb_bits,outcome,is_retx"]
     columns = (trace.row, trace.ue, trace.mcs, trace.tb_bits, trace.nack, trace.retx)
     for lo, hi, rsrp_rows, snr_rows in trace.epochs():
-        # Format each table entry once per epoch, not once per slot.
-        heads = [
-            (f"{trace.state_of(r)},", "," + ",".join(f"{v:.4f}" for v in rsrp))
-            for r, rsrp in enumerate(rsrp_rows)
-        ]
-        snrs = [[f"{v:.4f}" for v in snr] for snr in snr_rows]
-        # Everything after the time is formatted once per distinct slot in the epoch.
-        tails = {}
+        # Per epoch, each table row in force and everything after the time of
+        # each distinct slot are formatted once, not once per slot.
+        heads, tails = {}, {}
         for t, key in zip(range(lo, hi), zip(*(c[lo:hi] for c in columns))):
             tail = tails.get(key)
             if tail is None:
                 row, ue, mcs, tb, nack, retx = key
-                state, rsrps = heads[row]
+                head = heads.get(row)
+                if head is None:
+                    head = heads[row] = (
+                        f"{trace.state_of(row)},",
+                        "," + ",".join(f"{v:.4f}" for v in rsrp_rows[row]),
+                        [f"{v:.4f}" for v in snr_rows[row]],
+                    )
+                state, rsrps, snrs = head
                 if ue is None:
                     tail = f"{state}{rsrps},,,{tb},idle,{int(retx)}"
                 else:
                     tail = (
-                        f"{state}{ue}{rsrps},{snrs[row][ue]},{mcs},{tb},"
+                        f"{state}{ue}{rsrps},{snrs[ue]},{mcs},{tb},"
                         f"{'nack' if nack else 'ack'},{int(retx)}"
                     )
                 tails[key] = tail

@@ -21,83 +21,49 @@ MAX_ATTEMPTS = 4  # 1 initial transmission + 3 retransmissions
 
 @dataclass(frozen=True)
 class McsEntry:
-    index: int
     modulation_order: int
     code_rate: float
     se: float  # bits/s/Hz
 
 
-class McsTable:
-    """Ordered MCS entries with cached per-entry SNR thresholds."""
-
-    def __init__(self, entries: list[McsEntry]):
-        self.entries = sorted(entries, key=lambda e: e.index)
-        self._by_index = {e.index: e for e in self.entries}
-        self._thresholds: dict[float, tuple[float, ...]] = {}
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def entry(self, index: int) -> McsEntry:
-        try:
-            return self._by_index[index]
-        except KeyError:
-            raise ValueError(f"invalid MCS index {index}") from None
-
-    def se(self, index: int) -> float:
-        return self.entry(index).se
-
-    def threshold_db(self, index: int, impl_margin_db: float = LaConfig.impl_margin_db) -> float:
-        """SNR anchor of the block-error curve for one entry."""
-        return 10.0 * math.log10(2.0 ** self.se(index) - 1.0) + impl_margin_db
-
-    def thresholds_db(self, impl_margin_db: float = LaConfig.impl_margin_db) -> tuple[float, ...]:
-        """``threshold_db`` of every entry, in table order; cached per margin."""
-        try:
-            return self._thresholds[impl_margin_db]
-        except KeyError:
-            thresholds = tuple(self.threshold_db(e.index, impl_margin_db) for e in self.entries)
-            self._thresholds[impl_margin_db] = thresholds
-            return thresholds
-
-
-# 64QAM PDSCH table: 29 entries, modulation orders 2/4/6, peak 5.5547.
-MCS_TABLE_64QAM = McsTable(
-    [
-        McsEntry(0, 2, 120 / 1024, 0.2344),
-        McsEntry(1, 2, 157 / 1024, 0.3066),
-        McsEntry(2, 2, 193 / 1024, 0.3770),
-        McsEntry(3, 2, 251 / 1024, 0.4902),
-        McsEntry(4, 2, 308 / 1024, 0.6016),
-        McsEntry(5, 2, 379 / 1024, 0.7402),
-        McsEntry(6, 2, 449 / 1024, 0.8770),
-        McsEntry(7, 2, 526 / 1024, 1.0273),
-        McsEntry(8, 2, 602 / 1024, 1.1758),
-        McsEntry(9, 2, 679 / 1024, 1.3262),
-        McsEntry(10, 4, 340 / 1024, 1.3281),
-        McsEntry(11, 4, 378 / 1024, 1.4766),
-        McsEntry(12, 4, 434 / 1024, 1.6953),
-        McsEntry(13, 4, 490 / 1024, 1.9141),
-        McsEntry(14, 4, 553 / 1024, 2.1602),
-        McsEntry(15, 4, 616 / 1024, 2.4063),
-        McsEntry(16, 4, 658 / 1024, 2.5703),
-        McsEntry(17, 6, 438 / 1024, 2.5664),
-        McsEntry(18, 6, 466 / 1024, 2.7305),
-        McsEntry(19, 6, 517 / 1024, 3.0293),
-        McsEntry(20, 6, 567 / 1024, 3.3223),
-        McsEntry(21, 6, 616 / 1024, 3.6094),
-        McsEntry(22, 6, 666 / 1024, 3.9023),
-        McsEntry(23, 6, 719 / 1024, 4.2129),
-        McsEntry(24, 6, 772 / 1024, 4.5234),
-        McsEntry(25, 6, 822 / 1024, 4.8164),
-        McsEntry(26, 6, 873 / 1024, 5.1152),
-        McsEntry(27, 6, 910 / 1024, 5.3320),
-        McsEntry(28, 6, 948 / 1024, 5.5547),
-    ]
+# 64QAM PDSCH table: entry i is MCS index i; 29 entries, modulation orders 2/4/6, peak 5.5547.
+MCS_TABLE_64QAM = (
+    McsEntry(2, 120 / 1024, 0.2344),
+    McsEntry(2, 157 / 1024, 0.3066),
+    McsEntry(2, 193 / 1024, 0.3770),
+    McsEntry(2, 251 / 1024, 0.4902),
+    McsEntry(2, 308 / 1024, 0.6016),
+    McsEntry(2, 379 / 1024, 0.7402),
+    McsEntry(2, 449 / 1024, 0.8770),
+    McsEntry(2, 526 / 1024, 1.0273),
+    McsEntry(2, 602 / 1024, 1.1758),
+    McsEntry(2, 679 / 1024, 1.3262),
+    McsEntry(4, 340 / 1024, 1.3281),
+    McsEntry(4, 378 / 1024, 1.4766),
+    McsEntry(4, 434 / 1024, 1.6953),
+    McsEntry(4, 490 / 1024, 1.9141),
+    McsEntry(4, 553 / 1024, 2.1602),
+    McsEntry(4, 616 / 1024, 2.4063),
+    McsEntry(4, 658 / 1024, 2.5703),
+    McsEntry(6, 438 / 1024, 2.5664),
+    McsEntry(6, 466 / 1024, 2.7305),
+    McsEntry(6, 517 / 1024, 3.0293),
+    McsEntry(6, 567 / 1024, 3.3223),
+    McsEntry(6, 616 / 1024, 3.6094),
+    McsEntry(6, 666 / 1024, 3.9023),
+    McsEntry(6, 719 / 1024, 4.2129),
+    McsEntry(6, 772 / 1024, 4.5234),
+    McsEntry(6, 822 / 1024, 4.8164),
+    McsEntry(6, 873 / 1024, 5.1152),
+    McsEntry(6, 910 / 1024, 5.3320),
+    McsEntry(6, 948 / 1024, 5.5547),
 )
+
+
+def thresholds_db(impl_margin_db: float) -> tuple[float, ...]:
+    """SNR anchor of the block-error curve per MCS index: the Shannon
+    limit of the entry's spectral efficiency plus ``impl_margin_db``."""
+    return tuple(10.0 * math.log10(2.0 ** e.se - 1.0) + impl_margin_db for e in MCS_TABLE_64QAM)
 
 
 def bler_curve(
@@ -153,19 +119,19 @@ def step_mcs(state: LinkAdaptState, bler_low: float, bler_high: float) -> None:
 
 
 def cqi_update(
-    snr_db: float,
-    table: McsTable = MCS_TABLE_64QAM,
-    cqi_backoff_db: float = LaConfig.cqi_backoff_db,
-    impl_margin_db: float = LaConfig.impl_margin_db,
-    mcs_min: int = LaConfig.mcs_min,
+    snr_db: float, thresholds_db: tuple[float, ...], cqi_backoff_db: float, mcs_min: int
 ) -> int:
-    """Channel-quality cap: largest index whose threshold fits under
-    ``snr_db - cqi_backoff_db``, floored at ``mcs_min``."""
+    """Channel-quality cap: last index whose threshold fits under
+    ``snr_db - cqi_backoff_db``, floored at ``mcs_min``.
+
+    The scan does not stop at the first index that does not fit: the
+    spectral efficiencies are not monotone (index 16 is above index 17).
+    """
     cap = mcs_min
     limit = snr_db - cqi_backoff_db
-    for e, thr in zip(table.entries, table.thresholds_db(impl_margin_db)):
-        if e.index >= mcs_min and thr <= limit:
-            cap = e.index
+    for index in range(mcs_min, len(thresholds_db)):
+        if thresholds_db[index] <= limit:
+            cap = index
     return cap
 
 

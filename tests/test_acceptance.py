@@ -179,8 +179,8 @@ def test_criterion_5_rsrp_alternation(schedule_run):
 
 def test_criterion_6_throughput_vs_alpha(sweep_results):
     """Monotone gain with smaller EWMA weight, near-genie at the smallest."""
-    rows, genie, off = sweep_results
-    by_alpha = {r["alpha"]: r["aggregate_mbps"] for r in rows}
+    *rows, genie, off = sweep_results
+    by_alpha = {a: s.aggregate_mbps for a, s in zip(presets.SWEEP_ALPHAS, rows, strict=True)}
     a_hi, a_mid, a_lo = presets.SWEEP_ALPHAS
     assert by_alpha[a_lo] >= by_alpha[a_mid] >= by_alpha[a_hi]
     ratio = by_alpha[a_lo] / genie.aggregate_mbps

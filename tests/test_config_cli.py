@@ -248,6 +248,17 @@ class TestSubcommandFlags:
         assert "sim.warmup_s" in err and "sim.duration_s = 2.0" in err
         assert not list(tmp_path.iterdir())
 
+    def test_coherence_without_k_factor_exits_2_naming_it(self, tmp_path, capsys):
+        # Without a K factor there is no scatter to redraw, so the cadence would be ignored.
+        argv = [
+            "--out-dir", str(tmp_path), "--duration-s", "1",
+            "--set", "sim.warmup_s=0.2", "--set", "chan.coherence_slots=20", "schedule",
+        ]
+        assert main(argv) == 2
+        assert "chan.coherence_slots" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        assert main([*argv[:-1], "--set", "chan.rician_k_db=6", "schedule"]) == 0
+
 
 class TestNonFinite:
     @pytest.mark.parametrize(
@@ -319,6 +330,9 @@ def experiment_configs(draw):
     weights = draw(st.lists(st.floats(0.01, 1.0), min_size=n_states, max_size=n_states))
     probs = draw(st.sampled_from([None, tuple(w / sum(weights) for w in weights)]))
     duration = draw(st.floats(0.0, 500.0))
+    rician_k_db = draw(st.none() | _finite_floats)
+    # Scatter redraws need a K factor: without one the cadence must stay 0.
+    coherence_slots = 0 if rician_k_db is None else draw(st.integers(0, 10**4))
     return ExperimentConfig(
         geom=GeometryConfig(
             n_h=draw(st.integers(1, 64)),
@@ -360,8 +374,8 @@ def experiment_configs(draw):
             prbs=draw(st.integers(1, 273)),
         ),
         chan=ChannelConfig(
-            rician_k_db=draw(st.none() | _finite_floats),
-            coherence_slots=draw(st.integers(0, 10**4)),
+            rician_k_db=rician_k_db,
+            coherence_slots=coherence_slots,
         ),
         tx_power_dbm=draw(st.floats(0.0, 40.0)),
         rsrp_offset_db=draw(st.floats(-100.0, 100.0)),
@@ -479,6 +493,17 @@ class TestOneConfigPath:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"config error: {flag}: must be")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "step,n_rows,last", [("7", 13, "84.0000"), ("0.7", 129, "89.6000"), ("0.25", 361, "90.0000")]
+    )
+    def test_beam_pattern_csv_ends_within_90_deg(self, tmp_path, step, n_rows, last):
+        argv = ["--out-dir", str(tmp_path), "beam-pattern", "--steer-deg", "30"]
+        assert main([*argv, "--grid-step-deg", "0.1", "--csv-step-deg", step]) == 0
+        header, *rows = (tmp_path / "pattern_30deg.csv").read_text().splitlines()
+        angles = [row.split(",")[0] for row in rows]
+        assert len(rows) == n_rows
+        assert angles[0] == "0.0000" and angles[-1] == last
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -16,8 +16,9 @@ from rissim.engine import (
     TDD_DL_SYMBOLS,
     TDD_KINDS,
     run,
+    _alpha_configs,
     run_summaries,
-    sweep_alpha,
+    sweep_table,
     tb_bits,
     write_trace_csv,
 )
@@ -79,7 +80,7 @@ class TestTransportBlocks:
         # se very close to 1 at index 7 is not exactly 1; use a direct
         # arithmetic check at the two slot shapes instead.
         for mcs in range(29):
-            se = MCS_TABLE_64QAM.se(mcs)
+            se = MCS_TABLE_64QAM[mcs].se
             assert tb_bits(mcs, symbols=13) == int(se * 12 * 106 * 13)
             assert tb_bits(mcs, symbols=6) == int(se * 12 * 106 * 6)
 
@@ -326,16 +327,25 @@ class TestAlignmentRule:
 
 class TestSweep:
     def test_single_alpha_row_matches_run(self):
-        cfg = short_schedule(duration_s=10.0, warmup_s=2.0)
-        rows = sweep_alpha(cfg, [cfg.sched.alpha])
-        assert len(rows) == 1
-        assert rows[0]["alpha"] == cfg.sched.alpha
-        assert rows[0]["aggregate_mbps"] > 0.0
-        assert rows[0]["inv_alpha"] == pytest.approx(1.0 / cfg.sched.alpha)
+        cfg = short_schedule(duration_s=4.0, warmup_s=1.0)
+        row, _, _ = sweep_table(cfg, [cfg.sched.alpha])
+        (alpha_cfg,) = _alpha_configs(cfg, [cfg.sched.alpha])
+        assert row == run(alpha_cfg)[1]
+        assert row.aggregate_mbps > 0.0
+
+    def test_table_is_alpha_runs_then_references(self):
+        cfg = short_schedule(duration_s=4.0, warmup_s=1.0)
+        alphas = [0.01, cfg.sched.alpha]
+        *rows, genie, off = sweep_table(cfg, alphas)
+        assert len(rows) == len(alphas)
+        assert rows == run_summaries(_alpha_configs(cfg, alphas))
+        assert all(s.aggregate_mbps > 0.0 for s in rows)
+        assert genie == run(cfg.with_overrides({"ris.mode": "genie", "sched.kind": "rr"}))[1]
+        assert off == run(cfg.with_overrides({"ris.mode": "off"}))[1]
 
     def test_empty_alphas_rejected(self):
         with pytest.raises(ValueError):
-            sweep_alpha(short_schedule(), [])
+            sweep_table(short_schedule(), [])
 
     def test_custom_state_angles_override_ue_angles(self):
         # A state set pointing away from both UEs leaves every served

@@ -74,9 +74,9 @@ def _reference_tables(cfg, dist, rng, rician_k_db):
             snr_db[s, k] = 10.0 * math.log10(lin) if lin > 0 else -np.inf
             se[s, k] = ch.spectral_efficiency(lin)
             rsrp[s, k] = ch.rsrp_dbm(h_eff, budget)
-            for e in MCS_TABLE_64QAM:
-                thr = MCS_TABLE_64QAM.threshold_db(e.index, cfg.la.impl_margin_db)
-                bler[s, k, e.index] = la.bler_curve(snr_db[s, k], (thr,), cfg.la.slope)[0]
+            for mcs, e in enumerate(MCS_TABLE_64QAM):
+                thr = 10.0 * math.log10(2.0**e.se - 1.0) + cfg.la.impl_margin_db
+                bler[s, k, mcs] = la.bler_curve(snr_db[s, k], (thr,), cfg.la.slope)[0]
     return snr_db, se, rsrp, bler
 
 

@@ -16,9 +16,11 @@ from rissim.link_adapt import (
     cqi_update,
     harq_on_nack,
     step_mcs,
+    thresholds_db,
 )
 
-THRESHOLDS = MCS_TABLE_64QAM.thresholds_db()
+THRESHOLDS = thresholds_db(LaConfig.impl_margin_db)
+CQI = (LaConfig.cqi_backoff_db, LaConfig.mcs_min)
 BAND = (LaConfig.bler_low, LaConfig.bler_high)
 
 
@@ -26,7 +28,7 @@ def windowed(mcs=10, scheduled=0, retx=0, **kwargs):
     return LinkAdaptState(mcs=mcs, win_scheduled=scheduled, win_retx=retx, **kwargs)
 
 
-class TestMcsTable:
+class TestMcsEntries:
     def test_shape_and_orders(self):
         assert len(MCS_TABLE_64QAM) == 29
         assert {e.modulation_order for e in MCS_TABLE_64QAM} == {2, 4, 6}
@@ -42,9 +44,10 @@ class TestMcsTable:
         assert ses[17] == pytest.approx(2.5664)
         assert max(ses) == pytest.approx(5.5547)
 
-    def test_invalid_index(self):
-        with pytest.raises(ValueError):
-            MCS_TABLE_64QAM.entry(29)
+    def test_thresholds_are_shannon_limit_plus_margin(self):
+        for margin in (0.0, 3.0, -1.5):
+            for e, thr in zip(MCS_TABLE_64QAM, thresholds_db(margin), strict=True):
+                assert thr == 10.0 * math.log10(2.0**e.se - 1.0) + margin
 
 
 class TestBlerModel:
@@ -124,14 +127,20 @@ class TestStepMcs:
 
 class TestCqiCap:
     def test_high_snr_reaches_table_top(self):
-        assert cqi_update(60.0) == 28
+        assert cqi_update(60.0, THRESHOLDS, *CQI) == 28
 
     def test_low_snr_floors_at_minimum(self):
-        assert cqi_update(-20.0) == 3
+        assert cqi_update(-20.0, THRESHOLDS, *CQI) == 3
 
     def test_exact_boundary(self):
-        snr = MCS_TABLE_64QAM.threshold_db(14) + 2.0
-        assert cqi_update(snr, cqi_backoff_db=2.0) == 14
+        snr = THRESHOLDS[14] + 2.0
+        assert cqi_update(snr, THRESHOLDS, 2.0, 3) == 14
+
+    def test_cap_is_last_index_that_fits(self):
+        # Index 17's threshold is below index 16's: at 17's threshold 16 does
+        # not fit, and the cap is still 17.
+        assert THRESHOLDS[17] < THRESHOLDS[16]
+        assert cqi_update(THRESHOLDS[17] + 2.0, THRESHOLDS, 2.0, 3) == 17
 
 
 class TestHarq:

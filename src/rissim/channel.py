@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import QUARTER_WAVE, RisPhaseProfile, steering_vector
+from .array_model import QUARTER_WAVE, steering_vector
 
 RSRP_FLOOR_DBM = -156.0  # NR reporting floor
 
@@ -78,27 +78,6 @@ def rician_scatter(
 def scatter_sigma(amplitude: float, rician_k_db: float) -> float:
     """Scatter scale ``amplitude / sqrt(K)``: per-element power ``amplitude**2 / K``."""
     return amplitude / math.sqrt(10.0 ** (rician_k_db / 10.0))
-
-
-def effective_channel(phi, h_c) -> complex:
-    """Scalar effective channel of a surface configuration over ``h_c``.
-
-    ``phi`` may be a raw complex phase vector (the conjugated-phase
-    convention: the result is ``phi^H h``, maximal and real when
-    ``phi`` matches the element-wise phase of ``h``) or a
-    RisPhaseProfile, in which case the realized one-bit reflection
-    weights are applied.
-    """
-    h = np.asarray(h_c, dtype=complex)
-    if isinstance(phi, RisPhaseProfile):
-        w = phi.reflection_weights()
-        if w.size != h.size:
-            raise ValueError(f"profile length {w.size} does not match channel length {h.size}")
-        return complex(np.sum(w * h))
-    phi = np.asarray(phi, dtype=complex)
-    if phi.size != h.size:
-        raise ValueError(f"phase-vector length {phi.size} does not match channel length {h.size}")
-    return complex(np.vdot(phi, h))
 
 
 def snr_linear(h_k: complex, budget: LinkBudget) -> float:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine, presets
+from . import presets  # presets load the engine only when they calibrate
 from .array_model import beam_metrics, design_phase_offsets, pattern_gains, upa_profile
 from .config import RIS_MODES, ConfigError, ExperimentConfig, parse_text, serialize
 
@@ -147,6 +147,8 @@ def cmd_beam_pattern(args) -> int:
 
 
 def _emit_run(cfg: ExperimentConfig, out_dir: Path, tag: str, histogram: bool = False) -> None:
+    from . import engine  # only the commands that simulate load the engine
+
     out_dir.mkdir(parents=True, exist_ok=True)
     trace, summary = engine.run(cfg)
     trace_path = out_dir / f"{tag}_trace.csv"
@@ -197,6 +199,8 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import engine
+
     cfg = _config(args, presets.sweep_config)
     alphas = list(args.alphas)
     summaries = engine.sweep_table(cfg, alphas)

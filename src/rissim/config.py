@@ -270,6 +270,7 @@ _RULES = {
     "ris.mode": (f"one of {RIS_MODES}", lambda v: v in RIS_MODES),
     "ris.ts_slots": (">= 1", lambda v: v >= 1),
     "ris.offset_slots": (">= 0", lambda v: v >= 0),
+    "ris.seed": (">= 0", lambda v: v is None or v >= 0),  # None: derived from sim.seed
     "sched.kind": (f"one of {SCHED_KINDS}", lambda v: v in SCHED_KINDS),
     "sched.floor": ("positive", lambda v: v > 0),
     "la.window_ms": ("positive", lambda v: v > 0),
@@ -279,6 +280,7 @@ _RULES = {
     "sim.duration_s": (">= 0", lambda v: v >= 0),
     "sim.ts_scaling": ("positive", lambda v: v > 0),
     "sim.prbs": (">= 1", lambda v: v >= 1),
+    "sim.seed": (">= 0", lambda v: v >= 0),
     "chan.coherence_slots": (">= 0", lambda v: v >= 0),
 }
 

@@ -7,7 +7,10 @@ block-error model, and update HARQ, EWMA and window counters.  The
 scheduler and the EWMA see the CQI-cadence rate estimates, as a
 CQI-driven MAC does; the block outcome is drawn against the true
 current SNR, which is what produces the measured-BLER excursions right
-after a surface switch.
+after a surface switch.  The per-slot rules (PF argmax, EWMA, round
+robin, HARQ) are written inline in :func:`run`; the literal reference
+loop in ``tests/reference_engine.py`` restates them one step at a time
+and is checked against it.
 
 All randomness derives from one master seed through three independent
 streams (channel scatter, block outcomes, i.i.d. switching), so traces
@@ -29,10 +32,9 @@ import numpy as np
 from . import channel as ch
 from . import link_adapt as la_mod
 from . import ris_control as rc
-from . import scheduler as sched_mod
-from .array_model import design_phase_offsets
+from .array_model import design_phase_offsets, upa_profile
 from .config import SLOT_MS, ConfigError, ExperimentConfig, scaled, to_slots, validate
-from .link_adapt import MCS_TABLE_64QAM, HarqProcess, LinkAdaptState
+from .link_adapt import MAX_ATTEMPTS, MCS_TABLE_64QAM, LinkAdaptState
 
 SUBCARRIERS_PER_PRB = 12
 DRAW_CHUNK = 4096  # block-outcome uniforms drawn per refill
@@ -414,7 +416,7 @@ def build_distribution(cfg: ExperimentConfig) -> rc.SamplingDistribution:
         (ue.nu_deg, ue.psi_deg) for ue in cfg.ues
     ]
     states = [
-        rc.upa_profile(nu, psi, g.n_h, g.n_v, g.spacing_ratio, offsets) for nu, psi in angles
+        upa_profile(nu, psi, g.n_h, g.n_v, g.spacing_ratio, offsets) for nu, psi in angles
     ]
     probs = list(cfg.ris.probs) if cfg.ris.probs is not None else [1.0 / len(states)] * len(states)
     return rc.SamplingDistribution(states=states, probs=probs)
@@ -459,13 +461,11 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
 
     la = cfg.la
     floor = cfg.sched.floor
+    decay = 1.0 - alpha
     round_robin = cfg.sched.kind == "rr"
     t_avg = [floor] * n_ues  # PF average rates
     la_states = [LinkAdaptState(mcs=la.mcs_min, mcs_min=la.mcs_min) for _ in range(n_ues)]
-    select_ue, rr_select = sched_mod.select_ue, sched_mod.rr_select
-    ewma_update, harq_on_nack, cqi_update, step_mcs = (
-        sched_mod.ewma_update, la_mod.harq_on_nack, la_mod.cqi_update, la_mod.step_mcs,
-    )
+    cqi_update, step_mcs = la_mod.cqi_update, la_mod.step_mcs
 
     trace = Trace(n_slots, off_row, coherence)
     trace.aligned_state = aligned_state
@@ -492,10 +492,11 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     rate_est = [0.0] * n_ues  # CQI-cadence rate estimates driving the scheduler
     dl_counter = 0
     new_tx_bits = acked_bits = discarded_bits = 0
-    # At most one block is in flight: a pending retransmission preempts
-    # every other UE, so its UE is served in the next downlink slot.
-    proc: HarqProcess | None = None
-    proc_ue = 0
+    # HARQ: at most one block is in flight, and a NACKed one preempts every
+    # other UE in the next downlink slot, so the block is the previous
+    # downlink slot's (ue, mcs, tb).  ``attempts`` counts its transmissions;
+    # 0 means none is in flight.
+    attempts = ue = mcs = tb = 0
     next_switch, offset = 0, cfg.ris.offset_slots
     if mode == "off":
         row = off_row
@@ -529,38 +530,41 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
         if tb_row is None:
             rows[t] = row  # uplink: an idle row
         else:
-            if proc is None:
+            retx = attempts > 0
+            if not retx:
                 if round_robin:
-                    ue = rr_select(dl_counter, n_ues)
-                else:
-                    ue = select_ue(t_avg, rate_est, floor)
+                    ue = dl_counter % n_ues
+                else:  # PF: the largest rate / average, ties to the lowest index
+                    ue, best = 0, -1.0
+                    for k in range(n_ues):
+                        m = rate_est[k] / max(t_avg[k], floor)
+                        if m > best:
+                            ue, best = k, m
                 mcs = la_states[ue].mcs
                 tb = tb_row[mcs]
-                proc, proc_ue = HarqProcess(tb_bits=tb, mcs_used=mcs), ue
                 new_tx_bits += tb
-                retx = False
-            else:
-                ue, mcs, tb = proc_ue, proc.mcs_used, proc.tb_bits
-                retx = True
+            attempts += 1
             dl_counter += 1
             if genie:
                 row = aligned_state[ue]
 
             nack = bler_draw() < bler_tab[row][ue][mcs]
-            if nack:
-                if harq_on_nack(proc) == la_mod.DISCARD:
-                    discarded_bits += tb
-                    proc = None
-            else:
+            if not nack:
                 acked_bits += tb
-                proc = None
+                attempts = 0
+            elif attempts == MAX_ATTEMPTS:  # the last retransmission failed
+                discarded_bits += tb
+                attempts = 0
 
             las = la_states[ue]
             las.win_scheduled += 1
             if retx:
                 las.win_retx += 1
 
-            ewma_update(t_avg, ue, rate_est, alpha, floor)
+            # EWMA: every UE decays, the served one adds its rate.
+            for k in range(n_ues):
+                target = alpha * rate_est[k] if k == ue else 0.0
+                t_avg[k] = max(decay * t_avg[k] + target, floor)
 
             rows[t] = row
             ues[t] = ue
@@ -574,7 +578,7 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
             for las in la_states:
                 step_mcs(las, la.bler_low, la.bler_high)
 
-    inflight_bits = proc.tb_bits if proc is not None else 0
+    inflight_bits = tb if attempts else 0
     measured_s = max(cfg.sim.duration_s - cfg.sim.warmup_s, 0.0) if n_slots else 0.0
 
     # Window statistics: one pass over the trace columns from the warm-up

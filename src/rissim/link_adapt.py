@@ -1,12 +1,15 @@
-"""Rate adaptation: MCS table, block-error model, stepping, CQI cap, HARQ.
+"""Rate adaptation: MCS table, block-error model, stepping, CQI cap.
 
 The block-error abstraction is a logistic curve in SNR (dB) anchored at
 a per-MCS threshold: the Shannon limit of the entry's spectral
 efficiency plus an implementation margin.  An outer loop steps the MCS
 index by one whenever the measured retransmission ratio over a tumbling
 window leaves the [low, high] band; the CQI report caps the usable
-index on a slower cadence.  A failed transport block is retransmitted
-at the same MCS at most three times before it is discarded.
+index on a slower cadence.  These steps run only at window and CQI
+boundaries.  ``MAX_ATTEMPTS`` is the HARQ budget: a failed transport
+block is retransmitted at the same MCS at most three times before it is
+discarded.  That per-slot rule is written inline in ``engine.run``, and
+``tests/reference_engine.py`` restates it with an explicit process object.
 """
 
 from __future__ import annotations
@@ -133,25 +136,3 @@ def cqi_update(
         if thresholds_db[index] <= limit:
             cap = index
     return cap
-
-
-@dataclass
-class HarqProcess:
-    """Stop-and-wait process for one in-flight transport block."""
-
-    tb_bits: int
-    mcs_used: int
-    attempts: int = 1
-
-
-RETRANSMIT = "retransmit"
-DISCARD = "discard"
-
-
-def harq_on_nack(proc: HarqProcess) -> str:
-    """Advance a process after a NACK: retransmit at the same MCS until
-    the attempt budget is spent, then discard."""
-    if proc.attempts < MAX_ATTEMPTS:
-        proc.attempts += 1
-        return RETRANSMIT
-    return DISCARD

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 
-from . import engine
 from .config import (
     ExperimentConfig,
     GeometryConfig,
@@ -73,6 +72,8 @@ def _calibrate(snr_aligned_db: tuple[float, float]) -> tuple[tuple[UeConfig, ...
     The surface channels come from the engine's own link setup, with one
     beam state per UE (state ``k`` steered at UE ``k``).
     """
+    from . import engine  # here, so that importing the presets does not load the engine
+
     cfg = ExperimentConfig(geom=GEOMETRY, ues=tuple(UeConfig(nu, psi) for nu, psi in UE_ANGLES))
     setup = engine.link_setup(cfg, engine.build_distribution(cfg))
     ues = []

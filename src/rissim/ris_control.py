@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import RisPhaseProfile, upa_profile  # noqa: F401  (engine calls rc.upa_profile)
+from .array_model import RisPhaseProfile
 
 PROB_TOL = 1e-9
 GENIE_TOL_DEG = 1e-9  # a state within this of a UE's angles is steered at it

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reference_engine import ewma_update, select_ue
 from rissim import presets
 from rissim.array_model import (
     beam_metrics,
@@ -21,7 +22,6 @@ from rissim.array_model import (
 )
 from rissim.config import SchedConfig
 from rissim.engine import run, run_summaries, sweep_table, write_trace_csv
-from rissim.scheduler import ewma_update, select_ue
 
 WARMUP_S = 20.0
 
@@ -240,7 +240,8 @@ def test_criterion_8_determinism_and_conservation(schedule_run, tmp_path):
         write_trace_csv(t2, p2)
         assert p1.read_bytes() == p2.read_bytes(), f"{mode} trace not reproducible"
 
-    # The property suites call the scheduler functions engine.run calls.
+    # The property suites call the reference loop's PF and EWMA rules, which
+    # tests/test_reference_engine.py checks against engine.run.
     rng = np.random.default_rng(99)
     floor = SchedConfig.floor
     for _ in range(1000):

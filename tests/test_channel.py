@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_engine import effective_channel
 from rissim import presets
 from rissim.array_model import design_phase_offsets, pattern_gains, upa_profile
 from rissim.channel import (
     LinkBudget,
     RSRP_FLOOR_DBM,
-    effective_channel,
     los_cascaded_channel,
     rsrp_dbm,
     snr_linear,

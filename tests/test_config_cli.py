@@ -2,8 +2,11 @@
 
 import io
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stderr
 from dataclasses import replace
 from pathlib import Path
@@ -106,6 +109,20 @@ class TestCli:
         csv = (tmp_path / "pattern_30deg.csv").read_text().splitlines()
         assert csv[0] == "angle_deg,gain_db"
         assert len(csv) > 100
+
+    def test_beam_pattern_does_not_load_the_engine(self, tmp_path):
+        argv = ["--out-dir", str(tmp_path), "beam-pattern", "--grid-step-deg", "0.1"]
+        code = (
+            "import sys\n"
+            "from rissim.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "assert 'rissim.engine' not in sys.modules, 'beam-pattern loaded rissim.engine'\n"
+        )
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "pattern_30deg.csv").exists()
 
     def test_schedule_run_emits_files(self, tmp_path):
         rc = main(
@@ -269,6 +286,8 @@ class TestNonFinite:
             ("ue.noise_dbm", "nan,nan"),
             ("ue.noise_dbm", "-inf,-120"),
             ("chan.rician_k_db", "nan"),
+            ("sim.seed", "-1"),
+            ("ris.seed", "-1"),
         ],
     )
     def test_cli_rejects_with_config_code(self, tmp_path, capsys, key, value):
@@ -284,6 +303,22 @@ class TestNonFinite:
         assert rc == 2
         assert key in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["--seed", "-5", "schedule"], "sim.seed"),
+            (["--set", "ris.seed=-1", "schedule", "--mode", "iid"], "ris.seed"),
+        ],
+    )
+    def test_negative_seed_flags_exit_2_naming_the_key(self, tmp_path, capsys, argv, key):
+        base = ["--out-dir", str(tmp_path), "--duration-s", "3", "--set", "sim.warmup_s=1"]
+        assert main([*base, *argv]) == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        # Zero is a seed, and an unset ris.seed derives from sim.seed.
+        cfg = _cli_config(["--set", "sim.seed=0", "--set", "ris.seed=0"])
+        assert (cfg.sim.seed, cfg.ris.seed, ExperimentConfig().ris.seed) == (0, 0, None)
 
     def test_parse_names_key(self):
         text = serialize(ExperimentConfig()).replace(

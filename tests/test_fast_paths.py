@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from reference_engine import effective_channel
 from rissim import channel as ch
 from rissim import engine
 from rissim import link_adapt as la
@@ -67,7 +68,7 @@ def _reference_tables(cfg, dist, rng, rician_k_db):
             ue.nu_deg, ue.psi_deg, g.n_h, g.n_v, g.spacing_ratio,
             amplitude=1.0 / (g.n_h * g.n_v), rician_k_db=rician_k_db, rng=rng,
         )
-        effs = [ch.effective_channel(state, h_c) + ue.direct_leak for state in dist.states]
+        effs = [effective_channel(state, h_c) + ue.direct_leak for state in dist.states]
         effs.append(complex(ue.noris_gain))
         for s, h_eff in enumerate(effs):
             lin = ch.snr_linear(h_eff, budget)

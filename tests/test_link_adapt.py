@@ -1,20 +1,18 @@
-"""MCS table, block-error curve, outer-loop stepping, CQI cap, HARQ."""
+"""MCS table, block-error curve, outer-loop stepping, CQI cap, and the
+reference loop's HARQ process (``tests/reference_engine.py``)."""
 
 import math
 
 import numpy as np
 import pytest
 
+from reference_engine import DISCARD, RETRANSMIT, HarqProcess, harq_on_nack
 from rissim.config import LaConfig
 from rissim.link_adapt import (
-    DISCARD,
-    HarqProcess,
     LinkAdaptState,
     MCS_TABLE_64QAM,
-    RETRANSMIT,
     bler_curve,
     cqi_update,
-    harq_on_nack,
     step_mcs,
     thresholds_db,
 )

@@ -1,12 +1,16 @@
-"""Proportional-fair selection, EWMA dynamics, round-robin baseline."""
+"""Proportional-fair selection, EWMA dynamics, round-robin baseline.
+
+The rules are the reference loop's (``tests/reference_engine.py``), which
+``tests/test_reference_engine.py`` checks against ``engine.run``.
+"""
 
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_engine import ewma_update, rr_select, select_ue
 from rissim.config import SchedConfig
-from rissim.scheduler import ewma_update, rr_select, select_ue
 
 FLOOR = SchedConfig.floor
 

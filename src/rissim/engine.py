@@ -12,6 +12,11 @@ robin, HARQ) are written inline in :func:`run`; the literal reference
 loop in ``tests/reference_engine.py`` restates them one step at a time
 and is checked against it.
 
+The run's one per-slot record is :class:`Trace`: six columns (table
+row, UE, MCS, TB bits, NACK, retransmission) plus the RSRP and SNR
+tables of each channel epoch.  The summary pass and the CSV writer read
+those columns.
+
 All randomness derives from one master seed through three independent
 streams (channel scatter, block outcomes, i.i.d. switching), so traces
 are bit-reproducible and enabling scatter does not perturb HARQ draws.
@@ -63,34 +68,23 @@ def tb_table(prbs: int = 106) -> dict[int, tuple[int, ...]]:
     }
 
 
-class SlotRecord(NamedTuple):
-    slot: int
-    time_ms: float
-    ris_state: int
-    ue: int | None
-    rsrp_dbm: tuple[float, ...]
-    snr_db: float | None
-    mcs: int | None
-    tb_bits: int
-    outcome: str  # "ack" | "nack" | "idle"
-    is_retx: bool
-
-
-class Trace(Sequence):
-    """Per-slot trace held as columns; items are SlotRecords built on access.
+class Trace:
+    """Per-slot trace held as columns, plus the link-table RSRP and SNR of
+    each channel epoch.
 
     ``row`` is the link-table row in force at the slot, which is the
     surface state except in mode "off" (the last row, state -1).  The
     tables change at every channel rebuild: epoch ``e`` covers the slots
     from ``e * coherence`` on.  ``ue`` and ``mcs`` are None on idle
     (uplink) slots.  ``aligned_state`` is the run's per-UE own beam
-    state (``LinkSetup.aligned_state``), set by :func:`run`.
+    state (``LinkSetup.aligned_state``).  Two traces are equal when every
+    column and epoch table is.
     """
 
-    def __init__(self, n_slots: int, off_row: int, coherence: int = 0):
+    def __init__(self, n_slots: int, off_row: int, coherence: int, aligned_state: tuple[int, ...]):
         self.off_row = off_row
         self.coherence = coherence
-        self.aligned_state: tuple[int, ...] = ()
+        self.aligned_state = aligned_state
         self.row = [0] * n_slots
         self.ue: list[int | None] = [None] * n_slots
         self.mcs: list[int | None] = [None] * n_slots
@@ -125,38 +119,10 @@ class Trace(Sequence):
     def __len__(self) -> int:
         return len(self.row)
 
-    def _record(self, t: int) -> SlotRecord:
-        e = t // self.coherence if self.coherence else 0
-        row, ue = self.row[t], self.ue[t]
-        return SlotRecord(
-            t,
-            t * SLOT_MS,
-            self.state_of(row),
-            ue,
-            self.rsrp[e][row],
-            None if ue is None else self.snr[e][row][ue],
-            self.mcs[t],
-            self.tb_bits[t],
-            "idle" if ue is None else "nack" if self.nack[t] else "ack",
-            self.retx[t],
-        )
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._record(t) for t in range(*index.indices(len(self)))]
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("trace index out of range")
-        return self._record(index)
-
-    def __iter__(self):
-        return map(self._record, range(len(self)))
-
     def __eq__(self, other):
-        if not isinstance(other, Sequence):
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return vars(self) == vars(other)
 
 
 @dataclass
@@ -330,11 +296,7 @@ def _amplitude(cfg: ExperimentConfig) -> float:
 
 
 def build_link_tables(
-    cfg: ExperimentConfig,
-    dist: rc.SamplingDistribution,
-    rng_channel: np.random.Generator,
-    setup: LinkSetup | None = None,
-    n_epochs: int = 1,
+    cfg: ExperimentConfig, setup: LinkSetup, rng_channel: np.random.Generator, n_epochs: int = 1
 ) -> list[LinkTables]:
     """Link tables of ``n_epochs`` successive channel draws, one per coherence epoch.
 
@@ -346,8 +308,6 @@ def build_link_tables(
     :func:`channel.rician_scatter` calls, drawn :data:`EPOCH_BLOCK`
     epochs per call into ``setup.block_buffers``.
     """
-    if setup is None:
-        setup = link_setup(cfg, dist)
     los = np.stack(setup.los)  # (K, n)
     leaks = [ue.direct_leak for ue in cfg.ues]
     off = _row_values([complex(ue.noris_gain) for ue in cfg.ues], setup.budgets)
@@ -452,12 +412,7 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     switching = mode in ("periodic", "iid")
     if genie and any(a < 0 for a in aligned_state):
         raise ConfigError("ris.mode: genie requires a state aligned to every UE (ris.angles)")
-    policy = rc.SwitchPolicy(
-        mode=mode if switching else "periodic",
-        ts_slots=ts_slots,
-        seed=ris_seed,
-        offset_slots=cfg.ris.offset_slots,
-    )
+    policy = rc.SwitchPolicy(mode, ts_slots, ris_seed, cfg.ris.offset_slots) if switching else None
 
     la = cfg.la
     floor = cfg.sched.floor
@@ -467,15 +422,14 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     la_states = [LinkAdaptState(mcs=la.mcs_min, mcs_min=la.mcs_min) for _ in range(n_ues)]
     cqi_update, step_mcs = la_mod.cqi_update, la_mod.step_mcs
 
-    trace = Trace(n_slots, off_row, coherence)
-    trace.aligned_state = aligned_state
+    trace = Trace(n_slots, off_row, coherence, aligned_state)
     rows, ues, mcss, tbs, nacks, retxs = (
         trace.row, trace.ue, trace.mcs, trace.tb_bits, trace.nack, trace.retx,
     )
     # One table per coherence epoch, built EPOCH_BLOCK epochs at a time.
     n_epochs = -(-max(n_slots, 1) // coherence) if coherence else 1
     next_tables = chain.from_iterable(
-        build_link_tables(cfg, dist, rng_channel, setup, min(EPOCH_BLOCK, n_epochs - first))
+        build_link_tables(cfg, setup, rng_channel, min(EPOCH_BLOCK, n_epochs - first))
         for first in range(0, n_epochs, EPOCH_BLOCK)
     ).__next__
     snr_tab, se_tab, rsrp_tab, bler_tab = next_tables()
@@ -579,7 +533,9 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
                 step_mcs(las, la.bler_low, la.bler_high)
 
     inflight_bits = tb if attempts else 0
-    measured_s = max(cfg.sim.duration_s - cfg.sim.warmup_s, 0.0) if n_slots else 0.0
+    # Rates divide by the simulated span, a whole number of slots.
+    measured_slots = max(n_slots - warmup_slot, 0)
+    measured_s = measured_slots * SLOT_MS / 1000.0
 
     # Window statistics: one pass over the trace columns from the warm-up
     # slot on.  RSRP sums add in slot order, so the means keep their bits.
@@ -614,7 +570,6 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
 
     served_misaligned = [s - a for s, a in zip(scheduled, served_aligned)]
     dl_slots = sum(scheduled)  # every downlink slot serves one UE
-    measured_slots = max(n_slots - warmup_slot, 0)
     tput = tuple((b / measured_s / 1e6) if measured_s > 0 else 0.0 for b in window_acked)
     summary = RunSummary(
         duration_s=cfg.sim.duration_s,

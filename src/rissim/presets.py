@@ -13,11 +13,17 @@ regulates the block-error ratio around its target.  The single-UE
 presets run hotter so that the surface-on/surface-off throughput ratio
 lands in the measured 20-25% band; at a fixed measured RSRP gap the
 two requirements need different noise figures (see README).
+
+A preset takes only the choices that pick it: the scheduling mode, or
+the UE and whether the surface is on.  Any other variation starts from
+the preset and goes through ``ExperimentConfig.with_overrides`` (the
+CLI's ``--set``) or ``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from .config import (
     ExperimentConfig,
@@ -113,15 +119,8 @@ def _calibrate(snr_aligned_db: tuple[float, float]) -> tuple[tuple[UeConfig, ...
     return tuple(ues), rsrp_offset_db
 
 
-def schedule_config(
-    alpha: float = BASE_ALPHA,
-    mode: str = "periodic",
-    duration_s: float = 120.0,
-    seed: int = 1,
-    ts_scaling: float = 1.0,
-    warmup_s: float = 20.0,
-) -> ExperimentConfig:
-    """Two-UE scheduling run: alternating surface plus PF scheduler.
+def schedule_config(mode: str = "periodic") -> ExperimentConfig:
+    """Two-UE scheduling run: alternating surface plus PF scheduler, 120 s.
 
     Mode "genie" is the reference instead: round-robin service with the
     surface aligned to the served UE.
@@ -132,48 +131,39 @@ def schedule_config(
         geom=GEOMETRY,
         ues=ues,
         ris=RisConfig(mode=mode, ts_slots=BASE_TS_SLOTS, offset_slots=50),
-        sched=SchedConfig(kind=kind, alpha=alpha),
+        sched=SchedConfig(kind=kind, alpha=BASE_ALPHA),
         la=LaConfig(cqi_backoff_db=0.0),
-        sim=SimConfig(
-            duration_s=duration_s, warmup_s=warmup_s, seed=seed, ts_scaling=ts_scaling
-        ),
+        sim=SimConfig(duration_s=120.0, warmup_s=20.0, seed=1),
         tx_power_dbm=TX_POWER_DBM,
         rsrp_offset_db=rsrp_offset,
     )
 
 
-def single_ue_config(
-    ue_index: int,
-    ris_on: bool = True,
-    duration_s: float = 120.0,
-    seed: int = 1,
-    warmup_s: float = 10.0,
-) -> ExperimentConfig:
-    """One connected UE, surface beamformed at it or absent."""
+def single_ue_config(ue_index: int, ris_on: bool = True) -> ExperimentConfig:
+    """One connected UE, surface beamformed at it or absent, 120 s."""
     if ue_index not in (0, 1):
         raise ValueError(f"ue_index must be 0 or 1, got {ue_index}")
     ues, rsrp_offset = _calibrate(SNR_ALIGNED_SINGLE_DB)
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         geom=GEOMETRY,
         ues=(ues[ue_index],),
         ris=RisConfig(mode="genie" if ris_on else "off", ts_slots=BASE_TS_SLOTS),
         sched=SchedConfig(kind="pf", alpha=BASE_ALPHA),
         la=LaConfig(),
-        sim=SimConfig(duration_s=duration_s, warmup_s=warmup_s, seed=seed),
+        sim=SimConfig(duration_s=120.0, warmup_s=10.0, seed=1),
         tx_power_dbm=TX_POWER_DBM,
         rsrp_offset_db=rsrp_offset,
     )
-    return cfg
 
 
-def sweep_config(
-    duration_s: float = 128.0, seed: int = 7, ts_scaling: float = 2.0
-) -> ExperimentConfig:
-    """Base configuration for the throughput-vs-EWMA-weight sweep.
+def sweep_config() -> ExperimentConfig:
+    """Base configuration for the throughput-vs-EWMA-weight sweep: the
+    periodic scheduling preset run 128 s with seed 7.
 
-    The default time-compression factor 2 pairs every point as
-    (2 * alpha, T_s / 2); the measured span stays a whole number of
-    two-dwell periods so the two UEs see equal dwell time.
+    The time-compression factor 2 pairs every point as (2 * alpha,
+    T_s / 2); the measured span stays a whole number of two-dwell
+    periods so the two UEs see equal dwell time.
     """
-    return schedule_config(duration_s=duration_s, seed=seed, ts_scaling=ts_scaling)
+    cfg = schedule_config()
+    return replace(cfg, sim=replace(cfg.sim, duration_s=128.0, seed=7, ts_scaling=2.0))
 

@@ -183,7 +183,7 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
 
     for t in range(n_slots):
         if t == 0 or (coherence and t % coherence == 0):
-            [tables] = engine.build_link_tables(cfg, dist, rng_channel, setup)
+            [tables] = engine.build_link_tables(cfg, setup, rng_channel)
         if switching:
             surface = state_at_slot(t, policy, dist)
 

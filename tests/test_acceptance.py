@@ -32,7 +32,9 @@ def _report(name: str, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def schedule_run():
-    cfg = presets.schedule_config(duration_s=120.0, warmup_s=WARMUP_S)
+    cfg = presets.schedule_config().with_overrides(
+        {"sim.duration_s": "120", "sim.warmup_s": str(WARMUP_S)}
+    )
     trace, summary = run(cfg)
     return cfg, trace, summary
 
@@ -105,9 +107,7 @@ def test_criterion_3_single_ue_table():
     # The runs are independent: one pool, results in (UE, surface) order.
     n_ues = len(presets.UE_ANGLES)
     cases = [(k, on) for k in range(n_ues) for on in (True, False)]
-    summaries = run_summaries(
-        [presets.single_ue_config(k, ris_on=on, duration_s=120.0) for k, on in cases]
-    )
+    summaries = run_summaries([presets.single_ue_config(k, ris_on=on) for k, on in cases])
     tput = {}
     for (k, on), s in zip(cases, summaries):
         tput[k, on] = s.throughput_mbps[0]
@@ -131,17 +131,17 @@ def test_criterion_4_bler_regulation(schedule_run):
         assert 0.05 <= b <= 0.15, f"UE{k} long-run BLER {b:.3f}"
 
     warm = round(WARMUP_S * 1000 / 0.5)
-    states = [r.ris_state for r in trace]
+    states = [trace.state_of(row) for row in trace.row]
     transitions = [t for t in range(max(1, warm), len(trace)) if states[t] != states[t - 1]]
     assert transitions, "no dwell transitions inside the measured span"
     win = 200
     for t0 in transitions:
         promoted = states[t0]
         demoted = 1 - promoted
-        rows = trace[t0 : t0 + win]
+        served = list(zip(trace.ue[t0 : t0 + win], trace.retx[t0 : t0 + win]))
         for ue, kind in ((demoted, "high-to-low"), (promoted, "low-to-high")):
-            sched = sum(1 for r in rows if r.ue == ue)
-            retx = sum(1 for r in rows if r.ue == ue and r.is_retx)
+            sched = sum(1 for u, _ in served if u == ue)
+            retx = sum(1 for u, is_retx in served if u == ue and is_retx)
             assert sched > 0, f"{kind} UE{ue} unscheduled after transition at {t0}"
             measured = retx / sched
             if kind == "high-to-low":
@@ -160,16 +160,15 @@ def test_criterion_5_rsrp_alternation(schedule_run):
     cfg, trace, _ = schedule_run
     assert len(cfg.ues) == 2  # anti-phase is a two-UE property
     warm = round(WARMUP_S * 1000 / 0.5)
-    rows = trace[warm:]
+    (table,) = trace.rsrp  # one channel epoch: no scatter
+    rsrp = np.array(table)[trace.row[warm:]]  # per measured slot, per UE
     levels = []
     for k in range(len(cfg.ues)):
-        vals = np.array([r.rsrp_dbm[k] for r in rows])
-        uniq = np.unique(vals.round(9))
+        uniq = np.unique(rsrp[:, k].round(9))
         assert uniq.size == 2, f"UE{k} has {uniq.size} RSRP levels"
         assert uniq[1] - uniq[0] >= 7.0
         levels.append(uniq)
-    r0 = np.array([r.rsrp_dbm[0] for r in rows])
-    r1 = np.array([r.rsrp_dbm[1] for r in rows])
+    r0, r1 = rsrp[:, 0], rsrp[:, 1]
     assert np.all((r0 == levels[0][1]) == (r1 == levels[1][0]))
     _report(
         "criterion 5 (RSRP alternation)",
@@ -211,12 +210,12 @@ def test_criterion_7_scheduling_fractions(schedule_run):
     n_ues = len(cfg.ues)
     mis_non_retx = [0] * n_ues
     served = [0] * n_ues
-    for r in trace[warm:]:
-        if r.ue is None:
+    for row, ue, retx in zip(trace.row[warm:], trace.ue[warm:], trace.retx[warm:]):
+        if ue is None:
             continue
-        served[r.ue] += 1
-        if r.ris_state != r.ue and not r.is_retx:
-            mis_non_retx[r.ue] += 1
+        served[ue] += 1
+        if trace.state_of(row) != ue and not retx:
+            mis_non_retx[ue] += 1
     for k in range(n_ues):
         residual = mis_non_retx[k] / served[k]
         assert residual <= 0.05, f"UE{k} non-retx misaligned residual {residual:.3f}"

@@ -115,22 +115,26 @@ class TestLinkMaps:
         assert rsrp_dbm(0.1 + 0j, b) == pytest.approx(23.0 - 60.0 - 20.0 - 5.0)
 
 
+def _first_tables(cfg):
+    """The link tables of a preset's first channel epoch."""
+    from rissim.engine import build_distribution, build_link_tables, link_setup
+
+    [tables] = build_link_tables(
+        cfg, link_setup(cfg, build_distribution(cfg)), np.random.default_rng(0)
+    )
+    return tables
+
+
 class TestCalibratedLevels:
     def test_two_ue_preset_reproduces_measured_rsrp(self):
-        from rissim.engine import build_distribution, build_link_tables
-
-        cfg = presets.schedule_config()
-        [tables] = build_link_tables(cfg, build_distribution(cfg), np.random.default_rng(0))
+        tables = _first_tables(presets.schedule_config())
         for k, (hi, lo) in enumerate(zip(presets.RSRP_ALIGNED_DBM, presets.RSRP_MISALIGNED_DBM)):
             assert tables.rsrp[k][k] == pytest.approx(hi, abs=1e-6)
             assert tables.rsrp[1 - k][k] == pytest.approx(lo, abs=1e-6)
 
     def test_single_ue_preset_rsrp_with_and_without_surface(self):
-        from rissim.engine import build_distribution, build_link_tables
-
         for k in range(2):
-            cfg = presets.single_ue_config(k, ris_on=True)
-            [tables] = build_link_tables(cfg, build_distribution(cfg), np.random.default_rng(0))
+            tables = _first_tables(presets.single_ue_config(k, ris_on=True))
             assert tables.rsrp[0][0] == pytest.approx(presets.RSRP_ALIGNED_DBM[k], abs=1e-6)
             # Last row is the no-surface scalar channel.
             assert tables.rsrp[-1][0] == pytest.approx(presets.RSRP_NO_SURFACE_DBM[k], abs=1e-6)

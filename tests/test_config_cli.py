@@ -1,6 +1,7 @@
 """Config round-trip, validation messages, and the CLI surface."""
 
 import io
+import json
 import math
 import os
 import re
@@ -161,8 +162,9 @@ class TestCli:
         assert "throughput_mbps" in capsys.readouterr().out
 
     def test_config_file_round_trip_through_cli(self, tmp_path):
-        cfg = presets.schedule_config(duration_s=4.0, warmup_s=1.0)
-        cfg = replace(cfg, ris=replace(cfg.ris, ts_slots=2000))
+        cfg = presets.schedule_config().with_overrides(
+            {"sim.duration_s": "4", "sim.warmup_s": "1", "ris.ts_slots": "2000"}
+        )
         path = tmp_path / "run.cfg"
         path.write_text(serialize(cfg))
         rc = main(["--config", str(path), "--out-dir", str(tmp_path), "schedule"])
@@ -208,7 +210,9 @@ class TestSubcommandFlags:
 
     @pytest.fixture
     def run_cfg(self, tmp_path):
-        cfg = presets.schedule_config(duration_s=2.0, warmup_s=0.5)
+        cfg = presets.schedule_config().with_overrides(
+            {"sim.duration_s": "2", "sim.warmup_s": "0.5"}
+        )
         path = tmp_path / "run.cfg"
         path.write_text(serialize(cfg))
         return cfg, path
@@ -234,11 +238,15 @@ class TestSubcommandFlags:
         # Without --config the flags pick the preset: genie runs round robin.
         argv = ["--out-dir", str(tmp_path), "--duration-s", "0", "schedule"]
         assert main([*argv, "--mode", "genie", "--alpha", "0.01"]) == 0
-        want = presets.schedule_config(alpha=0.01, mode="genie", duration_s=0.0)
+        want = presets.schedule_config("genie").with_overrides(
+            {"sched.alpha": "0.01", "sim.duration_s": "0"}
+        )
         assert (tmp_path / "schedule_genie_config.txt").read_text() == serialize(want)
 
     def test_single_ue_ris_flag_overrides_config_file(self, tmp_path):
-        cfg = presets.single_ue_config(1, duration_s=2.0, warmup_s=0.5)
+        cfg = presets.single_ue_config(1).with_overrides(
+            {"sim.duration_s": "2", "sim.warmup_s": "0.5"}
+        )
         path = tmp_path / "one.cfg"
         path.write_text(serialize(cfg))
         argv = ["--config", str(path), "--out-dir", str(tmp_path), "single-ue", "--ris", "off"]
@@ -330,10 +338,35 @@ class TestNonFinite:
     def test_run_rejects_config_built_in_code(self):
         from rissim.engine import run
 
-        cfg = presets.schedule_config(duration_s=1.0, warmup_s=0.0)
-        cfg = replace(cfg, sim=replace(cfg.sim, duration_s=float("nan")))
+        cfg = presets.schedule_config()
+        cfg = replace(cfg, sim=replace(cfg.sim, duration_s=float("nan"), warmup_s=0.0))
         with pytest.raises(ConfigError, match="sim.duration_s"):
             run(cfg)
+
+
+class TestBenchmarkSetupProbe:
+    """``perfbench/setup_child.py`` builds each workload's config through the
+    preset API and runs it for zero slots."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schedule", "periodic", "1"],
+            ["schedule", "iid", "1", "chan.rician_k_db=6", "chan.coherence_slots=20"],
+            ["sweep", "periodic", "7"],
+            ["beam", "-", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_probe_prints_a_ready_line(self, argv):
+        root = Path(cli.__file__).resolve().parents[2]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        probe = root / "perfbench" / "setup_child.py"
+        done = subprocess.run(
+            [sys.executable, str(probe), *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert "ready" in json.loads(done.stdout.splitlines()[-1])
 
 
 # Generated configs: every section field, 1..4 UEs, optional keys present or absent.

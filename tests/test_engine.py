@@ -25,8 +25,16 @@ from rissim.engine import (
 from rissim.link_adapt import MAX_ATTEMPTS
 
 
-def short_schedule(duration_s=12.0, warmup_s=2.0, **kwargs):
-    cfg = presets.schedule_config(duration_s=duration_s, warmup_s=warmup_s, **kwargs)
+def timed(cfg, duration_s, warmup_s, seed=1):
+    """``cfg`` run for ``duration_s`` seconds with seed ``seed``, the first
+    ``warmup_s`` of them left out of the summary."""
+    return cfg.with_overrides(
+        {"sim.duration_s": str(duration_s), "sim.warmup_s": str(warmup_s), "sim.seed": str(seed)}
+    )
+
+
+def short_schedule(duration_s=12.0, warmup_s=2.0, seed=1):
+    cfg = timed(presets.schedule_config(), duration_s, warmup_s, seed)
     # Compress the dwell so short runs still see several switches.
     return replace(cfg, ris=replace(cfg.ris, ts_slots=4000))
 
@@ -36,14 +44,20 @@ def served_fractions(trace, aligned_state, start):
     served slot is aligned when the surface is in the served UE's own beam
     state, which a slot without the surface (state -1) never is."""
     counts = {True: [0] * len(aligned_state), False: [0] * len(aligned_state)}
-    rows = trace[start:]
-    for r in rows:
-        if r.ue is not None:
-            counts[0 <= r.ris_state == aligned_state[r.ue]][r.ue] += 1
+    for row, ue in zip(trace.row[start:], trace.ue[start:]):
+        if ue is not None:
+            counts[0 <= trace.state_of(row) == aligned_state[ue]][ue] += 1
     dl = sum(counts[True]) + sum(counts[False])
+    measured = len(trace) - start
     return tuple(
-        tuple(c / d for c in counts[hit]) for d in (dl, len(rows)) for hit in (True, False)
+        tuple(c / d for c in counts[hit]) for d in (dl, measured) for hit in (True, False)
     )
+
+
+def rsrp_of(trace, k):
+    """UE ``k``'s RSRP at every slot of a run with one channel epoch."""
+    (table,) = trace.rsrp
+    return np.array([table[row][k] for row in trace.row])
 
 
 def summary_fractions(summary):
@@ -101,25 +115,36 @@ class TestTransportBlocks:
 
 class TestRunBasics:
     def test_zero_duration_gives_empty_trace(self):
-        cfg = presets.schedule_config(duration_s=0.0, warmup_s=0.0)
+        cfg = timed(presets.schedule_config(), 0.0, 0.0)
         trace, summary = run(cfg)
-        assert trace == []
+        assert len(trace) == 0
         assert summary.aggregate_mbps == 0.0
         assert summary.new_tx_bits == 0
 
     def test_empty_trace_csv_header_names_every_ue(self, tmp_path):
-        trace, _ = run(presets.schedule_config(duration_s=0.0, warmup_s=0.0))
+        trace, _ = run(timed(presets.schedule_config(), 0.0, 0.0))
         path = tmp_path / "empty.csv"
         write_trace_csv(trace, path)
         assert path.read_text() == (
             "slot,time_ms,ris_state,ue,rsrp0_dbm,rsrp1_dbm,snr_db,mcs,tb_bits,outcome,is_retx\n"
         )
 
+    def test_throughput_divides_by_the_simulated_span(self):
+        # 1.3 ms is not a whole number of slots: the run simulates 3 slots, 1.5 ms.
+        trace, summary = run(timed(presets.schedule_config(), 0.0013, 0.0))
+        assert len(trace) == summary.n_slots == 3
+        assert summary.measured_s == 0.0015
+        assert summary.acked_bits > 0
+        assert summary.aggregate_mbps == pytest.approx(summary.acked_bits / 0.0015 / 1e6)
+
     def test_bit_conservation(self):
         trace, summary = run(short_schedule())
         assert summary.conservation_holds()
         # Retransmission slots never add new-transmission bits.
-        new_bits_from_trace = sum(r.tb_bits for r in trace if r.ue is not None and not r.is_retx)
+        new_bits_from_trace = sum(
+            tb for ue, tb, retx in zip(trace.ue, trace.tb_bits, trace.retx)
+            if ue is not None and not retx
+        )
         assert new_bits_from_trace == summary.new_tx_bits
         assert summary.aggregate_mbps == pytest.approx(sum(summary.throughput_mbps))
         served = sum(summary.served_frac_aligned_dl) + sum(summary.served_frac_misaligned_dl)
@@ -128,18 +153,23 @@ class TestRunBasics:
     def test_throughput_counts_acked_bits_once(self):
         trace, summary = run(short_schedule())
         assert summary.acked_bits <= summary.new_tx_bits
-        acked_rows = sum(r.tb_bits for r in trace if r.outcome == "ack")
+        acked_rows = sum(
+            tb for ue, tb, nack in zip(trace.ue, trace.tb_bits, trace.nack)
+            if ue is not None and not nack
+        )
         # A block acked on a retransmission is credited once even though
         # several rows carry its bits.
         assert summary.acked_bits <= acked_rows
 
     def test_idle_rows_only_on_uplink_slots(self):
         trace, _ = run(short_schedule(duration_s=5.0, warmup_s=1.0))
-        for r in trace:
-            if TDD_KINDS[r.slot % len(TDD_KINDS)] == "ul":
-                assert r.outcome == "idle" and r.ue is None and r.tb_bits == 0
+        for t, (ue, mcs, tb, nack, retx) in enumerate(
+            zip(trace.ue, trace.mcs, trace.tb_bits, trace.nack, trace.retx)
+        ):
+            if TDD_KINDS[t % len(TDD_KINDS)] == "ul":
+                assert (ue, mcs, tb, nack, retx) == (None, None, 0, False, False)
             else:
-                assert r.outcome in ("ack", "nack") and r.ue is not None and r.tb_bits > 0
+                assert ue is not None and mcs is not None and tb > 0
 
 
 class TestDeterminism:
@@ -156,7 +186,7 @@ class TestDeterminism:
 
     def test_summaries_with_nan_rsrp_compare_equal(self):
         # Mode "off" has no aligned slot, so every aligned mean RSRP is NaN.
-        cfg = presets.schedule_config(mode="off", duration_s=0.5, warmup_s=0.0)
+        cfg = timed(presets.schedule_config("off"), 0.5, 0.0)
         _, s1 = run(cfg)
         _, s2 = run(cfg)
         assert all(math.isnan(v) for v in s1.mean_rsrp_aligned_dbm)
@@ -168,7 +198,7 @@ class TestDeterminism:
     def test_seed_changes_outcomes(self):
         t1, _ = run(short_schedule(duration_s=6.0, warmup_s=1.0, seed=1))
         t2, _ = run(short_schedule(duration_s=6.0, warmup_s=1.0, seed=2))
-        assert any(a.outcome != b.outcome for a, b in zip(t1, t2))
+        assert t1.nack != t2.nack
 
     def test_scatter_runs_are_reproducible(self):
         cfg = short_schedule(duration_s=6.0, warmup_s=1.0)
@@ -186,8 +216,8 @@ class TestDeterminism:
         faint = replace(base, chan=ChannelConfig(rician_k_db=200.0, coherence_slots=500))
         t1, _ = run(base)
         t2, _ = run(faint)
-        assert [r.outcome for r in t1] == [r.outcome for r in t2]
-        assert [r.ue for r in t1] == [r.ue for r in t2]
+        assert t1.nack == t2.nack
+        assert t1.ue == t2.ue
 
 
 class TestRsrpAlternation:
@@ -196,7 +226,7 @@ class TestRsrpAlternation:
         trace, _ = run(cfg)
         ts = 4000
         for k in range(2):
-            vals = np.array([r.rsrp_dbm[k] for r in trace])
+            vals = rsrp_of(trace, k)
             assert len(np.unique(vals.round(9))) == 2
             offset = cfg.ris.offset_slots
             for start in range(0, len(vals) - ts, ts):
@@ -206,8 +236,7 @@ class TestRsrpAlternation:
 
     def test_levels_anti_phased_between_ues(self):
         trace, _ = run(short_schedule(duration_s=16.0, warmup_s=2.0))
-        r0 = np.array([r.rsrp_dbm[0] for r in trace])
-        r1 = np.array([r.rsrp_dbm[1] for r in trace])
+        r0, r1 = rsrp_of(trace, 0), rsrp_of(trace, 1)
         hi0, hi1 = r0.max(), r1.max()
         assert np.all((r0 == hi0) == (r1 != hi1))
 
@@ -216,7 +245,7 @@ class TestHistogram:
     """The served-slot histogram is the summary's four ``served_frac_*`` fields."""
 
     def test_genie_has_no_misaligned_service(self):
-        _, summary = run(presets.schedule_config(mode="genie", duration_s=8.0, warmup_s=1.0))
+        _, summary = run(timed(presets.schedule_config("genie"), 8.0, 1.0))
         assert summary.served_frac_misaligned_dl == (0.0, 0.0)
         assert all(f > 0.0 for f in summary.served_frac_aligned_dl)
 
@@ -227,7 +256,7 @@ class TestHistogram:
         # in the misaligned state and preempt the rotation), so the
         # independence claim is checked at an operating point where both
         # states decode cleanly and retransmissions vanish.
-        cfg = presets.schedule_config(duration_s=60.0, warmup_s=2.0)
+        cfg = timed(presets.schedule_config(), 60.0, 2.0)
         quiet = tuple(replace(u, noise_dbm=u.noise_dbm - 20.0) for u in cfg.ues)
         cfg = replace(
             cfg,
@@ -245,10 +274,10 @@ class TestGenieAggregates:
     def test_genie_rr_matches_mean_of_single_ue_runs(self):
         singles = []
         for k in range(2):
-            _, s = run(presets.single_ue_config(k, ris_on=True, duration_s=30.0, warmup_s=5.0))
+            _, s = run(timed(presets.single_ue_config(k, ris_on=True), 30.0, 5.0))
             singles.append(s.throughput_mbps[0])
         ues, offset = presets._calibrate(presets.SNR_ALIGNED_SINGLE_DB)
-        cfg = presets.schedule_config(mode="genie", duration_s=30.0, warmup_s=5.0)
+        cfg = timed(presets.schedule_config("genie"), 30.0, 5.0)
         cfg = replace(cfg, ues=ues, rsrp_offset_db=offset)
         _, sg = run(cfg)
         assert sg.aggregate_mbps == pytest.approx(np.mean(singles), rel=0.02)
@@ -261,7 +290,7 @@ class TestRetransmissions:
     @pytest.mark.parametrize("kind", ["pf", "rr"])
     def test_nack_retransmits_same_block_next_downlink_slot(self, kind):
         # A high BLER band keeps the MCS aggressive: many NACKs and discards.
-        cfg = presets.schedule_config(duration_s=4.0, warmup_s=1.0).with_overrides(
+        cfg = timed(presets.schedule_config(), 4.0, 1.0).with_overrides(
             {"la.bler_low": "0.6", "la.bler_high": "0.9", "sched.kind": kind}
         )
         trace, summary = run(cfg)
@@ -297,7 +326,7 @@ class TestAlignmentRule:
 
     def test_no_surface_slot_is_never_aligned(self):
         # Neither state points at a UE, so both UEs have no beam state.
-        cfg = presets.schedule_config(mode="off", duration_s=2.0, warmup_s=0.5)
+        cfg = timed(presets.schedule_config("off"), 2.0, 0.5)
         cfg = cfg.with_overrides({"ris.angles": "10:0,60:0"})
         trace, summary = run(cfg)
         assert summary.served_frac_aligned_dl == (0.0, 0.0)
@@ -363,8 +392,8 @@ class TestSweep:
         fast = replace(base, sim=replace(base.sim, ts_scaling=2.0))
         t1, _ = run(base)
         t2, _ = run(fast)
-        switches1 = sum(1 for a, b in zip(t1, t1[1:]) if a.ris_state != b.ris_state)
-        switches2 = sum(1 for a, b in zip(t2, t2[1:]) if a.ris_state != b.ris_state)
+        switches1 = sum(a != b for a, b in zip(t1.row, t1.row[1:]))
+        switches2 = sum(a != b for a, b in zip(t2.row, t2.row[1:]))
         assert switches2 == pytest.approx(2 * switches1, abs=1)
 
 
@@ -380,7 +409,7 @@ def _pool_configs():
     short = short_schedule(duration_s=2.0, warmup_s=0.5)
     return [
         short_schedule(duration_s=6.0, warmup_s=1.0),
-        presets.single_ue_config(0, ris_on=True, duration_s=2.0, warmup_s=0.5),
+        timed(presets.single_ue_config(0, ris_on=True), 2.0, 0.5),
         short.with_overrides({**three_ues, "ris.mode": "iid"}),
         short.with_overrides({"ris.mode": "off"}),
         short.with_overrides({"ris.mode": "genie", "sched.kind": "rr"}),

@@ -10,7 +10,6 @@ from rissim import channel as ch
 from rissim import engine
 from rissim import link_adapt as la
 from rissim import presets
-from rissim.config import ChannelConfig
 from rissim.engine import (
     DRAW_CHUNK,
     EPOCH_BLOCK,
@@ -98,9 +97,14 @@ THREE_UES = {
 
 def _three_ue_config(n_ues=3):
     """The first ``n_ues`` of three UEs with distinct budgets."""
-    cfg = presets.schedule_config(duration_s=1.0, warmup_s=0.0)
     overrides = {key: ",".join(values[:n_ues]) for key, values in THREE_UES.items()}
-    return cfg.with_overrides({**overrides, "la.slope": "1.5", "la.impl_margin_db": "2.5"})
+    return presets.schedule_config().with_overrides({
+        **overrides,
+        "la.slope": "1.5",
+        "la.impl_margin_db": "2.5",
+        "sim.duration_s": "1",
+        "sim.warmup_s": "0",
+    })
 
 
 @pytest.mark.parametrize("rician_k_db", [None, 6.0, -3.0])
@@ -116,8 +120,8 @@ def test_hoisted_builder_is_bitwise_equal_to_reference(rician_k_db):
     rng_ref = np.random.default_rng(5)
     # A full and a partial block in one call, then a second call on the same stream.
     epochs = [
-        *build_link_tables(cfg, dist, rng_fast, setup, EPOCH_BLOCK + 1),
-        *build_link_tables(cfg, dist, rng_fast, setup),
+        *build_link_tables(cfg, setup, rng_fast, EPOCH_BLOCK + 1),
+        *build_link_tables(cfg, setup, rng_fast),
     ]
     for tables in epochs:
         reference = _reference_tables(cfg, dist, rng_ref, rician_k_db)
@@ -127,6 +131,7 @@ def test_hoisted_builder_is_bitwise_equal_to_reference(rician_k_db):
     # Both consumed the channel stream identically.
     assert rng_fast.random() == rng_ref.random()
     assert np.isneginf(tables.snr_db[-1][1]) and tables.rsrp[-1][1] == ch.RSRP_FLOOR_DBM
+    assert setup.aligned_state == (0, 1, 2)
 
 
 @pytest.mark.parametrize("n_epochs", [EPOCH_BLOCK - 1, EPOCH_BLOCK, EPOCH_BLOCK + 1])
@@ -161,38 +166,3 @@ def test_run_tables_are_bitwise_equal_to_reference(n_ues, coherence, n_epochs, m
         reference = _reference_tables(cfg, dist, rng_ref, 6.0)
         for got, want in zip(_arrays(tables), reference):
             assert got.tobytes() == want.tobytes()
-
-
-def test_builder_without_setup_matches_hoisted():
-    cfg = _three_ue_config()
-    cfg = cfg.with_overrides({"chan.rician_k_db": "10", "chan.coherence_slots": "20"})
-    dist = build_distribution(cfg)
-    setup = link_setup(cfg, dist)
-    [fresh] = build_link_tables(cfg, dist, np.random.default_rng(2))
-    [hoisted] = build_link_tables(cfg, dist, np.random.default_rng(2), setup)
-    for got, want in zip(_arrays(fresh), _arrays(hoisted)):
-        assert got.tobytes() == want.tobytes()
-    assert setup.aligned_state == (0, 1, 2)
-
-
-def test_trace_is_a_sequence_of_slot_records():
-    from dataclasses import replace
-
-    from rissim.engine import SlotRecord, run
-
-    cfg = presets.schedule_config(duration_s=0.5, warmup_s=0.0)
-    cfg = replace(cfg, chan=ChannelConfig(rician_k_db=6.0, coherence_slots=20))
-    trace, summary = run(cfg)
-    records = list(trace)
-    assert len(trace) == len(records) == summary.n_slots == 1000
-    assert all(isinstance(r, SlotRecord) for r in records)
-    assert [r.slot for r in records] == list(range(1000))
-    assert trace[0] == records[0] and trace[-1] == records[-1]
-    assert trace[17:43] == records[17:43] and trace[::7] == records[::7]
-    assert trace == records and records == trace and trace != records[:-1]
-    with pytest.raises(IndexError):
-        trace[1000]
-    # Each 20-slot channel epoch carries its own table values.
-    assert records[19].rsrp_dbm != records[20].rsrp_dbm
-    idle = records[7]
-    assert (idle.ue, idle.snr_db, idle.mcs, idle.outcome) == (None, None, None, "idle")

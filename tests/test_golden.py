@@ -19,7 +19,13 @@ import pytest
 from rissim import presets
 from rissim.cli import main
 from rissim.config import ChannelConfig, ExperimentConfig, serialize
-from rissim.engine import build_distribution, build_link_tables, run, write_trace_csv
+from rissim.engine import (
+    build_distribution,
+    build_link_tables,
+    link_setup,
+    run,
+    write_trace_csv,
+)
 
 HISTOGRAM_KEYS = (
     "aligned_fraction", "misaligned_fraction",
@@ -27,9 +33,10 @@ HISTOGRAM_KEYS = (
 )
 
 
-def _short(mode="periodic", **kwargs):
-    cfg = presets.schedule_config(mode=mode, duration_s=4.0, warmup_s=1.0, **kwargs)
-    return replace(cfg, ris=replace(cfg.ris, ts_slots=2000))
+def _short(mode="periodic"):
+    return presets.schedule_config(mode).with_overrides(
+        {"sim.duration_s": "4", "sim.warmup_s": "1", "ris.ts_slots": "2000"}
+    )
 
 
 def _rr():
@@ -74,7 +81,9 @@ CONFIGS = {
     "rr": _rr,
     "rician": _rician,
     "rician_three_ues": _rician_three_ues,
-    "single_ue": lambda: presets.single_ue_config(0, ris_on=True, duration_s=4.0, warmup_s=1.0),
+    "single_ue": lambda: presets.single_ue_config(0, ris_on=True).with_overrides(
+        {"sim.duration_s": "4", "sim.warmup_s": "1"}
+    ),
     "three_ues": _three_ues,
 }
 
@@ -111,9 +120,9 @@ def table_digest(cfg, rebuilds: int = 3) -> str:
 
     The draws come from one builder call; every BLER row is read in full.
     """
-    dist = build_distribution(cfg)
+    setup = link_setup(cfg, build_distribution(cfg))
     h = hashlib.sha256()
-    for tables in build_link_tables(cfg, dist, np.random.default_rng(3), n_epochs=rebuilds):
+    for tables in build_link_tables(cfg, setup, np.random.default_rng(3), rebuilds):
         bler = [[row[:] for row in cells] for cells in tables.bler]
         for a in (tables.snr_db, tables.se, tables.rsrp, bler):
             h.update(np.array(a).tobytes())

@@ -222,13 +222,11 @@ def beam_metrics(
     spacing_ratio: float = QUARTER_WAVE,
     grid_step_deg: float = 0.05,
     phase_offsets: np.ndarray | None = None,
-    obs_start_deg: float = 0.0,
-    obs_stop_deg: float = 90.0,
 ) -> BeamMetrics:
     """Peak direction, half-power beamwidth and sidelobe level.
 
-    Metrics are computed on the forward-half observation grid
-    ``[obs_start_deg, obs_stop_deg]``: with symmetric illumination a
+    Metrics are computed on the forward-half observation grid, 0 to 90
+    deg in steps of ``grid_step_deg``: with symmetric illumination a
     plain two-level code has a mirror-symmetric pattern, so only the
     forward half carries information.  If the peak sits at a grid edge
     the beamwidth is mirrored from the in-grid half.  The sidelobe
@@ -238,7 +236,7 @@ def beam_metrics(
     if grid_step_deg > 0.1:
         raise ValueError(f"grid_step_deg must be <= 0.1 deg, got {grid_step_deg}")
     n_total = n_h * n_v
-    angles = np.arange(obs_start_deg, obs_stop_deg + grid_step_deg / 2, grid_step_deg)
+    angles = np.arange(0.0, 90.0 + grid_step_deg / 2, grid_step_deg)
     mags = np.abs(
         pattern_gains(code, illum_angle_deg, angles, n_h, n_v, spacing_ratio, phase_offsets)
     )

@@ -309,6 +309,8 @@ def validate(cfg: ExperimentConfig) -> None:
             )
     n_states = len(cfg.ris.angles) if cfg.ris.angles is not None else len(cfg.ues)
     if cfg.ris.angles is not None:
+        if not cfg.ris.angles:
+            errors.append("ris.angles: need at least one state")
         for nu, psi in cfg.ris.angles:
             if abs(nu) > 90 or abs(psi) > 90:
                 errors.append("ris.angles: state angles must be within +-90 deg")

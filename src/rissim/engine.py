@@ -1,5 +1,12 @@
 """Slot-ordered downlink MAC loop.
 
+The surface is a set of beam states, one per ``ris.angles`` entry (or
+per UE), each the one-bit profile steered at its angles.
+:func:`link_setup` turns the ``ris.*`` keys into those states and each
+UE's aligned state; :func:`run` switches between them every
+``ris.ts_slots``, in turn (periodic) or by an independent draw per
+interval (i.i.d., :func:`iid_state`).
+
 Per slot: advance the surface state, refresh CQI-derived rate estimates
 on their cadence, pick the UE (pending retransmissions first, then the
 configured policy), size the transport block, draw its outcome from the
@@ -36,7 +43,6 @@ import numpy as np
 
 from . import channel as ch
 from . import link_adapt as la_mod
-from . import ris_control as rc
 from .array_model import design_phase_offsets, upa_profile
 from .config import SLOT_MS, ConfigError, ExperimentConfig, scaled, to_slots, validate
 from .link_adapt import MAX_ATTEMPTS, MCS_TABLE_64QAM, LinkAdaptState
@@ -44,9 +50,9 @@ from .link_adapt import MAX_ATTEMPTS, MCS_TABLE_64QAM, LinkAdaptState
 SUBCARRIERS_PER_PRB = 12
 DRAW_CHUNK = 4096  # block-outcome uniforms drawn per refill
 EPOCH_BLOCK = 16  # coherence epochs whose link tables are built together
+GENIE_TOL_DEG = 1e-9  # a state within this of a UE's angles is steered at it
 
-# One TDD period: slot roles and schedulable DL symbols, 6 downlink, 1 mixed, 3 uplink.
-TDD_KINDS = ("dl",) * 6 + ("mixed",) + ("ul",) * 3
+# Schedulable DL symbols per slot of one TDD period: 6 downlink, 1 mixed, 3 uplink.
 TDD_DL_SYMBOLS = (13,) * 6 + (6,) + (0,) * 3
 
 
@@ -259,15 +265,28 @@ class LinkSetup:
         return sums
 
 
-def link_setup(cfg: ExperimentConfig, dist: rc.SamplingDistribution) -> LinkSetup:
-    """Compute the run constants of :func:`build_link_tables` once."""
+def link_setup(cfg: ExperimentConfig) -> LinkSetup:
+    """Compute the run constants of :func:`build_link_tables` once.
+
+    State ``s`` is the one-bit profile steered at ``ris.angles[s]``, or
+    at UE ``s``'s angles when ``ris.angles`` is unset.  A UE's aligned
+    state is the first within :data:`GENIE_TOL_DEG` of its angles, else -1.
+    """
     g = cfg.geom
-    aligned = []
-    for ue in cfg.ues:
-        try:
-            aligned.append(rc.genie_state_for(ue, dist))
-        except LookupError:
-            aligned.append(-1)
+    offsets = design_phase_offsets(g.n_h, g.n_v) if g.dither else None
+    angles = cfg.ris.angles if cfg.ris.angles is not None else [
+        (ue.nu_deg, ue.psi_deg) for ue in cfg.ues
+    ]
+    aligned = [
+        next(
+            (
+                s for s, (nu, psi) in enumerate(angles)
+                if abs(nu - ue.nu_deg) <= GENIE_TOL_DEG and abs(psi - ue.psi_deg) <= GENIE_TOL_DEG
+            ),
+            -1,
+        )
+        for ue in cfg.ues
+    ]
     return LinkSetup(
         los=tuple(
             ch.los_cascaded_channel(
@@ -275,7 +294,10 @@ def link_setup(cfg: ExperimentConfig, dist: rc.SamplingDistribution) -> LinkSetu
             )
             for ue in cfg.ues
         ),
-        weights=tuple(state.reflection_weights() for state in dist.states),
+        weights=tuple(
+            upa_profile(nu, psi, g.n_h, g.n_v, g.spacing_ratio, offsets).reflection_weights()
+            for nu, psi in angles
+        ),
         budgets=tuple(
             ch.LinkBudget(
                 tx_power_dbm=cfg.tx_power_dbm,
@@ -369,17 +391,20 @@ def _lazy_bler(snr_db: tuple[float, ...], curve) -> list:
     return cells
 
 
-def build_distribution(cfg: ExperimentConfig) -> rc.SamplingDistribution:
-    g = cfg.geom
-    offsets = design_phase_offsets(g.n_h, g.n_v) if g.dither else None
-    angles = cfg.ris.angles if cfg.ris.angles is not None else [
-        (ue.nu_deg, ue.psi_deg) for ue in cfg.ues
-    ]
-    states = [
-        upa_profile(nu, psi, g.n_h, g.n_v, g.spacing_ratio, offsets) for nu, psi in angles
-    ]
-    probs = list(cfg.ris.probs) if cfg.ris.probs is not None else [1.0 / len(states)] * len(states)
-    return rc.SamplingDistribution(states=states, probs=probs)
+def iid_state(seed: int, interval: int, probs: Sequence[float]) -> int:
+    """The state of switching interval ``interval`` under i.i.d. switching.
+
+    One uniform from ``SeedSequence((seed, interval))`` against the
+    cumulative probabilities, so each interval's state depends on the
+    seed and the interval alone.
+    """
+    u = np.random.default_rng(np.random.SeedSequence((seed, interval))).random()
+    acc = 0.0
+    for i, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return i
+    return len(probs) - 1
 
 
 def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
@@ -402,17 +427,17 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     rng_blocks = np.random.default_rng(ss_blocks)
     ris_seed = cfg.ris.seed if cfg.ris.seed is not None else int(ss_ris.generate_state(1)[0])
 
-    dist = build_distribution(cfg)
     coherence = cfg.chan.coherence_slots if cfg.chan.rician_k_db is not None else 0
-    setup = link_setup(cfg, dist)
-    off_row = len(dist)  # lookup row for mode "off"
+    setup = link_setup(cfg)
+    n_states = off_row = len(setup.weights)  # the last lookup row is mode "off"'s
     aligned_state = setup.aligned_state
     mode = cfg.ris.mode
     genie = mode == "genie"
     switching = mode in ("periodic", "iid")
+    periodic = mode == "periodic"
     if genie and any(a < 0 for a in aligned_state):
         raise ConfigError("ris.mode: genie requires a state aligned to every UE (ris.angles)")
-    policy = rc.SwitchPolicy(mode, ts_slots, ris_seed, cfg.ris.offset_slots) if switching else None
+    probs = cfg.ris.probs if cfg.ris.probs is not None else [1.0 / n_states] * n_states
 
     la = cfg.la
     floor = cfg.sched.floor
@@ -463,10 +488,11 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
             snr_tab, se_tab, rsrp_tab, bler_tab = next_tables()
             trace.add_epoch(rsrp_tab, snr_tab)
 
-        # State draws are per switching interval.
+        # One state per switching interval, set at its first slot.
         if switching and t == next_switch:
-            row = rc.state_at_slot(t, policy, dist)
-            next_switch = ((t + offset) // ts_slots + 1) * ts_slots - offset
+            interval = (t + offset) // ts_slots
+            row = interval % n_states if periodic else iid_state(ris_seed, interval, probs)
+            next_switch = (interval + 1) * ts_slots - offset
 
         # CQI cadence: refresh the scheduler-side rate estimates and caps
         # from the channel each UE currently measures.
@@ -572,7 +598,7 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     dl_slots = sum(scheduled)  # every downlink slot serves one UE
     tput = tuple((b / measured_s / 1e6) if measured_s > 0 else 0.0 for b in window_acked)
     summary = RunSummary(
-        duration_s=cfg.sim.duration_s,
+        duration_s=n_slots * SLOT_MS / 1000.0,
         measured_s=measured_s,
         n_slots=n_slots,
         throughput_mbps=tput,

@@ -81,7 +81,7 @@ def _calibrate(snr_aligned_db: tuple[float, float]) -> tuple[tuple[UeConfig, ...
     from . import engine  # here, so that importing the presets does not load the engine
 
     cfg = ExperimentConfig(geom=GEOMETRY, ues=tuple(UeConfig(nu, psi) for nu, psi in UE_ANGLES))
-    setup = engine.link_setup(cfg, engine.build_distribution(cfg))
+    setup = engine.link_setup(cfg)
     ues = []
     rsrp_offset_db = 0.0
     for k, (nu, psi) in enumerate(UE_ANGLES):

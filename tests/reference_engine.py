@@ -2,7 +2,7 @@
 README's "What is modeled" and checked against ``engine.run``.
 
 Every per-slot rule is spelled out one step at a time: the surface
-state is asked of ``ris_control.state_at_slot`` in every slot, a
+state is worked out from the slot's switching interval in every slot, a
 ``HarqProcess`` object carries each transport block, proportional fair
 and its EWMA keep per-UE dicts, round robin counts downlink slots, and
 the BLER window is checked in every slot.  The rules live here and not
@@ -17,8 +17,15 @@ Rules (README "What is modeled"):
 - Randomness: one master seed spawns three streams, for channel
   scatter, block outcomes and i.i.d. switching (unless ``ris.seed``
   is set).  One block-outcome uniform is drawn per transmission.
-- Link tables come from ``engine.build_link_tables``, one call per
-  coherence epoch (``tests/test_fast_paths.py`` checks them).
+- Surface: one beam state per ``ris.angles`` pair, or per UE when that
+  is unset.  A UE's own beam is the first state at its angles.  Slot
+  ``t`` lies in interval ``(t + ris.offset_slots) // ts_slots``;
+  periodic switching takes the states in turn, one per interval, and
+  i.i.d. switching draws one uniform from ``SeedSequence((seed,
+  interval))`` against the cumulative ``ris.probs`` (uniform if unset).
+- Link tables come from ``engine.link_setup`` and
+  ``engine.build_link_tables``, one call per coherence epoch
+  (``tests/test_fast_paths.py`` checks them).
 - CQI cadence: each UE's rate estimate and MCS cap come from the
   channel it measures: its own beam under genie, else the state in
   force.
@@ -41,7 +48,6 @@ from rissim import engine
 from rissim.array_model import RisPhaseProfile
 from rissim.config import SLOT_MS, ExperimentConfig, scaled, to_slots, validate
 from rissim.link_adapt import MCS_TABLE_64QAM, MAX_ATTEMPTS, LinkAdaptState, cqi_update, step_mcs
-from rissim.ris_control import SwitchPolicy, genie_state_for, state_at_slot
 
 # Schedulable downlink symbols per slot of one TDD period: 6 DL, 1 mixed, 3 UL.
 DL_SYMBOLS = (13, 13, 13, 13, 13, 13, 6, 0, 0, 0)
@@ -157,19 +163,22 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
     rng_blocks = np.random.default_rng(ss_blocks)
     ris_seed = cfg.ris.seed if cfg.ris.seed is not None else int(ss_ris.generate_state(1)[0])
 
-    dist = engine.build_distribution(cfg)
-    setup = engine.link_setup(cfg, dist)
+    setup = engine.link_setup(cfg)
     coherence = cfg.chan.coherence_slots if cfg.chan.rician_k_db is not None else 0
     mode = cfg.ris.mode
-    own_beam = {}  # UE -> the state steered at it; genie runs need one for every UE
+    if cfg.ris.angles is not None:
+        state_angles = list(cfg.ris.angles)
+    else:
+        state_angles = [(ue.nu_deg, ue.psi_deg) for ue in cfg.ues]
+    n_states = len(state_angles)
+    probs = list(cfg.ris.probs) if cfg.ris.probs is not None else [1.0 / n_states] * n_states
+    own_beam = {}  # UE -> the first state steered at it; genie runs need one for every UE
     for k, ue in enumerate(cfg.ues):
-        try:
-            own_beam[k] = genie_state_for(ue, dist)
-        except LookupError:
-            pass
-    switching = mode in ("periodic", "iid")
-    policy = SwitchPolicy(mode, ts_slots, ris_seed, cfg.ris.offset_slots) if switching else None
-    no_surface_row = len(dist)  # the link tables' last row
+        for s, (nu, psi) in enumerate(state_angles):
+            if abs(nu - ue.nu_deg) <= 1e-9 and abs(psi - ue.psi_deg) <= 1e-9:
+                own_beam[k] = s
+                break
+    no_surface_row = n_states  # the link tables' last row
 
     t_avg = {k: cfg.sched.floor for k in range(n_ues)}
     rate = {k: 0.0 for k in range(n_ues)}
@@ -184,8 +193,19 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
     for t in range(n_slots):
         if t == 0 or (coherence and t % coherence == 0):
             [tables] = engine.build_link_tables(cfg, setup, rng_channel)
-        if switching:
-            surface = state_at_slot(t, policy, dist)
+        if mode in ("periodic", "iid"):
+            interval = (t + cfg.ris.offset_slots) // ts_slots
+            if mode == "periodic":
+                surface = interval % n_states
+            else:
+                u = np.random.default_rng(np.random.SeedSequence((ris_seed, interval))).random()
+                surface = n_states - 1
+                cumulative = 0.0
+                for s, p in enumerate(probs):
+                    cumulative += p
+                    if u < cumulative:
+                        surface = s
+                        break
 
         if t % cqi_slots == 0:
             for k in range(n_ues):

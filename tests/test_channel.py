@@ -117,11 +117,9 @@ class TestLinkMaps:
 
 def _first_tables(cfg):
     """The link tables of a preset's first channel epoch."""
-    from rissim.engine import build_distribution, build_link_tables, link_setup
+    from rissim.engine import build_link_tables, link_setup
 
-    [tables] = build_link_tables(
-        cfg, link_setup(cfg, build_distribution(cfg)), np.random.default_rng(0)
-    )
+    [tables] = build_link_tables(cfg, link_setup(cfg), np.random.default_rng(0))
     return tables
 
 

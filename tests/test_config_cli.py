@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import runpy
 import shlex
 import subprocess
 import sys
@@ -99,6 +100,13 @@ class TestValidation:
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_text("this is not a config\n")
+
+    def test_empty_state_set_names_key(self):
+        from rissim.engine import run
+
+        cfg = presets.schedule_config()
+        with pytest.raises(ConfigError, match="ris.angles: need at least one state"):
+            run(replace(cfg, ris=replace(cfg.ris, angles=())))
 
 
 class TestCli:
@@ -296,6 +304,10 @@ class TestNonFinite:
             ("chan.rician_k_db", "nan"),
             ("sim.seed", "-1"),
             ("ris.seed", "-1"),
+            ("ris.probs", "0.6,0.6"),
+            ("ris.probs", "-0.5,1.5"),
+            ("ris.probs", "1.0"),  # one probability for two states
+            ("ris.ts_slots", "0"),
         ],
     )
     def test_cli_rejects_with_config_code(self, tmp_path, capsys, key, value):
@@ -367,6 +379,27 @@ class TestBenchmarkSetupProbe:
         )
         assert done.returncode == 0, done.stderr
         assert "ready" in json.loads(done.stdout.splitlines()[-1])
+
+
+class TestScripts:
+    """The scripts call the preset and engine API; nothing else runs them."""
+
+    root = Path(cli.__file__).resolve().parents[2]
+
+    def test_show_calibration_prints_every_ue(self):
+        env = {**os.environ, "PYTHONPATH": str(self.root / "src")}
+        done = subprocess.run(
+            [sys.executable, str(self.root / "scripts" / "show_calibration.py")],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert sum(line.lstrip().startswith("UE") for line in done.stdout.splitlines()) == 4
+
+    def test_single_ue_table_imports_resolve(self):
+        names = runpy.run_path(
+            str(self.root / "scripts" / "run_single_ue_table.py"), run_name="not_main"
+        )
+        assert callable(names["run_summaries"]) and names["presets"] is presets
 
 
 # Generated configs: every section field, 1..4 UEs, optional keys present or absent.

@@ -14,7 +14,6 @@ from rissim.config import ChannelConfig, ConfigError
 from rissim.engine import (
     MCS_TABLE_64QAM,
     TDD_DL_SYMBOLS,
-    TDD_KINDS,
     run,
     _alpha_configs,
     run_summaries,
@@ -73,20 +72,16 @@ class TestTddStructure:
     """One TDD period as the slot loop reads it: slot ``t`` has phase ``t % 10``."""
 
     def test_first_slot_is_full_downlink(self):
-        assert (TDD_KINDS[0], TDD_DL_SYMBOLS[0]) == ("dl", 13)
+        assert TDD_DL_SYMBOLS[0] == 13
 
     def test_slot_six_is_mixed(self):
-        assert (TDD_KINDS[6], TDD_DL_SYMBOLS[6]) == ("mixed", 6)
+        assert TDD_DL_SYMBOLS[6] == 6
 
     def test_slot_seventeen_is_uplink(self):
-        phase = 17 % len(TDD_KINDS)
-        assert (TDD_KINDS[phase], TDD_DL_SYMBOLS[phase]) == ("ul", 0)
+        assert TDD_DL_SYMBOLS[17 % len(TDD_DL_SYMBOLS)] == 0
 
     def test_period_composition(self):
-        assert len(TDD_KINDS) == len(TDD_DL_SYMBOLS) == 10
-        assert TDD_KINDS.count("dl") == 6
-        assert TDD_KINDS.count("ul") == 3
-        assert TDD_KINDS.count("mixed") == 1
+        assert TDD_DL_SYMBOLS == (13, 13, 13, 13, 13, 13, 6, 0, 0, 0)
 
 
 class TestTransportBlocks:
@@ -133,7 +128,7 @@ class TestRunBasics:
         # 1.3 ms is not a whole number of slots: the run simulates 3 slots, 1.5 ms.
         trace, summary = run(timed(presets.schedule_config(), 0.0013, 0.0))
         assert len(trace) == summary.n_slots == 3
-        assert summary.measured_s == 0.0015
+        assert summary.measured_s == summary.duration_s == 0.0015
         assert summary.acked_bits > 0
         assert summary.aggregate_mbps == pytest.approx(summary.acked_bits / 0.0015 / 1e6)
 
@@ -166,7 +161,7 @@ class TestRunBasics:
         for t, (ue, mcs, tb, nack, retx) in enumerate(
             zip(trace.ue, trace.mcs, trace.tb_bits, trace.nack, trace.retx)
         ):
-            if TDD_KINDS[t % len(TDD_KINDS)] == "ul":
+            if TDD_DL_SYMBOLS[t % len(TDD_DL_SYMBOLS)] == 0:
                 assert (ue, mcs, tb, nack, retx) == (None, None, 0, False, False)
             else:
                 assert ue is not None and mcs is not None and tb > 0

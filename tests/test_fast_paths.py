@@ -10,11 +10,11 @@ from rissim import channel as ch
 from rissim import engine
 from rissim import link_adapt as la
 from rissim import presets
+from rissim.array_model import design_phase_offsets, upa_profile
 from rissim.engine import (
     DRAW_CHUNK,
     EPOCH_BLOCK,
     MCS_TABLE_64QAM,
-    build_distribution,
     build_link_tables,
     link_setup,
     tb_bits,
@@ -53,10 +53,19 @@ def test_block_draw_equals_successive_scatter_calls():
     assert block.bit_generator.state == successive.bit_generator.state
 
 
-def _reference_tables(cfg, dist, rng, rician_k_db):
+def _states(cfg):
+    """The surface's beam-state profiles: one per UE, as no ``ris.angles`` is set."""
+    g = cfg.geom
+    offsets = design_phase_offsets(g.n_h, g.n_v) if g.dither else None
+    return [
+        upa_profile(ue.nu_deg, ue.psi_deg, g.n_h, g.n_v, g.spacing_ratio, offsets) for ue in cfg.ues
+    ]
+
+
+def _reference_tables(cfg, states, rng, rician_k_db):
     """The link tables computed call by call, one (state, UE, MCS) at a time."""
     g = cfg.geom
-    n_rows = len(dist) + 1
+    n_rows = len(states) + 1
     snr_db = np.zeros((n_rows, len(cfg.ues)))
     se = np.zeros_like(snr_db)
     rsrp = np.zeros_like(snr_db)
@@ -67,7 +76,7 @@ def _reference_tables(cfg, dist, rng, rician_k_db):
             ue.nu_deg, ue.psi_deg, g.n_h, g.n_v, g.spacing_ratio,
             amplitude=1.0 / (g.n_h * g.n_v), rician_k_db=rician_k_db, rng=rng,
         )
-        effs = [effective_channel(state, h_c) + ue.direct_leak for state in dist.states]
+        effs = [effective_channel(state, h_c) + ue.direct_leak for state in states]
         effs.append(complex(ue.noris_gain))
         for s, h_eff in enumerate(effs):
             lin = ch.snr_linear(h_eff, budget)
@@ -114,8 +123,8 @@ def test_hoisted_builder_is_bitwise_equal_to_reference(rician_k_db):
         cfg = cfg.with_overrides(
             {"chan.rician_k_db": str(rician_k_db), "chan.coherence_slots": "20"}
         )
-    dist = build_distribution(cfg)
-    setup = link_setup(cfg, dist)
+    states = _states(cfg)
+    setup = link_setup(cfg)
     rng_fast = np.random.default_rng(5)
     rng_ref = np.random.default_rng(5)
     # A full and a partial block in one call, then a second call on the same stream.
@@ -124,7 +133,7 @@ def test_hoisted_builder_is_bitwise_equal_to_reference(rician_k_db):
         *build_link_tables(cfg, setup, rng_fast),
     ]
     for tables in epochs:
-        reference = _reference_tables(cfg, dist, rng_ref, rician_k_db)
+        reference = _reference_tables(cfg, states, rng_ref, rician_k_db)
         for got, want in zip(_arrays(tables), reference):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -160,9 +169,9 @@ def test_run_tables_are_bitwise_equal_to_reference(n_ues, coherence, n_epochs, m
     assert len(trace) == n_epochs * coherence - coherence // 2
     assert len(built) == len(trace.snr) == n_epochs
     rng_ref = np.random.default_rng(np.random.SeedSequence(cfg.sim.seed).spawn(3)[0])
-    dist = build_distribution(cfg)
+    states = _states(cfg)
     for tables, snr, rsrp in zip(built, trace.snr, trace.rsrp):
         assert snr is tables.snr_db and rsrp is tables.rsrp
-        reference = _reference_tables(cfg, dist, rng_ref, 6.0)
+        reference = _reference_tables(cfg, states, rng_ref, 6.0)
         for got, want in zip(_arrays(tables), reference):
             assert got.tobytes() == want.tobytes()

@@ -19,13 +19,7 @@ import pytest
 from rissim import presets
 from rissim.cli import main
 from rissim.config import ChannelConfig, ExperimentConfig, serialize
-from rissim.engine import (
-    build_distribution,
-    build_link_tables,
-    link_setup,
-    run,
-    write_trace_csv,
-)
+from rissim.engine import build_link_tables, link_setup, run, write_trace_csv
 
 HISTOGRAM_KEYS = (
     "aligned_fraction", "misaligned_fraction",
@@ -120,7 +114,7 @@ def table_digest(cfg, rebuilds: int = 3) -> str:
 
     The draws come from one builder call; every BLER row is read in full.
     """
-    setup = link_setup(cfg, build_distribution(cfg))
+    setup = link_setup(cfg)
     h = hashlib.sha256()
     for tables in build_link_tables(cfg, setup, np.random.default_rng(3), rebuilds):
         bler = [[row[:] for row in cells] for cells in tables.bler]

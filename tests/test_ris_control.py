@@ -1,106 +1,89 @@
-"""State set, switching policies, and the genie lookup."""
+"""The surface's beam states, its switching rule and the genie lookup.
 
-from types import SimpleNamespace
+The switching sequences are read from ``engine.run``'s trace: in the
+switching modes a slot's table row is the surface state in force.
+"""
 
-import numpy as np
 import pytest
 
-from rissim.array_model import upa_profile
-from rissim.ris_control import SamplingDistribution, SwitchPolicy, genie_state_for, state_at_slot
-
-
-def _two_states(nu1_deg, nu2_deg, n):
-    """Equal-probability states steered at two azimuths on an n x n surface."""
-    states = [upa_profile(nu, 0.0, n, n) for nu in (nu1_deg, nu2_deg)]
-    return SamplingDistribution(states=states, probs=[0.5, 0.5])
+from rissim import presets
+from rissim.config import ConfigError
+from rissim.engine import iid_state, link_setup, run
 
 
 @pytest.fixture(scope="module")
-def dist():
-    return _two_states(30.0, 45.0, 8)
+def base():
+    """The two-UE scheduling preset (UEs at 30 and 45 deg, one state each), from slot 0."""
+    return presets.schedule_config().with_overrides(
+        {"sim.warmup_s": "0", "ris.offset_slots": "0"}
+    )
+
+
+def states(cfg, mode="periodic", slots=10, **ris):
+    """The surface state of each of the first ``slots`` slots of a run."""
+    overrides = {"ris.mode": mode, "sim.duration_s": str(slots * 0.5e-3)}
+    overrides.update({f"ris.{key}": str(value) for key, value in ris.items()})
+    return run(cfg.with_overrides(overrides))[0].row
 
 
 class TestDistribution:
-    def test_two_states_equal_probability(self, dist):
-        assert len(dist) == 2
-        assert dist.probs == [0.5, 0.5]
-        assert dist.states[0].nu_deg == 30.0
-        assert dist.states[1].nu_deg == 45.0
+    def test_two_states_equal_probability(self, base):
+        setup = link_setup(base)
+        assert len(setup.weights) == 2 and setup.aligned_state == (0, 1)
+        # Without ris.probs every state is equally likely.
+        seq = states(base, "iid", slots=50, ts_slots=1, seed=42)
+        assert seq == [iid_state(42, t, [0.5, 0.5]) for t in range(50)]
 
-    def test_identical_angles_still_two_entries(self):
-        d = _two_states(30.0, 30.0, 4)
-        assert len(d) == 2
-
-    def test_probs_must_sum_to_one(self, dist):
-        assert sum(dist.probs) == pytest.approx(1.0, abs=1e-9)
-        with pytest.raises(ValueError):
-            SamplingDistribution(states=dist.states, probs=[0.6, 0.6])
+    def test_identical_angles_still_two_entries(self, base):
+        setup = link_setup(base.with_overrides({"ris.angles": "30:0,30:0"}))
+        assert len(setup.weights) == 2
+        assert setup.aligned_state == (0, -1)  # the first match
 
 
 class TestPeriodicSwitching:
-    def test_alternation_with_interval_two(self, dist):
-        pol = SwitchPolicy(mode="periodic", ts_slots=2)
-        seq = [state_at_slot(t, pol, dist) for t in range(6)]
-        assert seq == [0, 0, 1, 1, 0, 0]
+    def test_alternation_with_interval_two(self, base):
+        assert states(base, slots=6, ts_slots=2) == [0, 0, 1, 1, 0, 0]
 
-    def test_slot_zero_is_state_zero(self, dist):
-        pol = SwitchPolicy(mode="periodic", ts_slots=7)
-        assert state_at_slot(0, pol, dist) == 0
+    def test_slot_zero_is_state_zero(self, base):
+        assert states(base, slots=1, ts_slots=7) == [0]
 
-    def test_exact_dwell_counts_over_full_cycle(self, dist):
+    def test_exact_dwell_counts_over_full_cycle(self, base):
         ts = 5
-        pol = SwitchPolicy(mode="periodic", ts_slots=ts)
-        seq = [state_at_slot(t, pol, dist) for t in range(2 * ts)]
+        seq = states(base, slots=2 * ts, ts_slots=ts)
         assert seq.count(0) == ts and seq.count(1) == ts
         for start in range(0, 2 * ts, ts):
             assert len(set(seq[start : start + ts])) == 1
 
-    def test_offset_shifts_boundaries(self, dist):
-        pol = SwitchPolicy(mode="periodic", ts_slots=4, offset_slots=3)
-        assert state_at_slot(0, pol, dist) == 0
-        assert state_at_slot(1, pol, dist) == 1  # (1+3)//4 = 1
-
-    def test_negative_slot_rejected(self, dist):
-        pol = SwitchPolicy(mode="periodic", ts_slots=4)
-        with pytest.raises(ValueError):
-            state_at_slot(-1, pol, dist)
+    def test_offset_shifts_boundaries(self, base):
+        seq = states(base, slots=9, ts_slots=4, offset_slots=3)
+        assert seq == [0, 1, 1, 1, 1, 0, 0, 0, 0]  # slot 1 starts interval (1+3)//4 = 1
 
 
 class TestIidSwitching:
-    def test_reproducible_from_seed(self, dist):
-        pol = SwitchPolicy(mode="iid", ts_slots=10, seed=42)
-        seq1 = [state_at_slot(t, pol, dist) for t in range(0, 500, 10)]
-        seq2 = [state_at_slot(t, pol, dist) for t in range(0, 500, 10)]
+    def test_reproducible_from_seed(self):
+        seq1 = [iid_state(42, i, [0.5, 0.5]) for i in range(50)]
+        seq2 = [iid_state(42, i, [0.5, 0.5]) for i in range(50)]
         assert seq1 == seq2
 
-    def test_constant_within_interval(self, dist):
-        pol = SwitchPolicy(mode="iid", ts_slots=10, seed=7)
+    def test_constant_within_interval(self, base):
+        seq = states(base, "iid", slots=100, ts_slots=10, seed=7)
         for start in range(0, 100, 10):
-            vals = {state_at_slot(t, pol, dist) for t in range(start, start + 10)}
-            assert len(vals) == 1
+            assert len(set(seq[start : start + 10])) == 1
+        assert seq[::10] == [iid_state(7, i, [0.5, 0.5]) for i in range(10)]
 
-    def test_empirical_frequency_converges(self, dist):
-        pol = SwitchPolicy(mode="iid", ts_slots=1, seed=123)
+    def test_empirical_frequency_converges(self):
         n = 100_000
-        hits = sum(state_at_slot(t, pol, dist) == 0 for t in range(n))
+        hits = sum(iid_state(123, i, [0.5, 0.5]) == 0 for i in range(n))
         assert hits / n == pytest.approx(0.5, abs=0.01)
 
 
 class TestGenieLookup:
-    def test_finds_own_state(self, dist):
-        assert genie_state_for(SimpleNamespace(nu_deg=30.0, psi_deg=0.0), dist) == 0
-        assert genie_state_for(SimpleNamespace(nu_deg=45.0, psi_deg=0.0), dist) == 1
+    def test_finds_own_state(self, base):
+        cfg = base.with_overrides({"ris.angles": "45:0,30:0"})
+        assert link_setup(cfg).aligned_state == (1, 0)
 
-    def test_missing_angle_raises(self, dist):
-        with pytest.raises(LookupError):
-            genie_state_for(SimpleNamespace(nu_deg=60.0, psi_deg=0.0), dist)
-
-
-class TestPolicyValidation:
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            SwitchPolicy(mode="sometimes", ts_slots=1)
-
-    def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            SwitchPolicy(mode="periodic", ts_slots=0)
+    def test_missing_angle_raises(self, base):
+        cfg = base.with_overrides({"ris.angles": "30:0,60:0"})
+        assert link_setup(cfg).aligned_state == (0, -1)
+        with pytest.raises(ConfigError, match="ris.mode: genie"):
+            run(cfg.with_overrides({"ris.mode": "genie", "sim.duration_s": "0.01"}))

@@ -22,7 +22,7 @@ plain two-level surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -94,12 +94,7 @@ class RisPhaseProfile:
 
     continuous: np.ndarray
     code: np.ndarray
-    nu_deg: float
-    psi_deg: float
-    phase_offsets: np.ndarray | None = field(default=None)
-
-    def __len__(self) -> int:
-        return self.continuous.size
+    phase_offsets: np.ndarray | None = None
 
     def reflection_weights(self) -> np.ndarray:
         """Realized per-element reflection phasors exp(j*(offset + pi*code))."""
@@ -131,13 +126,7 @@ def upa_profile(
         if phase_offsets.size != continuous.size:
             raise ValueError("phase_offsets length does not match the array size")
         code = quantize_one_bit(continuous * np.exp(1j * phase_offsets))
-    return RisPhaseProfile(
-        continuous=continuous,
-        code=code,
-        nu_deg=nu_deg,
-        psi_deg=psi_deg,
-        phase_offsets=phase_offsets,
-    )
+    return RisPhaseProfile(continuous=continuous, code=code, phase_offsets=phase_offsets)
 
 
 def pattern_gains(

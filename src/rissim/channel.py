@@ -40,34 +40,26 @@ def los_cascaded_channel(
     n_v: int,
     spacing_ratio: float = QUARTER_WAVE,
     amplitude: float = 1.0,
-    rician_k_db: float | None = None,
-    rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Line-of-sight cascaded channel at angles (nu, psi), broadside feed.
+    """Line-of-sight cascaded channel at angles (nu, psi), broadside feed:
+    ``amplitude`` times the planar-array response.
 
-    The deterministic component is ``amplitude`` times the planar-array
-    response.  When ``rician_k_db`` is given, an independent complex
-    Gaussian scatter term is added with per-element power
-    ``amplitude**2 / K`` so the line-of-sight-to-scatter power ratio
-    equals the K-factor.
+    Rician scatter (:func:`rician_scatter`) adds to it; the engine draws
+    the scatter of a block of coherence epochs at once.
     """
     if amplitude <= 0.0:
         raise ValueError(f"amplitude must be positive, got {amplitude}")
-    los = amplitude * np.kron(
+    return amplitude * np.kron(
         steering_vector(nu_deg, n_h, spacing_ratio),
         steering_vector(psi_deg, n_v, spacing_ratio),
     )
-    if rician_k_db is not None:
-        if rng is None:
-            raise ValueError("rician_k_db requires an rng")
-        los = los + rician_scatter(amplitude, rician_k_db, n_h * n_v, rng)
-    return los
 
 
 def rician_scatter(
     amplitude: float, rician_k_db: float, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Complex Gaussian scatter with per-element power ``amplitude**2 / K``.
+    """Complex Gaussian scatter with per-element power ``amplitude**2 / K``,
+    so the line-of-sight-to-scatter power ratio equals the K-factor.
 
     Draws the ``n`` real parts, then the ``n`` imaginary parts.
     """

@@ -315,6 +315,10 @@ def validate(cfg: ExperimentConfig) -> None:
             if abs(nu) > 90 or abs(psi) > 90:
                 errors.append("ris.angles: state angles must be within +-90 deg")
                 break
+    if cfg.ris.mode != "iid":
+        for key, value in (("ris.seed", cfg.ris.seed), ("ris.probs", cfg.ris.probs)):
+            if value is not None:
+                errors.append(f"{key}: only ris.mode iid reads it, got ris.mode {cfg.ris.mode!r}")
     if cfg.ris.probs is not None:
         if len(cfg.ris.probs) != n_states:
             errors.append("ris.probs: must have one probability per state")

@@ -15,9 +15,10 @@ scheduler and the EWMA see the CQI-cadence rate estimates, as a
 CQI-driven MAC does; the block outcome is drawn against the true
 current SNR, which is what produces the measured-BLER excursions right
 after a surface switch.  The per-slot rules (PF argmax, EWMA, round
-robin, HARQ) are written inline in :func:`run`; the literal reference
-loop in ``tests/reference_engine.py`` restates them one step at a time
-and is checked against it.
+robin, HARQ, and the outer loop's CQI cap and BLER-window MCS step) are
+written inline in :func:`run`, their state in plain per-UE lists; the
+literal reference loop in ``tests/reference_engine.py`` restates them
+one step at a time and is checked against it.
 
 The run's one per-slot record is :class:`Trace`: six columns (table
 row, UE, MCS, TB bits, NACK, retransmission) plus the RSRP and SNR
@@ -45,7 +46,7 @@ from . import channel as ch
 from . import link_adapt as la_mod
 from .array_model import design_phase_offsets, upa_profile
 from .config import SLOT_MS, ConfigError, ExperimentConfig, scaled, to_slots, validate
-from .link_adapt import MAX_ATTEMPTS, MCS_TABLE_64QAM, LinkAdaptState
+from .link_adapt import MAX_ATTEMPTS, MCS_TABLE_64QAM
 
 SUBCARRIERS_PER_PRB = 12
 DRAW_CHUNK = 4096  # block-outcome uniforms drawn per refill
@@ -444,8 +445,14 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     decay = 1.0 - alpha
     round_robin = cfg.sched.kind == "rr"
     t_avg = [floor] * n_ues  # PF average rates
-    la_states = [LinkAdaptState(mcs=la.mcs_min, mcs_min=la.mcs_min) for _ in range(n_ues)]
-    cqi_update, step_mcs = la_mod.cqi_update, la_mod.step_mcs
+    # Outer loop, per UE: the MCS of new blocks, its CQI cap (first set at
+    # slot 0, a CQI slot) and the current BLER window's counts.
+    mcs_min = la.mcs_min
+    mcs_of = [mcs_min] * n_ues
+    cap_of = [len(MCS_TABLE_64QAM) - 1] * n_ues
+    win_sched = [0] * n_ues
+    win_retx = [0] * n_ues
+    cqi_levels = tuple(enumerate(setup.thresholds_db))[mcs_min:]  # (index, threshold)
 
     trace = Trace(n_slots, off_row, coherence, aligned_state)
     rows, ues, mcss, tbs, nacks, retxs = (
@@ -495,15 +502,18 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
             next_switch = (interval + 1) * ts_slots - offset
 
         # CQI cadence: refresh the scheduler-side rate estimates and caps
-        # from the channel each UE currently measures.
+        # from the channel each UE currently measures.  The cap is the last
+        # index whose threshold fits: index 16's threshold is above 17's.
         if t % cqi_slots == 0:
             for k in range(n_ues):
                 meas_row = aligned_state[k] if genie else row
-                las = la_states[k]
-                las.mcs_max_from_cqi = cqi_update(
-                    snr_tab[meas_row][k], setup.thresholds_db, la.cqi_backoff_db, la.mcs_min
-                )
-                las.clamp()
+                limit = snr_tab[meas_row][k] - la.cqi_backoff_db
+                cap = mcs_min
+                for index, threshold in cqi_levels:
+                    if threshold <= limit:
+                        cap = index
+                cap_of[k] = cap
+                mcs_of[k] = min(max(mcs_of[k], mcs_min), cap)
                 rate_est[k] = se_tab[meas_row][k]
 
         tb_row = phase_tb[t % period]
@@ -520,7 +530,7 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
                         m = rate_est[k] / max(t_avg[k], floor)
                         if m > best:
                             ue, best = k, m
-                mcs = la_states[ue].mcs
+                mcs = mcs_of[ue]
                 tb = tb_row[mcs]
                 new_tx_bits += tb
             attempts += 1
@@ -536,10 +546,9 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
                 discarded_bits += tb
                 attempts = 0
 
-            las = la_states[ue]
-            las.win_scheduled += 1
+            win_sched[ue] += 1
             if retx:
-                las.win_retx += 1
+                win_retx[ue] += 1
 
             # EWMA: every UE decays, the served one adds its rate.
             for k in range(n_ues):
@@ -553,10 +562,16 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
             nacks[t] = nack
             retxs[t] = retx
 
-        # Outer loop: step every UE's MCS at the end of each BLER window.
+        # Outer loop: at the end of each BLER window every UE's MCS steps one
+        # index on its retransmission ratio (0.0 for an empty window).
         if (t + 1) % window_slots == 0:
-            for las in la_states:
-                step_mcs(las, la.bler_low, la.bler_high)
+            for k in range(n_ues):
+                scheduled = win_sched[k]
+                ratio = win_retx[k] / scheduled if scheduled else 0.0
+                step = 1 if ratio < la.bler_low else -1 if ratio > la.bler_high else 0
+                mcs_of[k] = min(max(mcs_of[k] + step, mcs_min), cap_of[k])
+            win_sched = [0] * n_ues
+            win_retx = [0] * n_ues
 
     inflight_bits = tb if attempts else 0
     # Rates divide by the simulated span, a whole number of slots.
@@ -667,12 +682,14 @@ def sweep_table(cfg: ExperimentConfig, alphas: list[float]) -> list[RunSummary]:
     Each alpha run gets an independent seed derived from the master seed;
     the configured time-compression factor applies to every point, so the
     (alpha, switching-interval) pairing is preserved across the sweep.  The
-    reference runs keep the master seed and ``sched.alpha``.  All the runs
-    go to one :func:`run_summaries` call.
+    reference runs keep the master seed and ``sched.alpha``, and drop the
+    i.i.d.-only ``ris.seed`` and ``ris.probs``.  All the runs go to one
+    :func:`run_summaries` call.
     """
+    ris = replace(cfg.ris, seed=None, probs=None)
     return run_summaries(_alpha_configs(cfg, alphas) + [
-        cfg.with_overrides({"ris.mode": "genie", "sched.kind": "rr"}),
-        cfg.with_overrides({"ris.mode": "off"}),
+        replace(cfg, ris=replace(ris, mode="genie"), sched=replace(cfg.sched, kind="rr")),
+        replace(cfg, ris=replace(ris, mode="off")),
     ])
 
 

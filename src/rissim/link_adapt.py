@@ -1,15 +1,13 @@
-"""Rate adaptation: MCS table, block-error model, stepping, CQI cap.
+"""Rate-adaptation constants: MCS table, block-error model, HARQ budget.
 
 The block-error abstraction is a logistic curve in SNR (dB) anchored at
 a per-MCS threshold: the Shannon limit of the entry's spectral
-efficiency plus an implementation margin.  An outer loop steps the MCS
-index by one whenever the measured retransmission ratio over a tumbling
-window leaves the [low, high] band; the CQI report caps the usable
-index on a slower cadence.  These steps run only at window and CQI
-boundaries.  ``MAX_ATTEMPTS`` is the HARQ budget: a failed transport
-block is retransmitted at the same MCS at most three times before it is
-discarded.  That per-slot rule is written inline in ``engine.run``, and
-``tests/reference_engine.py`` restates it with an explicit process object.
+efficiency plus an implementation margin.  ``MAX_ATTEMPTS`` is the HARQ
+budget: a failed transport block is retransmitted at the same MCS at
+most three times before it is discarded.  The rules that use these
+constants (HARQ, and the outer loop that steps the MCS on a BLER window
+under a CQI cap) are written inline in ``engine.run``, and
+``tests/reference_engine.py`` restates them one step at a time.
 """
 
 from __future__ import annotations
@@ -88,51 +86,3 @@ def bler_curve(
         else:
             out.append(1.0 / (1.0 + math.exp(x)))
     return out
-
-
-@dataclass
-class LinkAdaptState:
-    """Per-UE outer-loop state."""
-
-    mcs: int = LaConfig.mcs_min
-    mcs_min: int = LaConfig.mcs_min
-    mcs_max_from_cqi: int = 28
-    win_scheduled: int = 0
-    win_retx: int = 0
-
-    def clamp(self) -> None:
-        self.mcs = min(max(self.mcs, self.mcs_min), self.mcs_max_from_cqi)
-
-
-def step_mcs(state: LinkAdaptState, bler_low: float, bler_high: float) -> None:
-    """One outer-loop step at a window boundary.
-
-    The window's retransmission ratio (0.0 for an empty window) moves the
-    MCS by one step up below ``bler_low`` or down above ``bler_high``; the
-    index is then clamped and the window counters reset.
-    """
-    scheduled = state.win_scheduled
-    measured = state.win_retx / scheduled if scheduled > 0 else 0.0
-    if measured < bler_low:
-        state.mcs += 1
-    elif measured > bler_high:
-        state.mcs -= 1
-    state.clamp()
-    state.win_scheduled = state.win_retx = 0
-
-
-def cqi_update(
-    snr_db: float, thresholds_db: tuple[float, ...], cqi_backoff_db: float, mcs_min: int
-) -> int:
-    """Channel-quality cap: last index whose threshold fits under
-    ``snr_db - cqi_backoff_db``, floored at ``mcs_min``.
-
-    The scan does not stop at the first index that does not fit: the
-    spectral efficiencies are not monotone (index 16 is above index 17).
-    """
-    cap = mcs_min
-    limit = snr_db - cqi_backoff_db
-    for index in range(mcs_min, len(thresholds_db)):
-        if thresholds_db[index] <= limit:
-            cap = index
-    return cap

@@ -5,10 +5,12 @@ Every per-slot rule is spelled out one step at a time: the surface
 state is worked out from the slot's switching interval in every slot, a
 ``HarqProcess`` object carries each transport block, proportional fair
 and its EWMA keep per-UE dicts, round robin counts downlink slots, and
-the BLER window is checked in every slot.  The rules live here and not
-in the package: ``engine.run`` inlines them, and
+an ``OuterLoop`` record per UE holds its MCS, CQI cap and BLER window,
+which is checked in every slot.  The rules live here and not in the
+package: ``engine.run`` inlines them, and
 ``tests/test_reference_engine.py`` asserts that both give the same
-trace columns and bit counters.
+trace columns and bit counters.  Only the MCS table and the HARQ budget
+come from ``rissim.link_adapt``.
 
 Rules (README "What is modeled"):
 
@@ -34,7 +36,18 @@ Rules (README "What is modeled"):
 - PF: argmax of rate / max(average, floor), ties to the lowest index;
   after every downlink slot every UE's average decays and the served
   UE's adds alpha times its rate, floored.
-- Outer loop: every UE's MCS steps at the end of each BLER window.
+- Round robin: new blocks go to UE ``downlink slots so far % K``.  The
+  count includes retransmission slots, so a UE's retransmissions move
+  it: at ``la.mcs_min = 27``, where most blocks take 4 transmissions,
+  K=2 and K=4 runs can serve UE 0 alone.
+- Outer loop: every MCS starts at ``la.mcs_min``.  At each CQI slot a
+  UE's cap becomes the highest index from ``la.mcs_min`` on whose
+  threshold is at most its SNR minus ``la.cqi_backoff_db`` (else
+  ``la.mcs_min``), and its MCS is clamped into [``la.mcs_min``, cap].
+  At the end of each BLER window every UE's MCS steps up below
+  ``la.bler_low`` and down above ``la.bler_high`` of its window's
+  retransmission ratio (0.0 for an empty window), is clamped, and the
+  window restarts.
 """
 
 from __future__ import annotations
@@ -47,7 +60,7 @@ import numpy as np
 from rissim import engine
 from rissim.array_model import RisPhaseProfile
 from rissim.config import SLOT_MS, ExperimentConfig, scaled, to_slots, validate
-from rissim.link_adapt import MCS_TABLE_64QAM, MAX_ATTEMPTS, LinkAdaptState, cqi_update, step_mcs
+from rissim.link_adapt import MCS_TABLE_64QAM, MAX_ATTEMPTS
 
 # Schedulable downlink symbols per slot of one TDD period: 6 DL, 1 mixed, 3 UL.
 DL_SYMBOLS = (13, 13, 13, 13, 13, 13, 6, 0, 0, 0)
@@ -96,7 +109,7 @@ def ewma_update(t_avg, scheduled: int, rates, alpha: float, floor: float) -> Non
 
 
 def rr_select(dl_slot_counter: int, n_ues: int) -> int:
-    """Round robin over a downlink-slot counter."""
+    """Round robin over a downlink-slot counter, which retransmission slots advance too."""
     if n_ues < 1:
         raise ValueError(f"n_ues must be >= 1, got {n_ues}")
     return dl_slot_counter % n_ues
@@ -123,6 +136,53 @@ def harq_on_nack(proc: HarqProcess) -> str:
         proc.attempts += 1
         return RETRANSMIT
     return DISCARD
+
+
+@dataclass
+class OuterLoop:
+    """One UE's outer-loop state: the MCS of its new blocks, its CQI cap,
+    and the scheduled and retransmission slots of the current window."""
+
+    mcs: int
+    mcs_min: int
+    cqi_cap: int = 28
+    win_scheduled: int = 0
+    win_retx: int = 0
+
+
+def clamp_mcs(link: OuterLoop) -> None:
+    """Hold the MCS within [``mcs_min``, CQI cap]."""
+    link.mcs = min(max(link.mcs, link.mcs_min), link.cqi_cap)
+
+
+def cqi_update(snr_db: float, thresholds_db, cqi_backoff_db: float, mcs_min: int) -> int:
+    """The CQI cap: the highest index from ``mcs_min`` on whose threshold
+    is at most ``snr_db - cqi_backoff_db``, else ``mcs_min``.
+
+    Every index is tried: thresholds are not monotone (16 is above 17).
+    """
+    fits = [
+        index
+        for index in range(mcs_min, len(thresholds_db))
+        if thresholds_db[index] <= snr_db - cqi_backoff_db
+    ]
+    return max(fits, default=mcs_min)
+
+
+def step_mcs(link: OuterLoop, bler_low: float, bler_high: float) -> None:
+    """The window-end step: one index up below ``bler_low``, down above
+    ``bler_high``, then clamped; the window restarts."""
+    if link.win_scheduled == 0:
+        measured = 0.0
+    else:
+        measured = link.win_retx / link.win_scheduled
+    if measured < bler_low:
+        link.mcs += 1
+    elif measured > bler_high:
+        link.mcs -= 1
+    clamp_mcs(link)
+    link.win_scheduled = 0
+    link.win_retx = 0
 
 
 @dataclass
@@ -182,7 +242,7 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
 
     t_avg = {k: cfg.sched.floor for k in range(n_ues)}
     rate = {k: 0.0 for k in range(n_ues)}
-    link = {k: LinkAdaptState(mcs=la.mcs_min, mcs_min=la.mcs_min) for k in range(n_ues)}
+    link = {k: OuterLoop(mcs=la.mcs_min, mcs_min=la.mcs_min) for k in range(n_ues)}
     proc: HarqProcess | None = None
     dl_slots = 0
     # The surface stays where it was last set: genie starts on UE 0's beam,
@@ -210,10 +270,10 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
         if t % cqi_slots == 0:
             for k in range(n_ues):
                 measured = own_beam[k] if mode == "genie" else surface
-                link[k].mcs_max_from_cqi = cqi_update(
+                link[k].cqi_cap = cqi_update(
                     tables.snr_db[measured][k], setup.thresholds_db, la.cqi_backoff_db, la.mcs_min
                 )
-                link[k].clamp()
+                clamp_mcs(link[k])
                 rate[k] = tables.se[measured][k]
 
         symbols = DL_SYMBOLS[t % len(DL_SYMBOLS)]

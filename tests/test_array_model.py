@@ -73,7 +73,7 @@ class TestUpaProfile:
 
     def test_full_panel_length(self):
         p = upa_profile(30.0, 0.0, 32, 32, 0.25)
-        assert len(p) == 1024
+        assert p.code.size == 1024
         assert p.code.shape == (1024,)
 
     def test_boresight_two_by_two(self):

@@ -13,6 +13,7 @@ from rissim.channel import (
     LinkBudget,
     RSRP_FLOOR_DBM,
     los_cascaded_channel,
+    rician_scatter,
     rsrp_dbm,
     snr_linear,
     spectral_efficiency,
@@ -39,14 +40,15 @@ class TestLosChannel:
         los = los_cascaded_channel(30.0, 0.0, 4, 4, amplitude=1.0)
         power = 0.0
         for _ in range(n_draws):
-            ch = los_cascaded_channel(30.0, 0.0, 4, 4, amplitude=1.0, rician_k_db=k_db, rng=rng)
+            ch = los + rician_scatter(1.0, k_db, 16, rng)
             power += float(np.mean(np.abs(ch - los) ** 2))
         ratio = (power / n_draws) / 1.0  # per-element LoS power is amplitude^2 = 1
         assert ratio == pytest.approx(10 ** (-k_db / 10.0), rel=0.05)
 
     def test_determinism_per_seed(self):
-        a = los_cascaded_channel(30.0, 0.0, 8, 8, rician_k_db=5.0, rng=np.random.default_rng(4))
-        b = los_cascaded_channel(30.0, 0.0, 8, 8, rician_k_db=5.0, rng=np.random.default_rng(4))
+        los = los_cascaded_channel(30.0, 0.0, 8, 8)
+        a = los + rician_scatter(1.0, 5.0, 64, np.random.default_rng(4))
+        b = los + rician_scatter(1.0, 5.0, 64, np.random.default_rng(4))
         np.testing.assert_array_equal(a, b)
 
 

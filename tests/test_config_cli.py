@@ -76,7 +76,13 @@ class TestRoundTrip:
 
         cfg = replace(
             ExperimentConfig(),
-            ris=replace(ExperimentConfig().ris, angles=((10.0, 0.0), (60.0, 5.0)), probs=(0.25, 0.75), seed=9),
+            ris=replace(
+                ExperimentConfig().ris,
+                mode="iid",
+                angles=((10.0, 0.0), (60.0, 5.0)),
+                probs=(0.25, 0.75),
+                seed=9,
+            ),
             chan=ChannelConfig(rician_k_db=12.0, coherence_slots=400),
         )
         assert parse_text(serialize(cfg)) == cfg
@@ -292,6 +298,29 @@ class TestSubcommandFlags:
         assert not list(tmp_path.iterdir())
         assert main([*argv[:-1], "--set", "chan.rician_k_db=6", "schedule"]) == 0
 
+    @pytest.mark.parametrize("mode", ["periodic", "genie", "off"])
+    @pytest.mark.parametrize("key,value", [("ris.probs", "0.9,0.1"), ("ris.seed", "5")])
+    def test_iid_keys_outside_iid_exit_2_naming_them(self, tmp_path, capsys, key, value, mode):
+        # Only i.i.d. switching reads them; any other mode would ignore them.
+        argv = [
+            "--out-dir", str(tmp_path), "--duration-s", "2", "--set", "sim.warmup_s=0.5",
+            "--set", f"{key}={value}", "schedule", "--mode", mode,
+        ]
+        assert main(argv) == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_sweep_over_an_iid_config_with_its_keys(self, tmp_path):
+        # The genie and no-surface reference rows run without the i.i.d. keys.
+        argv = [
+            "--out-dir", str(tmp_path), "--duration-s", "0.2", "--set", "sim.warmup_s=0.05",
+            "--set", "ris.mode=iid", "--set", "ris.probs=0.9,0.1", "--set", "ris.seed=5",
+            "sweep-alpha", "--alphas", "0.01",
+        ]
+        assert main(argv) == 0
+        rows = (tmp_path / "sweep_alpha.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["random", "genie", "no_ris"]
+
 
 class TestNonFinite:
     @pytest.mark.parametrize(
@@ -318,6 +347,8 @@ class TestNonFinite:
                 "--set", "sim.warmup_s=1",
                 "--set", f"{key}={value}",
                 "schedule",
+                # Only i.i.d. switching reads the probabilities.
+                *(["--mode", "iid"] if key == "ris.probs" else []),
             ]
         )
         assert rc == 2
@@ -337,7 +368,7 @@ class TestNonFinite:
         assert key in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
         # Zero is a seed, and an unset ris.seed derives from sim.seed.
-        cfg = _cli_config(["--set", "sim.seed=0", "--set", "ris.seed=0"])
+        cfg = _cli_config(["--set", "sim.seed=0", "--set", "ris.seed=0", "--set", "ris.mode=iid"])
         assert (cfg.sim.seed, cfg.ris.seed, ExperimentConfig().ris.seed) == (0, 0, None)
 
     def test_parse_names_key(self):
@@ -434,7 +465,7 @@ def experiment_configs(draw):
     rician_k_db = draw(st.none() | _finite_floats)
     # Scatter redraws need a K factor: without one the cadence must stay 0.
     coherence_slots = 0 if rician_k_db is None else draw(st.integers(0, 10**4))
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         geom=GeometryConfig(
             n_h=draw(st.integers(1, 64)),
             n_v=draw(st.integers(1, 64)),
@@ -481,6 +512,10 @@ def experiment_configs(draw):
         tx_power_dbm=draw(st.floats(0.0, 40.0)),
         rsrp_offset_db=draw(st.floats(-100.0, 100.0)),
     )
+    # Only i.i.d. switching reads ris.seed and ris.probs; the other modes reject them.
+    if cfg.ris.mode == "iid":
+        return cfg
+    return replace(cfg, ris=replace(cfg.ris, seed=None, probs=None))
 
 
 def _cli_config(argv):
@@ -523,7 +558,9 @@ def _all_optional_keys_set():
     base = ExperimentConfig()
     return replace(
         base,
-        ris=replace(base.ris, seed=3, angles=((30.0, 0.0), (45.0, 0.0)), probs=(0.5, 0.5)),
+        ris=replace(
+            base.ris, mode="iid", seed=3, angles=((30.0, 0.0), (45.0, 0.0)), probs=(0.5, 0.5)
+        ),
         chan=ChannelConfig(rician_k_db=6.0, coherence_slots=20),
     )
 

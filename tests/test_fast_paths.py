@@ -72,10 +72,12 @@ def _reference_tables(cfg, states, rng, rician_k_db):
     bler = np.zeros((n_rows, len(cfg.ues), len(MCS_TABLE_64QAM)))
     for k, ue in enumerate(cfg.ues):
         budget = ch.LinkBudget(cfg.tx_power_dbm, ue.pathloss_db, ue.noise_dbm, cfg.rsrp_offset_db)
+        amplitude = 1.0 / (g.n_h * g.n_v)
         h_c = ch.los_cascaded_channel(
-            ue.nu_deg, ue.psi_deg, g.n_h, g.n_v, g.spacing_ratio,
-            amplitude=1.0 / (g.n_h * g.n_v), rician_k_db=rician_k_db, rng=rng,
+            ue.nu_deg, ue.psi_deg, g.n_h, g.n_v, g.spacing_ratio, amplitude=amplitude
         )
+        if rician_k_db is not None:
+            h_c = h_c + ch.rician_scatter(amplitude, rician_k_db, g.n_h * g.n_v, rng)
         effs = [effective_channel(state, h_c) + ue.direct_leak for state in states]
         effs.append(complex(ue.noris_gain))
         for s, h_eff in enumerate(effs):

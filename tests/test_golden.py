@@ -193,7 +193,9 @@ def _optional_sections():
     base = ExperimentConfig()
     return replace(
         base,
-        ris=replace(base.ris, angles=((10.0, 0.0), (60.0, 5.0)), probs=(0.25, 0.75), seed=9),
+        ris=replace(
+            base.ris, mode="iid", angles=((10.0, 0.0), (60.0, 5.0)), probs=(0.25, 0.75), seed=9
+        ),
         chan=ChannelConfig(rician_k_db=12.0, coherence_slots=400),
     )
 
@@ -209,7 +211,7 @@ TEXT_CONFIGS = {
 
 TEXT_PINS = {
     "default": "34029d2d8635dd74dc82b8e206d15409632b12d700c6c1ac8c77c533ba5fde5a",
-    "optional_sections": "c647c307fb6297f8864381d93cbb2e539ba1799e46af8b438c94cf52ea7aa526",
+    "optional_sections": "a4dd4cfbebf3d07ea9a9948fe1a27f3a9c5ee4a7cf82f78ceecc098be725432a",
     "schedule": "35e1a449a77410e933820e6c2dfd4780a56c01a22713c57dffce27a2e8517ad9",
     "single_ue_0_on": "bc34791c7624b739a989154743c6eca09772a769ae9b4f5f7366350bb7436308",
     "single_ue_1_off": "53add788e4f8ea6d1865130e8e6b503217ebb838a2ed1de20f74c0c8ee2f0a0a",

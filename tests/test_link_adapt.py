@@ -1,21 +1,22 @@
-"""MCS table, block-error curve, outer-loop stepping, CQI cap, and the
-reference loop's HARQ process (``tests/reference_engine.py``)."""
+"""MCS table and block-error curve, and the reference loop's outer-loop
+stepping, CQI cap and HARQ process (``tests/reference_engine.py``)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from reference_engine import DISCARD, RETRANSMIT, HarqProcess, harq_on_nack
-from rissim.config import LaConfig
-from rissim.link_adapt import (
-    LinkAdaptState,
-    MCS_TABLE_64QAM,
-    bler_curve,
+from reference_engine import (
+    DISCARD,
+    RETRANSMIT,
+    HarqProcess,
+    OuterLoop,
     cqi_update,
+    harq_on_nack,
     step_mcs,
-    thresholds_db,
 )
+from rissim.config import LaConfig
+from rissim.link_adapt import MCS_TABLE_64QAM, bler_curve, thresholds_db
 
 THRESHOLDS = thresholds_db(LaConfig.impl_margin_db)
 CQI = (LaConfig.cqi_backoff_db, LaConfig.mcs_min)
@@ -23,7 +24,7 @@ BAND = (LaConfig.bler_low, LaConfig.bler_high)
 
 
 def windowed(mcs=10, scheduled=0, retx=0, **kwargs):
-    return LinkAdaptState(mcs=mcs, win_scheduled=scheduled, win_retx=retx, **kwargs)
+    return OuterLoop(mcs, LaConfig.mcs_min, win_scheduled=scheduled, win_retx=retx, **kwargs)
 
 
 class TestMcsEntries:
@@ -107,7 +108,7 @@ class TestStepMcs:
         assert s.mcs == 10
 
     def test_cqi_cap_clamp(self):
-        s = windowed(20, scheduled=100, retx=1, mcs_max_from_cqi=20)
+        s = windowed(20, scheduled=100, retx=1, cqi_cap=20)
         step_mcs(s, *BAND)
         assert s.mcs == 20
 
@@ -162,7 +163,7 @@ class TestHarq:
 def _drive_link(snr_db, n_windows, rng, state=None, slots_per_window=140):
     """Minimal closed-loop driver: one UE scheduled every slot with
     stop-and-wait HARQ, outer-loop stepping at window boundaries."""
-    state = state or LinkAdaptState()
+    state = state or windowed(LaConfig.mcs_min)
     curve = bler_curve(snr_db, THRESHOLDS)
     proc = None
     total_sched = total_retx = 0

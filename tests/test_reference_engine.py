@@ -5,6 +5,8 @@ the same configs the engine keeps bit conservation, MCS within
 [``la.mcs_min``, 28], served shares summing to 1, and determinism.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
@@ -22,6 +24,7 @@ from rissim.config import (
     UeConfig,
 )
 from rissim.engine import run
+from rissim.link_adapt import thresholds_db
 
 COLUMNS = ("row", "ue", "mcs", "tb_bits", "nack", "retx")
 BITS = ("new_tx_bits", "acked_bits", "discarded_bits", "inflight_bits")
@@ -64,7 +67,7 @@ def small_configs(draw, mode: str, kind: str):
     rician_k_db = draw(st.none() | st.floats(-3.0, 10.0))
     n_slots = draw(st.integers(0, 3999))
     bler_low, bler_high = draw(st.sampled_from([(0.05, 0.15), (0.3, 0.6), (0.0, 1.0)]))
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         geom=GeometryConfig(
             n_h=draw(st.integers(1, 6)),
             n_v=draw(st.integers(1, 3)),
@@ -110,6 +113,8 @@ def small_configs(draw, mode: str, kind: str):
         tx_power_dbm=tx_dbm,
         rsrp_offset_db=0.0,
     )
+    # Only i.i.d. switching reads ris.seed; the other modes reject it.
+    return cfg if mode == "iid" else replace(cfg, ris=replace(cfg.ris, seed=None))
 
 
 @pytest.mark.parametrize("kind", SCHED_KINDS)
@@ -176,3 +181,23 @@ def test_ewma_floor_holds_the_averages(mode):
     )
     cfg = _three_ue_pf(mode, ues, 0.5)
     assert run(cfg)[0].ue == reference_engine.run(cfg).ue
+
+
+def test_cqi_cap_reaches_17_across_the_table_inversion():
+    # MCS 17's threshold lies below 16's.  With the CQI limit between them
+    # the cap is 17, which a scan that stopped at 16 (the first index that
+    # does not fit) would miss.
+    thr = thresholds_db(LaConfig.impl_margin_db)
+    snr_db = (thr[16] + thr[17]) / 2 + LaConfig.cqi_backoff_db
+    cfg = ExperimentConfig(
+        geom=GeometryConfig(n_h=1, n_v=1),
+        # The no-surface channel of amplitude 1: the SNR is tx - pathloss - noise.
+        ues=(UeConfig(nu_deg=0.0, noise_dbm=23.0 - 60.0 - snr_db, noris_gain=1.0),),
+        ris=RisConfig(mode="off"),
+        la=LaConfig(window_ms=3.0, mcs_min=14),
+        sim=SimConfig(duration_s=0.1, warmup_s=0.0),
+    )
+    trace, _ = run(cfg)
+    assert thr[17] <= trace.snr[0][-1][0] - cfg.la.cqi_backoff_db < thr[16]
+    assert max(m for m in trace.mcs if m is not None) == 17
+    assert trace.mcs == reference_engine.run(cfg).mcs

@@ -277,7 +277,9 @@ _RULES = {
     "la.cqi_period_ms": ("positive", lambda v: v > 0),
     "la.mcs_min": ("in [0, 28]", lambda v: 0 <= v <= 28),
     "la.slope": ("positive", lambda v: v > 0),
-    "sim.duration_s": (">= 0", lambda v: v >= 0),
+    "sim.duration_s": (
+        ">= 0 with a finite slot count", lambda v: v >= 0 and math.isfinite(v * 1000.0 / SLOT_MS)
+    ),
     "sim.ts_scaling": ("positive", lambda v: v > 0),
     "sim.prbs": (">= 1", lambda v: v >= 1),
     "sim.seed": (">= 0", lambda v: v >= 0),
@@ -307,6 +309,16 @@ def validate(cfg: ExperimentConfig) -> None:
                 f"ue.noise_dbm: UE {k} noise {u.noise_dbm} dBm does not leave a usable link "
                 f"(tx - pathloss = {cfg.tx_power_dbm - u.pathloss_db} dBm)"
             )
+        gain_db = cfg.tx_power_dbm - u.pathloss_db - u.noise_dbm
+        try:  # the link model's SNR gain
+            finite = math.isfinite(10.0 ** (gain_db / 10.0))
+        except OverflowError:
+            finite = False
+        if not finite:
+            errors.append(
+                f"ue.noise_dbm/ue.pathloss_db/budget.tx_power_dbm: UE {k} link gain "
+                f"tx - pathloss - noise = {gain_db} dB overflows"
+            )
     n_states = len(cfg.ris.angles) if cfg.ris.angles is not None else len(cfg.ues)
     if cfg.ris.angles is not None:
         if not cfg.ris.angles:
@@ -324,6 +336,13 @@ def validate(cfg: ExperimentConfig) -> None:
             errors.append("ris.probs: must have one probability per state")
         elif any(p < 0 for p in cfg.ris.probs) or abs(sum(cfg.ris.probs) - 1.0) > 1e-9:
             errors.append("ris.probs: must be non-negative and sum to 1")
+    if cfg.sim.ts_scaling > 0:
+        errors += [
+            f"{key}: ts-scaled slot count {n} is not finite "
+            f"(sim.ts_scaling = {cfg.sim.ts_scaling})"
+            for key, n in _scaled_counts(cfg).items()
+            if not math.isfinite(n)
+        ]
     effective_alpha = cfg.sched.alpha * cfg.sim.ts_scaling
     if not 0.0 < cfg.sched.alpha < 1.0:
         errors.append(f"sched.alpha: must be in (0, 1), got {cfg.sched.alpha}")
@@ -351,9 +370,17 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("; ".join(errors))
 
 
-def scaled(cfg: ExperimentConfig):
-    """Effective (alpha, ts_slots) after applying the time-compression factor."""
+def _scaled_counts(cfg: ExperimentConfig) -> dict[str, float]:
+    """The ts-scaled slot counts before rounding, under the key each scales."""
     s = cfg.sim.ts_scaling
-    alpha = cfg.sched.alpha * s
-    ts_slots = max(1, round(cfg.ris.ts_slots / s))
-    return alpha, ts_slots
+    return {
+        "ris.ts_slots": cfg.ris.ts_slots / s,
+        "la.window_ms": cfg.la.window_ms / SLOT_MS / s,
+        "la.cqi_period_ms": cfg.la.cqi_period_ms / SLOT_MS / s,
+    }
+
+
+def scaled(cfg: ExperimentConfig) -> tuple[float, int, int, int]:
+    """Effective (alpha, ts_slots, window_slots, cqi_slots) under ``sim.ts_scaling``."""
+    counts = (max(1, round(n)) for n in _scaled_counts(cfg).values())
+    return (cfg.sched.alpha * cfg.sim.ts_scaling, *counts)

@@ -5,7 +5,11 @@ per UE), each the one-bit profile steered at its angles.
 :func:`link_setup` turns the ``ris.*`` keys into those states and each
 UE's aligned state; :func:`run` switches between them every
 ``ris.ts_slots``, in turn (periodic) or by an independent draw per
-interval (i.i.d., :func:`iid_state`).
+interval (i.i.d., :func:`iid_state`).  :func:`link_setup` is also the
+link model's one home: each UE's line-of-sight channel, SNR gain,
+transmit power minus path loss, and the scatter scale.  A run's link
+tables, one per coherence epoch, come from one
+:func:`build_link_tables` generator.
 
 Per slot: advance the surface state, refresh CQI-derived rate estimates
 on their cadence, pick the UE (pending retransmissions first, then the
@@ -42,9 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import channel as ch
 from . import link_adapt as la_mod
-from .array_model import design_phase_offsets, upa_profile
+from .array_model import design_phase_offsets, steering_vector, upa_profile
 from .config import SLOT_MS, ConfigError, ExperimentConfig, scaled, to_slots, validate
 from .link_adapt import MAX_ATTEMPTS, MCS_TABLE_64QAM
 
@@ -52,6 +55,7 @@ SUBCARRIERS_PER_PRB = 12
 DRAW_CHUNK = 4096  # block-outcome uniforms drawn per refill
 EPOCH_BLOCK = 16  # coherence epochs whose link tables are built together
 GENIE_TOL_DEG = 1e-9  # a state within this of a UE's angles is steered at it
+RSRP_FLOOR_DBM = -156.0  # NR reporting floor
 
 # Schedulable DL symbols per slot of one TDD period: 6 downlink, 1 mixed, 3 uplink.
 TDD_DL_SYMBOLS = (13,) * 6 + (6,) + (0,) * 3
@@ -222,15 +226,17 @@ class _BlerOnFirstUse:
 
 @dataclass(frozen=True)
 class LinkSetup:
-    """The parts of the link tables that stay fixed over a run.
-
-    Only the scatter term is redrawn when the tables are rebuilt, into
-    the buffers of :attr:`block_buffers`.
+    """The link model's per-run constants; only the scatter is redrawn,
+    into :attr:`block_buffers`.  Under a surface state UE ``k``'s link is
+    one complex scalar ``h``: SNR ``|h|**2 * snr_gain[k]``, RSRP
+    ``rx_dbm[k] + 20 log10|h| + budget.rsrp_offset_db``, floored.
     """
 
-    los: tuple[np.ndarray, ...]  # per-UE line-of-sight cascaded channel
+    los: tuple[np.ndarray, ...]  # per UE: array response at its angles times 1 / (n_h * n_v)
     weights: tuple[np.ndarray, ...]  # per-state realized reflection weights
-    budgets: tuple[ch.LinkBudget, ...]  # per UE
+    snr_gain: tuple[float, ...]  # per UE: 10 ** ((tx - pathloss - noise) / 10)
+    rx_dbm: tuple[float, ...]  # per UE: tx - pathloss
+    scatter_sigma: float | None  # amplitude / sqrt(K): scatter power is LoS power / K
     thresholds_db: tuple[float, ...]  # per-MCS BLER midpoints
     aligned_state: tuple[int, ...]  # per-UE index of its own beam state, or -1
 
@@ -288,10 +294,13 @@ def link_setup(cfg: ExperimentConfig) -> LinkSetup:
         )
         for ue in cfg.ues
     ]
+    amplitude = 1.0 / (g.n_h * g.n_v)
+    k_db = cfg.chan.rician_k_db
     return LinkSetup(
         los=tuple(
-            ch.los_cascaded_channel(
-                ue.nu_deg, ue.psi_deg, g.n_h, g.n_v, g.spacing_ratio, amplitude=_amplitude(cfg)
+            amplitude * np.kron(
+                steering_vector(ue.nu_deg, g.n_h, g.spacing_ratio),
+                steering_vector(ue.psi_deg, g.n_v, g.spacing_ratio),
             )
             for ue in cfg.ues
         ),
@@ -299,87 +308,79 @@ def link_setup(cfg: ExperimentConfig) -> LinkSetup:
             upa_profile(nu, psi, g.n_h, g.n_v, g.spacing_ratio, offsets).reflection_weights()
             for nu, psi in angles
         ),
-        budgets=tuple(
-            ch.LinkBudget(
-                tx_power_dbm=cfg.tx_power_dbm,
-                pathloss_db=ue.pathloss_db,
-                noise_dbm=ue.noise_dbm,
-                rsrp_offset_db=cfg.rsrp_offset_db,
-            )
-            for ue in cfg.ues
+        snr_gain=tuple(
+            10.0 ** ((cfg.tx_power_dbm - ue.pathloss_db - ue.noise_dbm) / 10.0) for ue in cfg.ues
         ),
+        rx_dbm=tuple(cfg.tx_power_dbm - ue.pathloss_db for ue in cfg.ues),
+        scatter_sigma=None if k_db is None else amplitude / math.sqrt(10.0 ** (k_db / 10.0)),
         thresholds_db=la_mod.thresholds_db(cfg.la.impl_margin_db),
         aligned_state=tuple(aligned),
     )
 
 
-def _amplitude(cfg: ExperimentConfig) -> float:
-    """Per-element amplitude of the line-of-sight cascaded channel."""
-    return 1.0 / (cfg.geom.n_h * cfg.geom.n_v)
-
-
 def build_link_tables(
-    cfg: ExperimentConfig, setup: LinkSetup, rng_channel: np.random.Generator, n_epochs: int = 1
-) -> list[LinkTables]:
-    """Link tables of ``n_epochs`` successive channel draws, one per coherence epoch.
+    cfg: ExperimentConfig, setup: LinkSetup, rng_channel: np.random.Generator, n_epochs: int
+):
+    """Yield the link tables of ``n_epochs`` successive channel draws, one per coherence epoch.
 
-    ``setup`` carries the per-run constants; a run builds it once with
-    :func:`link_setup` and passes it to every call.  Without
-    ``chan.rician_k_db`` every epoch has the same tables.  With it, each
-    epoch draws scatter from ``rng_channel`` UE by UE, real parts before
-    imaginary parts: the stream of successive
-    :func:`channel.rician_scatter` calls, drawn :data:`EPOCH_BLOCK`
-    epochs per call into ``setup.block_buffers``.
+    A run builds ``setup`` once with :func:`link_setup`, and one generator
+    serves all its epochs.  Without ``chan.rician_k_db`` every epoch has
+    the same tables.  With it, each epoch draws scatter from
+    ``rng_channel`` UE by UE, real parts before imaginary parts, drawn
+    :data:`EPOCH_BLOCK` epochs at a time into ``setup.block_buffers``.
     """
     los = np.stack(setup.los)  # (K, n)
     leaks = [ue.direct_leak for ue in cfg.ues]
-    off = _row_values([complex(ue.noris_gain) for ue in cfg.ues], setup.budgets)
     curve = partial(la_mod.bler_curve, thresholds_db=setup.thresholds_db, model_slope=cfg.la.slope)
-    tables = []
+    off = _row_values([complex(ue.noris_gain) for ue in cfg.ues], setup, cfg.rsrp_offset_db)
+    off_bler = _lazy_bler(off[0], curve)  # the no-surface row is the same in every epoch
     for first in range(0, n_epochs, EPOCH_BLOCK):
         m = min(EPOCH_BLOCK, n_epochs - first)
-        if cfg.chan.rician_k_db is None:
+        if setup.scatter_sigma is None:
             sums = setup.surface_channels(np.broadcast_to(los, (m,) + los.shape))
         else:
             normals, h, prod = (a[:m] for a in setup.block_buffers)
             rng_channel.standard_normal(out=normals)
-            # rician_scatter's complex operations as real ones, in its order;
+            # sigma * (re + 1j * im) / sqrt(2) as real operations, in that order;
             # numpy divides a complex by a real by multiplying by the reciprocal.
-            normals *= ch.scatter_sigma(_amplitude(cfg), cfg.chan.rician_k_db)
+            normals *= setup.scatter_sigma
             normals *= 1.0 / math.sqrt(2.0)
             np.add(los.real, normals[:, :, 0], out=h.real)
             np.add(los.imag, normals[:, :, 1], out=h.imag)
             sums = setup.surface_channels(h, prod)
-        surface = sums.transpose(1, 0, 2).tolist()
-        off_bler = _lazy_bler(off[0], curve)  # the no-surface row is the same in every epoch
-        for rows in surface:  # per epoch: per state, per UE
+        for rows in sums.transpose(1, 0, 2).tolist():  # per epoch: per state, per UE
             values = [
-                _row_values([h_eff + leak for h_eff, leak in zip(row, leaks)], setup.budgets)
+                _row_values(
+                    [h_eff + leak for h_eff, leak in zip(row, leaks)], setup, cfg.rsrp_offset_db
+                )
                 for row in rows
             ] + [off]
             snr_db = [snr for snr, _, _ in values]
-            tables.append(LinkTables(
+            yield LinkTables(
                 snr_db,
                 [se for _, se, _ in values],
                 [rsrp for _, _, rsrp in values],
                 [_lazy_bler(snr, curve) for snr in snr_db[:-1]] + [off_bler],
-            ))
-    return tables
+            )
 
 
-def _row_values(effs: list[complex], budgets) -> tuple[tuple[float, ...], ...]:
-    """(SNR dB, spectral efficiency, RSRP) per UE of one table row, in scalar math.
+def _row_values(
+    effs: list[complex], setup: LinkSetup, offset: float
+) -> tuple[tuple[float, ...], ...]:
+    """(SNR dB, Shannon spectral efficiency, RSRP) per UE of one table row, in scalar math.
 
     ``numpy``'s vectorised log and exp differ from ``math``'s in the last
     bit on some inputs, and the MAC decisions compare against these values.
     """
     values = []
-    for h_eff, budget in zip(effs, budgets):
-        lin = ch.snr_linear(h_eff, budget)
+    for h_eff, gain, rx_dbm in zip(effs, setup.snr_gain, setup.rx_dbm):
+        mag = abs(h_eff)
+        snr = mag ** 2 * gain
+        rsrp = rx_dbm + 20.0 * math.log10(mag) + offset if mag else RSRP_FLOOR_DBM
         values.append((
-            10.0 * math.log10(lin) if lin > 0 else -math.inf,
-            ch.spectral_efficiency(lin),
-            ch.rsrp_dbm(h_eff, budget),
+            10.0 * math.log10(snr) if snr > 0 else -math.inf,
+            math.log2(1.0 + snr),
+            max(rsrp, RSRP_FLOOR_DBM),
         ))
     return tuple(zip(*values))
 
@@ -416,11 +417,9 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     """
     validate(cfg)
     n_ues = len(cfg.ues)
-    alpha, ts_slots = scaled(cfg)
+    alpha, ts_slots, window_slots, cqi_slots = scaled(cfg)
     n_slots = to_slots(cfg.sim.duration_s)
     warmup_slot = to_slots(cfg.sim.warmup_s)
-    window_slots = max(1, round(cfg.la.window_ms / SLOT_MS / cfg.sim.ts_scaling))
-    cqi_slots = max(1, round(cfg.la.cqi_period_ms / SLOT_MS / cfg.sim.ts_scaling))
 
     seed_root = np.random.SeedSequence(cfg.sim.seed)
     ss_channel, ss_blocks, ss_ris = seed_root.spawn(3)
@@ -458,12 +457,9 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     rows, ues, mcss, tbs, nacks, retxs = (
         trace.row, trace.ue, trace.mcs, trace.tb_bits, trace.nack, trace.retx,
     )
-    # One table per coherence epoch, built EPOCH_BLOCK epochs at a time.
+    # One table per coherence epoch, from one generator.
     n_epochs = -(-max(n_slots, 1) // coherence) if coherence else 1
-    next_tables = chain.from_iterable(
-        build_link_tables(cfg, setup, rng_channel, min(EPOCH_BLOCK, n_epochs - first))
-        for first in range(0, n_epochs, EPOCH_BLOCK)
-    ).__next__
+    next_tables = build_link_tables(cfg, setup, rng_channel, n_epochs).__next__
     snr_tab, se_tab, rsrp_tab, bler_tab = next_tables()
     trace.add_epoch(rsrp_tab, snr_tab)
 

@@ -25,9 +25,10 @@ Rules (README "What is modeled"):
   periodic switching takes the states in turn, one per interval, and
   i.i.d. switching draws one uniform from ``SeedSequence((seed,
   interval))`` against the cumulative ``ris.probs`` (uniform if unset).
-- Link tables come from ``engine.link_setup`` and
-  ``engine.build_link_tables``, one call per coherence epoch
-  (``tests/test_fast_paths.py`` checks them).
+- Link tables come from ``engine.link_setup`` and a one-epoch
+  ``engine.build_link_tables`` generator per coherence epoch
+  (``tests/test_fast_paths.py`` checks them against
+  :func:`rician_scatter` and the literal SNR, SE and RSRP formulas).
 - CQI cadence: each UE's rate estimate and MCS cap come from the
   channel it measures: its own beam under genie, else the state in
   force.
@@ -85,6 +86,20 @@ def effective_channel(phi, h_c) -> complex:
     if phi.size != h.size:
         raise ValueError(f"phase-vector length {phi.size} does not match channel length {h.size}")
     return complex(np.vdot(phi, h))
+
+
+def rician_scatter(
+    amplitude: float, rician_k_db: float, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Complex Gaussian scatter with per-element power ``amplitude**2 / K``,
+    so the line-of-sight-to-scatter power ratio equals the K-factor.
+
+    Draws the ``n`` real parts, then the ``n`` imaginary parts;
+    ``engine.build_link_tables`` draws this stream for a block of epochs
+    at once.
+    """
+    sigma = amplitude / math.sqrt(10.0 ** (rician_k_db / 10.0))
+    return sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
 
 
 def select_ue(t_avg, rates, floor: float) -> int:
@@ -213,7 +228,7 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
     """Simulate ``cfg`` one slot at a time."""
     validate(cfg)
     la, n_ues = cfg.la, len(cfg.ues)
-    alpha, ts_slots = scaled(cfg)
+    alpha, ts_slots = scaled(cfg)[:2]
     n_slots = to_slots(cfg.sim.duration_s)
     window_slots = max(1, round(la.window_ms / SLOT_MS / cfg.sim.ts_scaling))
     cqi_slots = max(1, round(la.cqi_period_ms / SLOT_MS / cfg.sim.ts_scaling))
@@ -252,7 +267,7 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
 
     for t in range(n_slots):
         if t == 0 or (coherence and t % coherence == 0):
-            [tables] = engine.build_link_tables(cfg, setup, rng_channel)
+            tables = next(engine.build_link_tables(cfg, setup, rng_channel, 1))
         if mode in ("periodic", "iid"):
             interval = (t + cfg.ris.offset_slots) // ts_slots
             if mode == "periodic":

@@ -1,5 +1,6 @@
 """Config round-trip, validation messages, and the CLI surface."""
 
+import importlib
 import io
 import json
 import math
@@ -337,6 +338,14 @@ class TestNonFinite:
             ("ris.probs", "-0.5,1.5"),
             ("ris.probs", "1.0"),  # one probability for two states
             ("ris.ts_slots", "0"),
+            # Finite keys whose link gain 10 ** ((tx - pathloss - noise) / 10) overflows.
+            ("ue.pathloss_db", "-1e308,60"),
+            ("budget.tx_power_dbm", "1e308"),
+            ("ue.noise_dbm", "-1e308,-120"),
+            # Finite keys whose ts-scaled slot count is not.
+            ("la.window_ms", "1e308"),
+            ("la.cqi_period_ms", "1e308"),
+            ("sim.ts_scaling", "1e-310"),
         ],
     )
     def test_cli_rejects_with_config_code(self, tmp_path, capsys, key, value):
@@ -370,6 +379,11 @@ class TestNonFinite:
         # Zero is a seed, and an unset ris.seed derives from sim.seed.
         cfg = _cli_config(["--set", "sim.seed=0", "--set", "ris.seed=0", "--set", "ris.mode=iid"])
         assert (cfg.sim.seed, cfg.ris.seed, ExperimentConfig().ris.seed) == (0, 0, None)
+
+    def test_duration_without_a_finite_slot_count_exits_2(self, tmp_path, capsys):
+        assert main(["--out-dir", str(tmp_path), "--duration-s", "1e308", "schedule"]) == 2
+        assert "sim.duration_s" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_parse_names_key(self):
         text = serialize(ExperimentConfig()).replace(
@@ -652,6 +666,23 @@ class TestReadmeKeys:
         listed = re.findall(r"^\| `([a-z_]+\.[a-z_]+)`", README, flags=re.MULTILINE)
         assert len(listed) == len(set(listed))
         assert set(listed) == set(to_flat(_all_optional_keys_set()))
+
+
+class TestReadmeNames:
+    def test_backticked_module_names_resolve(self):
+        # Every `<word>.<name>` span but a config key, a file name or an
+        # outside module's names a rissim module and something it defines.
+        sections = {key.split(".")[0] for key in to_flat(_all_optional_keys_set())}
+        skip = sections | {"np", "dataclasses"}
+        unresolved = []
+        for module, name in re.findall(r"`([a-z_]+)\.([A-Za-z_]\w*)", README):
+            if module in skip or name in ("csv", "py"):
+                continue
+            try:
+                getattr(importlib.import_module(f"rissim.{module}"), name)
+            except (ImportError, AttributeError):
+                unresolved.append(f"{module}.{name}")
+        assert unresolved == []
 
 
 class TestReadmeCommands:

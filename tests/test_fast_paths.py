@@ -5,16 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from reference_engine import effective_channel
-from rissim import channel as ch
+from reference_engine import effective_channel, rician_scatter
 from rissim import engine
 from rissim import link_adapt as la
 from rissim import presets
-from rissim.array_model import design_phase_offsets, upa_profile
+from rissim.array_model import design_phase_offsets, steering_vector, upa_profile
 from rissim.engine import (
     DRAW_CHUNK,
     EPOCH_BLOCK,
     MCS_TABLE_64QAM,
+    RSRP_FLOOR_DBM,
     build_link_tables,
     link_setup,
     tb_bits,
@@ -45,10 +45,10 @@ def test_block_draw_equals_successive_scatter_calls():
     block, successive = np.random.default_rng(7), np.random.default_rng(7)
     normals = np.empty((EPOCH_BLOCK, n_ues, 2, n))
     block.standard_normal(out=normals)
-    sigma = ch.scatter_sigma(0.01, 6.0)
+    sigma = 0.01 / math.sqrt(10.0 ** (6.0 / 10.0))
     for epoch in normals:
         for re, im in epoch:
-            want = ch.rician_scatter(0.01, 6.0, n, successive)
+            want = rician_scatter(0.01, 6.0, n, successive)
             assert (sigma * (re + 1j * im) / math.sqrt(2.0)).tobytes() == want.tobytes()
     assert block.bit_generator.state == successive.bit_generator.state
 
@@ -63,7 +63,8 @@ def _states(cfg):
 
 
 def _reference_tables(cfg, states, rng, rician_k_db):
-    """The link tables computed call by call, one (state, UE, MCS) at a time."""
+    """The link tables computed call by call, one (state, UE, MCS) at a time,
+    from the literal line-of-sight, SNR, SE and RSRP formulas."""
     g = cfg.geom
     n_rows = len(states) + 1
     snr_db = np.zeros((n_rows, len(cfg.ues)))
@@ -71,20 +72,30 @@ def _reference_tables(cfg, states, rng, rician_k_db):
     rsrp = np.zeros_like(snr_db)
     bler = np.zeros((n_rows, len(cfg.ues), len(MCS_TABLE_64QAM)))
     for k, ue in enumerate(cfg.ues):
-        budget = ch.LinkBudget(cfg.tx_power_dbm, ue.pathloss_db, ue.noise_dbm, cfg.rsrp_offset_db)
         amplitude = 1.0 / (g.n_h * g.n_v)
-        h_c = ch.los_cascaded_channel(
-            ue.nu_deg, ue.psi_deg, g.n_h, g.n_v, g.spacing_ratio, amplitude=amplitude
+        h_c = amplitude * np.kron(
+            steering_vector(ue.nu_deg, g.n_h, g.spacing_ratio),
+            steering_vector(ue.psi_deg, g.n_v, g.spacing_ratio),
         )
         if rician_k_db is not None:
-            h_c = h_c + ch.rician_scatter(amplitude, rician_k_db, g.n_h * g.n_v, rng)
+            h_c = h_c + rician_scatter(amplitude, rician_k_db, g.n_h * g.n_v, rng)
         effs = [effective_channel(state, h_c) + ue.direct_leak for state in states]
         effs.append(complex(ue.noris_gain))
         for s, h_eff in enumerate(effs):
-            lin = ch.snr_linear(h_eff, budget)
+            gain = 10.0 ** ((cfg.tx_power_dbm - ue.pathloss_db - ue.noise_dbm) / 10.0)
+            lin = float(abs(h_eff) ** 2 * gain)
             snr_db[s, k] = 10.0 * math.log10(lin) if lin > 0 else -np.inf
-            se[s, k] = ch.spectral_efficiency(lin)
-            rsrp[s, k] = ch.rsrp_dbm(h_eff, budget)
+            se[s, k] = math.log2(1.0 + lin)
+            if abs(h_eff) == 0.0:
+                rsrp[s, k] = RSRP_FLOOR_DBM
+            else:
+                rsrp[s, k] = max(
+                    cfg.tx_power_dbm
+                    - ue.pathloss_db
+                    + 20.0 * math.log10(abs(h_eff))
+                    + cfg.rsrp_offset_db,
+                    RSRP_FLOOR_DBM,
+                )
             for mcs, e in enumerate(MCS_TABLE_64QAM):
                 thr = 10.0 * math.log10(2.0**e.se - 1.0) + cfg.la.impl_margin_db
                 bler[s, k, mcs] = la.bler_curve(snr_db[s, k], (thr,), cfg.la.slope)[0]
@@ -132,7 +143,7 @@ def test_hoisted_builder_is_bitwise_equal_to_reference(rician_k_db):
     # A full and a partial block in one call, then a second call on the same stream.
     epochs = [
         *build_link_tables(cfg, setup, rng_fast, EPOCH_BLOCK + 1),
-        *build_link_tables(cfg, setup, rng_fast),
+        *build_link_tables(cfg, setup, rng_fast, 1),
     ]
     for tables in epochs:
         reference = _reference_tables(cfg, states, rng_ref, rician_k_db)
@@ -141,7 +152,7 @@ def test_hoisted_builder_is_bitwise_equal_to_reference(rician_k_db):
             assert got.tobytes() == want.tobytes()
     # Both consumed the channel stream identically.
     assert rng_fast.random() == rng_ref.random()
-    assert np.isneginf(tables.snr_db[-1][1]) and tables.rsrp[-1][1] == ch.RSRP_FLOOR_DBM
+    assert np.isneginf(tables.snr_db[-1][1]) and tables.rsrp[-1][1] == RSRP_FLOOR_DBM
     assert setup.aligned_state == (0, 1, 2)
 
 
@@ -162,9 +173,9 @@ def test_run_tables_are_bitwise_equal_to_reference(n_ues, coherence, n_epochs, m
     built = []
 
     def spy(*args):
-        tables = build_link_tables(*args)
-        built.extend(tables)
-        return tables
+        for tables in build_link_tables(*args):
+            built.append(tables)
+            yield tables
 
     monkeypatch.setattr(engine, "build_link_tables", spy)
     trace, _ = engine.run(cfg)

@@ -16,6 +16,9 @@ from dataclasses import MISSING, dataclass, field, fields
 RIS_MODES = ("periodic", "iid", "genie", "off")
 SCHED_KINDS = ("pf", "rr")
 SLOT_MS = 0.5
+# A run's engine.Trace keeps six list cells, one 8-byte pointer each, per
+# slot; 1 GiB of them caps a run at 22,369,621 slots (about 11,185 s).
+MAX_SLOTS = 2**30 // (6 * 8)
 
 
 class ConfigError(ValueError):
@@ -278,12 +281,15 @@ _RULES = {
     "la.mcs_min": ("in [0, 28]", lambda v: 0 <= v <= 28),
     "la.slope": ("positive", lambda v: v > 0),
     "sim.duration_s": (
-        ">= 0 with a finite slot count", lambda v: v >= 0 and math.isfinite(v * 1000.0 / SLOT_MS)
+        f"in [0, {MAX_SLOTS * SLOT_MS / 1000.0} s] (at most {MAX_SLOTS} slots: a 1 GiB trace)",
+        lambda v: 0 <= v <= MAX_SLOTS * SLOT_MS / 1000.0,
     ),
     "sim.ts_scaling": ("positive", lambda v: v > 0),
     "sim.prbs": (">= 1", lambda v: v >= 1),
     "sim.seed": (">= 0", lambda v: v >= 0),
     "chan.coherence_slots": (">= 0", lambda v: v >= 0),
+    # No calibration offset comes near 1000 dB; the bound keeps the RSRP cells finite and short.
+    "budget.rsrp_offset_db": ("within +-1000 dB", lambda v: abs(v) <= 1000.0),
 }
 
 
@@ -310,15 +316,25 @@ def validate(cfg: ExperimentConfig) -> None:
                 f"(tx - pathloss = {cfg.tx_power_dbm - u.pathloss_db} dBm)"
             )
         gain_db = cfg.tx_power_dbm - u.pathloss_db - u.noise_dbm
-        try:  # the link model's SNR gain
-            finite = math.isfinite(10.0 ** (gain_db / 10.0))
-        except OverflowError:
-            finite = False
-        if not finite:
+        gain = _float_or_inf(lambda: 10.0 ** (gain_db / 10.0))  # the link model's SNR gain
+        if not math.isfinite(gain):
             errors.append(
                 f"ue.noise_dbm/ue.pathloss_db/budget.tx_power_dbm: UE {k} link gain "
                 f"tx - pathloss - noise = {gain_db} dB overflows"
             )
+            continue
+        # SNR is |h|**2 * gain.  The no-surface |h| is the UE's noris_gain; a
+        # surface state's line-of-sight sum is at most 1, plus the direct leak.
+        peak_snr = {
+            "noris_gain": lambda: abs(u.noris_gain) ** 2 * gain,
+            "direct_leak": lambda: (1.0 + abs(u.direct_leak)) ** 2 * gain,
+        }
+        errors += [
+            f"ue.{name}: UE {k} SNR |h|**2 x link gain overflows "
+            f"({name} {getattr(u, name)}, link gain {gain_db} dB)"
+            for name, snr in peak_snr.items()
+            if not math.isfinite(_float_or_inf(snr))
+        ]
     n_states = len(cfg.ris.angles) if cfg.ris.angles is not None else len(cfg.ues)
     if cfg.ris.angles is not None:
         if not cfg.ris.angles:
@@ -368,6 +384,15 @@ def validate(cfg: ExperimentConfig) -> None:
         )
     if errors:
         raise ConfigError("; ".join(errors))
+
+
+def _float_or_inf(compute) -> float:
+    """``compute()``, or inf where it overflows: a float power or a complex
+    ``abs`` raises rather than return inf."""
+    try:
+        return compute()
+    except OverflowError:
+        return math.inf
 
 
 def _scaled_counts(cfg: ExperimentConfig) -> dict[str, float]:

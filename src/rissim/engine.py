@@ -27,7 +27,9 @@ one step at a time and is checked against it.
 The run's one per-slot record is :class:`Trace`: six columns (table
 row, UE, MCS, TB bits, NACK, retransmission) plus the RSRP and SNR
 tables of each channel epoch.  The summary pass and the CSV writer read
-those columns.
+those columns, each in one pass; the writer streams its lines in chunks
+of :data:`CSV_CHUNK`, so neither holds a copy of a column or of the
+whole file.
 
 All randomness derives from one master seed through three independent
 streams (channel scatter, block outcomes, i.i.d. switching), so traces
@@ -56,6 +58,7 @@ DRAW_CHUNK = 4096  # block-outcome uniforms drawn per refill
 EPOCH_BLOCK = 16  # coherence epochs whose link tables are built together
 GENIE_TOL_DEG = 1e-9  # a state within this of a UE's angles is steered at it
 RSRP_FLOOR_DBM = -156.0  # NR reporting floor
+CSV_CHUNK = 8192  # trace CSV lines joined per write
 
 # Schedulable DL symbols per slot of one TDD period: 6 downlink, 1 mixed, 3 uplink.
 TDD_DL_SYMBOLS = (13,) * 6 + (6,) + (0,) * 3
@@ -689,16 +692,20 @@ def sweep_table(cfg: ExperimentConfig, alphas: list[float]) -> list[RunSummary]:
     ])
 
 
-def write_trace_csv(trace: Trace, path) -> None:
-    """Exact trace schema: slot,time_ms,ris_state,ue,rsrp0_dbm,...,snr_db,mcs,tb_bits,outcome,is_retx."""
+def _trace_lines(trace: Trace):
+    """The trace CSV's lines, header first, each ending in a newline.
+
+    One ``zip`` over the columns serves every epoch, which takes its
+    slots with ``islice``; slicing each column per epoch would copy it.
+    """
     rsrp_cols = ",".join(f"rsrp{k}_dbm" for k in range(len(trace.aligned_state)))
-    lines = [f"slot,time_ms,ris_state,ue,{rsrp_cols},snr_db,mcs,tb_bits,outcome,is_retx"]
-    columns = (trace.row, trace.ue, trace.mcs, trace.tb_bits, trace.nack, trace.retx)
+    yield f"slot,time_ms,ris_state,ue,{rsrp_cols},snr_db,mcs,tb_bits,outcome,is_retx\n"
+    slots = zip(trace.row, trace.ue, trace.mcs, trace.tb_bits, trace.nack, trace.retx)
     for lo, hi, rsrp_rows, snr_rows in trace.epochs():
         # Per epoch, each table row in force and everything after the time of
         # each distinct slot are formatted once, not once per slot.
         heads, tails = {}, {}
-        for t, key in zip(range(lo, hi), zip(*(c[lo:hi] for c in columns))):
+        for t, key in zip(range(lo, hi), islice(slots, hi - lo)):
             tail = tails.get(key)
             if tail is None:
                 row, ue, mcs, tb, nack, retx = key
@@ -718,6 +725,17 @@ def write_trace_csv(trace: Trace, path) -> None:
                         f"{'nack' if nack else 'ack'},{int(retx)}"
                     )
                 tails[key] = tail
-            lines.append(f"{t},{t * SLOT_MS:.1f},{tail}")
+            yield f"{t},{t * SLOT_MS:.1f},{tail}\n"
+
+
+def write_trace_csv(trace: Trace, path) -> None:
+    """Exact trace schema: slot,time_ms,ris_state,ue,rsrp0_dbm,...,snr_db,mcs,tb_bits,outcome,is_retx.
+
+    The lines come from one pass over the columns and are written
+    :data:`CSV_CHUNK` at a time, so the writer's memory does not grow
+    with the trace.
+    """
+    lines = _trace_lines(trace)
     with open(path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+        while chunk := "".join(islice(lines, CSV_CHUNK)):
+            f.write(chunk)

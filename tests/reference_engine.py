@@ -327,3 +327,33 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
 
     out.inflight_bits = proc.tb_bits if proc is not None else 0
     return out
+
+
+def trace_csv(trace: engine.Trace) -> str:
+    """The text of ``engine.write_trace_csv(trace, path)``, one slot at a time.
+
+    Each line is formatted from its own cells: no memo, no chunks.  The
+    RSRP and SNR come from the slot's channel epoch, ``t // coherence``.
+    """
+    n_ues = len(trace.aligned_state)
+    rsrp_names = [f"rsrp{k}_dbm" for k in range(n_ues)]
+    header = ["slot", "time_ms", "ris_state", "ue", *rsrp_names]
+    header += ["snr_db", "mcs", "tb_bits", "outcome", "is_retx"]
+    lines = [",".join(header)]
+    for t in range(len(trace)):
+        epoch = t // trace.coherence if trace.coherence else 0
+        row, ue = trace.row[t], trace.ue[t]
+        rsrp = [f"{v:.4f}" for v in trace.rsrp[epoch][row]]
+        if ue is None:
+            ue_cell = snr = mcs = ""
+            outcome = "idle"
+        else:
+            ue_cell = str(ue)
+            snr = f"{trace.snr[epoch][row][ue]:.4f}"
+            mcs = str(trace.mcs[t])
+            outcome = "nack" if trace.nack[t] else "ack"
+        state = -1 if row == trace.off_row else row
+        cells = [str(t), f"{t * SLOT_MS:.1f}", str(state), ue_cell, *rsrp]
+        cells += [snr, mcs, str(trace.tb_bits[t]), outcome, str(int(trace.retx[t]))]
+        lines.append(",".join(cells))
+    return "".join(line + "\n" for line in lines)

@@ -20,8 +20,10 @@ from hypothesis import assume, given, settings, strategies as st
 from rissim import cli, presets
 from rissim.cli import main
 from rissim.config import (
+    MAX_SLOTS,
     RIS_MODES,
     SCHED_KINDS,
+    SLOT_MS,
     ChannelConfig,
     ConfigError,
     ExperimentConfig,
@@ -34,6 +36,8 @@ from rissim.config import (
     parse_text,
     serialize,
     to_flat,
+    to_slots,
+    validate,
 )
 
 
@@ -346,6 +350,12 @@ class TestNonFinite:
             ("la.window_ms", "1e308"),
             ("la.cqi_period_ms", "1e308"),
             ("sim.ts_scaling", "1e-310"),
+            # Finite keys whose SNR |h|**2 x link gain overflows (|h|**2 raised
+            # OverflowError), and an RSRP offset that wrote a 309-digit RSRP cell.
+            ("ue.noris_gain", "1e200,0"),
+            ("ue.direct_leak", "1e200+0j,0j"),
+            ("ue.direct_leak", "1.7e308+1.7e308j,0j"),  # abs() itself overflows
+            ("budget.rsrp_offset_db", "1e308"),
         ],
     )
     def test_cli_rejects_with_config_code(self, tmp_path, capsys, key, value):
@@ -383,6 +393,19 @@ class TestNonFinite:
     def test_duration_without_a_finite_slot_count_exits_2(self, tmp_path, capsys):
         assert main(["--out-dir", str(tmp_path), "--duration-s", "1e308", "schedule"]) == 2
         assert "sim.duration_s" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_duration_past_the_trace_cap_exits_2(self, tmp_path, capsys):
+        # The cap bounds Trace's six list cells per slot to 1 GiB.
+        cap_s = MAX_SLOTS * SLOT_MS / 1000.0
+        assert to_slots(cap_s) == MAX_SLOTS == 2**30 // 48
+        base = ExperimentConfig()
+        validate(replace(base, sim=replace(base.sim, duration_s=cap_s)))
+        with pytest.raises(ConfigError, match="sim.duration_s"):
+            validate(replace(base, sim=replace(base.sim, duration_s=math.nextafter(cap_s, 1e9))))
+        assert main(["--out-dir", str(tmp_path), "--duration-s", "1e9", "schedule"]) == 2
+        err = capsys.readouterr().err
+        assert "sim.duration_s" in err and str(MAX_SLOTS) in err
         assert not list(tmp_path.iterdir())
 
     def test_parse_names_key(self):

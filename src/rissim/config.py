@@ -1,5 +1,7 @@
 """Run configuration: dataclasses, the flat dotted-key text format, and
-validation with errors that name the offending key.
+validation with errors that name the offending key.  The surface's beam
+states (:func:`state_angles`) and each UE's own state (:func:`aligned_states`)
+are worked out here only; :func:`validate` and ``engine.link_setup`` read them.
 
 The on-disk format is one ``key = value`` pair per line (``#`` starts a
 comment).  Lists are comma-separated, UE angle pairs are ``nu:psi``.
@@ -19,6 +21,7 @@ SLOT_MS = 0.5
 # A run's engine.Trace keeps six list cells, one 8-byte pointer each, per
 # slot; 1 GiB of them caps a run at 22,369,621 slots (about 11,185 s).
 MAX_SLOTS = 2**30 // (6 * 8)
+GENIE_TOL_DEG = 1e-9  # a state within this of a UE's angles is steered at it
 
 
 class ConfigError(ValueError):
@@ -269,7 +272,8 @@ def _finite(value) -> bool:
 _RULES = {
     "geom.n_h": (">= 1", lambda v: v >= 1),
     "geom.n_v": (">= 1", lambda v: v >= 1),
-    "geom.spacing_ratio": ("positive", lambda v: v > 0),
+    # A cell 10 wavelengths across is no surface element; past ~1e15 the phases lose every bit.
+    "geom.spacing_ratio": ("in (0, 10]", lambda v: 0 < v <= 10.0),
     "ris.mode": (f"one of {RIS_MODES}", lambda v: v in RIS_MODES),
     "ris.ts_slots": (">= 1", lambda v: v >= 1),
     "ris.offset_slots": (">= 0", lambda v: v >= 0),
@@ -288,9 +292,28 @@ _RULES = {
     "sim.prbs": (">= 1", lambda v: v >= 1),
     "sim.seed": (">= 0", lambda v: v >= 0),
     "chan.coherence_slots": (">= 0", lambda v: v >= 0),
+    # At +-200 dB the scatter power is 1e-20 or 1e20 times the line of sight's.  Far
+    # beyond, 10 ** (K / 10) underflows to a zero divisor, or it or |h| ** 2 overflows.
+    "chan.rician_k_db": ("within +-200 dB", lambda v: v is None or abs(v) <= 200.0),
     # No calibration offset comes near 1000 dB; the bound keeps the RSRP cells finite and short.
     "budget.rsrp_offset_db": ("within +-1000 dB", lambda v: abs(v) <= 1000.0),
 }
+
+
+def state_angles(cfg: ExperimentConfig) -> tuple[tuple[float, float], ...]:
+    """The beam states' angles: ``ris.angles``, or each UE's ``(nu, psi)`` when unset."""
+    angles = cfg.ris.angles
+    return angles if angles is not None else tuple((ue.nu_deg, ue.psi_deg) for ue in cfg.ues)
+
+
+def aligned_states(cfg: ExperimentConfig) -> tuple[int, ...]:
+    """Each UE's own beam state: the first within :data:`GENIE_TOL_DEG` of its angles, else -1."""
+    angles, tol = state_angles(cfg), GENIE_TOL_DEG
+    return tuple(
+        next((s for s, (nu, psi) in enumerate(angles)
+              if abs(nu - ue.nu_deg) <= tol and abs(psi - ue.psi_deg) <= tol), -1)
+        for ue in cfg.ues
+    )
 
 
 def validate(cfg: ExperimentConfig) -> None:
@@ -335,23 +358,21 @@ def validate(cfg: ExperimentConfig) -> None:
             for name, snr in peak_snr.items()
             if not math.isfinite(_float_or_inf(snr))
         ]
-    n_states = len(cfg.ris.angles) if cfg.ris.angles is not None else len(cfg.ues)
-    if cfg.ris.angles is not None:
-        if not cfg.ris.angles:
-            errors.append("ris.angles: need at least one state")
-        for nu, psi in cfg.ris.angles:
-            if abs(nu) > 90 or abs(psi) > 90:
-                errors.append("ris.angles: state angles must be within +-90 deg")
-                break
+    if cfg.ris.angles is not None and not cfg.ris.angles:
+        errors.append("ris.angles: need at least one state")
+    if any(abs(nu) > 90 or abs(psi) > 90 for nu, psi in cfg.ris.angles or ()):
+        errors.append("ris.angles: state angles must be within +-90 deg")
     if cfg.ris.mode != "iid":
         for key, value in (("ris.seed", cfg.ris.seed), ("ris.probs", cfg.ris.probs)):
             if value is not None:
                 errors.append(f"{key}: only ris.mode iid reads it, got ris.mode {cfg.ris.mode!r}")
     if cfg.ris.probs is not None:
-        if len(cfg.ris.probs) != n_states:
+        if len(cfg.ris.probs) != len(state_angles(cfg)):
             errors.append("ris.probs: must have one probability per state")
         elif any(p < 0 for p in cfg.ris.probs) or abs(sum(cfg.ris.probs) - 1.0) > 1e-9:
             errors.append("ris.probs: must be non-negative and sum to 1")
+    if cfg.ris.mode == "genie" and -1 in aligned_states(cfg):
+        errors.append("ris.mode: genie requires a state aligned to every UE (ris.angles)")
     if cfg.sim.ts_scaling > 0:
         errors += [
             f"{key}: ts-scaled slot count {n} is not finite "

@@ -1,15 +1,17 @@
 """Slot-ordered downlink MAC loop.
 
-The surface is a set of beam states, one per ``ris.angles`` entry (or
-per UE), each the one-bit profile steered at its angles.
-:func:`link_setup` turns the ``ris.*`` keys into those states and each
-UE's aligned state; :func:`run` switches between them every
-``ris.ts_slots``, in turn (periodic) or by an independent draw per
-interval (i.i.d., :func:`iid_state`).  :func:`link_setup` is also the
-link model's one home: each UE's line-of-sight channel, SNR gain,
-transmit power minus path loss, and the scatter scale.  A run's link
-tables, one per coherence epoch, come from one
-:func:`build_link_tables` generator.
+:func:`run` is four phases, each a module-level function:
+``config.validate``, :func:`link_setup`, :func:`simulate` (the slot
+loop and the whole-run bit counters) and :func:`summarize` (the
+warm-up window's statistics).  :func:`link_setup` builds one beam state
+per ``config.state_angles`` entry, the one-bit profile steered at its
+angles, and takes each UE's own state from ``config.aligned_states``;
+:func:`simulate` switches between them every ``ris.ts_slots``, in turn
+(periodic) or by an independent draw per interval (i.i.d.,
+:func:`iid_state`).  :func:`link_setup` is also the link model's one
+home: each UE's line-of-sight channel, SNR gain, transmit power minus
+path loss, and the scatter scale.  A run's link tables, one per
+coherence epoch, come from one :func:`build_link_tables` generator.
 
 Per slot: advance the surface state, refresh CQI-derived rate estimates
 on their cadence, pick the UE (pending retransmissions first, then the
@@ -20,13 +22,13 @@ CQI-driven MAC does; the block outcome is drawn against the true
 current SNR, which is what produces the measured-BLER excursions right
 after a surface switch.  The per-slot rules (PF argmax, EWMA, round
 robin, HARQ, and the outer loop's CQI cap and BLER-window MCS step) are
-written inline in :func:`run`, their state in plain per-UE lists; the
+written inline in :func:`simulate`, their state in plain per-UE lists; the
 literal reference loop in ``tests/reference_engine.py`` restates them
 one step at a time and is checked against it.
 
 The run's one per-slot record is :class:`Trace`: six columns (table
 row, UE, MCS, TB bits, NACK, retransmission) plus the RSRP and SNR
-tables of each channel epoch.  The summary pass and the CSV writer read
+tables of each channel epoch.  :func:`summarize` and the CSV writer read
 those columns, each in one pass; the writer streams its lines in chunks
 of :data:`CSV_CHUNK`, so neither holds a copy of a column or of the
 whole file.
@@ -50,13 +52,14 @@ import numpy as np
 
 from . import link_adapt as la_mod
 from .array_model import design_phase_offsets, steering_vector, upa_profile
-from .config import SLOT_MS, ConfigError, ExperimentConfig, scaled, to_slots, validate
+from .config import (
+    SLOT_MS, ExperimentConfig, aligned_states, scaled, state_angles, to_slots, validate,
+)
 from .link_adapt import MAX_ATTEMPTS, MCS_TABLE_64QAM
 
 SUBCARRIERS_PER_PRB = 12
 DRAW_CHUNK = 4096  # block-outcome uniforms drawn per refill
 EPOCH_BLOCK = 16  # coherence epochs whose link tables are built together
-GENIE_TOL_DEG = 1e-9  # a state within this of a UE's angles is steered at it
 RSRP_FLOOR_DBM = -156.0  # NR reporting floor
 CSV_CHUNK = 8192  # trace CSV lines joined per write
 
@@ -114,14 +117,6 @@ class Trace:
 
     def state_of(self, row: int) -> int:
         return -1 if row == self.off_row else row
-
-    def is_aligned(self, row: int, ue: int) -> bool:
-        """Whether a slot on table ``row`` is aligned to UE ``ue``: the row is
-        the UE's own beam state, and the no-surface row never is.
-
-        The run summary's aligned and misaligned fields use this rule.
-        """
-        return row != self.off_row and row == self.aligned_state[ue]
 
     def epochs(self):
         """(first slot, end slot, RSRP rows, SNR rows) of each table epoch."""
@@ -278,25 +273,11 @@ class LinkSetup:
 def link_setup(cfg: ExperimentConfig) -> LinkSetup:
     """Compute the run constants of :func:`build_link_tables` once.
 
-    State ``s`` is the one-bit profile steered at ``ris.angles[s]``, or
-    at UE ``s``'s angles when ``ris.angles`` is unset.  A UE's aligned
-    state is the first within :data:`GENIE_TOL_DEG` of its angles, else -1.
+    State ``s`` is the one-bit profile steered at ``config.state_angles(cfg)[s]``;
+    each UE's aligned state is ``config.aligned_states(cfg)``.
     """
     g = cfg.geom
     offsets = design_phase_offsets(g.n_h, g.n_v) if g.dither else None
-    angles = cfg.ris.angles if cfg.ris.angles is not None else [
-        (ue.nu_deg, ue.psi_deg) for ue in cfg.ues
-    ]
-    aligned = [
-        next(
-            (
-                s for s, (nu, psi) in enumerate(angles)
-                if abs(nu - ue.nu_deg) <= GENIE_TOL_DEG and abs(psi - ue.psi_deg) <= GENIE_TOL_DEG
-            ),
-            -1,
-        )
-        for ue in cfg.ues
-    ]
     amplitude = 1.0 / (g.n_h * g.n_v)
     k_db = cfg.chan.rician_k_db
     return LinkSetup(
@@ -309,7 +290,7 @@ def link_setup(cfg: ExperimentConfig) -> LinkSetup:
         ),
         weights=tuple(
             upa_profile(nu, psi, g.n_h, g.n_v, g.spacing_ratio, offsets).reflection_weights()
-            for nu, psi in angles
+            for nu, psi in state_angles(cfg)
         ),
         snr_gain=tuple(
             10.0 ** ((cfg.tx_power_dbm - ue.pathloss_db - ue.noise_dbm) / 10.0) for ue in cfg.ues
@@ -317,7 +298,7 @@ def link_setup(cfg: ExperimentConfig) -> LinkSetup:
         rx_dbm=tuple(cfg.tx_power_dbm - ue.pathloss_db for ue in cfg.ues),
         scatter_sigma=None if k_db is None else amplitude / math.sqrt(10.0 ** (k_db / 10.0)),
         thresholds_db=la_mod.thresholds_db(cfg.la.impl_margin_db),
-        aligned_state=tuple(aligned),
+        aligned_state=aligned_states(cfg),
     )
 
 
@@ -413,33 +394,32 @@ def iid_state(seed: int, interval: int, probs: Sequence[float]) -> int:
 
 
 def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
-    """Simulate one configuration; returns the slot trace and summary.
-
-    Summary statistics cover slots at or after the warm-up boundary;
-    the bit-conservation counters cover the whole run.
-    """
+    """Simulate one configuration; returns the slot trace and summary."""
     validate(cfg)
+    setup = link_setup(cfg)
+    trace, counters = simulate(cfg, setup)
+    return trace, summarize(cfg, trace, counters)
+
+
+def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int, ...]]:
+    """The slot loop over a valid ``cfg``: the trace, and the whole run's
+    (new, acked, discarded, in-flight) bit counters."""
     n_ues = len(cfg.ues)
     alpha, ts_slots, window_slots, cqi_slots = scaled(cfg)
     n_slots = to_slots(cfg.sim.duration_s)
-    warmup_slot = to_slots(cfg.sim.warmup_s)
 
-    seed_root = np.random.SeedSequence(cfg.sim.seed)
-    ss_channel, ss_blocks, ss_ris = seed_root.spawn(3)
+    ss_channel, ss_blocks, ss_ris = np.random.SeedSequence(cfg.sim.seed).spawn(3)
     rng_channel = np.random.default_rng(ss_channel)
     rng_blocks = np.random.default_rng(ss_blocks)
     ris_seed = cfg.ris.seed if cfg.ris.seed is not None else int(ss_ris.generate_state(1)[0])
 
     coherence = cfg.chan.coherence_slots if cfg.chan.rician_k_db is not None else 0
-    setup = link_setup(cfg)
     n_states = off_row = len(setup.weights)  # the last lookup row is mode "off"'s
     aligned_state = setup.aligned_state
     mode = cfg.ris.mode
     genie = mode == "genie"
     switching = mode in ("periodic", "iid")
     periodic = mode == "periodic"
-    if genie and any(a < 0 for a in aligned_state):
-        raise ConfigError("ris.mode: genie requires a state aligned to every UE (ris.angles)")
     probs = cfg.ris.probs if cfg.ris.probs is not None else [1.0 / n_states] * n_states
 
     la = cfg.la
@@ -483,10 +463,7 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     # 0 means none is in flight.
     attempts = ue = mcs = tb = 0
     next_switch, offset = 0, cfg.ris.offset_slots
-    if mode == "off":
-        row = off_row
-    else:
-        row = aligned_state[0] if genie else 0
+    row = off_row if mode == "off" else aligned_state[0] if genie else 0
 
     for t in range(n_slots):
         # Scatter evolves on its own coherence grid, from its own stream.
@@ -572,14 +549,24 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
             win_sched = [0] * n_ues
             win_retx = [0] * n_ues
 
-    inflight_bits = tb if attempts else 0
+    return trace, (new_tx_bits, acked_bits, discarded_bits, tb if attempts else 0)
+
+
+def summarize(cfg: ExperimentConfig, trace: Trace, counters: tuple[int, ...]) -> RunSummary:
+    """The run summary: statistics over the slots from the warm-up boundary
+    on, and :func:`simulate`'s whole-run bit counters."""
+    n_ues = len(cfg.ues)
+    n_slots = len(trace)
+    warmup_slot = to_slots(cfg.sim.warmup_s)
+    off_row, own = trace.off_row, trace.aligned_state
     # Rates divide by the simulated span, a whole number of slots.
     measured_slots = max(n_slots - warmup_slot, 0)
     measured_s = measured_slots * SLOT_MS / 1000.0
 
     # Window statistics: one pass over the trace columns from the warm-up
     # slot on.  RSRP sums add in slot order, so the means keep their bits.
-    aligned_rows = [[trace.is_aligned(r, k) for k in range(n_ues)] for r in range(off_row + 1)]
+    # A row is aligned to each UE whose own state it is; the no-surface row to none.
+    aligned_rows = [[r != off_row and r == a for a in own] for r in range(off_row + 1)]
     scheduled, served_aligned, retx_count, window_acked = ([0] * n_ues for _ in range(4))
     rsrp_sum = [[0.0, 0.0] for _ in range(n_ues)]  # per UE: [misaligned, aligned]
     rsrp_n = [[0, 0] for _ in range(n_ues)]
@@ -611,7 +598,8 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     served_misaligned = [s - a for s, a in zip(scheduled, served_aligned)]
     dl_slots = sum(scheduled)  # every downlink slot serves one UE
     tput = tuple((b / measured_s / 1e6) if measured_s > 0 else 0.0 for b in window_acked)
-    summary = RunSummary(
+    new_tx_bits, acked_bits, discarded_bits, inflight_bits = counters
+    return RunSummary(
         duration_s=n_slots * SLOT_MS / 1000.0,
         measured_s=measured_s,
         n_slots=n_slots,
@@ -630,7 +618,6 @@ def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
         discarded_bits=discarded_bits,
         inflight_bits=inflight_bits,
     )
-    return trace, summary
 
 
 def _summary(cfg: ExperimentConfig) -> RunSummary:

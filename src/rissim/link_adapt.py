@@ -6,7 +6,7 @@ efficiency plus an implementation margin.  ``MAX_ATTEMPTS`` is the HARQ
 budget: a failed transport block is retransmitted at the same MCS at
 most three times before it is discarded.  The rules that use these
 constants (HARQ, and the outer loop that steps the MCS on a BLER window
-under a CQI cap) are written inline in ``engine.run``, and
+under a CQI cap) are written inline in ``engine.simulate``, and
 ``tests/reference_engine.py`` restates them one step at a time.
 """
 

@@ -356,6 +356,13 @@ class TestNonFinite:
             ("ue.direct_leak", "1e200+0j,0j"),
             ("ue.direct_leak", "1.7e308+1.7e308j,0j"),  # abs() itself overflows
             ("budget.rsrp_offset_db", "1e308"),
+            # A K factor whose scatter scale divided by zero, or whose |h| ** 2 or
+            # 10 ** (K / 10) overflowed (exit 3).
+            ("chan.rician_k_db", "-4000"),
+            ("chan.rician_k_db", "-3200"),
+            ("chan.rician_k_db", "1e308"),
+            # A spacing whose phases lost every bit: NaN RSRP, 0 bits acked, exit 0.
+            ("geom.spacing_ratio", "1e308"),
         ],
     )
     def test_cli_rejects_with_config_code(self, tmp_path, capsys, key, value):
@@ -375,17 +382,23 @@ class TestNonFinite:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
-        "argv,key",
+        "argv,message",
         [
             (["--seed", "-5", "schedule"], "sim.seed"),
             (["--set", "ris.seed=-1", "schedule", "--mode", "iid"], "ris.seed"),
+            # Checked with the config, before the output directory is made.
+            (
+                ["--set", "ris.angles=10:0,60:0", "schedule", "--mode", "genie"],
+                "config error: ris.mode: genie requires a state aligned to every UE (ris.angles)\n",
+            ),
         ],
     )
-    def test_negative_seed_flags_exit_2_naming_the_key(self, tmp_path, capsys, argv, key):
-        base = ["--out-dir", str(tmp_path), "--duration-s", "3", "--set", "sim.warmup_s=1"]
+    def test_negative_seed_flags_exit_2_naming_the_key(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        base = ["--out-dir", str(out), "--duration-s", "3", "--set", "sim.warmup_s=1"]
         assert main([*base, *argv]) == 2
-        assert key in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
+        assert message in capsys.readouterr().err
+        assert not out.exists()
         # Zero is a seed, and an unset ris.seed derives from sim.seed.
         cfg = _cli_config(["--set", "sim.seed=0", "--set", "ris.seed=0", "--set", "ris.mode=iid"])
         assert (cfg.sim.seed, cfg.ris.seed, ExperimentConfig().ris.seed) == (0, 0, None)
@@ -552,7 +565,9 @@ def experiment_configs(draw):
     # Only i.i.d. switching reads ris.seed and ris.probs; the other modes reject them.
     if cfg.ris.mode == "iid":
         return cfg
-    return replace(cfg, ris=replace(cfg.ris, seed=None, probs=None))
+    # Genie needs a state at every UE's angles: the UE angles themselves.
+    angles = None if cfg.ris.mode == "genie" else cfg.ris.angles
+    return replace(cfg, ris=replace(cfg.ris, seed=None, probs=None, angles=angles))
 
 
 def _cli_config(argv):

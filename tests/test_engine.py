@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rissim import presets
+from rissim import engine, presets
 from rissim.cli import main
 from rissim.config import ChannelConfig, ConfigError
 from rissim.engine import (
@@ -155,6 +155,20 @@ class TestRunBasics:
         # A block acked on a retransmission is credited once even though
         # several rows carry its bits.
         assert summary.acked_bits <= acked_rows
+
+    def test_run_is_its_four_phases_once_each(self, monkeypatch):
+        # The phases are module-level functions that a benchmark can wrap by name.
+        cfg = short_schedule(duration_s=2.0, warmup_s=0.5)
+        unwrapped = run(cfg)
+        calls = dict.fromkeys(["validate", "link_setup", "simulate", "summarize"], 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(engine, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(engine, name, counted)
+        assert run(cfg) == unwrapped
+        assert calls == dict.fromkeys(calls, 1)
 
     def test_idle_rows_only_on_uplink_slots(self):
         trace, _ = run(short_schedule(duration_s=5.0, warmup_s=1.0))
@@ -457,7 +471,9 @@ class TestRunSummaries:
     def test_worker_error_keeps_type_and_message(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         short = short_schedule(duration_s=1.0, warmup_s=0.5)
-        no_aligned_state = short.with_overrides({"ris.mode": "genie", "ris.angles": "10:0,60:0"})
+        # Built with replace: with_overrides would reject it here, before any worker.
+        genie = replace(short.ris, mode="genie", angles=((10.0, 0.0), (60.0, 0.0)))
+        no_aligned_state = replace(short, ris=genie)
         with pytest.raises(ConfigError, match="ris.mode: genie requires a state aligned"):
             run_summaries([short, no_aligned_state])
 

@@ -5,12 +5,12 @@
 loop and the whole-run bit counters) and :func:`summarize` (the
 warm-up window's statistics).  :func:`link_setup` builds one beam state
 per ``config.state_angles`` entry, the one-bit profile steered at its
-angles, and takes each UE's own state from ``config.aligned_states``;
-:func:`simulate` switches between them every ``ris.ts_slots``, in turn
-(periodic) or by an independent draw per interval (i.i.d.,
-:func:`iid_state`).  :func:`link_setup` is also the link model's one
-home: each UE's line-of-sight channel, SNR gain, transmit power minus
-path loss, and the scatter scale.  A run's link tables, one per
+angles; :func:`simulate` switches between them every ``ris.ts_slots``,
+in turn (periodic) or by an independent draw per interval (i.i.d.,
+:func:`iid_state`).  :func:`simulate` and :func:`summarize` read each
+UE's own state from ``config.aligned_states``.  :func:`link_setup` is
+also the link model's one home: each UE's line-of-sight channel, SNR
+gain, transmit power minus path loss, and the scatter scale.  A run's link tables, one per
 coherence epoch, come from one :func:`build_link_tables` generator.
 
 Per slot: advance the surface state, refresh CQI-derived rate estimates
@@ -26,9 +26,10 @@ written inline in :func:`simulate`, their state in plain per-UE lists; the
 literal reference loop in ``tests/reference_engine.py`` restates them
 one step at a time and is checked against it.
 
-The run's one per-slot record is :class:`Trace`: six columns (table
-row, UE, MCS, TB bits, NACK, retransmission) plus the RSRP and SNR
-tables of each channel epoch.  :func:`summarize` and the CSV writer read
+The run's one per-slot record is :class:`Trace`: six columns (surface
+state, UE, MCS, TB bits, NACK, retransmission) plus the RSRP and SNR
+tables of each channel epoch.  The state, -1 without the surface, is
+also the slot's table row.  :func:`summarize` and the CSV writer read
 those columns, each in one pass; the writer streams its lines in chunks
 of :data:`CSV_CHUNK`, so neither holds a copy of a column or of the
 whole file.
@@ -89,19 +90,16 @@ class Trace:
     """Per-slot trace held as columns, plus the link-table RSRP and SNR of
     each channel epoch.
 
-    ``row`` is the link-table row in force at the slot, which is the
-    surface state except in mode "off" (the last row, state -1).  The
-    tables change at every channel rebuild: epoch ``e`` covers the slots
-    from ``e * coherence`` on.  ``ue`` and ``mcs`` are None on idle
-    (uplink) slots.  ``aligned_state`` is the run's per-UE own beam
-    state (``LinkSetup.aligned_state``).  Two traces are equal when every
-    column and epoch table is.
+    ``row`` is the surface state in force at the slot, -1 without the
+    surface; as an index it is also the slot's link-table row, since the
+    tables' last row is the no-surface one.  The tables change at every
+    channel rebuild: epoch ``e`` covers the slots from ``e * coherence``
+    on.  ``ue`` and ``mcs`` are None on idle (uplink) slots.  Two traces
+    are equal when every column and epoch table is.
     """
 
-    def __init__(self, n_slots: int, off_row: int, coherence: int, aligned_state: tuple[int, ...]):
-        self.off_row = off_row
+    def __init__(self, n_slots: int, coherence: int):
         self.coherence = coherence
-        self.aligned_state = aligned_state
         self.row = [0] * n_slots
         self.ue: list[int | None] = [None] * n_slots
         self.mcs: list[int | None] = [None] * n_slots
@@ -114,9 +112,6 @@ class Trace:
     def add_epoch(self, rsrp: list[tuple[float, ...]], snr: list[tuple[float, ...]]) -> None:
         self.rsrp.append(rsrp)
         self.snr.append(snr)
-
-    def state_of(self, row: int) -> int:
-        return -1 if row == self.off_row else row
 
     def epochs(self):
         """(first slot, end slot, RSRP rows, SNR rows) of each table epoch."""
@@ -191,9 +186,9 @@ class LinkTables(NamedTuple):
     """Per-(row, UE) channel constants of one coherence epoch, as plain floats.
 
     Rows are the surface states, then the no-surface scalar channel, so
-    that mode "off" shares the lookup path.  Plain-float lookups are what
-    make the slot loop cheap; RSRP rows are tuples because trace records
-    share them.  A BLER row is computed when it is first indexed (see
+    that state -1 (mode "off") indexes the last row and shares the lookup
+    path.  Plain-float lookups are what make the slot loop cheap; RSRP
+    rows are tuples because trace records share them.  A BLER row is computed when it is first indexed (see
     :class:`_BlerOnFirstUse`); ``bler[row][ue][:]`` gives the whole row.
     """
 
@@ -236,7 +231,6 @@ class LinkSetup:
     rx_dbm: tuple[float, ...]  # per UE: tx - pathloss
     scatter_sigma: float | None  # amplitude / sqrt(K): scatter power is LoS power / K
     thresholds_db: tuple[float, ...]  # per-MCS BLER midpoints
-    aligned_state: tuple[int, ...]  # per-UE index of its own beam state, or -1
 
     @cached_property
     def block_buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,8 +267,7 @@ class LinkSetup:
 def link_setup(cfg: ExperimentConfig) -> LinkSetup:
     """Compute the run constants of :func:`build_link_tables` once.
 
-    State ``s`` is the one-bit profile steered at ``config.state_angles(cfg)[s]``;
-    each UE's aligned state is ``config.aligned_states(cfg)``.
+    State ``s`` is the one-bit profile steered at ``config.state_angles(cfg)[s]``.
     """
     g = cfg.geom
     offsets = design_phase_offsets(g.n_h, g.n_v) if g.dither else None
@@ -298,7 +291,6 @@ def link_setup(cfg: ExperimentConfig) -> LinkSetup:
         rx_dbm=tuple(cfg.tx_power_dbm - ue.pathloss_db for ue in cfg.ues),
         scatter_sigma=None if k_db is None else amplitude / math.sqrt(10.0 ** (k_db / 10.0)),
         thresholds_db=la_mod.thresholds_db(cfg.la.impl_margin_db),
-        aligned_state=aligned_states(cfg),
     )
 
 
@@ -413,9 +405,9 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
     rng_blocks = np.random.default_rng(ss_blocks)
     ris_seed = cfg.ris.seed if cfg.ris.seed is not None else int(ss_ris.generate_state(1)[0])
 
-    coherence = cfg.chan.coherence_slots if cfg.chan.rician_k_db is not None else 0
-    n_states = off_row = len(setup.weights)  # the last lookup row is mode "off"'s
-    aligned_state = setup.aligned_state
+    coherence = cfg.chan.coherence_slots
+    n_states = len(setup.weights)
+    aligned_state = aligned_states(cfg)
     mode = cfg.ris.mode
     genie = mode == "genie"
     switching = mode in ("periodic", "iid")
@@ -436,7 +428,7 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
     win_retx = [0] * n_ues
     cqi_levels = tuple(enumerate(setup.thresholds_db))[mcs_min:]  # (index, threshold)
 
-    trace = Trace(n_slots, off_row, coherence, aligned_state)
+    trace = Trace(n_slots, coherence)
     rows, ues, mcss, tbs, nacks, retxs = (
         trace.row, trace.ue, trace.mcs, trace.tb_bits, trace.nack, trace.retx,
     )
@@ -463,7 +455,7 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
     # 0 means none is in flight.
     attempts = ue = mcs = tb = 0
     next_switch, offset = 0, cfg.ris.offset_slots
-    row = off_row if mode == "off" else aligned_state[0] if genie else 0
+    row = -1 if mode == "off" else aligned_state[0] if genie else 0
 
     for t in range(n_slots):
         # Scatter evolves on its own coherence grid, from its own stream.
@@ -558,15 +550,17 @@ def summarize(cfg: ExperimentConfig, trace: Trace, counters: tuple[int, ...]) ->
     n_ues = len(cfg.ues)
     n_slots = len(trace)
     warmup_slot = to_slots(cfg.sim.warmup_s)
-    off_row, own = trace.off_row, trace.aligned_state
+    own = aligned_states(cfg)
     # Rates divide by the simulated span, a whole number of slots.
     measured_slots = max(n_slots - warmup_slot, 0)
     measured_s = measured_slots * SLOT_MS / 1000.0
 
     # Window statistics: one pass over the trace columns from the warm-up
     # slot on.  RSRP sums add in slot order, so the means keep their bits.
-    # A row is aligned to each UE whose own state it is; the no-surface row to none.
-    aligned_rows = [[r != off_row and r == a for a in own] for r in range(off_row + 1)]
+    # A state is aligned to each UE whose own state it is; state -1, no
+    # surface, to none, even where a UE has no own state (-1) either.
+    aligned_rows = [[r == a for a in own] for r in range(len(state_angles(cfg)))]
+    aligned_rows.append([False] * n_ues)
     scheduled, served_aligned, retx_count, window_acked = ([0] * n_ues for _ in range(4))
     rsrp_sum = [[0.0, 0.0] for _ in range(n_ues)]  # per UE: [misaligned, aligned]
     rsrp_n = [[0, 0] for _ in range(n_ues)]
@@ -685,7 +679,7 @@ def _trace_lines(trace: Trace):
     One ``zip`` over the columns serves every epoch, which takes its
     slots with ``islice``; slicing each column per epoch would copy it.
     """
-    rsrp_cols = ",".join(f"rsrp{k}_dbm" for k in range(len(trace.aligned_state)))
+    rsrp_cols = ",".join(f"rsrp{k}_dbm" for k in range(len(trace.rsrp[0][0])))
     yield f"slot,time_ms,ris_state,ue,{rsrp_cols},snr_db,mcs,tb_bits,outcome,is_retx\n"
     slots = zip(trace.row, trace.ue, trace.mcs, trace.tb_bits, trace.nack, trace.retx)
     for lo, hi, rsrp_rows, snr_rows in trace.epochs():
@@ -699,7 +693,7 @@ def _trace_lines(trace: Trace):
                 head = heads.get(row)
                 if head is None:
                     head = heads[row] = (
-                        f"{trace.state_of(row)},",
+                        f"{row},",
                         "," + ",".join(f"{v:.4f}" for v in rsrp_rows[row]),
                         [f"{v:.4f}" for v in snr_rows[row]],
                     )

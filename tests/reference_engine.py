@@ -253,7 +253,7 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
             if abs(nu - ue.nu_deg) <= 1e-9 and abs(psi - ue.psi_deg) <= 1e-9:
                 own_beam[k] = s
                 break
-    no_surface_row = n_states  # the link tables' last row
+    no_surface_row = -1  # the surface state without the surface: the link tables' last row
 
     t_avg = {k: cfg.sched.floor for k in range(n_ues)}
     rate = {k: 0.0 for k in range(n_ues)}
@@ -335,7 +335,7 @@ def trace_csv(trace: engine.Trace) -> str:
     Each line is formatted from its own cells: no memo, no chunks.  The
     RSRP and SNR come from the slot's channel epoch, ``t // coherence``.
     """
-    n_ues = len(trace.aligned_state)
+    n_ues = len(trace.rsrp[0][0])
     rsrp_names = [f"rsrp{k}_dbm" for k in range(n_ues)]
     header = ["slot", "time_ms", "ris_state", "ue", *rsrp_names]
     header += ["snr_db", "mcs", "tb_bits", "outcome", "is_retx"]
@@ -352,8 +352,7 @@ def trace_csv(trace: engine.Trace) -> str:
             snr = f"{trace.snr[epoch][row][ue]:.4f}"
             mcs = str(trace.mcs[t])
             outcome = "nack" if trace.nack[t] else "ack"
-        state = -1 if row == trace.off_row else row
-        cells = [str(t), f"{t * SLOT_MS:.1f}", str(state), ue_cell, *rsrp]
+        cells = [str(t), f"{t * SLOT_MS:.1f}", str(row), ue_cell, *rsrp]
         cells += [snr, mcs, str(trace.tb_bits[t]), outcome, str(int(trace.retx[t]))]
         lines.append(",".join(cells))
     return "".join(line + "\n" for line in lines)

@@ -131,7 +131,7 @@ def test_criterion_4_bler_regulation(schedule_run):
         assert 0.05 <= b <= 0.15, f"UE{k} long-run BLER {b:.3f}"
 
     warm = round(WARMUP_S * 1000 / 0.5)
-    states = [trace.state_of(row) for row in trace.row]
+    states = trace.row
     transitions = [t for t in range(max(1, warm), len(trace)) if states[t] != states[t - 1]]
     assert transitions, "no dwell transitions inside the measured span"
     win = 200
@@ -214,7 +214,7 @@ def test_criterion_7_scheduling_fractions(schedule_run):
         if ue is None:
             continue
         served[ue] += 1
-        if trace.state_of(row) != ue and not retx:
+        if row != ue and not retx:
             mis_non_retx[ue] += 1
     for k in range(n_ues):
         residual = mis_non_retx[k] / served[k]

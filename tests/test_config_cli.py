@@ -342,6 +342,7 @@ class TestNonFinite:
             ("ris.probs", "-0.5,1.5"),
             ("ris.probs", "1.0"),  # one probability for two states
             ("ris.ts_slots", "0"),
+            ("ris.ts_slots", "1" + "0" * 400),  # no float holds it (exit 3)
             # Finite keys whose link gain 10 ** ((tx - pathloss - noise) / 10) overflows.
             ("ue.pathloss_db", "-1e308,60"),
             ("budget.tx_power_dbm", "1e308"),
@@ -390,6 +391,11 @@ class TestNonFinite:
             (
                 ["--set", "ris.angles=10:0,60:0", "schedule", "--mode", "genie"],
                 "config error: ris.mode: genie requires a state aligned to every UE (ris.angles)\n",
+            ),
+            # Strong scatter on a huge link gain: an infinite SNR that exited 0.
+            (
+                ["--set", "ue.pathloss_db=-2900,60", "--set", "chan.rician_k_db=-200", "schedule"],
+                "chan.rician_k_db",
             ),
         ],
     )

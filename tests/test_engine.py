@@ -10,7 +10,7 @@ import pytest
 
 from rissim import engine, presets
 from rissim.cli import main
-from rissim.config import ChannelConfig, ConfigError
+from rissim.config import ChannelConfig, ConfigError, aligned_states
 from rissim.engine import (
     MCS_TABLE_64QAM,
     TDD_DL_SYMBOLS,
@@ -45,7 +45,7 @@ def served_fractions(trace, aligned_state, start):
     counts = {True: [0] * len(aligned_state), False: [0] * len(aligned_state)}
     for row, ue in zip(trace.row[start:], trace.ue[start:]):
         if ue is not None:
-            counts[0 <= trace.state_of(row) == aligned_state[ue]][ue] += 1
+            counts[0 <= row == aligned_state[ue]][ue] += 1
     dl = sum(counts[True]) + sum(counts[False])
     measured = len(trace) - start
     return tuple(
@@ -342,7 +342,7 @@ class TestAlignmentRule:
         assert summary.served_frac_aligned_total == (0.0, 0.0)
         assert sum(summary.served_frac_misaligned_dl) == pytest.approx(1.0)
         assert all(np.isnan(summary.mean_rsrp_aligned_dbm))
-        assert trace.aligned_state == (-1, -1)
+        assert aligned_states(cfg) == (-1, -1)
         assert served_fractions(trace, (-1, -1), 1000) == summary_fractions(summary)
 
     def test_summary_matches_histogram_under_swapped_states(self):
@@ -358,8 +358,8 @@ class TestAlignmentRule:
         cfg = short_schedule(duration_s=4.0, warmup_s=1.0)
         cfg = cfg.with_overrides({"ris.angles": "45:0,30:0"})
         trace, summary = run(cfg)
-        assert trace.aligned_state == (1, 0)
-        assert served_fractions(trace, trace.aligned_state, 2000) == summary_fractions(summary)
+        assert aligned_states(cfg) == (1, 0)
+        assert served_fractions(trace, aligned_states(cfg), 2000) == summary_fractions(summary)
         assert served_fractions(trace, (0, 1), 2000) != summary_fractions(summary)
 
 
@@ -391,7 +391,7 @@ class TestSweep:
         cfg = short_schedule(duration_s=4.0, warmup_s=1.0)
         cfg = replace(cfg, ris=replace(cfg.ris, angles=((10.0, 0.0), (60.0, 0.0))))
         trace, summary = run(cfg)
-        assert trace.aligned_state == (-1, -1)
+        assert aligned_states(cfg) == (-1, -1)
         assert summary.served_frac_aligned_dl == (0.0, 0.0)
 
     def test_ts_scaling_compresses_dwells(self):

@@ -10,6 +10,7 @@ from rissim import engine
 from rissim import link_adapt as la
 from rissim import presets
 from rissim.array_model import design_phase_offsets, steering_vector, upa_profile
+from rissim.config import aligned_states
 from rissim.engine import (
     DRAW_CHUNK,
     EPOCH_BLOCK,
@@ -153,7 +154,7 @@ def test_hoisted_builder_is_bitwise_equal_to_reference(rician_k_db):
     # Both consumed the channel stream identically.
     assert rng_fast.random() == rng_ref.random()
     assert np.isneginf(tables.snr_db[-1][1]) and tables.rsrp[-1][1] == RSRP_FLOOR_DBM
-    assert setup.aligned_state == (0, 1, 2)
+    assert aligned_states(cfg) == (0, 1, 2)
 
 
 @pytest.mark.parametrize("n_epochs", [EPOCH_BLOCK - 1, EPOCH_BLOCK, EPOCH_BLOCK + 1])

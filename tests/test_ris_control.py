@@ -7,7 +7,7 @@ switching modes a slot's table row is the surface state in force.
 import pytest
 
 from rissim import presets
-from rissim.config import ConfigError
+from rissim.config import ConfigError, aligned_states
 from rissim.engine import iid_state, link_setup, run
 
 
@@ -28,16 +28,15 @@ def states(cfg, mode="periodic", slots=10, **ris):
 
 class TestDistribution:
     def test_two_states_equal_probability(self, base):
-        setup = link_setup(base)
-        assert len(setup.weights) == 2 and setup.aligned_state == (0, 1)
+        assert len(link_setup(base).weights) == 2 and aligned_states(base) == (0, 1)
         # Without ris.probs every state is equally likely.
         seq = states(base, "iid", slots=50, ts_slots=1, seed=42)
         assert seq == [iid_state(42, t, [0.5, 0.5]) for t in range(50)]
 
     def test_identical_angles_still_two_entries(self, base):
-        setup = link_setup(base.with_overrides({"ris.angles": "30:0,30:0"}))
-        assert len(setup.weights) == 2
-        assert setup.aligned_state == (0, -1)  # the first match
+        cfg = base.with_overrides({"ris.angles": "30:0,30:0"})
+        assert len(link_setup(cfg).weights) == 2
+        assert aligned_states(cfg) == (0, -1)  # the first match
 
 
 class TestPeriodicSwitching:
@@ -80,10 +79,10 @@ class TestIidSwitching:
 class TestGenieLookup:
     def test_finds_own_state(self, base):
         cfg = base.with_overrides({"ris.angles": "45:0,30:0"})
-        assert link_setup(cfg).aligned_state == (1, 0)
+        assert aligned_states(cfg) == (1, 0)
 
     def test_missing_angle_raises(self, base):
         cfg = base.with_overrides({"ris.angles": "30:0,60:0"})
-        assert link_setup(cfg).aligned_state == (0, -1)
+        assert aligned_states(cfg) == (0, -1)
         with pytest.raises(ConfigError, match="ris.mode: genie"):
             run(cfg.with_overrides({"ris.mode": "genie", "sim.duration_s": "0.01"}))

@@ -292,7 +292,7 @@ _RULES = {
         lambda v: 0 <= v <= MAX_SLOTS * SLOT_MS / 1000.0,
     ),
     "sim.ts_scaling": ("positive", lambda v: v > 0),
-    "sim.prbs": (">= 1", lambda v: v >= 1),
+    "sim.prbs": ("in [1, 273]", lambda v: 1 <= v <= 273),  # NR's most PRBs per carrier
     "sim.seed": (">= 0", lambda v: v >= 0),
     "chan.coherence_slots": (">= 0", lambda v: v >= 0),
     # At +-200 dB the scatter power is 1e-20 or 1e20 times the line of sight's.  Far

@@ -10,21 +10,23 @@ in turn (periodic) or by an independent draw per interval (i.i.d.,
 :func:`iid_state`).  :func:`simulate` and :func:`summarize` read each
 UE's own state from ``config.aligned_states``.  :func:`link_setup` is
 also the link model's one home: each UE's line-of-sight channel, SNR
-gain, transmit power minus path loss, and the scatter scale.  A run's link tables, one per
+gain, transmit power minus path loss, and the scatter scale.  A run's
+link tables (SNR, spectral efficiency and RSRP per row and UE), one per
 coherence epoch, come from one :func:`build_link_tables` generator.
 
 Per slot: advance the surface state, refresh CQI-derived rate estimates
 on their cadence, pick the UE (pending retransmissions first, then the
-configured policy), size the transport block, draw its outcome from the
-block-error model, and update HARQ, EWMA and window counters.  The
-scheduler and the EWMA see the CQI-cadence rate estimates, as a
-CQI-driven MAC does; the block outcome is drawn against the true
-current SNR, which is what produces the measured-BLER excursions right
-after a surface switch.  The per-slot rules (PF argmax, EWMA, round
-robin, HARQ, and the outer loop's CQI cap and BLER-window MCS step) are
-written inline in :func:`simulate`, their state in plain per-UE lists; the
-literal reference loop in ``tests/reference_engine.py`` restates them
-one step at a time and is checked against it.
+configured policy), size the transport block, draw its outcome, and
+update HARQ, EWMA and window counters.  The scheduler and the EWMA see
+the CQI-cadence rate estimates, as a CQI-driven MAC does; the block
+fails with the logistic block-error probability of the true current SNR
+at its MCS, computed when the outcome is drawn, which is what produces
+the measured-BLER excursions right after a surface switch.  The
+per-slot rules (PF argmax, EWMA, round robin, the block-error curve,
+HARQ, and the outer loop's CQI cap and BLER-window MCS step) are
+written inline in :func:`simulate`, their state in plain per-UE lists;
+the literal reference loop in ``tests/reference_engine.py`` restates
+them one step at a time and is checked against it.
 
 The run's one per-slot record is :class:`Trace`: six columns (surface
 state, UE, MCS, TB bits, NACK, retransmission) plus the RSRP and SNR
@@ -45,18 +47,16 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
 from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
 
-from . import link_adapt as la_mod
 from .array_model import design_phase_offsets, steering_vector, upa_profile
 from .config import (
     SLOT_MS, ExperimentConfig, aligned_states, scaled, state_angles, to_slots, validate,
 )
-from .link_adapt import MAX_ATTEMPTS, MCS_TABLE_64QAM
+from .link_adapt import MAX_ATTEMPTS, MCS_TABLE_64QAM, thresholds_db
 
 SUBCARRIERS_PER_PRB = 12
 DRAW_CHUNK = 4096  # block-outcome uniforms drawn per refill
@@ -188,39 +188,19 @@ class LinkTables(NamedTuple):
     Rows are the surface states, then the no-surface scalar channel, so
     that state -1 (mode "off") indexes the last row and shares the lookup
     path.  Plain-float lookups are what make the slot loop cheap; RSRP
-    rows are tuples because trace records share them.  A BLER row is computed when it is first indexed (see
-    :class:`_BlerOnFirstUse`); ``bler[row][ue][:]`` gives the whole row.
+    rows are tuples because trace records share them.  A block's error
+    probability is computed from its row's SNR when its outcome is drawn.
     """
 
     snr_db: list[tuple[float, ...]]  # per row, per UE
     se: list[tuple[float, ...]]
     rsrp: list[tuple[float, ...]]
-    bler: list[list]  # per row, per UE: block-error probability per MCS index
-
-
-class _BlerOnFirstUse:
-    """The BLER row of one (table row, UE) until it is first indexed.
-
-    A Rician epoch lasts a few slots, in which the slot loop reads the
-    row in force for the UEs it serves, not every row.  The first index
-    computes the row from its SNR and puts the list in this placeholder's
-    place, so later lookups are plain list indexing.
-    """
-
-    __slots__ = ("cells", "ue", "snr_db", "curve")
-
-    def __init__(self, cells: list, ue: int, snr_db: float, curve):
-        self.cells, self.ue, self.snr_db, self.curve = cells, ue, snr_db, curve
-
-    def __getitem__(self, index):
-        row = self.cells[self.ue] = self.curve(self.snr_db)
-        return row[index]
 
 
 @dataclass(frozen=True)
 class LinkSetup:
     """The link model's per-run constants; only the scatter is redrawn,
-    into :attr:`block_buffers`.  Under a surface state UE ``k``'s link is
+    by :func:`build_link_tables`.  Under a surface state UE ``k``'s link is
     one complex scalar ``h``: SNR ``|h|**2 * snr_gain[k]``, RSRP
     ``rx_dbm[k] + 20 log10|h| + budget.rsrp_offset_db``, floored.
     """
@@ -231,21 +211,6 @@ class LinkSetup:
     rx_dbm: tuple[float, ...]  # per UE: tx - pathloss
     scatter_sigma: float | None  # amplitude / sqrt(K): scatter power is LoS power / K
     thresholds_db: tuple[float, ...]  # per-MCS BLER midpoints
-
-    @cached_property
-    def block_buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Scratch for :data:`EPOCH_BLOCK` epochs of scatter, allocated on first use.
-
-        Normals (B, K, 2, n), cascaded channels (B, K, n) and their
-        products with one state's weights (B, K, n); about 1.5 MiB for the
-        presets' two UEs and 1,024 elements.
-        """
-        k, n = len(self.los), self.los[0].size
-        return (
-            np.empty((EPOCH_BLOCK, k, 2, n)),
-            np.empty((EPOCH_BLOCK, k, n), dtype=complex),
-            np.empty((EPOCH_BLOCK, k, n), dtype=complex),
-        )
 
     def surface_channels(self, h: np.ndarray, prod: np.ndarray | None = None) -> np.ndarray:
         """Effective channel of every surface state over the cascaded channels ``h``.
@@ -290,7 +255,7 @@ def link_setup(cfg: ExperimentConfig) -> LinkSetup:
         ),
         rx_dbm=tuple(cfg.tx_power_dbm - ue.pathloss_db for ue in cfg.ues),
         scatter_sigma=None if k_db is None else amplitude / math.sqrt(10.0 ** (k_db / 10.0)),
-        thresholds_db=la_mod.thresholds_db(cfg.la.impl_margin_db),
+        thresholds_db=thresholds_db(cfg.la.impl_margin_db),
     )
 
 
@@ -303,19 +268,28 @@ def build_link_tables(
     serves all its epochs.  Without ``chan.rician_k_db`` every epoch has
     the same tables.  With it, each epoch draws scatter from
     ``rng_channel`` UE by UE, real parts before imaginary parts, drawn
-    :data:`EPOCH_BLOCK` epochs at a time into ``setup.block_buffers``.
+    :data:`EPOCH_BLOCK` epochs at a time into scratch allocated at the
+    first block: normals (B, K, 2, n), cascaded channels (B, K, n) and
+    their products with one state's weights (B, K, n), about 1.5 MiB for
+    the presets' two UEs and 1,024 elements.
     """
     los = np.stack(setup.los)  # (K, n)
     leaks = [ue.direct_leak for ue in cfg.ues]
-    curve = partial(la_mod.bler_curve, thresholds_db=setup.thresholds_db, model_slope=cfg.la.slope)
     off = _row_values([complex(ue.noris_gain) for ue in cfg.ues], setup, cfg.rsrp_offset_db)
-    off_bler = _lazy_bler(off[0], curve)  # the no-surface row is the same in every epoch
+    buffers = None
     for first in range(0, n_epochs, EPOCH_BLOCK):
         m = min(EPOCH_BLOCK, n_epochs - first)
         if setup.scatter_sigma is None:
             sums = setup.surface_channels(np.broadcast_to(los, (m,) + los.shape))
         else:
-            normals, h, prod = (a[:m] for a in setup.block_buffers)
+            if buffers is None:
+                k, n = los.shape
+                buffers = (
+                    np.empty((EPOCH_BLOCK, k, 2, n)),
+                    np.empty((EPOCH_BLOCK, k, n), dtype=complex),
+                    np.empty((EPOCH_BLOCK, k, n), dtype=complex),
+                )
+            normals, h, prod = (a[:m] for a in buffers)
             rng_channel.standard_normal(out=normals)
             # sigma * (re + 1j * im) / sqrt(2) as real operations, in that order;
             # numpy divides a complex by a real by multiplying by the reciprocal.
@@ -331,12 +305,10 @@ def build_link_tables(
                 )
                 for row in rows
             ] + [off]
-            snr_db = [snr for snr, _, _ in values]
             yield LinkTables(
-                snr_db,
+                [snr for snr, _, _ in values],
                 [se for _, se, _ in values],
                 [rsrp for _, _, rsrp in values],
-                [_lazy_bler(snr, curve) for snr in snr_db[:-1]] + [off_bler],
             )
 
 
@@ -359,14 +331,6 @@ def _row_values(
             max(rsrp, RSRP_FLOOR_DBM),
         ))
     return tuple(zip(*values))
-
-
-def _lazy_bler(snr_db: tuple[float, ...], curve) -> list:
-    """One table row's per-UE BLER rows, each computed from ``snr_db`` on first use."""
-    cells = [None] * len(snr_db)
-    for k, snr in enumerate(snr_db):
-        cells[k] = _BlerOnFirstUse(cells, k, snr, curve)
-    return cells
 
 
 def iid_state(seed: int, interval: int, probs: Sequence[float]) -> int:
@@ -426,7 +390,10 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
     cap_of = [len(MCS_TABLE_64QAM) - 1] * n_ues
     win_sched = [0] * n_ues
     win_retx = [0] * n_ues
-    cqi_levels = tuple(enumerate(setup.thresholds_db))[mcs_min:]  # (index, threshold)
+    thresholds = setup.thresholds_db
+    cqi_levels = tuple(enumerate(thresholds))[mcs_min:]  # (index, threshold)
+    slope = la.slope
+    exp = math.exp
 
     trace = Trace(n_slots, coherence)
     rows, ues, mcss, tbs, nacks, retxs = (
@@ -435,7 +402,7 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
     # One table per coherence epoch, from one generator.
     n_epochs = -(-max(n_slots, 1) // coherence) if coherence else 1
     next_tables = build_link_tables(cfg, setup, rng_channel, n_epochs).__next__
-    snr_tab, se_tab, rsrp_tab, bler_tab = next_tables()
+    snr_tab, se_tab, rsrp_tab = next_tables()
     trace.add_epoch(rsrp_tab, snr_tab)
 
     # Per TDD phase: None on uplink slots, else the TB size per MCS index.
@@ -460,7 +427,7 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
     for t in range(n_slots):
         # Scatter evolves on its own coherence grid, from its own stream.
         if coherence and t and t % coherence == 0:
-            snr_tab, se_tab, rsrp_tab, bler_tab = next_tables()
+            snr_tab, se_tab, rsrp_tab = next_tables()
             trace.add_epoch(rsrp_tab, snr_tab)
 
         # One state per switching interval, set at its first slot.
@@ -506,7 +473,10 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
             if genie:
                 row = aligned_state[ue]
 
-            nack = bler_draw() < bler_tab[row][ue][mcs]
+            # Block error: logistic in the true SNR, midpoint at the MCS's
+            # threshold.  Past x = 700 it is 0.0, and exp would overflow near 710.
+            x = slope * (snr_tab[row][ue] - thresholds[mcs])
+            nack = bler_draw() < (1.0 / (1.0 + exp(x)) if x <= 700.0 else 0.0)
             if not nack:
                 acked_bits += tb
                 attempts = 0

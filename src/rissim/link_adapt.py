@@ -1,21 +1,20 @@
-"""Rate-adaptation constants: MCS table, block-error model, HARQ budget.
+"""Rate-adaptation constants: MCS table, block-error thresholds, HARQ budget.
 
 The block-error abstraction is a logistic curve in SNR (dB) anchored at
 a per-MCS threshold: the Shannon limit of the entry's spectral
 efficiency plus an implementation margin.  ``MAX_ATTEMPTS`` is the HARQ
 budget: a failed transport block is retransmitted at the same MCS at
 most three times before it is discarded.  The rules that use these
-constants (HARQ, and the outer loop that steps the MCS on a BLER window
-under a CQI cap) are written inline in ``engine.simulate``, and
-``tests/reference_engine.py`` restates them one step at a time.
+constants (the block-error curve, HARQ, and the outer loop that steps
+the MCS on a BLER window under a CQI cap) are written inline in
+``engine.simulate``, and ``tests/reference_engine.py`` restates them one
+step at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .config import LaConfig  # the one source of the la.* defaults used below
 
 MAX_ATTEMPTS = 4  # 1 initial transmission + 3 retransmissions
 
@@ -66,23 +65,3 @@ def thresholds_db(impl_margin_db: float) -> tuple[float, ...]:
     limit of the entry's spectral efficiency plus ``impl_margin_db``."""
     return tuple(10.0 * math.log10(2.0 ** e.se - 1.0) + impl_margin_db for e in MCS_TABLE_64QAM)
 
-
-def bler_curve(
-    snr_db: float, thresholds_db, model_slope: float = LaConfig.slope
-) -> list[float]:
-    """Block-error probability at one SNR for each curve midpoint in ``thresholds_db``.
-
-    Logistic in SNR (dB) with its midpoint at the threshold:
-    decreasing in SNR and, at fixed SNR, increasing with the threshold.
-    """
-    out = []
-    for thr in thresholds_db:
-        x = model_slope * (snr_db - thr)
-        # Guard the exp against overflow at extreme SNR offsets.
-        if x > 700.0:
-            out.append(0.0)
-        elif x < -700.0:
-            out.append(1.0)
-        else:
-            out.append(1.0 / (1.0 + math.exp(x)))
-    return out

@@ -10,7 +10,8 @@ which is checked in every slot.  The rules live here and not in the
 package: ``engine.run`` inlines them, and
 ``tests/test_reference_engine.py`` asserts that both give the same
 trace columns and bit counters.  Only the MCS table and the HARQ budget
-come from ``rissim.link_adapt``.
+come from ``rissim.link_adapt``; the block-error curve is
+:func:`bler_curve`, evaluated at every MCS index for each transmission.
 
 Rules (README "What is modeled"):
 
@@ -32,6 +33,9 @@ Rules (README "What is modeled"):
 - CQI cadence: each UE's rate estimate and MCS cap come from the
   channel it measures: its own beam under genie, else the state in
   force.
+- Block outcome: a transmission fails when its uniform is below the
+  logistic block-error probability ``1 / (1 + exp(la.slope * (SNR -
+  threshold)))`` of the current surface state's SNR at the block's MCS.
 - Retransmission priority: a NACKed block is resent in the next
   downlink slot, at its MCS and size, up to 4 transmissions in all.
 - PF: argmax of rate / max(average, floor), ties to the lowest index;
@@ -60,7 +64,7 @@ import numpy as np
 
 from rissim import engine
 from rissim.array_model import RisPhaseProfile
-from rissim.config import SLOT_MS, ExperimentConfig, scaled, to_slots, validate
+from rissim.config import SLOT_MS, ExperimentConfig, LaConfig, scaled, to_slots, validate
 from rissim.link_adapt import MCS_TABLE_64QAM, MAX_ATTEMPTS
 
 # Schedulable downlink symbols per slot of one TDD period: 6 DL, 1 mixed, 3 UL.
@@ -100,6 +104,27 @@ def rician_scatter(
     """
     sigma = amplitude / math.sqrt(10.0 ** (rician_k_db / 10.0))
     return sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+
+
+def bler_curve(
+    snr_db: float, thresholds_db, model_slope: float = LaConfig.slope
+) -> list[float]:
+    """Block-error probability at one SNR for each curve midpoint in ``thresholds_db``.
+
+    Logistic in SNR (dB) with its midpoint at the threshold:
+    decreasing in SNR and, at fixed SNR, increasing with the threshold.
+    """
+    out = []
+    for thr in thresholds_db:
+        x = model_slope * (snr_db - thr)
+        # Guard the exp against overflow at extreme SNR offsets.
+        if x > 700.0:
+            out.append(0.0)
+        elif x < -700.0:
+            out.append(1.0)
+        else:
+            out.append(1.0 / (1.0 + math.exp(x)))
+    return out
 
 
 def select_ue(t_avg, rates, floor: float) -> int:
@@ -309,7 +334,8 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
             ue = proc.ue
             if mode == "genie":
                 surface = own_beam[ue]
-            nack = rng_blocks.random() < tables.bler[surface][ue][proc.mcs_used]
+            curve = bler_curve(tables.snr_db[surface][ue], setup.thresholds_db, la.slope)
+            nack = rng_blocks.random() < curve[proc.mcs_used]
             out.record(surface, ue, proc.mcs_used, proc.tb_bits, nack, retx)
             if not nack:
                 out.acked_bits += proc.tb_bits

@@ -1,5 +1,6 @@
 """Config round-trip, validation messages, and the CLI surface."""
 
+import ast
 import importlib
 import io
 import json
@@ -343,6 +344,8 @@ class TestNonFinite:
             ("ris.probs", "1.0"),  # one probability for two states
             ("ris.ts_slots", "0"),
             ("ris.ts_slots", "1" + "0" * 400),  # no float holds it (exit 3)
+            ("sim.prbs", "274"),  # NR carries at most 273 PRBs
+            ("sim.prbs", "1" + "0" * 320),  # no float holds its TB size (exit 3)
             # Finite keys whose link gain 10 ** ((tx - pathloss - noise) / 10) overflows.
             ("ue.pathloss_db", "-1e308,60"),
             ("budget.tx_power_dbm", "1e308"),
@@ -702,7 +705,8 @@ class TestOneConfigPath:
         assert angles[0] == "0.0000" and angles[-1] == last
 
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 class TestReadmeKeys:
@@ -712,21 +716,52 @@ class TestReadmeKeys:
         assert set(listed) == set(to_flat(_all_optional_keys_set()))
 
 
+def _unresolved(spans) -> list[str]:
+    """The ``(module, name)`` pairs that name no attribute of a rissim module."""
+    unresolved = []
+    for module, name in spans:
+        try:
+            getattr(importlib.import_module(f"rissim.{module}"), name)
+        except (ImportError, AttributeError):
+            unresolved.append(f"{module}.{name}")
+    return unresolved
+
+
+def _docstrings(path: Path) -> list[str]:
+    """The module, class and function docstrings of one source file."""
+    tree = ast.parse(path.read_text())
+    defs = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    nodes = [tree, *(node for node in ast.walk(tree) if isinstance(node, defs))]
+    return [doc for node in nodes if (doc := ast.get_docstring(node))]
+
+
 class TestReadmeNames:
     def test_backticked_module_names_resolve(self):
         # Every `<word>.<name>` span but a config key, a file name or an
         # outside module's names a rissim module and something it defines.
         sections = {key.split(".")[0] for key in to_flat(_all_optional_keys_set())}
         skip = sections | {"np", "dataclasses"}
-        unresolved = []
-        for module, name in re.findall(r"`([a-z_]+)\.([A-Za-z_]\w*)", README):
-            if module in skip or name in ("csv", "py"):
-                continue
-            try:
-                getattr(importlib.import_module(f"rissim.{module}"), name)
-            except (ImportError, AttributeError):
-                unresolved.append(f"{module}.{name}")
-        assert unresolved == []
+        spans = re.findall(r"`([a-z_]+)\.([A-Za-z_]\w*)", README)
+        assert _unresolved(
+            (module, name) for module, name in spans
+            if module not in skip and name not in ("csv", "py")
+        ) == []
+
+    def test_backticked_docstring_names_resolve(self):
+        # Every backticked `<module>.<name>` span in a docstring, with or
+        # without a `rissim.` prefix, whose module is a rissim module names
+        # something that module defines.
+        package = ROOT / "src" / "rissim"
+        modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+        spans = [
+            span
+            for path in [*sorted(package.glob("*.py")), ROOT / "tests" / "reference_engine.py"]
+            for doc in _docstrings(path)
+            for span in re.findall(r"`(?:rissim\.)?([a-z_]+)\.([A-Za-z_]\w*)", doc)
+            if span[0] in modules
+        ]
+        assert spans
+        assert _unresolved(spans) == []
 
 
 class TestReadmeCommands:

@@ -7,14 +7,12 @@ import pytest
 
 from reference_engine import effective_channel, rician_scatter
 from rissim import engine
-from rissim import link_adapt as la
 from rissim import presets
 from rissim.array_model import design_phase_offsets, steering_vector, upa_profile
 from rissim.config import aligned_states
 from rissim.engine import (
     DRAW_CHUNK,
     EPOCH_BLOCK,
-    MCS_TABLE_64QAM,
     RSRP_FLOOR_DBM,
     build_link_tables,
     link_setup,
@@ -64,14 +62,13 @@ def _states(cfg):
 
 
 def _reference_tables(cfg, states, rng, rician_k_db):
-    """The link tables computed call by call, one (state, UE, MCS) at a time,
+    """The link tables computed call by call, one (state, UE) at a time,
     from the literal line-of-sight, SNR, SE and RSRP formulas."""
     g = cfg.geom
     n_rows = len(states) + 1
     snr_db = np.zeros((n_rows, len(cfg.ues)))
     se = np.zeros_like(snr_db)
     rsrp = np.zeros_like(snr_db)
-    bler = np.zeros((n_rows, len(cfg.ues), len(MCS_TABLE_64QAM)))
     for k, ue in enumerate(cfg.ues):
         amplitude = 1.0 / (g.n_h * g.n_v)
         h_c = amplitude * np.kron(
@@ -97,16 +94,12 @@ def _reference_tables(cfg, states, rng, rician_k_db):
                     + cfg.rsrp_offset_db,
                     RSRP_FLOOR_DBM,
                 )
-            for mcs, e in enumerate(MCS_TABLE_64QAM):
-                thr = 10.0 * math.log10(2.0**e.se - 1.0) + cfg.la.impl_margin_db
-                bler[s, k, mcs] = la.bler_curve(snr_db[s, k], (thr,), cfg.la.slope)[0]
-    return snr_db, se, rsrp, bler
+    return snr_db, se, rsrp
 
 
 def _arrays(tables):
-    """(snr, se, rsrp, bler) of one epoch's tables as arrays, every BLER row in full."""
-    bler = [[row[:] for row in cells] for cells in tables.bler]
-    return tuple(np.array(a) for a in (tables.snr_db, tables.se, tables.rsrp, bler))
+    """(snr, se, rsrp) of one epoch's tables as arrays."""
+    return tuple(np.array(a) for a in tables)
 
 
 THREE_UES = {

@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reference_engine import bler_curve
 from rissim import presets
 from rissim.cli import main
 from rissim.config import ChannelConfig, ExperimentConfig, serialize
@@ -112,12 +113,17 @@ def digests(cfg, tmp_dir) -> tuple[str, str, str]:
 def table_digest(cfg, rebuilds: int = 3) -> str:
     """SHA-256 over the link-table bytes of the first ``rebuilds`` channel draws.
 
-    The draws come from one builder call; every BLER row is read in full.
+    The draws come from one builder call.  Each (row, UE) SNR also adds
+    its block-error probability at every MCS index, from the reference
+    curve.
     """
     setup = link_setup(cfg)
     h = hashlib.sha256()
     for tables in build_link_tables(cfg, setup, np.random.default_rng(3), rebuilds):
-        bler = [[row[:] for row in cells] for cells in tables.bler]
+        bler = [
+            [bler_curve(snr, setup.thresholds_db, cfg.la.slope) for snr in row]
+            for row in tables.snr_db
+        ]
         for a in (tables.snr_db, tables.se, tables.rsrp, bler):
             h.update(np.array(a).tobytes())
     return h.hexdigest()

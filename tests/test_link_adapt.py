@@ -11,12 +11,13 @@ from reference_engine import (
     RETRANSMIT,
     HarqProcess,
     OuterLoop,
+    bler_curve,
     cqi_update,
     harq_on_nack,
     step_mcs,
 )
 from rissim.config import LaConfig
-from rissim.link_adapt import MCS_TABLE_64QAM, bler_curve, thresholds_db
+from rissim.link_adapt import MCS_TABLE_64QAM, thresholds_db
 
 THRESHOLDS = thresholds_db(LaConfig.impl_margin_db)
 CQI = (LaConfig.cqi_backoff_db, LaConfig.mcs_min)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 import reference_engine
+from rissim import presets
 from rissim.config import (
     RIS_MODES,
     SCHED_KINDS,
@@ -117,6 +118,16 @@ def small_configs(draw, mode: str, kind: str):
     return cfg if mode == "iid" else replace(cfg, ris=replace(cfg.ris, seed=None))
 
 
+def _assert_engine_equals_reference(cfg):
+    trace, summary = run(cfg)
+    ref = reference_engine.run(cfg)
+    for name in COLUMNS:
+        assert getattr(trace, name) == getattr(ref, name), name
+    for name in BITS:
+        assert getattr(summary, name) == getattr(ref, name), name
+    return trace, summary
+
+
 @pytest.mark.parametrize("kind", SCHED_KINDS)
 @pytest.mark.parametrize("mode", RIS_MODES)
 @given(data=st.data())
@@ -129,12 +140,7 @@ def small_configs(draw, mode: str, kind: str):
 )
 def test_engine_equals_reference(mode, kind, data):
     cfg = data.draw(small_configs(mode, kind))
-    trace, summary = run(cfg)
-    ref = reference_engine.run(cfg)
-    for name in COLUMNS:
-        assert getattr(trace, name) == getattr(ref, name), name
-    for name in BITS:
-        assert getattr(summary, name) == getattr(ref, name), name
+    trace, summary = _assert_engine_equals_reference(cfg)
 
     assert summary.conservation_holds()
     served_mcs = [m for m in trace.mcs if m is not None]
@@ -149,6 +155,39 @@ def test_engine_equals_reference(mode, kind, data):
     assert summary2 == summary
     assert all(getattr(trace2, name) == getattr(trace, name) for name in COLUMNS)
     assert trace2.rsrp == trace.rsrp and trace2.snr == trace.snr
+
+
+@pytest.mark.parametrize("slope", ["2", "30"])
+def test_bler_is_zero_past_the_overflow_guard(slope):
+    # Link gains of ~380 dB: slope * (SNR - threshold) passes 700 on every
+    # transmission, where the curve is 0.0 and exp would overflow near 710.
+    cfg = presets.schedule_config().with_overrides({
+        "ue.pathloss_db": "-300,-300",
+        "la.slope": slope,
+        "ris.ts_slots": "20",
+        "sim.duration_s": "0.5",
+        "sim.warmup_s": "0",
+    })
+    trace, summary = _assert_engine_equals_reference(cfg)
+    assert min(trace.snr[0][-2]) > 350.0
+    assert not any(trace.nack)
+    assert summary.acked_bits == summary.new_tx_bits > 0
+
+
+def test_a_ue_without_signal_loses_every_block():
+    # No surface and no direct path to UE 0: its SNR is -inf, every
+    # transmission fails and every block is discarded.
+    cfg = presets.schedule_config("off").with_overrides({
+        "ue.noris_gain": "0,0.1",
+        "sched.kind": "rr",
+        "sim.duration_s": "0.5",
+        "sim.warmup_s": "0",
+    })
+    trace, summary = _assert_engine_equals_reference(cfg)
+    assert trace.snr[0][-1][0] == float("-inf")
+    ue0 = [nack for ue, nack in zip(trace.ue, trace.nack) if ue == 0]
+    assert ue0 and all(ue0)
+    assert summary.discarded_bits > 0
 
 
 def _three_ue_pf(mode, ues, floor):

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Single-UE comparison table: RSRP and throughput with and without the
 reflecting surface, for both UE positions.  The four runs are independent
-and go to ``engine.run_summaries``' worker pool."""
+and go to ``engine.run_summaries``, which splits them between this process
+and a worker pool."""
 
 from rissim import presets
 from rissim.engine import run_summaries

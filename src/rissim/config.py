@@ -277,11 +277,11 @@ _RULES = {
     "geom.n_v": (">= 1", lambda v: v >= 1),
     # A cell 10 wavelengths across is no surface element; past ~1e15 the phases lose every bit.
     "geom.spacing_ratio": ("in (0, 10]", lambda v: 0 < v <= 10.0),
-    "ris.mode": (f"one of {RIS_MODES}", lambda v: v in RIS_MODES),
+    "ris.mode": ("one of " + ", ".join(RIS_MODES), lambda v: v in RIS_MODES),
     "ris.ts_slots": (">= 1", lambda v: v >= 1),
     "ris.offset_slots": (">= 0", lambda v: v >= 0),
     "ris.seed": (">= 0", lambda v: v is None or v >= 0),  # None: derived from sim.seed
-    "sched.kind": (f"one of {SCHED_KINDS}", lambda v: v in SCHED_KINDS),
+    "sched.kind": ("one of " + ", ".join(SCHED_KINDS), lambda v: v in SCHED_KINDS),
     "sched.floor": ("positive", lambda v: v > 0),
     "la.window_ms": ("positive", lambda v: v > 0),
     "la.cqi_period_ms": ("positive", lambda v: v > 0),

@@ -14,10 +14,16 @@ gain, transmit power minus path loss, and the scatter scale.  A run's
 link tables (SNR, spectral efficiency and RSRP per row and UE), one per
 coherence epoch, come from one :func:`build_link_tables` generator.
 
-Per slot: advance the surface state, refresh CQI-derived rate estimates
-on their cadence, pick the UE (pending retransmissions first, then the
-configured policy), size the transport block, draw its outcome, and
-update HARQ, EWMA and window counters.  The scheduler and the EWMA see
+The slot loop runs in event segments.  At a segment's first slot it
+handles the events due there, in this order: the channel-coherence
+refresh, the surface switch and the CQI refresh of the rate estimates;
+the segment ends at the next slot where any of these, a BLER-window
+boundary or the run's end falls.  Its slots do only the TDD phase lookup
+and, on downlink slots, the MAC work: pick the UE (pending
+retransmissions first, then the configured policy), size the transport
+block, draw its outcome, and update HARQ, EWMA and window counters.
+After a segment that ends on a window boundary, every UE's MCS takes its
+window step.  The scheduler and the EWMA see
 the CQI-cadence rate estimates, as a CQI-driven MAC does; the block
 fails with the logistic block-error probability of the true current SNR
 at its MCS, computed when the outcome is drawn, which is what produces
@@ -161,9 +167,6 @@ class RunSummary:
             len(a) == len(b) and all(map(_same, a, b)) if isinstance(a, tuple) else _same(a, b)
             for a, b in zip(vars(self).values(), vars(other).values())
         )
-
-    def conservation_holds(self) -> bool:
-        return self.new_tx_bits == self.acked_bits + self.discarded_bits + self.inflight_bits
 
     def as_kv_text(self) -> str:
         lines = []
@@ -414,6 +417,7 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
     ).__next__
 
     rate_est = [0.0] * n_ues  # CQI-cadence rate estimates driving the scheduler
+    ue_range = range(n_ues)
     dl_counter = 0
     new_tx_bits = acked_bits = discarded_bits = 0
     # HARQ: at most one block is in flight, and a NACKed one preempts every
@@ -421,26 +425,33 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
     # downlink slot's (ue, mcs, tb).  ``attempts`` counts its transmissions;
     # 0 means none is in flight.
     attempts = ue = mcs = tb = 0
-    next_switch, offset = 0, cfg.ris.offset_slots
     row = -1 if mode == "off" else aligned_state[0] if genie else 0
+    # The slot of each event's next occurrence; n_slots where a mode has none.
+    next_coh = coherence or n_slots
+    next_switch = 0 if switching else n_slots
+    next_cqi = 0
+    next_win = window_slots
+    offset = cfg.ris.offset_slots
 
-    for t in range(n_slots):
+    t0 = 0
+    while t0 < n_slots:
         # Scatter evolves on its own coherence grid, from its own stream.
-        if coherence and t and t % coherence == 0:
+        if t0 == next_coh:
             snr_tab, se_tab, rsrp_tab = next_tables()
             trace.add_epoch(rsrp_tab, snr_tab)
+            next_coh += coherence
 
         # One state per switching interval, set at its first slot.
-        if switching and t == next_switch:
-            interval = (t + offset) // ts_slots
+        if t0 == next_switch:
+            interval = (t0 + offset) // ts_slots
             row = interval % n_states if periodic else iid_state(ris_seed, interval, probs)
             next_switch = (interval + 1) * ts_slots - offset
 
         # CQI cadence: refresh the scheduler-side rate estimates and caps
         # from the channel each UE currently measures.  The cap is the last
         # index whose threshold fits: index 16's threshold is above 17's.
-        if t % cqi_slots == 0:
-            for k in range(n_ues):
+        if t0 == next_cqi:
+            for k in ue_range:
                 meas_row = aligned_state[k] if genie else row
                 limit = snr_tab[meas_row][k] - la.cqi_backoff_db
                 cap = mcs_min
@@ -450,19 +461,24 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
                 cap_of[k] = cap
                 mcs_of[k] = min(max(mcs_of[k], mcs_min), cap)
                 rate_est[k] = se_tab[meas_row][k]
+            next_cqi += cqi_slots
 
-        tb_row = phase_tb[t % period]
-        if tb_row is None:
-            rows[t] = row  # uplink: an idle row
-        else:
+        # A segment: the slots up to the next event, none of which falls inside it.
+        seg_end = min(next_coh, next_switch, next_cqi, next_win, n_slots)
+        for t in range(t0, seg_end):
+            tb_row = phase_tb[t % period]
+            if tb_row is None:
+                rows[t] = row  # uplink: an idle row
+                continue
             retx = attempts > 0
             if not retx:
                 if round_robin:
                     ue = dl_counter % n_ues
                 else:  # PF: the largest rate / average, ties to the lowest index
+                    # The averages never fall below the floor (see the EWMA).
                     ue, best = 0, -1.0
-                    for k in range(n_ues):
-                        m = rate_est[k] / max(t_avg[k], floor)
+                    for k in ue_range:
+                        m = rate_est[k] / t_avg[k]
                         if m > best:
                             ue, best = k, m
                 mcs = mcs_of[ue]
@@ -488,10 +504,11 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
             if retx:
                 win_retx[ue] += 1
 
-            # EWMA: every UE decays, the served one adds its rate.
-            for k in range(n_ues):
-                target = alpha * rate_est[k] if k == ue else 0.0
-                t_avg[k] = max(decay * t_avg[k] + target, floor)
+            # EWMA: every UE decays, the served one adds its rate; floored,
+            # as max(v, floor) would, without the call.
+            for k in ue_range:
+                v = decay * t_avg[k] + (alpha * rate_est[k] if k == ue else 0.0)
+                t_avg[k] = floor if floor > v else v
 
             rows[t] = row
             ues[t] = ue
@@ -502,14 +519,16 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
 
         # Outer loop: at the end of each BLER window every UE's MCS steps one
         # index on its retransmission ratio (0.0 for an empty window).
-        if (t + 1) % window_slots == 0:
-            for k in range(n_ues):
+        if seg_end == next_win:
+            for k in ue_range:
                 scheduled = win_sched[k]
                 ratio = win_retx[k] / scheduled if scheduled else 0.0
                 step = 1 if ratio < la.bler_low else -1 if ratio > la.bler_high else 0
                 mcs_of[k] = min(max(mcs_of[k] + step, mcs_min), cap_of[k])
             win_sched = [0] * n_ues
             win_retx = [0] * n_ues
+            next_win += window_slots
+        t0 = seg_end
 
     return trace, (new_tx_bits, acked_bits, discarded_bits, tb if attempts else 0)
 
@@ -591,25 +610,28 @@ def _summary(cfg: ExperimentConfig) -> RunSummary:
 def run_summaries(cfgs: Sequence[ExperimentConfig]) -> list[RunSummary]:
     """The summaries of independent runs, in input order.
 
-    The runs go to up to min(runs, usable CPUs) worker processes, and only
-    each summary comes back.  Every run's seed is in its config, so the
-    results do not depend on the worker count; with one worker the runs
-    execute in this process and no pool is created.
+    With W = min(runs, usable CPUs), this process runs every W-th run
+    (indices 0, W, 2W, ...) while a pool of W - 1 spawned worker
+    processes runs the rest, and only each summary comes back.  Every
+    run's seed is in its config, so the results do not depend on W; with
+    W = 1 every run executes in this process and no pool is created.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    workers = min(len(cfgs), cpus)
-    if workers <= 1:
+    stride = min(len(cfgs), cpus)  # W
+    if stride <= 1:
         return [_summary(cfg) for cfg in cfgs]
     # Imported here: at module top they add ~22 ms to every CLI start.
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
     # Spawned, not forked: a fork inherits any lock another thread of the caller holds.
-    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
-        return list(pool.map(_summary, cfgs))
+    with ProcessPoolExecutor(max_workers=stride - 1, mp_context=get_context("spawn")) as pool:
+        pooled = {i: pool.submit(_summary, cfg) for i, cfg in enumerate(cfgs) if i % stride}
+        own = {i: _summary(cfgs[i]) for i in range(0, len(cfgs), stride)}
+        return [own[i] if i in own else pooled[i].result() for i in range(len(cfgs))]
 
 
 def _alpha_configs(cfg: ExperimentConfig, alphas: list[float]) -> list[ExperimentConfig]:

@@ -355,6 +355,11 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
     return out
 
 
+def conserves_bits(summary: engine.RunSummary) -> bool:
+    """Every new-transmission bit is acknowledged, discarded or still in flight."""
+    return summary.new_tx_bits == summary.acked_bits + summary.discarded_bits + summary.inflight_bits
+
+
 def trace_csv(trace: engine.Trace) -> str:
     """The text of ``engine.write_trace_csv(trace, path)``, one slot at a time.
 

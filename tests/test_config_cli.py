@@ -21,6 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 from rissim import cli, presets
 from rissim.cli import main
 from rissim.config import (
+    _RULES,
     MAX_SLOTS,
     RIS_MODES,
     SCHED_KINDS,
@@ -714,6 +715,12 @@ class TestReadmeKeys:
         listed = re.findall(r"^\| `([a-z_]+\.[a-z_]+)`", README, flags=re.MULTILINE)
         assert len(listed) == len(set(listed))
         assert set(listed) == set(to_flat(_all_optional_keys_set()))
+
+    def test_readme_states_every_rule(self):
+        # Each ranged key's row states its rule's requirement word for word,
+        # the text of the error that rejects it.
+        rows = dict(re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \|(.*)$", README, flags=re.MULTILINE))
+        assert [f"{key}: {need}" for key, (need, _) in _RULES.items() if need not in rows[key]] == []
 
 
 def _unresolved(spans) -> list[str]:

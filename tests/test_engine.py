@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reference_engine import conserves_bits
 from rissim import engine, presets
 from rissim.cli import main
 from rissim.config import ChannelConfig, ConfigError, aligned_states
@@ -134,7 +135,7 @@ class TestRunBasics:
 
     def test_bit_conservation(self):
         trace, summary = run(short_schedule())
-        assert summary.conservation_holds()
+        assert conserves_bits(summary)
         # Retransmission slots never add new-transmission bits.
         new_bits_from_trace = sum(
             tb for ue, tb, retx in zip(trace.ue, trace.tb_bits, trace.retx)
@@ -215,7 +216,7 @@ class TestDeterminism:
         t1, s1 = run(cfg)
         t2, s2 = run(cfg)
         assert t1 == t2 and s1 == s2
-        assert s1.conservation_holds()
+        assert conserves_bits(s1)
 
     def test_block_outcome_stream_insulated_from_scatter(self):
         # A vanishing scatter term consumes the channel stream without
@@ -429,16 +430,76 @@ def _no_pool(*args, **kwargs):
     raise AssertionError("a worker pool was created")
 
 
+class _RecordingPool:
+    """Stands in for ``ProcessPoolExecutor``: runs each submitted call at
+    once, in this process, and records the configs it was given."""
+
+    def __init__(self, max_workers, mp_context):
+        self.max_workers = max_workers
+        self.start_method = mp_context.get_start_method()
+        self.submitted = []
+        self.exit_exc = self.shut_down = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.shut_down, self.exit_exc = True, exc_type
+
+    def submit(self, fn, cfg):
+        self.submitted.append(cfg)
+        future = concurrent.futures.Future()
+        future.set_result(fn(cfg))
+        return future
+
+
+@pytest.fixture
+def recording_pools(monkeypatch):
+    """The pools ``run_summaries`` creates, each a :class:`_RecordingPool`."""
+    pools = []
+
+    def make(*args, **kwargs):
+        pools.append(_RecordingPool(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make)
+    return pools
+
+
 class TestRunSummaries:
     # as_kv_text, not ==: mode off has a NaN mean RSRP, and NaN != NaN.
 
     def test_pool_equals_serial_in_input_order(self, monkeypatch):
-        # Three workers: the long first run ends after the next three.
+        # Three CPUs: this process runs runs 0 and 3, the long first one
+        # among them, while two workers run 1, 2 and 4, which end first.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         cfgs = _pool_configs()
         serial = [run(cfg)[1].as_kv_text() for cfg in cfgs]
         assert [s.as_kv_text() for s in run_summaries(cfgs)] == serial
         assert len(set(serial)) == len(cfgs)
+
+    def test_caller_runs_every_wth_run(self, monkeypatch, recording_pools):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})  # W = 3
+        cfgs = _pool_configs()
+        serial = [run(cfg)[1].as_kv_text() for cfg in cfgs]
+        assert [s.as_kv_text() for s in run_summaries(cfgs)] == serial
+        (pool,) = recording_pools
+        assert (pool.max_workers, pool.start_method) == (2, "spawn")
+        assert pool.submitted == [cfgs[i] for i in (1, 2, 4)]
+        assert pool.shut_down and pool.exit_exc is None
+
+    def test_caller_error_keeps_type_and_message(self, monkeypatch, recording_pools):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        short = short_schedule(duration_s=1.0, warmup_s=0.5)
+        genie = replace(short.ris, mode="genie", angles=((10.0, 0.0), (60.0, 0.0)))
+        no_aligned_state = replace(short, ris=genie)
+        # Run 0 is this process's share, run 1 the pool's.
+        with pytest.raises(ConfigError, match="ris.mode: genie requires a state aligned"):
+            run_summaries([no_aligned_state, short])
+        (pool,) = recording_pools
+        assert pool.submitted == [short]
+        # The error left run_summaries through the pool's shutdown.
+        assert pool.shut_down and pool.exit_exc is ConfigError
 
     def test_one_cpu_runs_in_process(self, monkeypatch):
         cfgs = _pool_configs()[1:3]

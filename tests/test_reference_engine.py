@@ -23,8 +23,9 @@ from rissim.config import (
     SchedConfig,
     SimConfig,
     UeConfig,
+    to_slots,
 )
-from rissim.engine import run
+from rissim.engine import TDD_DL_SYMBOLS, run
 from rissim.link_adapt import thresholds_db
 
 COLUMNS = ("row", "ue", "mcs", "tb_bits", "nack", "retx")
@@ -142,7 +143,7 @@ def test_engine_equals_reference(mode, kind, data):
     cfg = data.draw(small_configs(mode, kind))
     trace, summary = _assert_engine_equals_reference(cfg)
 
-    assert summary.conservation_holds()
+    assert reference_engine.conserves_bits(summary)
     served_mcs = [m for m in trace.mcs if m is not None]
     assert all(cfg.la.mcs_min <= m <= 28 for m in served_mcs)
     warmup_slot = round(cfg.sim.warmup_s * 2000)
@@ -155,6 +156,48 @@ def test_engine_equals_reference(mode, kind, data):
     assert summary2 == summary
     assert all(getattr(trace2, name) == getattr(trace, name) for name in COLUMNS)
     assert trace2.rsrp == trace.rsrp and trace2.snr == trace.snr
+
+
+# Event cadences in slots: coherence, switch, CQI (la.cqi_period_ms / 0.5)
+# and window (la.window_ms / 0.5).
+SEGMENT_EDGES = {
+    "every cadence at 1 slot": {
+        "chan.coherence_slots": "1", "ris.ts_slots": "1",
+        "la.cqi_period_ms": "0.5", "la.window_ms": "0.5",
+    },
+    # Every 8th slot; slots 8, 48, 88, ... are uplink (TDD phase 8).
+    "all four on an uplink slot": {
+        "chan.coherence_slots": "8", "ris.ts_slots": "8", "ris.offset_slots": "0",
+        "la.cqi_period_ms": "4", "la.window_ms": "4",
+    },
+    "coprime, offset past the dwell": {
+        "chan.coherence_slots": "11", "ris.ts_slots": "7", "ris.offset_slots": "17",
+        "la.cqi_period_ms": "2.5", "la.window_ms": "1.5",
+    },
+    "no slots": {"sim.duration_s": "0"},
+}
+
+
+@pytest.mark.parametrize("edges", SEGMENT_EDGES.values(), ids=SEGMENT_EDGES)
+@pytest.mark.parametrize("kind", SCHED_KINDS)
+@pytest.mark.parametrize("mode", RIS_MODES)
+def test_segment_boundaries_equal_reference(mode, kind, edges):
+    # simulate runs the slots between events as one segment; the reference
+    # checks every event in every slot.
+    cfg = presets.schedule_config(mode).with_overrides({
+        "geom.n_h": "4",
+        "geom.n_v": "2",
+        "chan.rician_k_db": "6",
+        "sched.kind": kind,
+        "sched.alpha": "0.01",
+        "sim.duration_s": "0.3",
+        "sim.warmup_s": "0",
+        **edges,
+    })
+    trace, summary = _assert_engine_equals_reference(cfg)
+    assert TDD_DL_SYMBOLS[8] == 0
+    assert len(trace) == to_slots(cfg.sim.duration_s)
+    assert reference_engine.conserves_bits(summary)
 
 
 @pytest.mark.parametrize("slope", ["2", "30"])

@@ -249,11 +249,18 @@ def test_golden_sweep_csv(tmp_path):
     assert sweep_digest(tmp_path) == SWEEP_PIN
 
 
-# beam-pattern through the CLI: several targets on the default grids, and one
-# target on the coarsest metrics grid with a coarser CSV grid.
+# beam-pattern through the CLI: several targets on the default grids, one
+# target on the coarsest metrics grid with a coarser CSV grid, and a plain
+# (undithered) non-square surface.
 BEAM_ARGS = {
-    "default": ("--steer-deg", "0", "7.25", "30", "60"),
-    "coarse": ("--steer-deg", "45", "--grid-step-deg", "0.1", "--csv-step-deg", "0.25"),
+    "default": ("beam-pattern", "--steer-deg", "0", "7.25", "30", "60"),
+    "coarse": (
+        "beam-pattern", "--steer-deg", "45", "--grid-step-deg", "0.1", "--csv-step-deg", "0.25",
+    ),
+    "plain": (
+        "--set", "geom.dither=false", "--set", "geom.n_h=16", "--set", "geom.n_v=8",
+        "beam-pattern", "--steer-deg", "0", "12.5", "40",
+    ),
 }
 
 
@@ -264,7 +271,7 @@ def beam_digests(args, out_dir) -> dict[str, str]:
     """
     buf = io.StringIO()
     with redirect_stdout(buf):
-        rc = main(["--out-dir", str(out_dir), "beam-pattern", *args])
+        rc = main(["--out-dir", str(out_dir), *args])
     assert rc == 0
     pins = {p.name: _sha(p.read_bytes()) for p in sorted(out_dir.glob("pattern_*deg.csv"))}
     pins["stdout"] = _sha(buf.getvalue().replace(str(out_dir), "<out>").encode())
@@ -282,6 +289,12 @@ BEAM_PINS = {
         "pattern_60deg.csv": "d7d53da766a1bd105d4724e299399a4453fa4e47c0eeb26b2b980e691da7f59a",
         "pattern_7.25deg.csv": "e8a815495e32a83fd3871a26a5cffcaf8343d02c7f47f4bf419fa6136b533265",
         "stdout": "199a863224844d3e53f0d44850d8c8cd8416279f5c00fe4d1975e67d298ef3ba",
+    },
+    "plain": {
+        "pattern_0deg.csv": "e2ebb328ab269f8ab0999cf05c73d1820ed3bb8411715a3e7fbdfe32bbff555b",
+        "pattern_12.5deg.csv": "ad11a7e44dd678cd77cf560fdc1a41c23cd9eacdb0b7f4f2f9ed8e7e1871b6bd",
+        "pattern_40deg.csv": "2a4a17f807393af34adee1ff4a86263fb67dd5b9c3a1d25a0f3274fab4aa9ce1",
+        "stdout": "284084eb6ed32241804f45899c303b60ccaa926ec8946c87ebd3b50bb0db95ab",
     },
 }
 

@@ -10,14 +10,16 @@ phase ``-n * 2*pi * spacing * sin(w)``, so a surface whose conjugated
 phase vector equals the steering vector at ``w`` beams toward ``w``
 under broadside illumination.
 
-Each element may carry a known static phase offset on top of which the
-one-bit switch adds 0 or pi.  A fixed pseudo-random offset table (the
-"design dither") decorrelates the quantization error across the
-aperture, which is what keeps steered-beam sidelobes below the
-quantization-lobe level a plain two-level ramp would produce; it stands
-in for the per-element reflection phases a real surface accumulates
-from its feed geometry.  With all offsets zero the model reduces to the
-plain two-level surface.
+A beam state is its realized per-element reflection phasors
+``exp(j*(offset + pi*code))``, and this module alone turns (angles,
+geometry, dither) into them.  On a dithered surface each element carries
+a fixed static phase offset on top of which the one-bit switch adds 0 or
+pi.  The pseudo-random offset table (the "design dither") decorrelates
+the quantization error across the aperture, which is what keeps
+steered-beam sidelobes below the quantization-lobe level a plain
+two-level ramp would produce; it stands in for the per-element
+reflection phases a real surface accumulates from its feed geometry.
+Without dither the offsets are zero: the plain two-level surface.
 """
 
 from __future__ import annotations
@@ -66,39 +68,16 @@ def quantize_one_bit(continuous: np.ndarray) -> np.ndarray:
     return (np.abs(np.angle(v)) > np.pi / 2).astype(np.uint8)
 
 
-def design_phase_offsets(n_h: int, n_v: int, seed: int = DESIGN_DITHER_SEED) -> np.ndarray:
-    """Static per-element phase offsets of the manufactured surface."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return rng.uniform(-np.pi, np.pi, size=n_h * n_v)
+@lru_cache(maxsize=8)
+def design_phase_offsets(n_h: int, n_v: int) -> np.ndarray:
+    """Static per-element phase offsets of the manufactured surface.
 
-
-def _weights(code: np.ndarray, phase_offsets: np.ndarray | None) -> np.ndarray:
-    """Per-element reflection phasors exp(j*(offset + pi*code)), flattened."""
-    phases = np.pi * np.asarray(code).astype(float).ravel()
-    if phase_offsets is not None:
-        phases = phases + np.asarray(phase_offsets).ravel()
-    return np.exp(1j * phases)
-
-
-@dataclass(frozen=True)
-class RisPhaseProfile:
-    """One selectable surface configuration.
-
-    ``continuous`` is the ideal (unquantized) conjugated phase vector,
-    the Kronecker product of the horizontal and vertical steering
-    vectors; ``code`` is the one-bit switch setting per element.  With
-    static offsets present, element ``i`` realizes reflection phase
-    ``offsets[i] + pi * code[i]`` and the code is chosen so that phase
-    is the nearer realization of the continuous profile.
+    Returned read-only because every caller gets the same array.
     """
-
-    continuous: np.ndarray
-    code: np.ndarray
-    phase_offsets: np.ndarray | None = None
-
-    def reflection_weights(self) -> np.ndarray:
-        """Realized per-element reflection phasors exp(j*(offset + pi*code))."""
-        return _weights(self.code, self.phase_offsets)
+    rng = np.random.default_rng(np.random.SeedSequence(DESIGN_DITHER_SEED))
+    offsets = rng.uniform(-np.pi, np.pi, size=n_h * n_v)
+    offsets.flags.writeable = False
+    return offsets
 
 
 def upa_profile(
@@ -107,38 +86,37 @@ def upa_profile(
     n_h: int,
     n_v: int,
     spacing_ratio: float = QUARTER_WAVE,
-    phase_offsets: np.ndarray | None = None,
-) -> RisPhaseProfile:
-    """Planar-array phase profile steered to azimuth ``nu``, elevation ``psi``.
+    dither: bool = False,
+) -> np.ndarray:
+    """Realized reflection phasors of the one-bit state steered to azimuth
+    ``nu``, elevation ``psi``, flattened in Kronecker (horizontal-major) order.
 
-    The continuous profile is the Kronecker product of the horizontal
-    and vertical steering vectors.  The one-bit code quantizes the
-    offset-rotated continuous profile, so the realized phase
+    The continuous profile is the Kronecker product of the horizontal and
+    vertical steering vectors.  The one-bit code quantizes it rotated by
+    the design offsets (zero without ``dither``), so the realized phase
     ``offset + pi*code`` is the nearer two-level approximation of the
     profile at every element.
     """
-    a_h = steering_vector(nu_deg, n_h, spacing_ratio)
-    a_v = steering_vector(psi_deg, n_v, spacing_ratio)
-    continuous = np.kron(a_h, a_v)
-    if phase_offsets is None:
-        code = quantize_one_bit(continuous)
-    else:
-        if phase_offsets.size != continuous.size:
-            raise ValueError("phase_offsets length does not match the array size")
-        code = quantize_one_bit(continuous * np.exp(1j * phase_offsets))
-    return RisPhaseProfile(continuous=continuous, code=code, phase_offsets=phase_offsets)
+    continuous = np.kron(
+        steering_vector(nu_deg, n_h, spacing_ratio), steering_vector(psi_deg, n_v, spacing_ratio)
+    )
+    if not dither:
+        return np.exp(1j * (np.pi * quantize_one_bit(continuous).astype(float)))
+    offsets = design_phase_offsets(n_h, n_v)
+    code = quantize_one_bit(continuous * np.exp(1j * offsets))
+    return np.exp(1j * (np.pi * code.astype(float) + offsets))
 
 
 def pattern_gains(
-    code: np.ndarray,
+    weights: np.ndarray,
     illum_angle_deg: float,
     obs_angles_deg: np.ndarray,
     n_h: int,
     n_v: int,
     spacing_ratio: float = QUARTER_WAVE,
-    phase_offsets: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Complex far-field gain of a coded surface over an azimuth grid.
+    """Complex far-field gain of a surface with reflection phasors
+    ``weights`` (as :func:`upa_profile` returns them) over an azimuth grid.
 
     The surface is illuminated by a plane wave from ``illum_angle_deg``
     (azimuth plane) and observed in the azimuth plane at elevation 0.
@@ -146,10 +124,10 @@ def pattern_gains(
     and observation path phases at its position; the fully coherent
     gain equals ``n_h * n_v``.
     """
-    code = np.asarray(code)
-    if code.size != n_h * n_v:
-        raise ValueError(f"code length {code.size} does not match {n_h}x{n_v} array")
-    w = _weights(code, phase_offsets).reshape(n_h, n_v)
+    weights = np.asarray(weights)
+    if weights.size != n_h * n_v:
+        raise ValueError(f"weights length {weights.size} does not match {n_h}x{n_v} array")
+    w = weights.reshape(n_h, n_v)
     inc_h = steering_vector(illum_angle_deg, n_h, spacing_ratio)
     inc_v = steering_vector(0.0, n_v, spacing_ratio)
     # Vertical observation factor at elevation 0 is all-ones, so the
@@ -165,7 +143,7 @@ def _observation_basis(obs_bytes: bytes, n_h: int, spacing_ratio: float) -> np.n
     ``obs_bytes``.
 
     The matrix depends only on the grid, ``n_h`` and the spacing, not on the
-    code, so every steer target on one grid shares it.  It is returned
+    weights, so every steer target on one grid shares it.  It is returned
     read-only because every caller gets the same array.
     """
     phase = -2.0 * np.pi * spacing_ratio * np.sin(np.deg2rad(np.frombuffer(obs_bytes)))
@@ -204,15 +182,15 @@ def _null_bound(mags: np.ndarray, start_idx: int, step: int) -> int:
 
 
 def beam_metrics(
-    code: np.ndarray,
+    weights: np.ndarray,
     illum_angle_deg: float,
     n_h: int,
     n_v: int,
     spacing_ratio: float = QUARTER_WAVE,
     grid_step_deg: float = 0.05,
-    phase_offsets: np.ndarray | None = None,
 ) -> BeamMetrics:
-    """Peak direction, half-power beamwidth and sidelobe level.
+    """Peak direction, half-power beamwidth and sidelobe level of the surface
+    with reflection phasors ``weights``.
 
     Metrics are computed on the forward-half observation grid, 0 to 90
     deg in steps of ``grid_step_deg``: with symmetric illumination a
@@ -226,9 +204,7 @@ def beam_metrics(
         raise ValueError(f"grid_step_deg must be <= 0.1 deg, got {grid_step_deg}")
     n_total = n_h * n_v
     angles = np.arange(0.0, 90.0 + grid_step_deg / 2, grid_step_deg)
-    mags = np.abs(
-        pattern_gains(code, illum_angle_deg, angles, n_h, n_v, spacing_ratio, phase_offsets)
-    )
+    mags = np.abs(pattern_gains(weights, illum_angle_deg, angles, n_h, n_v, spacing_ratio))
     peak_idx = int(np.argmax(mags))
     peak = mags[peak_idx]
     thr = peak / np.sqrt(2.0)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import presets  # presets load the engine only when they calibrate
-from .array_model import beam_metrics, design_phase_offsets, pattern_gains, upa_profile
+from .array_model import beam_metrics, pattern_gains, upa_profile
 from .config import RIS_MODES, ConfigError, ExperimentConfig, parse_text, serialize
 
 EXIT_OK = 0
@@ -117,7 +117,6 @@ def cmd_beam_pattern(args) -> int:
     if ignored:
         raise ConfigError(f"{', '.join(ignored)}: beam-pattern takes only geom.* overrides")
     g = _config(args, ExperimentConfig).geom  # default geometry is presets.GEOMETRY; no calibration
-    offsets = design_phase_offsets(g.n_h, g.n_v) if g.dither else None
     out_dir: Path = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     n = g.n_h * g.n_v
@@ -126,14 +125,11 @@ def cmd_beam_pattern(args) -> int:
     angles = np.arange(math.floor(round(90.0 / args.csv_step_deg, 9)) + 1) * args.csv_step_deg
     angle_cells = [f"{a:.4f}," for a in angles.tolist()]
     for steer in args.steer_deg:
-        profile = upa_profile(steer, 0.0, g.n_h, g.n_v, g.spacing_ratio, offsets)
+        weights = upa_profile(steer, 0.0, g.n_h, g.n_v, g.spacing_ratio, g.dither)
         m = beam_metrics(
-            profile.code, 0.0, g.n_h, g.n_v, g.spacing_ratio,
-            grid_step_deg=args.grid_step_deg, phase_offsets=offsets,
+            weights, 0.0, g.n_h, g.n_v, g.spacing_ratio, grid_step_deg=args.grid_step_deg
         )
-        gains = np.abs(
-            pattern_gains(profile.code, 0.0, angles, g.n_h, g.n_v, g.spacing_ratio, offsets)
-        )
+        gains = np.abs(pattern_gains(weights, 0.0, angles, g.n_h, g.n_v, g.spacing_ratio))
         db = 20.0 * np.log10(np.maximum(gains, 1e-12) / n)
         path = out_dir / f"pattern_{steer:g}deg.csv"
         rows = "".join(f"{a}{v:.4f}\n" for a, v in zip(angle_cells, db.tolist()))

@@ -4,8 +4,9 @@
 ``config.validate``, :func:`link_setup`, :func:`simulate` (the slot
 loop and the whole-run bit counters) and :func:`summarize` (the
 warm-up window's statistics).  :func:`link_setup` builds one beam state
-per ``config.state_angles`` entry, the one-bit profile steered at its
-angles; :func:`simulate` switches between them every ``ris.ts_slots``,
+per ``config.state_angles`` entry, the realized reflection phasors of
+the one-bit profile steered at its angles (``array_model.upa_profile``);
+:func:`simulate` switches between them every ``ris.ts_slots``,
 in turn (periodic) or by an independent draw per interval (i.i.d.,
 :func:`iid_state`).  :func:`simulate` and :func:`summarize` read each
 UE's own state from ``config.aligned_states``.  :func:`link_setup` is
@@ -58,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .array_model import design_phase_offsets, steering_vector, upa_profile
+from .array_model import steering_vector, upa_profile
 from .config import (
     SLOT_MS, ExperimentConfig, aligned_states, scaled, state_angles, to_slots, validate,
 )
@@ -74,19 +75,14 @@ CSV_CHUNK = 8192  # trace CSV lines joined per write
 TDD_DL_SYMBOLS = (13,) * 6 + (6,) + (0,) * 3
 
 
-def tb_bits(mcs: int, prbs: int = 106, symbols: int = 13) -> int:
-    """Transport-block size: spectral efficiency times resource elements."""
-    if symbols <= 0:
-        raise ValueError(f"symbols must be positive, got {symbols}")
-    if prbs < 1:
-        raise ValueError(f"prbs must be >= 1, got {prbs}")
-    return math.floor(MCS_TABLE_64QAM[mcs].se * SUBCARRIERS_PER_PRB * prbs * symbols)
-
-
 def tb_table(prbs: int = 106) -> dict[int, tuple[int, ...]]:
-    """TB size per (schedulable DL symbols, MCS index) for one run."""
+    """TB size per (schedulable DL symbols, MCS index) for one run: spectral
+    efficiency times resource elements."""
     return {
-        symbols: tuple(tb_bits(mcs, prbs, symbols) for mcs in range(len(MCS_TABLE_64QAM)))
+        symbols: tuple(
+            math.floor(entry.se * SUBCARRIERS_PER_PRB * prbs * symbols)
+            for entry in MCS_TABLE_64QAM
+        )
         for symbols in sorted(set(TDD_DL_SYMBOLS))
         if symbols > 0
     }
@@ -235,10 +231,11 @@ class LinkSetup:
 def link_setup(cfg: ExperimentConfig) -> LinkSetup:
     """Compute the run constants of :func:`build_link_tables` once.
 
-    State ``s`` is the one-bit profile steered at ``config.state_angles(cfg)[s]``.
+    State ``s`` is the realized reflection phasors that
+    :func:`array_model.upa_profile` gives for the one-bit profile steered at
+    ``config.state_angles(cfg)[s]``.
     """
     g = cfg.geom
-    offsets = design_phase_offsets(g.n_h, g.n_v) if g.dither else None
     amplitude = 1.0 / (g.n_h * g.n_v)
     k_db = cfg.chan.rician_k_db
     return LinkSetup(
@@ -250,7 +247,7 @@ def link_setup(cfg: ExperimentConfig) -> LinkSetup:
             for ue in cfg.ues
         ),
         weights=tuple(
-            upa_profile(nu, psi, g.n_h, g.n_v, g.spacing_ratio, offsets).reflection_weights()
+            upa_profile(nu, psi, g.n_h, g.n_v, g.spacing_ratio, g.dither)
             for nu, psi in state_angles(cfg)
         ),
         snr_gain=tuple(
@@ -418,6 +415,7 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
 
     rate_est = [0.0] * n_ues  # CQI-cadence rate estimates driving the scheduler
     ue_range = range(n_ues)
+    ewma_range = () if round_robin else ue_range  # round robin reads no average
     dl_counter = 0
     new_tx_bits = acked_bits = discarded_bits = 0
     # HARQ: at most one block is in flight, and a NACKed one preempts every
@@ -504,9 +502,9 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
             if retx:
                 win_retx[ue] += 1
 
-            # EWMA: every UE decays, the served one adds its rate; floored,
-            # as max(v, floor) would, without the call.
-            for k in ue_range:
+            # PF's EWMA: every UE decays, the served one adds its rate;
+            # floored, as max(v, floor) would, without the call.
+            for k in ewma_range:
                 v = decay * t_avg[k] + (alpha * rate_est[k] if k == ue else 0.0)
                 t_avg[k] = floor if floor > v else v
 

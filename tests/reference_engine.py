@@ -63,7 +63,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rissim import engine
-from rissim.array_model import RisPhaseProfile
 from rissim.config import SLOT_MS, ExperimentConfig, LaConfig, scaled, to_slots, validate
 from rissim.link_adapt import MCS_TABLE_64QAM, MAX_ATTEMPTS
 
@@ -72,20 +71,14 @@ DL_SYMBOLS = (13, 13, 13, 13, 13, 13, 6, 0, 0, 0)
 
 
 def effective_channel(phi, h_c) -> complex:
-    """Scalar effective channel of a surface configuration over ``h_c``.
+    """Scalar effective channel of a continuous phase vector ``phi`` over
+    ``h_c``, in the conjugated-phase convention: the result is ``phi^H h``,
+    maximal and real when ``phi`` matches the element-wise phase of ``h``.
 
-    ``phi`` may be a raw complex phase vector (the conjugated-phase
-    convention: the result is ``phi^H h``, maximal and real when
-    ``phi`` matches the element-wise phase of ``h``) or a
-    RisPhaseProfile, in which case the realized one-bit reflection
-    weights are applied.
+    A realized beam state (:func:`rissim.array_model.upa_profile`) applies
+    its reflection phasors unconjugated instead: ``np.sum(w * h)``.
     """
     h = np.asarray(h_c, dtype=complex)
-    if isinstance(phi, RisPhaseProfile):
-        w = phi.reflection_weights()
-        if w.size != h.size:
-            raise ValueError(f"profile length {w.size} does not match channel length {h.size}")
-        return complex(np.sum(w * h))
     phi = np.asarray(phi, dtype=complex)
     if phi.size != h.size:
         raise ValueError(f"phase-vector length {phi.size} does not match channel length {h.size}")

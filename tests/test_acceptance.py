@@ -13,13 +13,7 @@ import pytest
 
 from reference_engine import conserves_bits, ewma_update, select_ue
 from rissim import presets
-from rissim.array_model import (
-    beam_metrics,
-    design_phase_offsets,
-    pattern_gains,
-    quantize_one_bit,
-    upa_profile,
-)
+from rissim.array_model import beam_metrics, quantize_one_bit, upa_profile
 from rissim.config import SchedConfig
 from rissim.engine import run, run_summaries, sweep_table, write_trace_csv
 
@@ -48,13 +42,10 @@ def sweep_results():
 def test_criterion_1_beam_geometry():
     """Steered one-bit patterns: peak error, boresight width, sidelobes."""
     g = presets.GEOMETRY
-    offsets = design_phase_offsets(g.n_h, g.n_v)
     worst_err, worst_sll = 0.0, -np.inf
     for target in range(0, 61, 5):
-        p = upa_profile(float(target), 0.0, g.n_h, g.n_v, g.spacing_ratio, offsets)
-        m = beam_metrics(
-            p.code, 0.0, g.n_h, g.n_v, g.spacing_ratio, grid_step_deg=0.05, phase_offsets=offsets
-        )
+        w = upa_profile(float(target), 0.0, g.n_h, g.n_v, g.spacing_ratio, g.dither)
+        m = beam_metrics(w, 0.0, g.n_h, g.n_v, g.spacing_ratio, grid_step_deg=0.05)
         err = abs(m.peak_angle_deg - target)
         worst_err = max(worst_err, err)
         worst_sll = max(worst_sll, m.sll_db)

@@ -65,62 +65,80 @@ class TestQuantizeOneBit:
             quantize_one_bit(np.array([1.0, 0.0]))
 
 
+def _plain_weights(continuous):
+    """The realized phasors of the plain two-level surface matching ``continuous``."""
+    return np.exp(1j * np.pi * quantize_one_bit(continuous).astype(float))
+
+
 class TestUpaProfile:
     def test_zero_elevation_replicates_azimuth_blockwise(self):
-        p = upa_profile(17.0, 0.0, 4, 3, 0.25)
         a = steering_vector(17.0, 4, 0.25)
-        np.testing.assert_allclose(p.continuous, np.kron(a, np.ones(3)), atol=1e-12)
+        w = upa_profile(17.0, 0.0, 4, 3, 0.25)
+        assert np.array_equal(w, _plain_weights(np.kron(a, np.ones(3))))
+        assert np.array_equal(w.reshape(4, 3), np.repeat(w[::3, np.newaxis], 3, axis=1))
 
     def test_full_panel_length(self):
-        p = upa_profile(30.0, 0.0, 32, 32, 0.25)
-        assert p.code.size == 1024
-        assert p.code.shape == (1024,)
+        for dither in (False, True):
+            assert upa_profile(30.0, 0.0, 32, 32, 0.25, dither).shape == (1024,)
 
     def test_boresight_two_by_two(self):
-        p = upa_profile(0.0, 0.0, 2, 2, 0.25)
-        np.testing.assert_allclose(p.continuous, np.ones(4), atol=1e-15)
-        assert not p.code.any()
+        assert np.array_equal(upa_profile(0.0, 0.0, 2, 2, 0.25), np.ones(4, dtype=complex))
 
     def test_kron_order_matches_axis_vectors(self):
-        p = upa_profile(20.0, -10.0, 3, 5, 0.25)
         a_h = steering_vector(20.0, 3, 0.25)
         a_v = steering_vector(-10.0, 5, 0.25)
-        np.testing.assert_allclose(p.continuous, np.kron(a_h, a_v), atol=1e-12)
+        w = upa_profile(20.0, -10.0, 3, 5, 0.25)
+        assert np.array_equal(w, _plain_weights(np.kron(a_h, a_v)))
+
+    def test_dithered_weights_realize_the_offset_rotated_code(self):
+        # exp(j*(offset + pi*code)), the code quantized from the profile
+        # rotated by the design offsets.
+        a_h = steering_vector(20.0, 6, 0.25)
+        a_v = steering_vector(-10.0, 4, 0.25)
+        offsets = design_phase_offsets(6, 4)
+        code = quantize_one_bit(np.kron(a_h, a_v) * np.exp(1j * offsets))
+        want = np.exp(1j * (np.pi * code.astype(float) + offsets))
+        assert np.array_equal(upa_profile(20.0, -10.0, 6, 4, 0.25, dither=True), want)
+        assert not np.array_equal(want, upa_profile(20.0, -10.0, 6, 4, 0.25))
+
+    def test_design_offsets_are_one_shared_read_only_table(self):
+        offsets = design_phase_offsets(4, 3)
+        assert offsets is design_phase_offsets(4, 3)
+        assert offsets.shape == (12,)
+        with pytest.raises(ValueError):
+            offsets[0] = 0.0
 
 
 class TestArrayFactor:
     def test_uniform_code_specular_gain_is_element_count(self):
-        code = np.zeros(64, dtype=np.uint8)
-        assert abs(pattern_gains(code, 0.0, 0.0, 8, 8)[0]) == pytest.approx(64.0, rel=1e-12)
+        weights = np.ones(64, dtype=complex)
+        assert abs(pattern_gains(weights, 0.0, 0.0, 8, 8)[0]) == pytest.approx(64.0, rel=1e-12)
 
     def test_steered_profile_peaks_at_target(self):
         # Plain and dithered variants of the 32x32 profile; argmax of the
         # 0.1-degree scan must land within half a degree of the target.
         grid = np.arange(0.0, 90.0001, 0.1)
-        for offsets in (None, design_phase_offsets(32, 32)):
-            p = upa_profile(30.0, 0.0, 32, 32, 0.25, offsets)
-            gains = np.abs(pattern_gains(p.code, 0.0, grid, 32, 32, 0.25, offsets))
+        for dither in (False, True):
+            w = upa_profile(30.0, 0.0, 32, 32, 0.25, dither)
+            gains = np.abs(pattern_gains(w, 0.0, grid, 32, 32, 0.25))
             assert abs(grid[np.argmax(gains)] - 30.0) <= 0.5
 
     def test_pattern_symmetric_for_plain_codes(self):
         rng = np.random.default_rng(3)
-        code = rng.integers(0, 2, size=64).astype(np.uint8)
+        weights = np.exp(1j * np.pi * rng.integers(0, 2, size=64))
         for theta in (7.0, 22.5, 61.0):
-            a = abs(pattern_gains(code, 0.0, theta, 8, 8)[0])
-            b = abs(pattern_gains(code, 0.0, -theta, 8, 8)[0])
+            a = abs(pattern_gains(weights, 0.0, theta, 8, 8)[0])
+            b = abs(pattern_gains(weights, 0.0, -theta, 8, 8)[0])
             assert a == pytest.approx(b, rel=1e-9)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            pattern_gains(np.zeros(10, dtype=np.uint8), 0.0, 0.0, 8, 8)
+            pattern_gains(np.ones(10, dtype=complex), 0.0, 0.0, 8, 8)
 
 
-def _uncached_gains(code, illum_deg, obs_deg, n_h, n_v, spacing, offsets):
+def _uncached_gains(weights, illum_deg, obs_deg, n_h, n_v, spacing):
     """``pattern_gains`` with the observation basis built on every call."""
-    phases = np.pi * code.astype(float)
-    if offsets is not None:
-        phases = phases + offsets
-    w = np.exp(1j * phases).reshape(n_h, n_v)
+    w = weights.reshape(n_h, n_v)
     inc_h = steering_vector(illum_deg, n_h, spacing)
     inc_v = steering_vector(0.0, n_v, spacing)
     col = (w * inc_v[np.newaxis, :]).sum(axis=1) * inc_h
@@ -140,12 +158,11 @@ class TestObservationBasisCache:
         setups = list(itertools.product(((8, 8), (32, 32)), (0.25, 0.5)))
         assert len(setups) * len(self.GRIDS) > maxsize
         for (n_h, n_v), spacing in setups:
-            offsets = design_phase_offsets(n_h, n_v) if n_h == 32 else None
             for steer in (0.0, 17.5, 41.0):
-                code = upa_profile(steer, 0.0, n_h, n_v, spacing, offsets).code
+                weights = upa_profile(steer, 0.0, n_h, n_v, spacing, dither=n_h == 32)
                 for grid in self.GRIDS:
-                    got = pattern_gains(code, 5.0, grid, n_h, n_v, spacing, offsets)
-                    want = _uncached_gains(code, 5.0, grid, n_h, n_v, spacing, offsets)
+                    got = pattern_gains(weights, 5.0, grid, n_h, n_v, spacing)
+                    want = _uncached_gains(weights, 5.0, grid, n_h, n_v, spacing)
                     assert np.array_equal(got, want)
                     assert _observation_basis.cache_info().currsize <= maxsize
         info = _observation_basis.cache_info()
@@ -204,8 +221,7 @@ class TestBeamMetrics:
         # 32 quarter-wave elements: aperture 8 wavelengths, so the
         # half-power width oracle is 0.886 / 8 rad = 6.34 deg.
         oracle = np.degrees(0.886 / 8.0)
-        code = np.zeros(1024, dtype=np.uint8)
-        m = beam_metrics(code, 0.0, 32, 32, 0.25)
+        m = beam_metrics(np.ones(1024, dtype=complex), 0.0, 32, 32, 0.25)
         assert 5.5 <= m.hpbw_deg <= 7.0
         assert m.hpbw_deg == pytest.approx(oracle, abs=0.5)
 
@@ -216,24 +232,22 @@ class TestBeamMetrics:
         kernel = np.abs(np.sin(32 * x / 2) / (32 * np.sin(x / 2)))
         first_null = np.argmax(kernel < 1e-3)
         oracle_db = 20 * np.log10(kernel[first_null:].max())
-        code = np.zeros(1024, dtype=np.uint8)
-        m = beam_metrics(code, 0.0, 32, 32, 0.25)
+        m = beam_metrics(np.ones(1024, dtype=complex), 0.0, 32, 32, 0.25)
         assert m.sll_db == pytest.approx(oracle_db, abs=0.3)
         assert m.sll_db == pytest.approx(-13.26, abs=0.3)
 
     def test_peak_tracks_target_across_scan_range(self):
-        offsets = design_phase_offsets(32, 32)
         step = 0.5
         for target in range(0, 61, 5):
-            p = upa_profile(float(target), 0.0, 32, 32, 0.25, offsets)
+            w = upa_profile(float(target), 0.0, 32, 32, 0.25, dither=True)
             grid = np.arange(0.0, 90.0 + step / 2, step)
-            gains = np.abs(pattern_gains(p.code, 0.0, grid, 32, 32, 0.25, offsets))
+            gains = np.abs(pattern_gains(w, 0.0, grid, 32, 32, 0.25))
             assert abs(grid[np.argmax(gains)] - target) <= step
 
     def test_degenerate_pattern_raises(self):
         with pytest.raises(DegeneratePatternError):
-            beam_metrics(np.zeros(1, dtype=np.uint8), 0.0, 1, 1, 0.25)
+            beam_metrics(np.ones(1, dtype=complex), 0.0, 1, 1, 0.25)
 
     def test_coarse_grid_rejected(self):
         with pytest.raises(ValueError):
-            beam_metrics(np.zeros(16, dtype=np.uint8), 0.0, 4, 4, 0.25, grid_step_deg=0.2)
+            beam_metrics(np.ones(16, dtype=complex), 0.0, 4, 4, 0.25, grid_step_deg=0.2)

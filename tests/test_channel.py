@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from reference_engine import effective_channel, rician_scatter
 from rissim import presets
-from rissim.array_model import design_phase_offsets, pattern_gains, upa_profile
+from rissim.array_model import pattern_gains, steering_vector, upa_profile
 from rissim.config import ExperimentConfig, from_flat
 from rissim.engine import RSRP_FLOOR_DBM, build_link_tables, link_setup
 
@@ -50,7 +50,8 @@ class TestLosChannel:
         np.testing.assert_allclose(_los(2, 0.0) * 4, np.ones(4))
 
     def test_continuous_match_recovers_full_gain(self):
-        h_eff = effective_channel(upa_profile(30.0, 0.0, 8, 8).continuous, _los(8, 30.0))
+        continuous = np.kron(steering_vector(30.0, 8), steering_vector(0.0, 8))
+        h_eff = effective_channel(continuous, _los(8, 30.0))
         assert abs(h_eff) == pytest.approx(1.0, rel=1e-9)
 
     def test_scatter_power_matches_k_factor(self):
@@ -89,14 +90,13 @@ class TestEffectiveChannel:
         # The 45-degree one-bit state against the 30-degree channel, with
         # the far-field scan (unit amplitude per element) as the independent
         # oracle for the same sum.
-        offsets = design_phase_offsets(32, 32)
         for own_deg, other_deg in ((30.0, 45.0), (45.0, 30.0)):
             h = _los(32, own_deg)
-            own = upa_profile(own_deg, 0.0, 32, 32, 0.25, offsets)
-            other = upa_profile(other_deg, 0.0, 32, 32, 0.25, offsets)
-            aligned = abs(effective_channel(own, h))
-            crossed = abs(effective_channel(other, h))
-            oracle = abs(pattern_gains(other.code, 0.0, own_deg, 32, 32, 0.25, offsets)[0])
+            own = upa_profile(own_deg, 0.0, 32, 32, 0.25, dither=True)
+            other = upa_profile(other_deg, 0.0, 32, 32, 0.25, dither=True)
+            aligned = abs(np.sum(own * h))
+            crossed = abs(np.sum(other * h))
+            oracle = abs(pattern_gains(other, 0.0, own_deg, 32, 32, 0.25)[0])
             assert crossed * 1024 == pytest.approx(oracle, rel=1e-9)
             assert 20 * math.log10(aligned / crossed) >= 7.0
 

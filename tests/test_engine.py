@@ -19,7 +19,7 @@ from rissim.engine import (
     _alpha_configs,
     run_summaries,
     sweep_table,
-    tb_bits,
+    tb_table,
     write_trace_csv,
 )
 from rissim.link_adapt import MAX_ATTEMPTS
@@ -89,24 +89,20 @@ class TestTransportBlocks:
     def test_unit_se_full_slot(self):
         # se very close to 1 at index 7 is not exactly 1; use a direct
         # arithmetic check at the two slot shapes instead.
+        table = tb_table(106)
         for mcs in range(29):
             se = MCS_TABLE_64QAM[mcs].se
-            assert tb_bits(mcs, symbols=13) == int(se * 12 * 106 * 13)
-            assert tb_bits(mcs, symbols=6) == int(se * 12 * 106 * 6)
+            assert table[13][mcs] == int(se * 12 * 106 * 13)
+            assert table[6][mcs] == int(se * 12 * 106 * 6)
 
     def test_reference_sizes_at_unit_se(self):
         assert 12 * 106 * 13 == 16536
         assert 12 * 106 * 6 == 7632
 
     def test_mixed_slot_is_six_thirteenths(self):
+        table = tb_table(106)
         for mcs in (3, 12, 28):
-            full = tb_bits(mcs, symbols=13)
-            mixed = tb_bits(mcs, symbols=6)
-            assert mixed == pytest.approx(full * 6 / 13, abs=13)
-
-    def test_zero_symbols_rejected(self):
-        with pytest.raises(ValueError):
-            tb_bits(10, symbols=0)
+            assert table[6][mcs] == pytest.approx(table[13][mcs] * 6 / 13, abs=13)
 
 
 class TestRunBasics:

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from reference_engine import effective_channel, rician_scatter
+from reference_engine import rician_scatter
 from rissim import engine
 from rissim import presets
-from rissim.array_model import design_phase_offsets, steering_vector, upa_profile
+from rissim.array_model import steering_vector, upa_profile
 from rissim.config import aligned_states
 from rissim.engine import (
     DRAW_CHUNK,
@@ -16,9 +16,9 @@ from rissim.engine import (
     RSRP_FLOOR_DBM,
     build_link_tables,
     link_setup,
-    tb_bits,
     tb_table,
 )
+from rissim.link_adapt import MCS_TABLE_64QAM
 
 
 @pytest.mark.parametrize("prbs", [106, 51])
@@ -28,7 +28,8 @@ def test_tb_table_matches_tb_bits(prbs):
     for symbols in (6, 13):
         assert len(table[symbols]) == 29
         for mcs in range(29):
-            assert table[symbols][mcs] == tb_bits(mcs, prbs=prbs, symbols=symbols)
+            se = MCS_TABLE_64QAM[mcs].se
+            assert table[symbols][mcs] == math.floor(se * 12 * prbs * symbols)
 
 
 def test_chunked_uniforms_equal_scalar_draws():
@@ -53,11 +54,11 @@ def test_block_draw_equals_successive_scatter_calls():
 
 
 def _states(cfg):
-    """The surface's beam-state profiles: one per UE, as no ``ris.angles`` is set."""
+    """The surface's beam-state weights: one per UE, as no ``ris.angles`` is set."""
     g = cfg.geom
-    offsets = design_phase_offsets(g.n_h, g.n_v) if g.dither else None
     return [
-        upa_profile(ue.nu_deg, ue.psi_deg, g.n_h, g.n_v, g.spacing_ratio, offsets) for ue in cfg.ues
+        upa_profile(ue.nu_deg, ue.psi_deg, g.n_h, g.n_v, g.spacing_ratio, g.dither)
+        for ue in cfg.ues
     ]
 
 
@@ -77,7 +78,7 @@ def _reference_tables(cfg, states, rng, rician_k_db):
         )
         if rician_k_db is not None:
             h_c = h_c + rician_scatter(amplitude, rician_k_db, g.n_h * g.n_v, rng)
-        effs = [effective_channel(state, h_c) + ue.direct_leak for state in states]
+        effs = [complex(np.sum(state * h_c)) + ue.direct_leak for state in states]
         effs.append(complex(ue.noris_gain))
         for s, h_eff in enumerate(effs):
             gain = 10.0 ** ((cfg.tx_power_dbm - ue.pathloss_db - ue.noise_dbm) / 10.0)

@@ -1,9 +1,10 @@
 """Phased-array primitives for a one-bit coded reflecting surface.
 
 Steering vectors, planar-array phase profiles, hard one-bit phase
-quantization, and far-field array-factor evaluation.  All functions are
-pure; angles are in degrees, element spacing is a fraction of the
-carrier wavelength (0.25 for the quarter-wave unit cell).
+quantization, and far-field array-factor evaluation under broadside
+illumination.  All functions are pure; angles are in degrees, element
+spacing is a fraction of the carrier wavelength (0.25 for the
+quarter-wave unit cell).
 
 Sign convention: a wave associated with angle ``w`` carries per-element
 phase ``-n * 2*pi * spacing * sin(w)``, so a surface whose conjugated
@@ -109,7 +110,6 @@ def upa_profile(
 
 def pattern_gains(
     weights: np.ndarray,
-    illum_angle_deg: float,
     obs_angles_deg: np.ndarray,
     n_h: int,
     n_v: int,
@@ -118,21 +118,17 @@ def pattern_gains(
     """Complex far-field gain of a surface with reflection phasors
     ``weights`` (as :func:`upa_profile` returns them) over an azimuth grid.
 
-    The surface is illuminated by a plane wave from ``illum_angle_deg``
-    (azimuth plane) and observed in the azimuth plane at elevation 0.
-    Each element contributes its reflection phasor times the incident
-    and observation path phases at its position; the fully coherent
+    The surface is illuminated broadside and observed in the azimuth
+    plane at elevation 0.  Each element contributes its reflection phasor
+    times the observation path phase at its position; the fully coherent
     gain equals ``n_h * n_v``.
     """
     weights = np.asarray(weights)
     if weights.size != n_h * n_v:
         raise ValueError(f"weights length {weights.size} does not match {n_h}x{n_v} array")
-    w = weights.reshape(n_h, n_v)
-    inc_h = steering_vector(illum_angle_deg, n_h, spacing_ratio)
-    inc_v = steering_vector(0.0, n_v, spacing_ratio)
-    # Vertical observation factor at elevation 0 is all-ones, so the
-    # vertical dimension collapses into a per-column sum.
-    col = (w * inc_v[np.newaxis, :]).sum(axis=1) * inc_h
+    # The broadside incident phases and the vertical observation factor at
+    # elevation 0 are all ones, so each column reduces to its plain sum.
+    col = weights.reshape(n_h, n_v).sum(axis=1)
     obs = np.asarray(obs_angles_deg, dtype=float)
     return _observation_basis(obs.tobytes(), n_h, spacing_ratio) @ col
 
@@ -183,7 +179,6 @@ def _null_bound(mags: np.ndarray, start_idx: int, step: int) -> int:
 
 def beam_metrics(
     weights: np.ndarray,
-    illum_angle_deg: float,
     n_h: int,
     n_v: int,
     spacing_ratio: float = QUARTER_WAVE,
@@ -192,19 +187,22 @@ def beam_metrics(
     """Peak direction, half-power beamwidth and sidelobe level of the surface
     with reflection phasors ``weights``.
 
-    Metrics are computed on the forward-half observation grid, 0 to 90
-    deg in steps of ``grid_step_deg``: with symmetric illumination a
-    plain two-level code has a mirror-symmetric pattern, so only the
-    forward half carries information.  If the peak sits at a grid edge
-    the beamwidth is mirrored from the in-grid half.  The sidelobe
-    level is the largest lobe outside the null-to-null main-lobe
-    region, in dB relative to the peak.
+    The pattern is the broadside one of :func:`pattern_gains`.  Metrics
+    are computed on the forward-half observation grid, 0 to 90 deg in
+    steps of ``grid_step_deg``: under broadside illumination a plain
+    two-level code has a mirror-symmetric pattern, so only the forward
+    half carries information.  If the peak sits at a grid edge the
+    beamwidth is mirrored from the in-grid half; a beam with no -3 dB
+    crossing on either side inside the grid, wider than 0 to 90 deg,
+    raises :class:`DegeneratePatternError`.  The sidelobe level is the
+    largest lobe outside the null-to-null main-lobe region, in dB
+    relative to the peak.
     """
     if grid_step_deg > 0.1:
         raise ValueError(f"grid_step_deg must be <= 0.1 deg, got {grid_step_deg}")
     n_total = n_h * n_v
     angles = np.arange(0.0, 90.0 + grid_step_deg / 2, grid_step_deg)
-    mags = np.abs(pattern_gains(weights, illum_angle_deg, angles, n_h, n_v, spacing_ratio))
+    mags = np.abs(pattern_gains(weights, angles, n_h, n_v, spacing_ratio))
     peak_idx = int(np.argmax(mags))
     peak = mags[peak_idx]
     thr = peak / np.sqrt(2.0)

@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import presets  # presets load the engine only when they calibrate
-from .array_model import beam_metrics, pattern_gains, upa_profile
+from .array_model import DegeneratePatternError, beam_metrics, pattern_gains, upa_profile
 from .config import RIS_MODES, ConfigError, ExperimentConfig, parse_text, serialize
 
 EXIT_OK = 0
@@ -126,10 +127,17 @@ def cmd_beam_pattern(args) -> int:
     angle_cells = [f"{a:.4f}," for a in angles.tolist()]
     for steer in args.steer_deg:
         weights = upa_profile(steer, 0.0, g.n_h, g.n_v, g.spacing_ratio, g.dither)
-        m = beam_metrics(
-            weights, 0.0, g.n_h, g.n_v, g.spacing_ratio, grid_step_deg=args.grid_step_deg
-        )
-        gains = np.abs(pattern_gains(weights, 0.0, angles, g.n_h, g.n_v, g.spacing_ratio))
+        try:
+            m = beam_metrics(
+                weights, g.n_h, g.n_v, g.spacing_ratio, grid_step_deg=args.grid_step_deg
+            )
+        except DegeneratePatternError:
+            raise ConfigError(
+                f"--steer-deg {steer:g}: the beam of geom.n_h={g.n_h} elements at "
+                f"geom.spacing_ratio={g.spacing_ratio!r} is wider than the 0-90 deg grid "
+                "(no -3 dB crossing inside it)"
+            ) from None
+        gains = np.abs(pattern_gains(weights, angles, g.n_h, g.n_v, g.spacing_ratio))
         db = 20.0 * np.log10(np.maximum(gains, 1e-12) / n)
         path = out_dir / f"pattern_{steer:g}deg.csv"
         rows = "".join(f"{a}{v:.4f}\n" for a, v in zip(angle_cells, db.tolist()))
@@ -194,15 +202,36 @@ def cmd_schedule(args) -> int:
     return EXIT_OK
 
 
+def sweep_rows(
+    cfg: ExperimentConfig, alphas: list[float]
+) -> list[tuple[str, str, float, ExperimentConfig]]:
+    """The sweep table's rows in order: (CSV mode, stdout label, alpha cell, config).
+
+    First one run per EWMA weight, each with an independent seed derived
+    from the master seed; the configured time-compression factor applies
+    to every point, so the (alpha, switching-interval) pairing holds
+    across the sweep.  Then the genie round-robin and no-surface
+    references: they keep the master seed and ``sched.alpha``, drop the
+    i.i.d.-only ``ris.seed`` and ``ris.probs``, and show a NaN alpha.
+    """
+    rows = []
+    for i, alpha in enumerate(alphas):
+        seed = int(np.random.SeedSequence((cfg.sim.seed, i)).generate_state(1)[0])
+        sub = replace(cfg, sched=replace(cfg.sched, alpha=alpha), sim=replace(cfg.sim, seed=seed))
+        rows.append(("random", f"alpha={alpha:g}", alpha, sub))
+    ris = replace(cfg.ris, seed=None, probs=None)
+    genie = replace(cfg, ris=replace(ris, mode="genie"), sched=replace(cfg.sched, kind="rr"))
+    rows.append(("genie", "genie", math.nan, genie))
+    rows.append(("no_ris", "no-ris", math.nan, replace(cfg, ris=replace(ris, mode="off"))))
+    return rows
+
+
 def cmd_sweep(args) -> int:
     from . import engine
 
     cfg = _config(args, presets.sweep_config)
-    alphas = list(args.alphas)
-    summaries = engine.sweep_table(cfg, alphas)
-    # (CSV mode, stdout label, alpha column) per summary; the reference rows show NaN alpha.
-    rows = [("random", f"alpha={a:g}", a) for a in alphas]
-    rows += [("genie", "genie", math.nan), ("no_ris", "no-ris", math.nan)]
+    rows = sweep_rows(cfg, args.alphas)
+    summaries = engine.run_summaries([run_cfg for *_, run_cfg in rows])
     out_dir: Path = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep_alpha.csv"
@@ -211,10 +240,10 @@ def cmd_sweep(args) -> int:
     ] + [f"served_share{k}" for k in range(len(cfg.ues))]
     with open(path, "w") as f:
         f.write(",".join(cols) + "\n")
-        for (mode, _, alpha), s in zip(rows, summaries):
+        for (mode, _, alpha, _), s in zip(rows, summaries):
             vals = [alpha, 1.0 / alpha, s.aggregate_mbps, *s.throughput_mbps, *s.served_share]
             f.write(mode + "," + ",".join(f"{v:.6f}" for v in vals) + "\n")
-    for (_, label, _), s in zip(rows, summaries):
+    for (_, label, _, _), s in zip(rows, summaries):
         print(f"{label} aggregate={s.aggregate_mbps:.2f} Mbit/s")
     print(f"table -> {path}")
     return EXIT_OK

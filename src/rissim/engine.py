@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, islice
 from typing import NamedTuple
 
@@ -75,7 +75,7 @@ CSV_CHUNK = 8192  # trace CSV lines joined per write
 TDD_DL_SYMBOLS = (13,) * 6 + (6,) + (0,) * 3
 
 
-def tb_table(prbs: int = 106) -> dict[int, tuple[int, ...]]:
+def tb_table(prbs: int) -> dict[int, tuple[int, ...]]:
     """TB size per (schedulable DL symbols, MCS index) for one run: spectral
     efficiency times resource elements."""
     return {
@@ -96,8 +96,7 @@ class Trace:
     surface; as an index it is also the slot's link-table row, since the
     tables' last row is the no-surface one.  The tables change at every
     channel rebuild: epoch ``e`` covers the slots from ``e * coherence``
-    on.  ``ue`` and ``mcs`` are None on idle (uplink) slots.  Two traces
-    are equal when every column and epoch table is.
+    on.  ``ue`` and ``mcs`` are None on idle (uplink) slots.
     """
 
     def __init__(self, n_slots: int, coherence: int):
@@ -108,6 +107,8 @@ class Trace:
         self.tb_bits = [0] * n_slots
         self.nack = [False] * n_slots
         self.retx = [False] * n_slots
+        # Only the RSRP and SNR tables, not whole LinkTables: also keeping each epoch's SE
+        # rows raised the 4,000-epoch fading run's peak RSS from 45.0 to 46.7 MiB (+1.7).
         self.rsrp: list[list[tuple[float, ...]]] = []  # per epoch, per row, per UE
         self.snr: list[list[tuple[float, ...]]] = []  # per epoch, per row, per UE
 
@@ -124,11 +125,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.row)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
 
 
 @dataclass
@@ -630,37 +626,6 @@ def run_summaries(cfgs: Sequence[ExperimentConfig]) -> list[RunSummary]:
         pooled = {i: pool.submit(_summary, cfg) for i, cfg in enumerate(cfgs) if i % stride}
         own = {i: _summary(cfgs[i]) for i in range(0, len(cfgs), stride)}
         return [own[i] if i in own else pooled[i].result() for i in range(len(cfgs))]
-
-
-def _alpha_configs(cfg: ExperimentConfig, alphas: list[float]) -> list[ExperimentConfig]:
-    """One config per EWMA weight, each with its own seed derived from the master seed."""
-    if not alphas:
-        raise ValueError("alphas must be non-empty")
-    cfgs = []
-    for i, alpha in enumerate(alphas):
-        sub_seed = int(np.random.SeedSequence((cfg.sim.seed, i)).generate_state(1)[0])
-        cfgs.append(
-            replace(cfg, sched=replace(cfg.sched, alpha=alpha), sim=replace(cfg.sim, seed=sub_seed))
-        )
-    return cfgs
-
-
-def sweep_table(cfg: ExperimentConfig, alphas: list[float]) -> list[RunSummary]:
-    """One independent run per EWMA weight, then the genie round-robin and
-    no-surface references: ``len(alphas) + 2`` summaries in that order.
-
-    Each alpha run gets an independent seed derived from the master seed;
-    the configured time-compression factor applies to every point, so the
-    (alpha, switching-interval) pairing is preserved across the sweep.  The
-    reference runs keep the master seed and ``sched.alpha``, and drop the
-    i.i.d.-only ``ris.seed`` and ``ris.probs``.  All the runs go to one
-    :func:`run_summaries` call.
-    """
-    ris = replace(cfg.ris, seed=None, probs=None)
-    return run_summaries(_alpha_configs(cfg, alphas) + [
-        replace(cfg, ris=replace(ris, mode="genie"), sched=replace(cfg.sched, kind="rr")),
-        replace(cfg, ris=replace(ris, mode="off")),
-    ])
 
 
 def _trace_lines(trace: Trace):

@@ -15,7 +15,8 @@ from reference_engine import conserves_bits, ewma_update, select_ue
 from rissim import presets
 from rissim.array_model import beam_metrics, quantize_one_bit, upa_profile
 from rissim.config import SchedConfig
-from rissim.engine import run, run_summaries, sweep_table, write_trace_csv
+from rissim.cli import sweep_rows
+from rissim.engine import run, run_summaries, write_trace_csv
 
 WARMUP_S = 20.0
 
@@ -36,7 +37,8 @@ def schedule_run():
 @pytest.fixture(scope="module")
 def sweep_results():
     # The CLI's table: the alpha rows and both references in one pool.
-    return sweep_table(presets.sweep_config(), list(presets.SWEEP_ALPHAS))
+    rows = sweep_rows(presets.sweep_config(), list(presets.SWEEP_ALPHAS))
+    return run_summaries([cfg for *_, cfg in rows])
 
 
 def test_criterion_1_beam_geometry():
@@ -45,7 +47,7 @@ def test_criterion_1_beam_geometry():
     worst_err, worst_sll = 0.0, -np.inf
     for target in range(0, 61, 5):
         w = upa_profile(float(target), 0.0, g.n_h, g.n_v, g.spacing_ratio, g.dither)
-        m = beam_metrics(w, 0.0, g.n_h, g.n_v, g.spacing_ratio, grid_step_deg=0.05)
+        m = beam_metrics(w, g.n_h, g.n_v, g.spacing_ratio, grid_step_deg=0.05)
         err = abs(m.peak_angle_deg - target)
         worst_err = max(worst_err, err)
         worst_sll = max(worst_sll, m.sll_db)

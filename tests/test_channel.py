@@ -96,7 +96,7 @@ class TestEffectiveChannel:
             other = upa_profile(other_deg, 0.0, 32, 32, 0.25, dither=True)
             aligned = abs(np.sum(own * h))
             crossed = abs(np.sum(other * h))
-            oracle = abs(pattern_gains(other, 0.0, own_deg, 32, 32, 0.25)[0])
+            oracle = abs(pattern_gains(other, own_deg, 32, 32, 0.25)[0])
             assert crossed * 1024 == pytest.approx(oracle, rel=1e-9)
             assert 20 * math.log10(aligned / crossed) >= 7.0
 

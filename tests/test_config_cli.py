@@ -447,18 +447,41 @@ class TestNonFinite:
             run(cfg)
 
 
+# The benchmark's workloads, loaded without running the benchmark.
+BENCH_WORKLOADS = runpy.run_path(
+    str(Path(cli.__file__).resolve().parents[2] / "perfbench" / "run.py"), run_name="not_main"
+)["WORKLOADS"]
+
+
+def _bench_seed(spec) -> int:
+    return 0 if spec.default_seed is None else spec.default_seed
+
+
+class TestBenchmarkWorkloads:
+    """Each ``perfbench/run.py`` workload's command line parses and builds a
+    valid config, so a change that drops a flag or key it uses fails here."""
+
+    @pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
+    def test_cli_args_parse_into_a_valid_config(self, tmp_path, name):
+        spec = BENCH_WORKLOADS[name]
+        args = cli._build_parser().parse_args(spec.cli_args(_bench_seed(spec), tmp_path))
+        base = {  # each subcommand's preset, as its handler picks it
+            "beam-pattern": ExperimentConfig,
+            "schedule": lambda: presets.schedule_config(mode=args.mode or "periodic"),
+            "sweep-alpha": presets.sweep_config,
+        }[args.command]
+        if args.command == "beam-pattern":
+            cli._check_beam_flags(args)
+        validate(cli._config(args, base))
+
+
 class TestBenchmarkSetupProbe:
     """``perfbench/setup_child.py`` builds each workload's config through the
     preset API and runs it for zero slots."""
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["schedule", "periodic", "1"],
-            ["schedule", "iid", "1", "chan.rician_k_db=6", "chan.coherence_slots=20"],
-            ["sweep", "periodic", "7"],
-            ["beam", "-", "0"],
-        ],
+        [spec.setup_args(_bench_seed(spec)) for spec in BENCH_WORKLOADS.values()],
         ids=" ".join,
     )
     def test_probe_prints_a_ready_line(self, argv):
@@ -693,6 +716,21 @@ class TestOneConfigPath:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"config error: {flag}: must be")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "n_h,steers,written",
+        [("1", ["30"], []), ("2", ["0", "30"], ["pattern_0deg.csv"])],
+    )
+    def test_beam_wider_than_the_grid_exits_2(self, tmp_path, capsys, n_h, steers, written):
+        # A beam with no -3 dB crossing inside 0 to 90 deg has no width to report;
+        # the targets before it keep their CSVs.
+        out = tmp_path / "out"
+        argv = ["--out-dir", str(out), "--set", f"geom.n_h={n_h}", "beam-pattern"]
+        assert main([*argv, "--steer-deg", *steers]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --steer-deg 30: ")
+        assert f"geom.n_h={n_h}" in err and "geom.spacing_ratio=0.25" in err
+        assert sorted(path.name for path in out.iterdir()) == written
 
     @pytest.mark.parametrize(
         "step,n_rows,last", [("7", 13, "84.0000"), ("0.7", 129, "89.6000"), ("0.25", 361, "90.0000")]

@@ -10,15 +10,13 @@ import pytest
 
 from reference_engine import conserves_bits
 from rissim import engine, presets
-from rissim.cli import main
+from rissim.cli import main, sweep_rows
 from rissim.config import ChannelConfig, ConfigError, aligned_states
 from rissim.engine import (
     MCS_TABLE_64QAM,
     TDD_DL_SYMBOLS,
     run,
-    _alpha_configs,
     run_summaries,
-    sweep_table,
     tb_table,
     write_trace_csv,
 )
@@ -164,7 +162,8 @@ class TestRunBasics:
                 return _fn(*args)
 
             monkeypatch.setattr(engine, name, counted)
-        assert run(cfg) == unwrapped
+        trace, summary = run(cfg)
+        assert vars(trace) == vars(unwrapped[0]) and summary == unwrapped[1]
         assert calls == dict.fromkeys(calls, 1)
 
     def test_idle_rows_only_on_uplink_slots(self):
@@ -183,7 +182,7 @@ class TestDeterminism:
         cfg = short_schedule(duration_s=6.0, warmup_s=1.0)
         t1, s1 = run(cfg)
         t2, s2 = run(cfg)
-        assert t1 == t2
+        assert vars(t1) == vars(t2)
         assert s1 == s2
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_trace_csv(t1, p1)
@@ -211,7 +210,7 @@ class TestDeterminism:
         cfg = replace(cfg, chan=ChannelConfig(rician_k_db=15.0, coherence_slots=500))
         t1, s1 = run(cfg)
         t2, s2 = run(cfg)
-        assert t1 == t2 and s1 == s2
+        assert vars(t1) == vars(t2) and s1 == s2
         assert conserves_bits(s1)
 
     def test_block_outcome_stream_insulated_from_scatter(self):
@@ -360,27 +359,60 @@ class TestAlignmentRule:
         assert served_fractions(trace, (0, 1), 2000) != summary_fractions(summary)
 
 
+def _configs(rows):
+    """The run configs of ``cli.sweep_rows`` rows."""
+    return [cfg for *_, cfg in rows]
+
+
 class TestSweep:
     def test_single_alpha_row_matches_run(self):
         cfg = short_schedule(duration_s=4.0, warmup_s=1.0)
-        row, _, _ = sweep_table(cfg, [cfg.sched.alpha])
-        (alpha_cfg,) = _alpha_configs(cfg, [cfg.sched.alpha])
+        rows = sweep_rows(cfg, [cfg.sched.alpha])
+        row, _, _ = run_summaries(_configs(rows))
+        alpha_cfg = rows[0][3]
+        seed = int(np.random.SeedSequence((cfg.sim.seed, 0)).generate_state(1)[0])
+        assert alpha_cfg == replace(cfg, sim=replace(cfg.sim, seed=seed))
         assert row == run(alpha_cfg)[1]
         assert row.aggregate_mbps > 0.0
 
     def test_table_is_alpha_runs_then_references(self):
         cfg = short_schedule(duration_s=4.0, warmup_s=1.0)
         alphas = [0.01, cfg.sched.alpha]
-        *rows, genie, off = sweep_table(cfg, alphas)
+        table = sweep_rows(cfg, alphas)
+        assert [(mode, label) for mode, label, _, _ in table] == [
+            ("random", "alpha=0.01"), ("random", f"alpha={cfg.sched.alpha:g}"),
+            ("genie", "genie"), ("no_ris", "no-ris"),
+        ]
+        assert [alpha for _, _, alpha, _ in table[:2]] == alphas
+        assert all(math.isnan(alpha) for _, _, alpha, _ in table[2:])
+        *rows, genie, off = run_summaries(_configs(table))
         assert len(rows) == len(alphas)
-        assert rows == run_summaries(_alpha_configs(cfg, alphas))
+        assert rows == run_summaries(_configs(table[:2]))
         assert all(s.aggregate_mbps > 0.0 for s in rows)
         assert genie == run(cfg.with_overrides({"ris.mode": "genie", "sched.kind": "rr"}))[1]
         assert off == run(cfg.with_overrides({"ris.mode": "off"}))[1]
 
-    def test_empty_alphas_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_table(short_schedule(), [])
+    def test_references_keep_master_seed_and_drop_iid_keys(self):
+        cfg = short_schedule().with_overrides(
+            {"ris.mode": "iid", "ris.probs": "0.9,0.1", "ris.seed": "5"}
+        )
+        *alpha_rows, (_, _, _, genie), (_, _, _, off) = sweep_rows(cfg, [0.01, 0.02])
+        assert [c.sim.seed for *_, c in alpha_rows] == [
+            int(np.random.SeedSequence((cfg.sim.seed, i)).generate_state(1)[0]) for i in (0, 1)
+        ]
+        assert all(c.ris == cfg.ris for *_, c in alpha_rows)
+        assert genie.sim == off.sim == cfg.sim
+        assert genie.sched == replace(cfg.sched, kind="rr") and off.sched == cfg.sched
+        assert (genie.ris.mode, off.ris.mode) == ("genie", "off")
+        assert all(c.ris.seed is None and c.ris.probs is None for c in (genie, off))
+
+    def test_empty_alphas_exit_2(self, tmp_path, capsys):
+        # --alphas takes one or more values, so argparse rejects an empty list.
+        with pytest.raises(SystemExit) as exc:
+            main(["--out-dir", str(tmp_path), "sweep-alpha", "--alphas"])
+        assert exc.value.code == 2
+        assert "--alphas" in capsys.readouterr().err
+        assert not (tmp_path / "sweep_alpha.csv").exists()
 
     def test_custom_state_angles_override_ue_angles(self):
         # A state set pointing away from both UEs leaves every served

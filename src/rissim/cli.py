@@ -119,7 +119,6 @@ def cmd_beam_pattern(args) -> int:
         raise ConfigError(f"{', '.join(ignored)}: beam-pattern takes only geom.* overrides")
     g = _config(args, ExperimentConfig).geom  # default geometry is presets.GEOMETRY; no calibration
     out_dir: Path = args.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     n = g.n_h * g.n_v
     # The CSV ends at the last multiple of the step within 90 deg; rounding absorbs
     # the float error of 90 / step (the default 0.1 deg gives 901 angles, 0 to 90).
@@ -141,6 +140,7 @@ def cmd_beam_pattern(args) -> int:
         db = 20.0 * np.log10(np.maximum(gains, 1e-12) / n)
         path = out_dir / f"pattern_{steer:g}deg.csv"
         rows = "".join(f"{a}{v:.4f}\n" for a, v in zip(angle_cells, db.tolist()))
+        out_dir.mkdir(parents=True, exist_ok=True)  # only once a target has a pattern to write
         path.write_text("angle_deg,gain_db\n" + rows)
         print(
             f"steer={steer:g} peak={m.peak_angle_deg:.2f} deg "

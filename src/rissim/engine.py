@@ -35,13 +35,15 @@ written inline in :func:`simulate`, their state in plain per-UE lists;
 the literal reference loop in ``tests/reference_engine.py`` restates
 them one step at a time and is checked against it.
 
-The run's one per-slot record is :class:`Trace`: six columns (surface
-state, UE, MCS, TB bits, NACK, retransmission) plus the RSRP and SNR
-tables of each channel epoch.  The state, -1 without the surface, is
-also the slot's table row.  :func:`summarize` and the CSV writer read
-those columns, each in one pass; the writer streams its lines in chunks
-of :data:`CSV_CHUNK`, so neither holds a copy of a column or of the
-whole file.
+The run's one per-slot record is :class:`Trace`, which holds only the
+loop's decisions: one byte per slot in each of four typed columns (UE,
+MCS, NACK, retransmission), a log of the surface switches, and the RSRP
+and SNR tables of each channel epoch.  The surface state (-1 without the
+surface, also the slot's table row) and the TB size are derived on
+read.  :func:`summarize` counts the served slots in bulk per segment of
+one logged state and one epoch; the CSV writer reads the column streams
+in one pass and writes its lines in chunks of :data:`CSV_CHUNK`, so
+neither holds a copy of a column or of the whole file.
 
 All randomness derives from one master seed through three independent
 streams (channel scatter, block outcomes, i.i.d. switching), so traces
@@ -52,16 +54,17 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, compress, cycle, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .array_model import steering_vector, upa_profile
 from .config import (
-    SLOT_MS, ExperimentConfig, aligned_states, scaled, state_angles, to_slots, validate,
+    MAX_UES, SLOT_MS, ExperimentConfig, aligned_states, scaled, state_angles, to_slots, validate,
 )
 from .link_adapt import MAX_ATTEMPTS, MCS_TABLE_64QAM, thresholds_db
 
@@ -70,6 +73,7 @@ DRAW_CHUNK = 4096  # block-outcome uniforms drawn per refill
 EPOCH_BLOCK = 16  # coherence epochs whose link tables are built together
 RSRP_FLOOR_DBM = -156.0  # NR reporting floor
 CSV_CHUNK = 8192  # trace CSV lines joined per write
+IDLE = MAX_UES  # a trace's UE and MCS byte on an idle slot: one past the last UE index
 
 # Schedulable DL symbols per slot of one TDD period: 6 downlink, 1 mixed, 3 uplink.
 TDD_DL_SYMBOLS = (13,) * 6 + (6,) + (0,) * 3
@@ -89,24 +93,45 @@ def tb_table(prbs: int) -> dict[int, tuple[int, ...]]:
 
 
 class Trace:
-    """Per-slot trace held as columns, plus the link-table RSRP and SNR of
-    each channel epoch.
+    """The slot loop's decisions, plus the link-table RSRP and SNR of each
+    channel epoch.
 
-    ``row`` is the surface state in force at the slot, -1 without the
-    surface; as an index it is also the slot's link-table row, since the
-    tables' last row is the no-surface one.  The tables change at every
-    channel rebuild: epoch ``e`` covers the slots from ``e * coherence``
-    on.  ``ue`` and ``mcs`` are None on idle (uplink) slots.
+    Each downlink slot stores one byte per column of served UE, MCS, NACK
+    and retransmission; an uplink slot stores nothing and reads as idle
+    (UE and MCS :data:`IDLE`, NACK and retransmission 0).  The surface
+    state is a switch log of (first slot, state) entries, appended where
+    :func:`simulate` switches (one entry at slot 0 in mode ``off``, state
+    -1).  In genie mode the log is empty and a slot's state is the own
+    state (``genie_states``) of the UE it serves, or of the last one
+    served on an uplink slot.  The TB size is derived: a new block's is
+    ``phase_tb[t % 10][mcs]`` and a retransmission resends the in-flight
+    block's.
+
+    The accessors :meth:`row`, :meth:`ue`, :meth:`mcs`, :meth:`tb_bits`,
+    :meth:`nack` and :meth:`retx` expand the columns as streams over every
+    slot: the state is -1 without the surface, and as an index it is also
+    the slot's link-table row, since the tables' last row is the
+    no-surface one; UE and MCS are None on idle (uplink) slots.  The
+    tables change at every channel rebuild: epoch ``e`` covers the slots
+    from ``e * coherence`` on.
     """
 
-    def __init__(self, n_slots: int, coherence: int):
+    def __init__(
+        self,
+        n_slots: int,
+        coherence: int,
+        phase_tb: tuple[tuple[int, ...] | None, ...],
+        genie_states: tuple[int, ...] | None,
+    ):
         self.coherence = coherence
-        self.row = [0] * n_slots
-        self.ue: list[int | None] = [None] * n_slots
-        self.mcs: list[int | None] = [None] * n_slots
-        self.tb_bits = [0] * n_slots
-        self.nack = [False] * n_slots
-        self.retx = [False] * n_slots
+        self.phase_tb = phase_tb  # per TDD phase: None on uplink, else the TB size per MCS
+        self.genie_states = genie_states
+        self._ue = bytearray((IDLE,)) * n_slots
+        self._mcs = bytearray((IDLE,)) * n_slots
+        self._nack = bytearray(n_slots)
+        self._retx = bytearray(n_slots)
+        self._switch_slot = array("q")
+        self._switch_state = array("q")
         # Only the RSRP and SNR tables, not whole LinkTables: also keeping each epoch's SE
         # rows raised the 4,000-epoch fading run's peak RSS from 45.0 to 46.7 MiB (+1.7).
         self.rsrp: list[list[tuple[float, ...]]] = []  # per epoch, per row, per UE
@@ -116,18 +141,90 @@ class Trace:
         self.rsrp.append(rsrp)
         self.snr.append(snr)
 
+    def switch(self, slot: int, state: int) -> None:
+        """Log that the surface takes ``state`` from ``slot`` on."""
+        self._switch_slot.append(slot)
+        self._switch_state.append(state)
+
     def epochs(self):
         """(first slot, end slot, RSRP rows, SNR rows) of each table epoch."""
-        n = len(self.row)
+        n = len(self)
         span = self.coherence or n
         for e, (rsrp, snr) in enumerate(zip(self.rsrp, self.snr)):
             yield e * span, min((e + 1) * span, n), rsrp, snr
 
+    def segments(self, start: int):
+        """(first slot, end slot, state, RSRP rows) of each run of slots from
+        ``start`` on with one logged state and one table epoch; the state is
+        None in genie mode, where it follows the served UE."""
+        n = len(self)
+        if self.genie_states is None:
+            firsts, states = self._switch_slot, self._switch_state
+        else:
+            firsts, states = (0,), (None,)
+        span = self.coherence or n
+        for first, end, state in zip(firsts, chain(islice(firsts, 1, None), (n,)), states):
+            lo = max(first, start)
+            while lo < end:
+                hi = min(end, (lo // span + 1) * span)
+                yield lo, hi, state, self.rsrp[lo // span]
+                lo = hi
+
+    def row(self):
+        """Each slot's surface state, -1 without the surface."""
+        if self.genie_states is not None:
+            return self._genie_rows()
+        firsts, states = self._switch_slot, self._switch_state
+        ends = chain(islice(firsts, 1, None), (len(self),))
+        return chain.from_iterable(
+            repeat(state, end - first) for first, end, state in zip(firsts, ends, states)
+        )
+
+    def _genie_rows(self):
+        own = self.genie_states
+        state = own[0]
+        for ue in self._ue:
+            if ue != IDLE:
+                state = own[ue]
+            yield state
+
+    def ue(self):
+        """Each slot's served UE, None on an idle slot."""
+        return _cells(self._ue)
+
+    def mcs(self):
+        """Each slot's MCS, None on an idle slot."""
+        return _cells(self._mcs)
+
+    def tb_bits(self):
+        """Each slot's TB size in bits, 0 on an idle slot."""
+        tb = 0
+        for sizes, mcs, retx in zip(cycle(self.phase_tb), self._mcs, self._retx):
+            if sizes is None:
+                yield 0
+                continue
+            if not retx:
+                tb = sizes[mcs]
+            yield tb
+
+    def nack(self):
+        """1 where a slot's transmission failed, else 0 (also on an idle slot)."""
+        return iter(self._nack)
+
+    def retx(self):
+        """1 where a slot is a retransmission, else 0 (also on an idle slot)."""
+        return iter(self._retx)
+
     def __len__(self) -> int:
-        return len(self.row)
+        return len(self._ue)
 
 
-@dataclass
+def _cells(column: bytearray):
+    """A UE or MCS column's values, None for :data:`IDLE`."""
+    return map([*range(IDLE), None].__getitem__, column)
+
+
+@dataclass(eq=False)
 class RunSummary:
     duration_s: float
     measured_s: float
@@ -147,19 +244,6 @@ class RunSummary:
     discarded_bits: int
     inflight_bits: int
 
-    def __eq__(self, other):
-        """Field by field, with NaN equal to NaN.
-
-        A UE with no aligned (or no misaligned) slot has a NaN mean RSRP,
-        and two identical runs must still compare equal.
-        """
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(
-            len(a) == len(b) and all(map(_same, a, b)) if isinstance(a, tuple) else _same(a, b)
-            for a, b in zip(vars(self).values(), vars(other).values())
-        )
-
     def as_kv_text(self) -> str:
         lines = []
         for key, value in sorted(vars(self).items()):
@@ -171,10 +255,6 @@ class RunSummary:
             else:
                 lines.append(f"{key}={value}")
         return "\n".join(lines) + "\n"
-
-
-def _same(a: float, b: float) -> bool:
-    return a == b or (math.isnan(a) and math.isnan(b))
 
 
 class LinkTables(NamedTuple):
@@ -391,19 +471,16 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
     slope = la.slope
     exp = math.exp
 
-    trace = Trace(n_slots, coherence)
-    rows, ues, mcss, tbs, nacks, retxs = (
-        trace.row, trace.ue, trace.mcs, trace.tb_bits, trace.nack, trace.retx,
-    )
+    # Per TDD phase: None on uplink slots, else the TB size per MCS index.
+    phase_tb = tuple(map(tb_table(cfg.sim.prbs).get, TDD_DL_SYMBOLS))
+    period = len(TDD_DL_SYMBOLS)
+    trace = Trace(n_slots, coherence, phase_tb, aligned_state if genie else None)
+    ues, mcss, nacks, retxs = trace._ue, trace._mcs, trace._nack, trace._retx
     # One table per coherence epoch, from one generator.
     n_epochs = -(-max(n_slots, 1) // coherence) if coherence else 1
     next_tables = build_link_tables(cfg, setup, rng_channel, n_epochs).__next__
     snr_tab, se_tab, rsrp_tab = next_tables()
     trace.add_epoch(rsrp_tab, snr_tab)
-
-    # Per TDD phase: None on uplink slots, else the TB size per MCS index.
-    phase_tb = tuple(map(tb_table(cfg.sim.prbs).get, TDD_DL_SYMBOLS))
-    period = len(TDD_DL_SYMBOLS)
     # One uniform per transmission; chunked draws equal the scalar ones.
     bler_draw = chain.from_iterable(
         iter(lambda: rng_blocks.random(DRAW_CHUNK).tolist(), None)
@@ -420,6 +497,8 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
     # 0 means none is in flight.
     attempts = ue = mcs = tb = 0
     row = -1 if mode == "off" else aligned_state[0] if genie else 0
+    if mode == "off":
+        trace.switch(0, row)
     # The slot of each event's next occurrence; n_slots where a mode has none.
     next_coh = coherence or n_slots
     next_switch = 0 if switching else n_slots
@@ -439,6 +518,7 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
         if t0 == next_switch:
             interval = (t0 + offset) // ts_slots
             row = interval % n_states if periodic else iid_state(ris_seed, interval, probs)
+            trace.switch(t0, row)
             next_switch = (interval + 1) * ts_slots - offset
 
         # CQI cadence: refresh the scheduler-side rate estimates and caps
@@ -462,8 +542,7 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
         for t in range(t0, seg_end):
             tb_row = phase_tb[t % period]
             if tb_row is None:
-                rows[t] = row  # uplink: an idle row
-                continue
+                continue  # uplink: an idle slot
             retx = attempts > 0
             if not retx:
                 if round_robin:
@@ -490,13 +569,16 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
             if not nack:
                 acked_bits += tb
                 attempts = 0
-            elif attempts == MAX_ATTEMPTS:  # the last retransmission failed
-                discarded_bits += tb
-                attempts = 0
+            else:
+                nacks[t] = 1
+                if attempts == MAX_ATTEMPTS:  # the last retransmission failed
+                    discarded_bits += tb
+                    attempts = 0
 
             win_sched[ue] += 1
             if retx:
                 win_retx[ue] += 1
+                retxs[t] = 1
 
             # PF's EWMA: every UE decays, the served one adds its rate;
             # floored, as max(v, floor) would, without the call.
@@ -504,12 +586,8 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
                 v = decay * t_avg[k] + (alpha * rate_est[k] if k == ue else 0.0)
                 t_avg[k] = floor if floor > v else v
 
-            rows[t] = row
             ues[t] = ue
             mcss[t] = mcs
-            tbs[t] = tb
-            nacks[t] = nack
-            retxs[t] = retx
 
         # Outer loop: at the end of each BLER window every UE's MCS steps one
         # index on its retransmission ratio (0.0 for an empty window).
@@ -538,33 +616,50 @@ def summarize(cfg: ExperimentConfig, trace: Trace, counters: tuple[int, ...]) ->
     measured_slots = max(n_slots - warmup_slot, 0)
     measured_s = measured_slots * SLOT_MS / 1000.0
 
-    # Window statistics: one pass over the trace columns from the warm-up
-    # slot on.  RSRP sums add in slot order, so the means keep their bits.
-    # A state is aligned to each UE whose own state it is; state -1, no
-    # surface, to none, even where a UE has no own state (-1) either.
+    # Window statistics over the slots from the warm-up slot on.  A state is
+    # aligned to each UE whose own state it is; state -1, no surface, to
+    # none, even where a UE has no own state (-1) either.
     aligned_rows = [[r == a for a in own] for r in range(len(state_angles(cfg)))]
     aligned_rows.append([False] * n_ues)
-    scheduled, served_aligned, retx_count, window_acked = ([0] * n_ues for _ in range(4))
-    rsrp_sum = [[0.0, 0.0] for _ in range(n_ues)]  # per UE: [misaligned, aligned]
-    rsrp_n = [[0, 0] for _ in range(n_ues)]
-    columns = (trace.row, trace.ue, trace.tb_bits, trace.nack, trace.retx)
-    window = zip(*(islice(c, warmup_slot, None) for c in columns))  # no column copies
-    for lo, hi, rsrp_rows, _ in trace.epochs():
-        # Per table row: what each UE's RSRP adds to on a downlink slot.
-        adds = [
-            tuple(zip(rsrp_sum, rsrp_n, hits, rsrp)) for rsrp, hits in zip(rsrp_rows, aligned_rows)
-        ]
-        for row, ue, tb, nack, retx in islice(window, max(hi - max(lo, warmup_slot), 0)):
-            if ue is None:
-                continue
-            scheduled[ue] += 1
-            served_aligned[ue] += aligned_rows[row][ue]
-            retx_count[ue] += retx
-            if not nack:
-                window_acked[ue] += tb
-            for sums, counts, hit, rsrp in adds[row]:
-                sums[hit] += rsrp
-                counts[hit] += 1
+    ue_range = range(n_ues)
+    ues = trace._ue
+    scheduled, served_aligned = [0] * n_ues, [0] * n_ues
+    rsrp_sum = [[0.0, 0.0] for _ in ue_range]  # per UE: [misaligned, aligned]
+    rsrp_n = [[0, 0] for _ in ue_range]
+    # Per segment (one logged state, one table epoch), the served slots are
+    # counted in bulk, and every downlink slot adds each UE's RSRP at the
+    # slot's row; the sums add in slot order, so the means keep their bits.
+    for lo, hi, state, rsrp_rows in trace.segments(warmup_slot):
+        counts = [ues.count(k, lo, hi) for k in ue_range]
+        # The row of a slot serving each UE: the logged state, or in genie mode its own.
+        rows = own if state is None else (state,) * n_ues
+        for k in ue_range:
+            scheduled[k] += counts[k]
+            served_aligned[k] += counts[k] * aligned_rows[rows[k]][k]
+            for j in ue_range:
+                rsrp_n[k][aligned_rows[rows[j]][k]] += counts[j]
+        if state is not None:
+            n_dl = sum(counts)  # every downlink slot serves one UE
+            for sums, hit, rsrp in zip(rsrp_sum, aligned_rows[state], rsrp_rows[state]):
+                total = sums[hit]
+                for _ in repeat(None, n_dl):
+                    total += rsrp
+                sums[hit] = total
+        else:
+            # Per served UE: what each UE's RSRP adds to.
+            adds = [tuple(zip(rsrp_sum, aligned_rows[r], rsrp_rows[r])) for r in own]
+            for ue in memoryview(ues)[lo:hi]:
+                if ue != IDLE:
+                    for sums, hit, rsrp in adds[ue]:
+                        sums[hit] += rsrp
+    served = memoryview(ues)[warmup_slot:]
+    retx_ues = bytes(compress(served, memoryview(trace._retx)[warmup_slot:]))
+    retx_count = [retx_ues.count(k) for k in ue_range]
+    window_acked = [0] * n_ues
+    tb_bits = islice(trace.tb_bits(), warmup_slot, None)
+    for ue, tb, nack in zip(served, tb_bits, memoryview(trace._nack)[warmup_slot:]):
+        if ue != IDLE and not nack:
+            window_acked[ue] += tb
 
     def mean_rsrp(hit: int) -> tuple[float, ...]:
         return tuple(s[hit] / n[hit] if n[hit] else float("nan") for s, n in zip(rsrp_sum, rsrp_n))
@@ -631,12 +726,12 @@ def run_summaries(cfgs: Sequence[ExperimentConfig]) -> list[RunSummary]:
 def _trace_lines(trace: Trace):
     """The trace CSV's lines, header first, each ending in a newline.
 
-    One ``zip`` over the columns serves every epoch, which takes its
-    slots with ``islice``; slicing each column per epoch would copy it.
+    One ``zip`` over the column streams serves every epoch, which takes
+    its slots with ``islice``.
     """
     rsrp_cols = ",".join(f"rsrp{k}_dbm" for k in range(len(trace.rsrp[0][0])))
     yield f"slot,time_ms,ris_state,ue,{rsrp_cols},snr_db,mcs,tb_bits,outcome,is_retx\n"
-    slots = zip(trace.row, trace.ue, trace.mcs, trace.tb_bits, trace.nack, trace.retx)
+    slots = zip(trace.row(), trace.ue(), trace.mcs(), trace.tb_bits(), trace.nack(), trace.retx())
     for lo, hi, rsrp_rows, snr_rows in trace.epochs():
         # Per epoch, each table row in force and everything after the time of
         # each distinct slot are formatted once, not once per slot.

@@ -348,6 +348,22 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
     return out
 
 
+def same_summary(a: engine.RunSummary, b: engine.RunSummary) -> bool:
+    """Field by field, with NaN equal to NaN.
+
+    A UE with no aligned (or no misaligned) slot has a NaN mean RSRP, and
+    two identical runs must still compare equal.
+    """
+
+    def same(x: float, y: float) -> bool:
+        return x == y or (math.isnan(x) and math.isnan(y))
+
+    return type(a) is type(b) and all(
+        len(x) == len(y) and all(map(same, x, y)) if isinstance(x, tuple) else same(x, y)
+        for x, y in zip(vars(a).values(), vars(b).values())
+    )
+
+
 def conserves_bits(summary: engine.RunSummary) -> bool:
     """Every new-transmission bit is acknowledged, discarded or still in flight."""
     return summary.new_tx_bits == summary.acked_bits + summary.discarded_bits + summary.inflight_bits
@@ -364,19 +380,19 @@ def trace_csv(trace: engine.Trace) -> str:
     header = ["slot", "time_ms", "ris_state", "ue", *rsrp_names]
     header += ["snr_db", "mcs", "tb_bits", "outcome", "is_retx"]
     lines = [",".join(header)]
-    for t in range(len(trace)):
+    slots = zip(trace.row(), trace.ue(), trace.mcs(), trace.tb_bits(), trace.nack(), trace.retx())
+    for t, (row, ue, mcs, tb_bits, nack, retx) in enumerate(slots):
         epoch = t // trace.coherence if trace.coherence else 0
-        row, ue = trace.row[t], trace.ue[t]
         rsrp = [f"{v:.4f}" for v in trace.rsrp[epoch][row]]
         if ue is None:
-            ue_cell = snr = mcs = ""
+            ue_cell = snr = mcs_cell = ""
             outcome = "idle"
         else:
             ue_cell = str(ue)
             snr = f"{trace.snr[epoch][row][ue]:.4f}"
-            mcs = str(trace.mcs[t])
-            outcome = "nack" if trace.nack[t] else "ack"
+            mcs_cell = str(mcs)
+            outcome = "nack" if nack else "ack"
         cells = [str(t), f"{t * SLOT_MS:.1f}", str(row), ue_cell, *rsrp]
-        cells += [snr, mcs, str(trace.tb_bits[t]), outcome, str(int(trace.retx[t]))]
+        cells += [snr, mcs_cell, str(tb_bits), outcome, str(int(retx))]
         lines.append(",".join(cells))
     return "".join(line + "\n" for line in lines)

@@ -124,14 +124,14 @@ def test_criterion_4_bler_regulation(schedule_run):
         assert 0.05 <= b <= 0.15, f"UE{k} long-run BLER {b:.3f}"
 
     warm = round(WARMUP_S * 1000 / 0.5)
-    states = trace.row
+    states = list(trace.row())
     transitions = [t for t in range(max(1, warm), len(trace)) if states[t] != states[t - 1]]
     assert transitions, "no dwell transitions inside the measured span"
     win = 200
     for t0 in transitions:
         promoted = states[t0]
         demoted = 1 - promoted
-        served = list(zip(trace.ue[t0 : t0 + win], trace.retx[t0 : t0 + win]))
+        served = list(itertools.islice(zip(trace.ue(), trace.retx()), t0, t0 + win))
         for ue, kind in ((demoted, "high-to-low"), (promoted, "low-to-high")):
             sched = sum(1 for u, _ in served if u == ue)
             retx = sum(1 for u, is_retx in served if u == ue and is_retx)
@@ -154,7 +154,7 @@ def test_criterion_5_rsrp_alternation(schedule_run):
     assert len(cfg.ues) == 2  # anti-phase is a two-UE property
     warm = round(WARMUP_S * 1000 / 0.5)
     (table,) = trace.rsrp  # one channel epoch: no scatter
-    rsrp = np.array(table)[trace.row[warm:]]  # per measured slot, per UE
+    rsrp = np.array(table)[list(trace.row())[warm:]]  # per measured slot, per UE
     levels = []
     for k in range(len(cfg.ues)):
         uniq = np.unique(rsrp[:, k].round(9))
@@ -203,7 +203,7 @@ def test_criterion_7_scheduling_fractions(schedule_run):
     n_ues = len(cfg.ues)
     mis_non_retx = [0] * n_ues
     served = [0] * n_ues
-    for row, ue, retx in zip(trace.row[warm:], trace.ue[warm:], trace.retx[warm:]):
+    for row, ue, retx in itertools.islice(zip(trace.row(), trace.ue(), trace.retx()), warm, None):
         if ue is None:
             continue
         served[ue] += 1

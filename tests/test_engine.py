@@ -3,15 +3,29 @@
 import concurrent.futures
 import math
 import os
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from reference_engine import conserves_bits
+import reference_engine
+from reference_engine import conserves_bits, same_summary
 from rissim import engine, presets
 from rissim.cli import main, sweep_rows
-from rissim.config import ChannelConfig, ConfigError, aligned_states
+from rissim.config import (
+    MAX_UES,
+    ChannelConfig,
+    ConfigError,
+    ExperimentConfig,
+    GeometryConfig,
+    RisConfig,
+    SchedConfig,
+    SimConfig,
+    UeConfig,
+    aligned_states,
+)
 from rissim.engine import (
     MCS_TABLE_64QAM,
     TDD_DL_SYMBOLS,
@@ -42,7 +56,7 @@ def served_fractions(trace, aligned_state, start):
     served slot is aligned when the surface is in the served UE's own beam
     state, which a slot without the surface (state -1) never is."""
     counts = {True: [0] * len(aligned_state), False: [0] * len(aligned_state)}
-    for row, ue in zip(trace.row[start:], trace.ue[start:]):
+    for row, ue in zip(list(trace.row())[start:], list(trace.ue())[start:]):
         if ue is not None:
             counts[0 <= row == aligned_state[ue]][ue] += 1
     dl = sum(counts[True]) + sum(counts[False])
@@ -55,7 +69,7 @@ def served_fractions(trace, aligned_state, start):
 def rsrp_of(trace, k):
     """UE ``k``'s RSRP at every slot of a run with one channel epoch."""
     (table,) = trace.rsrp
-    return np.array([table[row][k] for row in trace.row])
+    return np.array([table[row][k] for row in trace.row()])
 
 
 def summary_fractions(summary):
@@ -103,6 +117,57 @@ class TestTransportBlocks:
             assert table[6][mcs] == pytest.approx(table[13][mcs] * 6 / 13, abs=13)
 
 
+def _many_ues(n_ues):
+    """``n_ues`` identical UEs served round robin without the surface, 400 slots."""
+    return ExperimentConfig(
+        geom=GeometryConfig(n_h=1, n_v=1),
+        ues=(UeConfig(nu_deg=0.0, noise_dbm=-50.0, noris_gain=0.5),) * n_ues,
+        ris=RisConfig(mode="off"),
+        sched=SchedConfig(kind="rr"),
+        sim=SimConfig(duration_s=0.2, warmup_s=0.0),
+    )
+
+
+class TestTraceLayout:
+    """The trace keeps about four bytes per slot: one per typed column."""
+
+    def test_simulate_memory_per_slot(self):
+        # 40,000 slots of the genie preset read about 9 bytes a slot.  Six
+        # 8-byte list cells per slot read 53, and one list column reads 16.
+        cfg = presets.schedule_config("genie").with_overrides(
+            {"sim.duration_s": "20", "sim.warmup_s": "1"}
+        )
+        setup = engine.link_setup(cfg)
+        tracemalloc.start()
+        try:
+            trace, _ = engine.simulate(cfg, setup)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 40_000
+        assert peak / len(trace) < 12.0
+
+    def test_last_ue_index_fits_its_byte(self):
+        # Round robin reaches UE 254 in the 255th downlink slot.
+        cfg = _many_ues(MAX_UES)
+        trace, summary = run(cfg)
+        ues = list(trace.ue())
+        assert max(u for u in ues if u is not None) == MAX_UES - 1
+        assert ues == reference_engine.run(cfg).ue
+        assert summary.served_share[-1] > 0.0
+
+    def test_one_ue_past_the_limit_exits_2(self, tmp_path, capsys):
+        message = f"ue.angles: must be 1 to {MAX_UES} UEs, got {MAX_UES + 1}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run(_many_ues(MAX_UES + 1))
+        config = tmp_path / "many.txt"
+        config.write_text(f"ue.angles = {','.join(['0:0'] * (MAX_UES + 1))}\nris.mode = off\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out-dir", str(out), "schedule"]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRunBasics:
     def test_zero_duration_gives_empty_trace(self):
         cfg = timed(presets.schedule_config(), 0.0, 0.0)
@@ -132,7 +197,7 @@ class TestRunBasics:
         assert conserves_bits(summary)
         # Retransmission slots never add new-transmission bits.
         new_bits_from_trace = sum(
-            tb for ue, tb, retx in zip(trace.ue, trace.tb_bits, trace.retx)
+            tb for ue, tb, retx in zip(trace.ue(), trace.tb_bits(), trace.retx())
             if ue is not None and not retx
         )
         assert new_bits_from_trace == summary.new_tx_bits
@@ -144,7 +209,7 @@ class TestRunBasics:
         trace, summary = run(short_schedule())
         assert summary.acked_bits <= summary.new_tx_bits
         acked_rows = sum(
-            tb for ue, tb, nack in zip(trace.ue, trace.tb_bits, trace.nack)
+            tb for ue, tb, nack in zip(trace.ue(), trace.tb_bits(), trace.nack())
             if ue is not None and not nack
         )
         # A block acked on a retransmission is credited once even though
@@ -163,13 +228,13 @@ class TestRunBasics:
 
             monkeypatch.setattr(engine, name, counted)
         trace, summary = run(cfg)
-        assert vars(trace) == vars(unwrapped[0]) and summary == unwrapped[1]
+        assert vars(trace) == vars(unwrapped[0]) and same_summary(summary, unwrapped[1])
         assert calls == dict.fromkeys(calls, 1)
 
     def test_idle_rows_only_on_uplink_slots(self):
         trace, _ = run(short_schedule(duration_s=5.0, warmup_s=1.0))
         for t, (ue, mcs, tb, nack, retx) in enumerate(
-            zip(trace.ue, trace.mcs, trace.tb_bits, trace.nack, trace.retx)
+            zip(trace.ue(), trace.mcs(), trace.tb_bits(), trace.nack(), trace.retx())
         ):
             if TDD_DL_SYMBOLS[t % len(TDD_DL_SYMBOLS)] == 0:
                 assert (ue, mcs, tb, nack, retx) == (None, None, 0, False, False)
@@ -183,7 +248,7 @@ class TestDeterminism:
         t1, s1 = run(cfg)
         t2, s2 = run(cfg)
         assert vars(t1) == vars(t2)
-        assert s1 == s2
+        assert same_summary(s1, s2)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_trace_csv(t1, p1)
         write_trace_csv(t2, p2)
@@ -195,22 +260,22 @@ class TestDeterminism:
         _, s1 = run(cfg)
         _, s2 = run(cfg)
         assert all(math.isnan(v) for v in s1.mean_rsrp_aligned_dbm)
-        assert s1 == s2
-        assert s1 != replace(s1, acked_bits=s1.acked_bits + 1)
-        assert s1 != replace(s1, mean_rsrp_aligned_dbm=(0.0,) * len(cfg.ues))
-        assert s1 != replace(s1, served_share=s1.served_share[:1])
+        assert same_summary(s1, s2)
+        assert not same_summary(s1, replace(s1, acked_bits=s1.acked_bits + 1))
+        assert not same_summary(s1, replace(s1, mean_rsrp_aligned_dbm=(0.0,) * len(cfg.ues)))
+        assert not same_summary(s1, replace(s1, served_share=s1.served_share[:1]))
 
     def test_seed_changes_outcomes(self):
         t1, _ = run(short_schedule(duration_s=6.0, warmup_s=1.0, seed=1))
         t2, _ = run(short_schedule(duration_s=6.0, warmup_s=1.0, seed=2))
-        assert t1.nack != t2.nack
+        assert list(t1.nack()) != list(t2.nack())
 
     def test_scatter_runs_are_reproducible(self):
         cfg = short_schedule(duration_s=6.0, warmup_s=1.0)
         cfg = replace(cfg, chan=ChannelConfig(rician_k_db=15.0, coherence_slots=500))
         t1, s1 = run(cfg)
         t2, s2 = run(cfg)
-        assert vars(t1) == vars(t2) and s1 == s2
+        assert vars(t1) == vars(t2) and same_summary(s1, s2)
         assert conserves_bits(s1)
 
     def test_block_outcome_stream_insulated_from_scatter(self):
@@ -221,8 +286,8 @@ class TestDeterminism:
         faint = replace(base, chan=ChannelConfig(rician_k_db=200.0, coherence_slots=500))
         t1, _ = run(base)
         t2, _ = run(faint)
-        assert t1.nack == t2.nack
-        assert t1.ue == t2.ue
+        assert list(t1.nack()) == list(t2.nack())
+        assert list(t1.ue()) == list(t2.ue())
 
 
 class TestRsrpAlternation:
@@ -301,19 +366,20 @@ class TestRetransmissions:
         trace, summary = run(cfg)
         pending = None  # (ue, mcs, tb_bits) of the block awaiting retransmission
         attempts = retx_slots = discards = discarded_bits = 0
-        for t in range(len(trace)):
-            if trace.ue[t] is None:
+        slots = zip(trace.ue(), trace.mcs(), trace.tb_bits(), trace.nack(), trace.retx())
+        for t, (ue, mcs, tb, nack, retx) in enumerate(slots):
+            if ue is None:
                 continue
-            block = (trace.ue[t], trace.mcs[t], trace.tb_bits[t])
+            block = (ue, mcs, tb)
             if pending is None:
-                assert not trace.retx[t], f"slot {t}: retransmission without a pending block"
+                assert not retx, f"slot {t}: retransmission without a pending block"
                 attempts = 1
             else:
-                assert trace.retx[t] and block == pending, f"slot {t}: pending block not resent"
+                assert retx and block == pending, f"slot {t}: pending block not resent"
                 attempts += 1
                 retx_slots += 1
             pending = None
-            if trace.nack[t]:
+            if nack:
                 if attempts < MAX_ATTEMPTS:
                     pending = block
                 else:  # discarded: the next downlink slot starts a new block
@@ -372,7 +438,7 @@ class TestSweep:
         alpha_cfg = rows[0][3]
         seed = int(np.random.SeedSequence((cfg.sim.seed, 0)).generate_state(1)[0])
         assert alpha_cfg == replace(cfg, sim=replace(cfg.sim, seed=seed))
-        assert row == run(alpha_cfg)[1]
+        assert same_summary(row, run(alpha_cfg)[1])
         assert row.aggregate_mbps > 0.0
 
     def test_table_is_alpha_runs_then_references(self):
@@ -387,10 +453,12 @@ class TestSweep:
         assert all(math.isnan(alpha) for _, _, alpha, _ in table[2:])
         *rows, genie, off = run_summaries(_configs(table))
         assert len(rows) == len(alphas)
-        assert rows == run_summaries(_configs(table[:2]))
+        alone = run_summaries(_configs(table[:2]))
+        assert len(alone) == len(rows) and all(map(same_summary, rows, alone))
         assert all(s.aggregate_mbps > 0.0 for s in rows)
-        assert genie == run(cfg.with_overrides({"ris.mode": "genie", "sched.kind": "rr"}))[1]
-        assert off == run(cfg.with_overrides({"ris.mode": "off"}))[1]
+        genie_alone = run(cfg.with_overrides({"ris.mode": "genie", "sched.kind": "rr"}))[1]
+        assert same_summary(genie, genie_alone)
+        assert same_summary(off, run(cfg.with_overrides({"ris.mode": "off"}))[1])
 
     def test_references_keep_master_seed_and_drop_iid_keys(self):
         cfg = short_schedule().with_overrides(
@@ -430,8 +498,9 @@ class TestSweep:
         fast = replace(base, sim=replace(base.sim, ts_scaling=2.0))
         t1, _ = run(base)
         t2, _ = run(fast)
-        switches1 = sum(a != b for a, b in zip(t1.row, t1.row[1:]))
-        switches2 = sum(a != b for a, b in zip(t2.row, t2.row[1:]))
+        rows1, rows2 = list(t1.row()), list(t2.row())
+        switches1 = sum(a != b for a, b in zip(rows1, rows1[1:]))
+        switches2 = sum(a != b for a, b in zip(rows2, rows2[1:]))
         assert switches2 == pytest.approx(2 * switches1, abs=1)
 
 

@@ -123,7 +123,7 @@ def _assert_engine_equals_reference(cfg):
     trace, summary = run(cfg)
     ref = reference_engine.run(cfg)
     for name in COLUMNS:
-        assert getattr(trace, name) == getattr(ref, name), name
+        assert list(getattr(trace, name)()) == getattr(ref, name), name
     for name in BITS:
         assert getattr(summary, name) == getattr(ref, name), name
     return trace, summary
@@ -144,17 +144,17 @@ def test_engine_equals_reference(mode, kind, data):
     trace, summary = _assert_engine_equals_reference(cfg)
 
     assert reference_engine.conserves_bits(summary)
-    served_mcs = [m for m in trace.mcs if m is not None]
+    served_mcs = [m for m in trace.mcs() if m is not None]
     assert all(cfg.la.mcs_min <= m <= 28 for m in served_mcs)
     warmup_slot = round(cfg.sim.warmup_s * 2000)
-    if any(ue is not None for ue in trace.ue[warmup_slot:]):
+    if any(ue is not None for ue in list(trace.ue())[warmup_slot:]):
         assert sum(summary.served_share) == pytest.approx(1.0)
     else:
         assert summary.served_share == (0.0,) * len(cfg.ues)
 
     trace2, summary2 = run(cfg)
-    assert summary2 == summary
-    assert all(getattr(trace2, name) == getattr(trace, name) for name in COLUMNS)
+    assert reference_engine.same_summary(summary2, summary)
+    assert all(list(getattr(trace2, name)()) == list(getattr(trace, name)()) for name in COLUMNS)
     assert trace2.rsrp == trace.rsrp and trace2.snr == trace.snr
 
 
@@ -200,6 +200,49 @@ def test_segment_boundaries_equal_reference(mode, kind, edges):
     assert reference_engine.conserves_bits(summary)
 
 
+def _short(mode, **overrides):
+    """A 0.1 s run of the two-UE preset on a small surface, from slot 0."""
+    return presets.schedule_config(mode).with_overrides({
+        "geom.n_h": "4", "geom.n_v": "2", "sim.duration_s": "0.1", "sim.warmup_s": "0",
+        **overrides,
+    })
+
+
+class TestSwitchLog:
+    """The state column is a log of the loop's switches, expanded on read."""
+
+    @pytest.mark.parametrize("offset,first_switch", [("0", 5), ("4", 1)])
+    def test_switch_at_slot_0(self, offset, first_switch):
+        # Slot 0 always opens the log; with offset 0 it is also a dwell boundary.
+        cfg = _short("periodic", **{"ris.ts_slots": "5", "ris.offset_slots": offset})
+        trace, _ = _assert_engine_equals_reference(cfg)
+        rows = list(trace.row())
+        assert rows[:first_switch] == [0] * first_switch and rows[first_switch] == 1
+
+    @pytest.mark.parametrize("mode", ["periodic", "iid"])
+    def test_switch_on_an_uplink_slot(self, mode):
+        # (t + 3) % 10 == 0: every switch falls on slot 7 of a TDD period, an uplink slot.
+        cfg = _short(mode, **{"ris.ts_slots": "10", "ris.offset_slots": "3"})
+        trace, _ = _assert_engine_equals_reference(cfg)
+        rows = list(trace.row())
+        changes = [t for t in range(1, len(rows)) if rows[t] != rows[t - 1]]
+        assert TDD_DL_SYMBOLS[7] == 0
+        assert changes and all(t % 10 == 7 for t in changes)
+
+    def test_genie_uplink_slots_keep_the_last_served_state(self):
+        # Round robin alternates the UEs, so slot 6 serves another UE than slot 5,
+        # and the uplink slots 7 to 9 keep slot 6's state.
+        cfg = _short("genie")
+        trace, _ = _assert_engine_equals_reference(cfg)
+        rows, ues = list(trace.row()), list(trace.ue())
+        assert ues[5] != ues[6] and ues[7:10] == [None] * 3
+        assert rows[7:10] == [rows[6]] * 3 and rows[6] != rows[5]
+
+    def test_off_row_is_minus_1_throughout(self):
+        trace, _ = _assert_engine_equals_reference(_short("off"))
+        assert set(trace.row()) == {-1} and len(list(trace.row())) == len(trace) == 200
+
+
 @pytest.mark.parametrize("slope", ["2", "30"])
 def test_bler_is_zero_past_the_overflow_guard(slope):
     # Link gains of ~380 dB: slope * (SNR - threshold) passes 700 on every
@@ -213,7 +256,7 @@ def test_bler_is_zero_past_the_overflow_guard(slope):
     })
     trace, summary = _assert_engine_equals_reference(cfg)
     assert min(trace.snr[0][-2]) > 350.0
-    assert not any(trace.nack)
+    assert not any(trace.nack())
     assert summary.acked_bits == summary.new_tx_bits > 0
 
 
@@ -228,7 +271,7 @@ def test_a_ue_without_signal_loses_every_block():
     })
     trace, summary = _assert_engine_equals_reference(cfg)
     assert trace.snr[0][-1][0] == float("-inf")
-    ue0 = [nack for ue, nack in zip(trace.ue, trace.nack) if ue == 0]
+    ue0 = [nack for ue, nack in zip(trace.ue(), trace.nack()) if ue == 0]
     assert ue0 and all(ue0)
     assert summary.discarded_bits > 0
 
@@ -249,8 +292,9 @@ def test_pf_ties_go_to_the_lowest_index(mode):
     # and whenever the averages sit on the floor.
     cfg = _three_ue_pf(mode, (UeConfig(nu_deg=30.0, noise_dbm=-50.0, noris_gain=0.5),) * 3, 1.0)
     trace, _ = run(cfg)
-    assert trace.ue[0] == 0
-    assert trace.ue == reference_engine.run(cfg).ue
+    ues = list(trace.ue())
+    assert ues[0] == 0
+    assert ues == reference_engine.run(cfg).ue
 
 
 @pytest.mark.parametrize("mode", RIS_MODES)
@@ -262,7 +306,7 @@ def test_ewma_floor_holds_the_averages(mode):
         UeConfig(nu_deg=10.0, noise_dbm=-46.0, noris_gain=0.2),
     )
     cfg = _three_ue_pf(mode, ues, 0.5)
-    assert run(cfg)[0].ue == reference_engine.run(cfg).ue
+    assert list(run(cfg)[0].ue()) == reference_engine.run(cfg).ue
 
 
 def test_cqi_cap_reaches_17_across_the_table_inversion():
@@ -281,5 +325,5 @@ def test_cqi_cap_reaches_17_across_the_table_inversion():
     )
     trace, _ = run(cfg)
     assert thr[17] <= trace.snr[0][-1][0] - cfg.la.cqi_backoff_db < thr[16]
-    assert max(m for m in trace.mcs if m is not None) == 17
-    assert trace.mcs == reference_engine.run(cfg).mcs
+    assert max(m for m in trace.mcs() if m is not None) == 17
+    assert list(trace.mcs()) == reference_engine.run(cfg).mcs

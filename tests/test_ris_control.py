@@ -23,7 +23,7 @@ def states(cfg, mode="periodic", slots=10, **ris):
     """The surface state of each of the first ``slots`` slots of a run."""
     overrides = {"ris.mode": mode, "sim.duration_s": str(slots * 0.5e-3)}
     overrides.update({f"ris.{key}": str(value) for key, value in ris.items()})
-    return run(cfg.with_overrides(overrides))[0].row
+    return list(run(cfg.with_overrides(overrides))[0].row())
 
 
 class TestDistribution:

@@ -44,7 +44,7 @@ def test_chunked_file_equals_reference(mode, kind, data):
         assert path.read_bytes() == reference_engine.trace_csv(trace).encode()
         # The row is the surface state: -1 without the surface, as the file writes it.
         states = [int(line.split(",")[2]) for line in path.read_text().splitlines()[1:]]
-        assert states == trace.row
+        assert states == list(trace.row())
 
 
 def test_writer_memory_does_not_grow_with_the_trace(tmp_path):

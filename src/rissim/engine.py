@@ -40,10 +40,16 @@ loop's decisions: one byte per slot in each of four typed columns (UE,
 MCS, NACK, retransmission), a log of the surface switches, and the RSRP
 and SNR tables of each channel epoch.  The surface state (-1 without the
 surface, also the slot's table row) and the TB size are derived on
-read.  :func:`summarize` counts the served slots in bulk per segment of
-one logged state and one epoch; the CSV writer reads the column streams
-in one pass and writes its lines in chunks of :data:`CSV_CHUNK`, so
-neither holds a copy of a column or of the whole file.
+read, with numpy over :data:`CSV_CHUNK` slots of the columns at a time
+(:meth:`Trace.row_chunks`, :meth:`Trace.tb_chunks`).  :func:`summarize`
+counts the served slots in bulk per segment of one logged state and one
+epoch, and its acknowledged bits per chunk.  :func:`write_trace_csv`
+assembles each chunk's lines as bytes: the ``slot,time_ms,`` prefix
+from the slot's integer digits (the time is ``slot >> 1`` then ``.0``
+or ``.5``), then a head keyed on (epoch, state, UE) and a rest keyed on
+(MCS, TB size, NACK, retransmission), each formatted once per distinct
+key in the chunk.  Neither holds a copy of a column or of the whole
+file.
 
 All randomness derives from one master seed through three independent
 streams (channel scatter, block outcomes, i.i.d. switching), so traces
@@ -57,7 +63,7 @@ import os
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, cycle, islice, repeat
+from itertools import chain, compress, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -72,7 +78,9 @@ SUBCARRIERS_PER_PRB = 12
 DRAW_CHUNK = 4096  # block-outcome uniforms drawn per refill
 EPOCH_BLOCK = 16  # coherence epochs whose link tables are built together
 RSRP_FLOOR_DBM = -156.0  # NR reporting floor
-CSV_CHUNK = 8192  # trace CSV lines joined per write
+# Slots per chunk of the derived trace columns and of the CSV writer's byte matrices;
+# at 8192 the writer raised the 80,000-slot fading run's peak RSS by 1.3 MiB.
+CSV_CHUNK = 4096
 IDLE = MAX_UES  # a trace's UE and MCS byte on an idle slot: one past the last UE index
 
 # Schedulable DL symbols per slot of one TDD period: 6 downlink, 1 mixed, 3 uplink.
@@ -109,9 +117,10 @@ class Trace:
 
     The accessors :meth:`row`, :meth:`ue`, :meth:`mcs`, :meth:`tb_bits`,
     :meth:`nack` and :meth:`retx` expand the columns as streams over every
-    slot: the state is -1 without the surface, and as an index it is also
-    the slot's link-table row, since the tables' last row is the
-    no-surface one; UE and MCS are None on idle (uplink) slots.  The
+    slot (:meth:`row` and :meth:`tb_bits` chained from :meth:`row_chunks`
+    and :meth:`tb_chunks`): the state is -1 without the surface, and as an
+    index it is also the slot's link-table row, since the tables' last row
+    is the no-surface one; UE and MCS are None on idle (uplink) slots.  The
     tables change at every channel rebuild: epoch ``e`` covers the slots
     from ``e * coherence`` on.
     """
@@ -146,13 +155,6 @@ class Trace:
         self._switch_slot.append(slot)
         self._switch_state.append(state)
 
-    def epochs(self):
-        """(first slot, end slot, RSRP rows, SNR rows) of each table epoch."""
-        n = len(self)
-        span = self.coherence or n
-        for e, (rsrp, snr) in enumerate(zip(self.rsrp, self.snr)):
-            yield e * span, min((e + 1) * span, n), rsrp, snr
-
     def segments(self, start: int):
         """(first slot, end slot, state, RSRP rows) of each run of slots from
         ``start`` on with one logged state and one table epoch; the state is
@@ -172,21 +174,31 @@ class Trace:
 
     def row(self):
         """Each slot's surface state, -1 without the surface."""
-        if self.genie_states is not None:
-            return self._genie_rows()
-        firsts, states = self._switch_slot, self._switch_state
-        ends = chain(islice(firsts, 1, None), (len(self),))
-        return chain.from_iterable(
-            repeat(state, end - first) for first, end, state in zip(firsts, ends, states)
-        )
+        return chain.from_iterable(map(np.ndarray.tolist, self.row_chunks()))
 
-    def _genie_rows(self):
-        own = self.genie_states
-        state = own[0]
-        for ue in self._ue:
-            if ue != IDLE:
-                state = own[ue]
-            yield state
+    def row_chunks(self):
+        """Each slot's surface state as one int64 array per :data:`CSV_CHUNK` slots.
+
+        In genie mode a slot's state is the own state of the last UE served
+        at or before it (UE 0's before the first); that UE carries across
+        chunks.
+        """
+        n = len(self)
+        if self.genie_states is None:
+            firsts = np.frombuffer(self._switch_slot, np.int64)
+            states = np.frombuffer(self._switch_state, np.int64)
+            for lo in range(0, n, CSV_CHUNK):
+                slots = np.arange(lo, min(lo + CSV_CHUNK, n))
+                yield states[np.searchsorted(firsts, slots, "right") - 1]
+            return
+        own = np.array(self.genie_states)
+        column = np.frombuffer(self._ue, np.uint8)
+        served = 0
+        for lo in range(0, n, CSV_CHUNK):
+            ues = column[lo:lo + CSV_CHUNK]
+            filled = _fill_forward(ues, ues != IDLE, served)
+            served = int(filled[-1])
+            yield own[filled]
 
     def ue(self):
         """Each slot's served UE, None on an idle slot."""
@@ -198,14 +210,31 @@ class Trace:
 
     def tb_bits(self):
         """Each slot's TB size in bits, 0 on an idle slot."""
+        return chain.from_iterable(map(np.ndarray.tolist, self.tb_chunks()))
+
+    def tb_chunks(self):
+        """Each slot's TB size in bits (0 on an idle slot) as one int64 array
+        per :data:`CSV_CHUNK` slots.
+
+        A new block's size is ``phase_tb[t % 10][mcs]``; a retransmission
+        resends the last new block, whose size carries across chunks.
+        """
+        sizes = np.zeros((len(self.phase_tb), IDLE + 1), np.int64)  # an idle MCS reads 0
+        for phase, row in enumerate(self.phase_tb):
+            if row is not None:
+                sizes[phase, :len(row)] = row
+        mcs_column = np.frombuffer(self._mcs, np.uint8)
+        retx_column = np.frombuffer(self._retx, np.uint8)
+        n = len(self)
         tb = 0
-        for sizes, mcs, retx in zip(cycle(self.phase_tb), self._mcs, self._retx):
-            if sizes is None:
-                yield 0
-                continue
-            if not retx:
-                tb = sizes[mcs]
-            yield tb
+        for lo in range(0, n, CSV_CHUNK):
+            hi = min(lo + CSV_CHUNK, n)
+            mcs = mcs_column[lo:hi]
+            served = mcs != IDLE
+            new = served & (retx_column[lo:hi] == 0)
+            filled = _fill_forward(sizes[np.arange(lo, hi) % len(sizes), mcs], new, tb)
+            tb = int(filled[-1])
+            yield np.where(served, filled, 0)
 
     def nack(self):
         """1 where a slot's transmission failed, else 0 (also on an idle slot)."""
@@ -217,6 +246,14 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self._ue)
+
+
+def _fill_forward(values: np.ndarray, keep: np.ndarray, carry: int) -> np.ndarray:
+    """``values`` where ``keep``, elsewhere the last kept value before, or
+    ``carry`` before the first."""
+    last = np.where(keep, np.arange(1, len(values) + 1), 0)
+    np.maximum.accumulate(last, out=last)
+    return np.concatenate(([carry], values))[last]
 
 
 def _cells(column: bytearray):
@@ -655,11 +692,19 @@ def summarize(cfg: ExperimentConfig, trace: Trace, counters: tuple[int, ...]) ->
     served = memoryview(ues)[warmup_slot:]
     retx_ues = bytes(compress(served, memoryview(trace._retx)[warmup_slot:]))
     retx_count = [retx_ues.count(k) for k in ue_range]
-    window_acked = [0] * n_ues
-    tb_bits = islice(trace.tb_bits(), warmup_slot, None)
-    for ue, tb, nack in zip(served, tb_bits, memoryview(trace._nack)[warmup_slot:]):
-        if ue != IDLE and not nack:
-            window_acked[ue] += tb
+    # Acked bits per UE, a chunk at a time; an idle slot carries 0 bits.  The
+    # float sums are exact: config.MAX_SLOTS blocks of any TB size stay below 2 ** 53.
+    acked = np.zeros(IDLE + 1)
+    ue_column, nack_column = np.frombuffer(ues, np.uint8), np.frombuffer(trace._nack, np.uint8)
+    lo = 0
+    for tb in trace.tb_chunks():
+        hi = lo + len(tb)
+        first = max(lo, warmup_slot)
+        if first < hi:
+            bits = np.where(nack_column[first:hi], 0, tb[first - lo:])
+            acked += np.bincount(ue_column[first:hi], bits, IDLE + 1)
+        lo = hi
+    window_acked = [int(b) for b in acked[:n_ues].tolist()]
 
     def mean_rsrp(hit: int) -> tuple[float, ...]:
         return tuple(s[hit] / n[hit] if n[hit] else float("nan") for s, n in zip(rsrp_sum, rsrp_n))
@@ -723,50 +768,101 @@ def run_summaries(cfgs: Sequence[ExperimentConfig]) -> list[RunSummary]:
         return [own[i] if i in own else pooled[i].result() for i in range(len(cfgs))]
 
 
-def _trace_lines(trace: Trace):
-    """The trace CSV's lines, header first, each ending in a newline.
-
-    One ``zip`` over the column streams serves every epoch, which takes
-    its slots with ``islice``.
-    """
-    rsrp_cols = ",".join(f"rsrp{k}_dbm" for k in range(len(trace.rsrp[0][0])))
-    yield f"slot,time_ms,ris_state,ue,{rsrp_cols},snr_db,mcs,tb_bits,outcome,is_retx\n"
-    slots = zip(trace.row(), trace.ue(), trace.mcs(), trace.tb_bits(), trace.nack(), trace.retx())
-    for lo, hi, rsrp_rows, snr_rows in trace.epochs():
-        # Per epoch, each table row in force and everything after the time of
-        # each distinct slot are formatted once, not once per slot.
-        heads, tails = {}, {}
-        for t, key in zip(range(lo, hi), islice(slots, hi - lo)):
-            tail = tails.get(key)
-            if tail is None:
-                row, ue, mcs, tb, nack, retx = key
-                head = heads.get(row)
-                if head is None:
-                    head = heads[row] = (
-                        f"{row},",
-                        "," + ",".join(f"{v:.4f}" for v in rsrp_rows[row]),
-                        [f"{v:.4f}" for v in snr_rows[row]],
-                    )
-                state, rsrps, snrs = head
-                if ue is None:
-                    tail = f"{state}{rsrps},,,{tb},idle,{int(retx)}"
-                else:
-                    tail = (
-                        f"{state}{ue}{rsrps},{snrs[ue]},{mcs},{tb},"
-                        f"{'nack' if nack else 'ack'},{int(retx)}"
-                    )
-                tails[key] = tail
-            yield f"{t},{t * SLOT_MS:.1f},{tail}\n"
-
-
 def write_trace_csv(trace: Trace, path) -> None:
     """Exact trace schema: slot,time_ms,ris_state,ue,rsrp0_dbm,...,snr_db,mcs,tb_bits,outcome,is_retx.
 
-    The lines come from one pass over the columns and are written
-    :data:`CSV_CHUNK` at a time, so the writer's memory does not grow
-    with the trace.
+    The columns are read :data:`CSV_CHUNK` slots at a time and each chunk's
+    lines are assembled as bytes: the ``slot,time_ms,`` prefix from the slot
+    number's digits (:func:`_slot_prefixes`), then a head
+    ``ris_state,ue,rsrp...,snr_db,`` keyed on (epoch, state, UE) and a rest
+    ``mcs,tb_bits,outcome,is_retx`` keyed on (MCS, TB size, NACK,
+    retransmission), each formatted once per distinct key in the chunk.  So
+    the writer's memory does not grow with the trace.
     """
-    lines = _trace_lines(trace)
-    with open(path, "w", newline="") as f:
-        while chunk := "".join(islice(lines, CSV_CHUNK)):
-            f.write(chunk)
+    if SLOT_MS != 0.5:
+        raise ValueError(f"the trace's time cell is written as slot / 2; SLOT_MS is {SLOT_MS}")
+    n_rows, n_ues = len(trace.rsrp[0]), len(trace.rsrp[0][0])
+    rsrp_cols = ",".join(f"rsrp{k}_dbm" for k in range(n_ues))
+    span = trace.coherence or len(trace) or 1
+    ue_column = np.frombuffer(trace._ue, np.uint8)
+    mcs_column = np.frombuffer(trace._mcs, np.uint8)
+    nack_column = np.frombuffer(trace._nack, np.uint8)
+    retx_column = np.frombuffer(trace._retx, np.uint8)
+
+    rsrp_cells = {}  # per (epoch, row) of one chunk: the UEs' RSRP cells
+
+    def head(key: int) -> str:
+        epoch, key = divmod(key, n_rows * (n_ues + 1))
+        row, k = divmod(key, n_ues + 1)
+        row -= 1
+        rsrp = rsrp_cells.get((epoch, row))
+        if rsrp is None:
+            rsrp = rsrp_cells[epoch, row] = ",".join(f"{v:.4f}" for v in trace.rsrp[epoch][row])
+        if k == n_ues:
+            return f"{row},,{rsrp},,"
+        return f"{row},{k},{rsrp},{trace.snr[epoch][row][k]:.4f},"
+
+    def rest(key: int) -> str:
+        tb, mcs, nack, retx = key >> 10, key >> 2 & 0xFF, key >> 1 & 1, key & 1
+        if mcs == IDLE:
+            return f",{tb},idle,{retx}\n"
+        return f"{mcs},{tb},{'nack' if nack else 'ack'},{retx}\n"
+
+    with open(path, "wb") as f:
+        f.write(f"slot,time_ms,ris_state,ue,{rsrp_cols},snr_db,mcs,tb_bits,outcome,is_retx\n".encode())
+        lo = 0
+        for tb, rows in zip(trace.tb_chunks(), trace.row_chunks()):
+            hi = lo + len(tb)
+            slots = np.arange(lo, hi)
+            # The UE cell's key is the UE, or n_ues on an idle slot.
+            ue = np.minimum(ue_column[lo:hi], n_ues)
+            heads = ((slots // span) * n_rows + rows + 1) * (n_ues + 1) + ue
+            rests = (
+                tb << 10 | mcs_column[lo:hi].astype(np.int64) << 2
+                | nack_column[lo:hi] << 1 | retx_column[lo:hi]
+            )
+            rsrp_cells.clear()
+            lines = np.concatenate(
+                (_slot_prefixes(slots), _text_rows(heads, head), _text_rows(rests, rest)), axis=1
+            )
+            f.write(lines[lines != 0])
+            lo = hi
+
+
+def _text_rows(keys: np.ndarray, text) -> np.ndarray:
+    """``text(key)`` of each key as a NUL-padded row of bytes; each distinct
+    key is formatted once."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    table = np.array([text(key).encode() for key in distinct.tolist()], dtype=bytes)
+    return table.view(np.uint8).reshape(len(distinct), -1)[inverse]
+
+
+def _slot_prefixes(slots: np.ndarray) -> np.ndarray:
+    """``slot,time_ms,`` of each slot as a NUL-padded row of bytes.
+
+    The time is the slot halved, ``slot >> 1`` then ``.0`` or ``.5``: the
+    bytes of ``f"{slot * 0.5:.1f}"``, with no float formatting.
+    """
+    slot_digits, half_digits = _digits(slots), _digits(slots >> 1)
+    width = slot_digits.shape[1]
+    prefixes = np.empty((len(slots), width + half_digits.shape[1] + 4), np.uint8)
+    prefixes[:, :width] = slot_digits
+    prefixes[:, width] = ord(",")
+    prefixes[:, width + 1:-3] = half_digits
+    prefixes[:, -3] = ord(".")
+    prefixes[:, -2] = ord("0") + 5 * (slots & 1)
+    prefixes[:, -1] = ord(",")
+    return prefixes
+
+
+def _digits(values: np.ndarray) -> np.ndarray:
+    """The decimal digits of non-negative integers, one row each, NUL-padded on the left."""
+    width = len(str(int(values.max())))
+    digits = np.empty((len(values), width), np.uint8)
+    quotients = values
+    for j in reversed(range(width)):
+        quotients, digits[:, j] = np.divmod(quotients, 10)
+    digits += ord("0")
+    for j in range(width - 1):
+        digits[values < 10 ** (width - 1 - j), j] = 0
+    return digits

@@ -369,18 +369,53 @@ def conserves_bits(summary: engine.RunSummary) -> bool:
     return summary.new_tx_bits == summary.acked_bits + summary.discarded_bits + summary.inflight_bits
 
 
+def tb_sizes(trace: engine.Trace) -> list[int]:
+    """Each slot's TB size, one slot at a time: 0 on an uplink slot, a new
+    block's from its TDD phase's TB table at its MCS, and a retransmission's
+    the in-flight block's, the last new one."""
+    sizes, inflight = [], 0
+    for t, (mcs, retx) in enumerate(zip(trace.mcs(), trace.retx())):
+        phase_sizes = trace.phase_tb[t % len(trace.phase_tb)]
+        if phase_sizes is None:
+            sizes.append(0)
+            continue
+        if not retx:
+            inflight = phase_sizes[mcs]
+        sizes.append(inflight)
+    return sizes
+
+
+def surface_rows(trace: engine.Trace) -> list[int]:
+    """Each slot's surface state, one slot at a time: the logged state in
+    force, or in genie mode the own state of the last UE served (UE 0's
+    before the first)."""
+    if trace.genie_states is None:
+        return [state for lo, hi, state, _ in trace.segments(0) for _ in range(lo, hi)]
+    rows, state = [], trace.genie_states[0]
+    for ue in trace.ue():
+        if ue is not None:
+            state = trace.genie_states[ue]
+        rows.append(state)
+    return rows
+
+
 def trace_csv(trace: engine.Trace) -> str:
     """The text of ``engine.write_trace_csv(trace, path)``, one slot at a time.
 
     Each line is formatted from its own cells: no memo, no chunks.  The
-    RSRP and SNR come from the slot's channel epoch, ``t // coherence``.
+    state and TB size are restated slot by slot (:func:`surface_rows`,
+    :func:`tb_sizes`), not read from the engine's chunked derivations.
+    The RSRP and SNR come from the slot's channel epoch,
+    ``t // coherence``.
     """
     n_ues = len(trace.rsrp[0][0])
     rsrp_names = [f"rsrp{k}_dbm" for k in range(n_ues)]
     header = ["slot", "time_ms", "ris_state", "ue", *rsrp_names]
     header += ["snr_db", "mcs", "tb_bits", "outcome", "is_retx"]
     lines = [",".join(header)]
-    slots = zip(trace.row(), trace.ue(), trace.mcs(), trace.tb_bits(), trace.nack(), trace.retx())
+    slots = zip(
+        surface_rows(trace), trace.ue(), trace.mcs(), tb_sizes(trace), trace.nack(), trace.retx()
+    )
     for t, (row, ue, mcs, tb_bits, nack, retx) in enumerate(slots):
         epoch = t // trace.coherence if trace.coherence else 0
         rsrp = [f"{v:.4f}" for v in trace.rsrp[epoch][row]]

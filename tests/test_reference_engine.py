@@ -142,6 +142,9 @@ def _assert_engine_equals_reference(cfg):
 def test_engine_equals_reference(mode, kind, data):
     cfg = data.draw(small_configs(mode, kind))
     trace, summary = _assert_engine_equals_reference(cfg)
+    # The restatements the reference CSV formatter reads, against the engine's columns.
+    assert reference_engine.tb_sizes(trace) == list(trace.tb_bits())
+    assert reference_engine.surface_rows(trace) == list(trace.row())
 
     assert reference_engine.conserves_bits(summary)
     served_mcs = [m for m in trace.mcs() if m is not None]

@@ -1,9 +1,10 @@
 """The trace CSV writer against the literal reference formatter, and its memory.
 
-``engine.write_trace_csv`` streams its lines in chunks of
-``engine.CSV_CHUNK``.  The golden runs are shorter than one chunk, so
-the equality test shrinks the chunk until flushes land both inside
-channel epochs and on their boundaries.
+``engine.write_trace_csv`` reads the trace and writes its lines in
+chunks of ``engine.CSV_CHUNK`` slots.  The golden runs are shorter than
+one chunk, so the equality tests shrink the chunk until chunks cut TDD
+periods, channel epochs and retransmissions, and the in-flight TB size
+and the genie state carry from one chunk into the next.
 """
 
 import tempfile
@@ -11,13 +12,14 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 import reference_engine
 from rissim import engine, presets
-from rissim.config import RIS_MODES, SCHED_KINDS, ChannelConfig
-from rissim.engine import run, write_trace_csv
+from rissim.config import MAX_SLOTS, RIS_MODES, SCHED_KINDS, ChannelConfig
+from rissim.engine import TDD_DL_SYMBOLS, run, write_trace_csv
 from test_reference_engine import small_configs
 
 # Static line of sight, and Rician scatter redrawn every slot or every 13 slots.
@@ -45,6 +47,66 @@ def test_chunked_file_equals_reference(mode, kind, data):
         # The row is the surface state: -1 without the surface, as the file writes it.
         states = [int(line.split(",")[2]) for line in path.read_text().splitlines()[1:]]
         assert states == list(trace.row())
+
+
+# The preset surface, 100 ms (200 slots) each.
+CHUNK_CASES = {
+    # At la.mcs_min = 27 nearly every block fails all four transmissions, so
+    # the retransmissions of one block straddle chunk boundaries; scatter is
+    # redrawn every 13 slots.
+    "every block retransmitted": ("periodic", {
+        "la.mcs_min": "27", "chan.rician_k_db": "6", "chan.coherence_slots": "13",
+    }),
+    # The state follows the served UE, and carries over uplink slots.
+    "genie": ("genie", {"sched.kind": "rr"}),
+    "iid": ("iid", {"chan.rician_k_db": "6", "chan.coherence_slots": "7", "ris.ts_slots": "3"}),
+    "off": ("off", {}),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 9, 10, 11])
+@pytest.mark.parametrize("case", CHUNK_CASES.values(), ids=CHUNK_CASES)
+def test_chunk_boundaries_equal_reference(case, chunk, tmp_path):
+    mode, overrides = case
+    cfg = presets.schedule_config(mode).with_overrides({
+        "sim.duration_s": "0.1", "sim.warmup_s": "0", **overrides,
+    })
+    trace, _ = run(cfg)
+    # Chunks of 9 slots start on the uplink slots 9, 18 and 27.
+    assert not any(TDD_DL_SYMBOLS[t % 10] for t in (9, 18, 27))
+    if mode == "periodic":
+        retx = list(trace.retx())
+        # Slot 0's block is resent on slots 1 to 3, slot 4's on 5, 6 and, past
+        # the uplink slots, 10.
+        assert [t for t in range(11) if retx[t]] == [1, 2, 3, 5, 6, 10]
+    path = tmp_path / "trace.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "CSV_CHUNK", chunk)
+        write_trace_csv(trace, path)
+    assert path.read_bytes() == reference_engine.trace_csv(trace).encode()
+
+
+def test_time_cell_is_the_float_format():
+    # The writer builds `slot,time_ms,` from integers; the time cell equals
+    # the float format at every digit-width change of the slot and of its
+    # half, and at the longest run's last slots.
+    widths = [10**k + d for k in range(1, 8) for d in (-1, 0, 1)]
+    widths += [2 * w for w in widths] + [2 * w + 1 for w in widths]
+    slots = np.array(sorted({*range(200_001), *widths, MAX_SLOTS - 1, MAX_SLOTS, MAX_SLOTS + 1}))
+    prefixes = engine._slot_prefixes(slots)
+    text = prefixes[prefixes != 0].tobytes().decode()
+    assert text == "".join(f"{t},{t * engine.SLOT_MS:.1f}," for t in slots.tolist())
+
+
+def test_writer_refuses_another_slot_length(tmp_path):
+    cfg = presets.schedule_config().with_overrides({"sim.duration_s": "0.01", "sim.warmup_s": "0"})
+    trace, _ = run(cfg)
+    path = tmp_path / "trace.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "SLOT_MS", 1.0)
+        with pytest.raises(ValueError, match="SLOT_MS"):
+            write_trace_csv(trace, path)
+    assert not path.exists()
 
 
 def test_writer_memory_does_not_grow_with_the_trace(tmp_path):

@@ -650,6 +650,11 @@ def _all_optional_keys_set():
     )
 
 
+# Ten targets whose beams on a 2-element row all have a -3 dB crossing
+# inside 0 to 90 deg; a beam at 30 deg on that row has none.
+FIRST_TEN = [f"{0.5 * i:g}" for i in range(10)]
+
+
 class TestOneConfigPath:
     @pytest.mark.parametrize(
         "command",
@@ -719,7 +724,11 @@ class TestOneConfigPath:
 
     @pytest.mark.parametrize(
         "n_h,steers,written",
-        [("1", ["30"], []), ("2", ["0", "30"], ["pattern_0deg.csv"])],
+        [
+            ("1", ["30"], []),
+            ("2", ["0", "30"], ["pattern_0deg.csv"]),
+            ("2", [*FIRST_TEN, "30"], sorted(f"pattern_{s}deg.csv" for s in FIRST_TEN)),
+        ],
     )
     def test_beam_wider_than_the_grid_exits_2(self, tmp_path, capsys, n_h, steers, written):
         # A beam with no -3 dB crossing inside 0 to 90 deg has no width to report;
@@ -732,6 +741,23 @@ class TestOneConfigPath:
         assert f"geom.n_h={n_h}" in err and "geom.spacing_ratio=0.25" in err
         assert out.exists() == bool(written)  # made only for a CSV to write
         assert sorted(path.name for path in out.glob("*")) == written
+
+    def test_targets_before_a_degenerate_one_keep_their_output(self, tmp_path, capsys):
+        # Ten targets fill more than one evaluation block; the failing one comes
+        # after them, in the second block.  The output before it is exactly that
+        # of a run of the ten alone, stdout line by line, in order.
+        argv = ["--set", "geom.n_h=2", "beam-pattern", "--steer-deg", *FIRST_TEN]
+        assert main(["--out-dir", str(tmp_path / "clean"), *argv]) == 0
+        clean = capsys.readouterr().out.replace(str(tmp_path / "clean"), "<out>")
+        assert main(["--out-dir", str(tmp_path / "cut"), *argv, "30", "5"]) == 2
+        cut = capsys.readouterr()
+        assert cut.out.replace(str(tmp_path / "cut"), "<out>") == clean
+        assert len(clean.splitlines()) == 10
+        assert cut.err.startswith("config error: --steer-deg 30: ")
+        for steer in FIRST_TEN:
+            name = f"pattern_{steer}deg.csv"
+            assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "clean" / name).read_bytes()
+        assert len(list((tmp_path / "cut").glob("*"))) == 10
 
     @pytest.mark.parametrize(
         "step,n_rows,last", [("7", 13, "84.0000"), ("0.7", 129, "89.6000"), ("0.25", 361, "90.0000")]

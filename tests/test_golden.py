@@ -250,8 +250,10 @@ def test_golden_sweep_csv(tmp_path):
 
 
 # beam-pattern through the CLI: several targets on the default grids, one
-# target on the coarsest metrics grid with a coarser CSV grid, and a plain
-# (undithered) non-square surface.
+# target on the coarsest metrics grid with a coarser CSV grid, a plain
+# (undithered) non-square surface, and two runs of more targets than one
+# evaluation block: 0 to 90 deg in 7.5 deg steps (a partial last block) and
+# ten targets on a plain 24x4 surface.
 BEAM_ARGS = {
     "default": ("beam-pattern", "--steer-deg", "0", "7.25", "30", "60"),
     "coarse": (
@@ -260,6 +262,14 @@ BEAM_ARGS = {
     "plain": (
         "--set", "geom.dither=false", "--set", "geom.n_h=16", "--set", "geom.n_v=8",
         "beam-pattern", "--steer-deg", "0", "12.5", "40",
+    ),
+    "scan_0_90": (
+        "beam-pattern", "--steer-deg", *(f"{7.5 * i:g}" for i in range(13)),
+        "--csv-step-deg", "0.25",
+    ),
+    "plain_blocks": (
+        "--set", "geom.dither=false", "--set", "geom.n_h=24", "--set", "geom.n_v=4",
+        "beam-pattern", "--steer-deg", *(f"{2.5 + 7.5 * i:g}" for i in range(10)),
     ),
 }
 
@@ -295,6 +305,35 @@ BEAM_PINS = {
         "pattern_12.5deg.csv": "ad11a7e44dd678cd77cf560fdc1a41c23cd9eacdb0b7f4f2f9ed8e7e1871b6bd",
         "pattern_40deg.csv": "2a4a17f807393af34adee1ff4a86263fb67dd5b9c3a1d25a0f3274fab4aa9ce1",
         "stdout": "284084eb6ed32241804f45899c303b60ccaa926ec8946c87ebd3b50bb0db95ab",
+    },
+    "plain_blocks": {
+        "pattern_10deg.csv": "ec8c376608fe7e8c1ebec96908664ec00689429c536d9d273d5245e702eac817",
+        "pattern_17.5deg.csv": "1ac2d43fbb1b3e784947c13b29e62456f915f987e15affa0a07cd37e81069e00",
+        "pattern_2.5deg.csv": "f359dd09dbeefb2bba636b47aba9b9cb4d96170f68f844b52305210c4bf4ae27",
+        "pattern_25deg.csv": "04aea72cd1ea66f8efacd56d0d50144d7392b78751a3558c2e745ee765b226db",
+        "pattern_32.5deg.csv": "3f556eae5408d0723e5f1824fced625cd85cbbc90633fe1bca90c8afe279f6cc",
+        "pattern_40deg.csv": "54d89ccf0b3e540b6d2a1ad5febdd8679ce59236509d540e8bfc5b8ab33869c6",
+        "pattern_47.5deg.csv": "8d4f80376ad031edb51d4b38c0f7a4fc2ea865c77615c428219144418a8cc4eb",
+        "pattern_55deg.csv": "9df30f084481f9f728d73faceb2995ce89e6895d04c67bd43bccc7508a0d4273",
+        "pattern_62.5deg.csv": "7aa8fa751c3e52fbea4a6a32cc3764f27854e5271e0e85fe713faeb9a8d3e25b",
+        "pattern_70deg.csv": "34862e61302746e10225c6c82211563b8862d3c5cdd6b8a9743b91c064b77f1e",
+        "stdout": "3086e78b9e0259e53d11ad5ab653c8f4fdedd0ccf3d351f2760d738d259952eb",
+    },
+    "scan_0_90": {
+        "pattern_0deg.csv": "4ec807c0159dd41e4249f13a0cac30d4c03ff857d1331d7e5b060435b04ce47b",
+        "pattern_15deg.csv": "01c639e73d84c91301cf9cda44b00f0d8d1cfa908eb480308b7539012fbbccb4",
+        "pattern_22.5deg.csv": "6545573f771cb6f9a0b216c098b5caeb59e6b69381e8f5cc5952ffb6ea604926",
+        "pattern_30deg.csv": "8ffc642cd675856aa1fa733a72b2882ed87af871618c057f720689b4826f748e",
+        "pattern_37.5deg.csv": "6137af322546c53e47223b8a0017e0a4695bd7e54a019dda6f54cba03122792f",
+        "pattern_45deg.csv": "319d9fd798d34aeda518e8460730c017c0af550c8e51656aaf4e3eaa93da1589",
+        "pattern_52.5deg.csv": "9966541e56348714cf6f6dab144cb813f132e44ebf3066e27702e4f4072b7518",
+        "pattern_60deg.csv": "3f7d84fc82a5cfef9d2fac465768e95ede63a1002b866768f2a21756d4090381",
+        "pattern_67.5deg.csv": "653ceecc9f707c9b2b14701573193b34215ed184cc43dd60e21e130cc5079fe5",
+        "pattern_7.5deg.csv": "bb2a3c5a453879247b76b83aeb7740addb219a0846a3d74118a62a4e75729bc5",
+        "pattern_75deg.csv": "cd148f71e82cb72c4a359ee428897a65eaf515056e1017c7d7937e4cbf5d1c70",
+        "pattern_82.5deg.csv": "2501a43eb9e3f8e51810c036a713f6aedfd49c8ae56b4ca41ecb1150eb7f0ce3",
+        "pattern_90deg.csv": "51450dea82e7dde6d662778f3815f76aad8d06219160f335db2c76223a9638d8",
+        "stdout": "1d137db5885eab3ef9c4d3fc2979789ee273901dc4ada72491ba1c6025c96dda",
     },
 }
 

@@ -21,6 +21,15 @@ steered-beam sidelobes below the quantization-lobe level a plain
 two-level ramp would produce; it stands in for the per-element
 reflection phases a real surface accumulates from its feed geometry.
 Without dither the offsets are zero: the plain two-level surface.
+
+:func:`upa_profiles` builds the states of a sequence of angle pairs in
+one batch, one row per pair; every step is elementwise, so a row has the
+same bits whatever else is in the batch.  The simulator's link set-up
+builds all of a run's states in one call.  ``beam-pattern`` builds its
+targets ``cli.BEAM_BLOCK`` at a time and evaluates each target's metrics
+and pattern on its own row; a target whose beam is wider than the
+observation grid stops the command, after every target before it, in
+its block too, has written its output.
 """
 
 from __future__ import annotations
@@ -81,26 +90,38 @@ def design_phase_offsets(n_h: int, n_v: int) -> np.ndarray:
     return offsets
 
 
-def upa_profile(
-    nu_deg: float,
-    psi_deg: float,
+def upa_profiles(
+    angles_deg,
     n_h: int,
     n_v: int,
     spacing_ratio: float = QUARTER_WAVE,
     dither: bool = False,
 ) -> np.ndarray:
-    """Realized reflection phasors of the one-bit state steered to azimuth
-    ``nu``, elevation ``psi``, flattened in Kronecker (horizontal-major) order.
+    """Realized reflection phasors of the one-bit states steered to each
+    (azimuth ``nu``, elevation ``psi``) pair of ``angles_deg``, one row per
+    pair, each flattened in Kronecker (horizontal-major) order.
 
-    The continuous profile is the Kronecker product of the horizontal and
-    vertical steering vectors.  The one-bit code quantizes it rotated by
-    the design offsets (zero without ``dither``), so the realized phase
-    ``offset + pi*code`` is the nearer two-level approximation of the
-    profile at every element.
+    The continuous profile of a pair is the Kronecker product of its
+    horizontal and vertical steering vectors, built here as their outer
+    product, which has the same element products.  The one-bit code
+    quantizes it rotated by the design offsets (zero without ``dither``),
+    so the realized phase ``offset + pi*code`` is the nearer two-level
+    approximation of the profile at every element.  Every step is
+    elementwise, so a row has the same bits whatever else is in the batch.
     """
-    continuous = np.kron(
-        steering_vector(nu_deg, n_h, spacing_ratio), steering_vector(psi_deg, n_v, spacing_ratio)
-    )
+    pairs = np.asarray(angles_deg, dtype=float).reshape(-1, 2)
+    for n in (n_h, n_v):
+        if n < 1:
+            raise ValueError(f"element count must be >= 1, got {n}")
+    if np.any(np.abs(pairs) > 90.0):
+        raise ValueError(f"steering angles must be within +-90 deg, got {pairs.tolist()}")
+    if spacing_ratio <= 0.0:
+        raise ValueError(f"spacing_ratio must be positive, got {spacing_ratio}")
+    # Per pair, the phase steps of steering_vector along each axis.
+    step = -2.0 * np.pi * spacing_ratio * np.sin(np.deg2rad(pairs))
+    h = np.exp(1j * step[:, :1] * np.arange(n_h))
+    v = np.exp(1j * step[:, 1:] * np.arange(n_v))
+    continuous = (h[:, :, None] * v[:, None, :]).reshape(len(pairs), n_h * n_v)
     if not dither:
         return np.exp(1j * (np.pi * quantize_one_bit(continuous).astype(float)))
     offsets = design_phase_offsets(n_h, n_v)
@@ -159,22 +180,28 @@ class BeamMetrics:
 def _crossing(angles: np.ndarray, mags: np.ndarray, peak_idx: int, thr: float, step: int):
     """First threshold crossing walking from the peak; (None, None) if
     the grid edge is reached first.  Linearly interpolated angle."""
-    i = peak_idx
-    while 0 <= i + step < mags.size:
-        j = i + step
-        if mags[j] < thr:
-            frac = (mags[i] - thr) / (mags[i] - mags[j])
-            return angles[i] + frac * (angles[j] - angles[i]), j
-        i = j
-    return None, None
+    if step > 0:
+        below = np.flatnonzero(mags[peak_idx + 1 :] < thr)
+        if not below.size:
+            return None, None
+        j = peak_idx + 1 + int(below[0])
+    else:
+        below = np.flatnonzero(mags[:peak_idx] < thr)
+        if not below.size:
+            return None, None
+        j = int(below[-1])
+    i = j - step
+    frac = (mags[i] - thr) / (mags[i] - mags[j])
+    return angles[i] + frac * (angles[j] - angles[i]), j
 
 
 def _null_bound(mags: np.ndarray, start_idx: int, step: int) -> int:
     """Walk outward from a -3 dB crossing to the first local minimum."""
-    i = start_idx
-    while 0 <= i + step < mags.size and mags[i + step] < mags[i]:
-        i += step
-    return i
+    if step > 0:
+        stops = np.flatnonzero(~(mags[start_idx + 1 :] < mags[start_idx:-1]))
+        return start_idx + int(stops[0]) if stops.size else mags.size - 1
+    stops = np.flatnonzero(~(mags[:start_idx] < mags[1 : start_idx + 1]))
+    return int(stops[-1]) + 1 if stops.size else 0
 
 
 def beam_metrics(

@@ -19,12 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from . import presets  # presets load the engine only when they calibrate
-from .array_model import DegeneratePatternError, beam_metrics, pattern_gains, upa_profile
+from .array_model import DegeneratePatternError, beam_metrics, pattern_gains, upa_profiles
 from .config import RIS_MODES, ConfigError, ExperimentConfig, parse_text, serialize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+
+# beam-pattern evaluates its targets this many at a time: one phasor build
+# and one CSV assembly per block, and the block's arrays stay small.
+BEAM_BLOCK = 8
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,6 +116,12 @@ def _check_beam_flags(args) -> None:
 
 
 def cmd_beam_pattern(args) -> int:
+    """Write each target's pattern CSV and print its metrics, in target order.
+
+    The targets are evaluated :data:`BEAM_BLOCK` at a time.  A target whose
+    beam is wider than the grid exits 2; every target before it, in its block
+    too, has its CSV and its line already.
+    """
     _check_beam_flags(args)
     # Only the geometry shapes a pattern: any other override would be ignored.
     ignored = [key for key in _overrides(args) if not key.startswith("geom.")]
@@ -123,31 +133,97 @@ def cmd_beam_pattern(args) -> int:
     # The CSV ends at the last multiple of the step within 90 deg; rounding absorbs
     # the float error of 90 / step (the default 0.1 deg gives 901 angles, 0 to 90).
     angles = np.arange(math.floor(round(90.0 / args.csv_step_deg, 9)) + 1) * args.csv_step_deg
-    angle_cells = [f"{a:.4f}," for a in angles.tolist()]
-    for steer in args.steer_deg:
-        weights = upa_profile(steer, 0.0, g.n_h, g.n_v, g.spacing_ratio, g.dither)
-        try:
-            m = beam_metrics(
-                weights, g.n_h, g.n_v, g.spacing_ratio, grid_step_deg=args.grid_step_deg
-            )
-        except DegeneratePatternError:
-            raise ConfigError(
-                f"--steer-deg {steer:g}: the beam of geom.n_h={g.n_h} elements at "
-                f"geom.spacing_ratio={g.spacing_ratio!r} is wider than the 0-90 deg grid "
-                "(no -3 dB crossing inside it)"
-            ) from None
-        gains = np.abs(pattern_gains(weights, angles, g.n_h, g.n_v, g.spacing_ratio))
-        db = 20.0 * np.log10(np.maximum(gains, 1e-12) / n)
-        path = out_dir / f"pattern_{steer:g}deg.csv"
-        rows = "".join(f"{a}{v:.4f}\n" for a, v in zip(angle_cells, db.tolist()))
-        out_dir.mkdir(parents=True, exist_ok=True)  # only once a target has a pattern to write
-        path.write_text("angle_deg,gain_db\n" + rows)
-        print(
-            f"steer={steer:g} peak={m.peak_angle_deg:.2f} deg "
-            f"peak_gain={m.peak_gain_db:.2f} dB hpbw={m.hpbw_deg:.2f} deg "
-            f"sll={m.sll_db:.2f} dB -> {path}"
+    angle_cells = fixed4_cells(angles)
+    for start in range(0, len(args.steer_deg), BEAM_BLOCK):
+        block = args.steer_deg[start : start + BEAM_BLOCK]
+        profiles = upa_profiles(
+            [(steer, 0.0) for steer in block], g.n_h, g.n_v, g.spacing_ratio, g.dither
         )
+        metrics, gains, error = [], np.empty((len(block), len(angles))), None
+        for steer, weights in zip(block, profiles):
+            try:
+                metrics.append(
+                    beam_metrics(
+                        weights, g.n_h, g.n_v, g.spacing_ratio, grid_step_deg=args.grid_step_deg
+                    )
+                )
+            except DegeneratePatternError:
+                error = ConfigError(
+                    f"--steer-deg {steer:g}: the beam of geom.n_h={g.n_h} elements at "
+                    f"geom.spacing_ratio={g.spacing_ratio!r} is wider than the 0-90 deg grid "
+                    "(no -3 dB crossing inside it)"
+                )
+                break
+            gains[len(metrics) - 1] = np.abs(
+                pattern_gains(weights, angles, g.n_h, g.n_v, g.spacing_ratio)
+            )
+        db = 20.0 * np.log10(np.maximum(gains[: len(metrics)], 1e-12) / n)
+        if start == 0 and metrics:
+            out_dir.mkdir(parents=True, exist_ok=True)  # only once a target has a pattern to write
+        for steer, m, rows in zip(block, metrics, _csv_rows(angle_cells, db)):
+            path = out_dir / f"pattern_{steer:g}deg.csv"
+            path.write_bytes(b"angle_deg,gain_db\n" + rows)
+            print(
+                f"steer={steer:g} peak={m.peak_angle_deg:.2f} deg "
+                f"peak_gain={m.peak_gain_db:.2f} dB hpbw={m.hpbw_deg:.2f} deg "
+                f"sll={m.sll_db:.2f} dB -> {path}"
+            )
+        if error is not None:
+            raise error
     return EXIT_OK
+
+
+def _csv_rows(angle_cells: np.ndarray, db: np.ndarray):
+    """``angle,gain\\n`` rows of each target's gains ``db[t]`` as one bytes
+    object per target; ``angle_cells`` are the angles' :func:`fixed4_cells`."""
+    n_targets, n_angles = db.shape
+    cells = fixed4_cells(db.ravel())
+    gain_cells = cells.reshape(n_targets, n_angles, cells.shape[1])
+    width = angle_cells.shape[1]
+    lines = np.empty((n_targets, n_angles, width + gain_cells.shape[2] + 2), np.uint8)
+    lines[:, :, :width] = angle_cells
+    lines[:, :, width] = ord(",")
+    lines[:, :, width + 1 : -1] = gain_cells
+    lines[:, :, -1] = ord("\n")
+    return (rows.tobytes().replace(b"\0", b"") for rows in lines)
+
+
+def fixed4_cells(values: np.ndarray) -> np.ndarray:
+    """``f"{v:.4f}"`` of each value as a NUL-padded row of bytes.
+
+    ``rint(v * 1e4)`` is the correctly rounded count of ten-thousandths
+    wherever it is taken: for ``|v| < 1e5`` the float product is within
+    6e-8 of the exact one (3e-10 for the gain cells, ``|v| < 302``), so it
+    rounds the same way unless the exact product is that close to a
+    half-integer.  A product within 1e-6 of one, or a value not below 1e5
+    in magnitude (NaN included), is formatted by Python instead.  The sign
+    is the sign bit, so ``-0.0`` and ``-1e-9`` give ``-0.0000``.
+    """
+    values = np.asarray(values, dtype=float)
+    scaled = values * 1e4
+    with np.errstate(invalid="ignore"):  # inf - inf: such a value is not exact anyway
+        exact = (np.abs(values) < 1e5) & (np.abs(scaled - np.floor(scaled) - 0.5) > 1e-6)
+    counts = np.abs(np.rint(np.where(exact, scaled, 0.0))).astype(np.int64)
+    # The count's digits: four after the point, at least one before it.
+    n_digits = max(5, len(str(int(counts.max())))) if counts.size else 5
+    digits = np.empty((len(values), n_digits), np.uint8)
+    rest = counts
+    for j in reversed(range(n_digits)):
+        rest, digits[:, j] = np.divmod(rest, 10)
+    digits += ord("0")
+    for j in range(n_digits - 5):
+        digits[counts < 10 ** (n_digits - 1 - j), j] = 0
+    inexact = np.flatnonzero(~exact).tolist()
+    texts = [format(values[k], ".4f").encode() for k in inexact]
+    cells = np.zeros((len(values), max([n_digits + 2, *map(len, texts)])), np.uint8)
+    cells[:, 0] = np.where(np.signbit(values), ord("-"), 0)
+    cells[:, 1 : n_digits - 3] = digits[:, :-4]
+    cells[:, n_digits - 3] = ord(".")
+    cells[:, n_digits - 2 : n_digits + 2] = digits[:, -4:]
+    for k, text in zip(inexact, texts):
+        cells[k] = 0
+        cells[k, : len(text)] = np.frombuffer(text, np.uint8)
+    return cells
 
 
 def _emit_run(cfg: ExperimentConfig, out_dir: Path, tag: str, histogram: bool = False) -> None:

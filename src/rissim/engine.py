@@ -5,7 +5,7 @@
 loop and the whole-run bit counters) and :func:`summarize` (the
 warm-up window's statistics).  :func:`link_setup` builds one beam state
 per ``config.state_angles`` entry, the realized reflection phasors of
-the one-bit profile steered at its angles (``array_model.upa_profile``);
+the one-bit profile steered at its angles (``array_model.upa_profiles``);
 :func:`simulate` switches between them every ``ris.ts_slots``,
 in turn (periodic) or by an independent draw per interval (i.i.d.,
 :func:`iid_state`).  :func:`simulate` and :func:`summarize` read each
@@ -68,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .array_model import steering_vector, upa_profile
+from .array_model import steering_vector, upa_profiles
 from .config import (
     MAX_UES, SLOT_MS, ExperimentConfig, aligned_states, scaled, state_angles, to_slots, validate,
 )
@@ -345,7 +345,7 @@ def link_setup(cfg: ExperimentConfig) -> LinkSetup:
     """Compute the run constants of :func:`build_link_tables` once.
 
     State ``s`` is the realized reflection phasors that
-    :func:`array_model.upa_profile` gives for the one-bit profile steered at
+    :func:`array_model.upa_profiles` gives for the one-bit profile steered at
     ``config.state_angles(cfg)[s]``.
     """
     g = cfg.geom
@@ -359,10 +359,7 @@ def link_setup(cfg: ExperimentConfig) -> LinkSetup:
             )
             for ue in cfg.ues
         ),
-        weights=tuple(
-            upa_profile(nu, psi, g.n_h, g.n_v, g.spacing_ratio, g.dither)
-            for nu, psi in state_angles(cfg)
-        ),
+        weights=tuple(upa_profiles(state_angles(cfg), g.n_h, g.n_v, g.spacing_ratio, g.dither)),
         snr_gain=tuple(
             10.0 ** ((cfg.tx_power_dbm - ue.pathloss_db - ue.noise_dbm) / 10.0) for ue in cfg.ues
         ),

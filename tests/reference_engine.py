@@ -75,7 +75,7 @@ def effective_channel(phi, h_c) -> complex:
     ``h_c``, in the conjugated-phase convention: the result is ``phi^H h``,
     maximal and real when ``phi`` matches the element-wise phase of ``h``.
 
-    A realized beam state (:func:`rissim.array_model.upa_profile`) applies
+    A realized beam state (:func:`rissim.array_model.upa_profiles`) applies
     its reflection phasors unconjugated instead: ``np.sum(w * h)``.
     """
     h = np.asarray(h_c, dtype=complex)
@@ -220,7 +220,8 @@ def step_mcs(link: OuterLoop, bler_low: float, bler_high: float) -> None:
 
 @dataclass
 class ReferenceRun:
-    """Per-slot columns in ``engine.Trace``'s form, and the whole-run bit counters."""
+    """Per-slot columns in ``engine.Trace``'s form, each slot's RSRP row
+    (every UE's RSRP under the slot's state), and the whole-run bit counters."""
 
     row: list = field(default_factory=list)
     ue: list = field(default_factory=list)
@@ -228,18 +229,35 @@ class ReferenceRun:
     tb_bits: list = field(default_factory=list)
     nack: list = field(default_factory=list)
     retx: list = field(default_factory=list)
+    rsrp: list = field(default_factory=list)
     new_tx_bits: int = 0
     acked_bits: int = 0
     discarded_bits: int = 0
     inflight_bits: int = 0
 
-    def record(self, row, ue=None, mcs=None, tb_bits=0, nack=False, retx=False) -> None:
+    def record(self, row, rsrp, ue=None, mcs=None, tb_bits=0, nack=False, retx=False) -> None:
         self.row.append(row)
+        self.rsrp.append(rsrp)
         self.ue.append(ue)
         self.mcs.append(mcs)
         self.tb_bits.append(tb_bits)
         self.nack.append(nack)
         self.retx.append(retx)
+
+
+def own_beams(cfg: ExperimentConfig) -> dict[int, int]:
+    """UE -> the first state steered at it; a UE without one is left out."""
+    if cfg.ris.angles is not None:
+        state_angles = list(cfg.ris.angles)
+    else:
+        state_angles = [(ue.nu_deg, ue.psi_deg) for ue in cfg.ues]
+    own_beam = {}
+    for k, ue in enumerate(cfg.ues):
+        for s, (nu, psi) in enumerate(state_angles):
+            if abs(nu - ue.nu_deg) <= 1e-9 and abs(psi - ue.psi_deg) <= 1e-9:
+                own_beam[k] = s
+                break
+    return own_beam
 
 
 def run(cfg: ExperimentConfig) -> ReferenceRun:
@@ -265,12 +283,7 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
         state_angles = [(ue.nu_deg, ue.psi_deg) for ue in cfg.ues]
     n_states = len(state_angles)
     probs = list(cfg.ris.probs) if cfg.ris.probs is not None else [1.0 / n_states] * n_states
-    own_beam = {}  # UE -> the first state steered at it; genie runs need one for every UE
-    for k, ue in enumerate(cfg.ues):
-        for s, (nu, psi) in enumerate(state_angles):
-            if abs(nu - ue.nu_deg) <= 1e-9 and abs(psi - ue.psi_deg) <= 1e-9:
-                own_beam[k] = s
-                break
+    own_beam = own_beams(cfg)  # genie runs need one for every UE
     no_surface_row = -1  # the surface state without the surface: the link tables' last row
 
     t_avg = {k: cfg.sched.floor for k in range(n_ues)}
@@ -311,7 +324,7 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
 
         symbols = DL_SYMBOLS[t % len(DL_SYMBOLS)]
         if symbols == 0:
-            out.record(surface)
+            out.record(surface, tables.rsrp[surface])
         else:
             retx = proc is not None
             if not retx:
@@ -329,7 +342,7 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
                 surface = own_beam[ue]
             curve = bler_curve(tables.snr_db[surface][ue], setup.thresholds_db, la.slope)
             nack = rng_blocks.random() < curve[proc.mcs_used]
-            out.record(surface, ue, proc.mcs_used, proc.tb_bits, nack, retx)
+            out.record(surface, tables.rsrp[surface], ue, proc.mcs_used, proc.tb_bits, nack, retx)
             if not nack:
                 out.acked_bits += proc.tb_bits
                 proc = None
@@ -346,6 +359,79 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
 
     out.inflight_bits = proc.tb_bits if proc is not None else 0
     return out
+
+
+def summarize(cfg: ExperimentConfig, out: ReferenceRun) -> engine.RunSummary:
+    """The run summary of ``out``, one slot at a time from the warm-up slot on.
+
+    Each downlink slot counts for the UE it serves: one scheduled slot, one
+    retransmission if it resends, its TB bits as acknowledged unless it
+    is NACKed, and one aligned slot if its state is the UE's own beam.
+    State -1, no surface, is aligned to no UE, even one without an own
+    beam.  Each downlink slot also adds every UE's RSRP under the slot's
+    state to that UE's aligned or misaligned sum, in slot order.  Rates
+    divide by the slots from the warm-up slot on; a fraction or ratio over
+    nothing is 0.0, a mean RSRP over no slot NaN.  The bit counters are
+    the run's own.
+    """
+    n_ues = len(cfg.ues)
+    own_beam = own_beams(cfg)
+    n_slots = len(out.row)
+    warmup_slot = to_slots(cfg.sim.warmup_s)
+    scheduled, aligned, retx, acked = [0] * n_ues, [0] * n_ues, [0] * n_ues, [0] * n_ues
+    rsrp_sum = [{True: 0.0, False: 0.0} for _ in range(n_ues)]
+    rsrp_n = [{True: 0, False: 0} for _ in range(n_ues)]
+    for t in range(warmup_slot, n_slots):
+        ue = out.ue[t]
+        if ue is None:
+            continue
+        row = out.row[t]
+        scheduled[ue] += 1
+        if out.retx[t]:
+            retx[ue] += 1
+        if not out.nack[t]:
+            acked[ue] += out.tb_bits[t]
+        for k in range(n_ues):
+            hit = row != -1 and own_beam.get(k) == row
+            if k == ue and hit:
+                aligned[ue] += 1
+            rsrp_sum[k][hit] += out.rsrp[t][k]
+            rsrp_n[k][hit] += 1
+
+    measured_slots = max(n_slots - warmup_slot, 0)
+    measured_s = measured_slots * SLOT_MS / 1000.0
+    dl_slots = sum(scheduled)
+    misaligned = [scheduled[k] - aligned[k] for k in range(n_ues)]
+
+    def fractions(counts, total):
+        return tuple(c / total if total else 0.0 for c in counts)
+
+    def mean_rsrp(hit):
+        return tuple(
+            rsrp_sum[k][hit] / rsrp_n[k][hit] if rsrp_n[k][hit] else float("nan")
+            for k in range(n_ues)
+        )
+
+    tput = tuple(b / measured_s / 1e6 if measured_s > 0 else 0.0 for b in acked)
+    return engine.RunSummary(
+        duration_s=n_slots * SLOT_MS / 1000.0,
+        measured_s=measured_s,
+        n_slots=n_slots,
+        throughput_mbps=tput,
+        aggregate_mbps=float(sum(tput)),
+        long_run_bler=tuple(r / s if s else 0.0 for r, s in zip(retx, scheduled)),
+        mean_rsrp_aligned_dbm=mean_rsrp(True),
+        mean_rsrp_misaligned_dbm=mean_rsrp(False),
+        served_frac_aligned_dl=fractions(aligned, dl_slots),
+        served_frac_misaligned_dl=fractions(misaligned, dl_slots),
+        served_frac_aligned_total=fractions(aligned, measured_slots),
+        served_frac_misaligned_total=fractions(misaligned, measured_slots),
+        served_share=fractions(scheduled, dl_slots),
+        new_tx_bits=out.new_tx_bits,
+        acked_bits=out.acked_bits,
+        discarded_bits=out.discarded_bits,
+        inflight_bits=out.inflight_bits,
+    )
 
 
 def same_summary(a: engine.RunSummary, b: engine.RunSummary) -> bool:

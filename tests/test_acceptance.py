@@ -13,7 +13,7 @@ import pytest
 
 from reference_engine import conserves_bits, ewma_update, select_ue
 from rissim import presets
-from rissim.array_model import beam_metrics, quantize_one_bit, upa_profile
+from rissim.array_model import beam_metrics, quantize_one_bit, upa_profiles
 from rissim.config import SchedConfig
 from rissim.cli import sweep_rows
 from rissim.engine import run, run_summaries, write_trace_csv
@@ -46,7 +46,7 @@ def test_criterion_1_beam_geometry():
     g = presets.GEOMETRY
     worst_err, worst_sll = 0.0, -np.inf
     for target in range(0, 61, 5):
-        w = upa_profile(float(target), 0.0, g.n_h, g.n_v, g.spacing_ratio, g.dither)
+        w = upa_profiles([(float(target), 0.0)], g.n_h, g.n_v, g.spacing_ratio, g.dither)[0]
         m = beam_metrics(w, g.n_h, g.n_v, g.spacing_ratio, grid_step_deg=0.05)
         err = abs(m.peak_angle_deg - target)
         worst_err = max(worst_err, err)

@@ -14,7 +14,7 @@ from rissim.array_model import (
     pattern_gains,
     quantize_one_bit,
     steering_vector,
-    upa_profile,
+    upa_profiles,
 )
 
 
@@ -73,20 +73,20 @@ def _plain_weights(continuous):
 class TestUpaProfile:
     def test_zero_elevation_replicates_azimuth_blockwise(self):
         a = steering_vector(17.0, 4, 0.25)
-        w = upa_profile(17.0, 0.0, 4, 3, 0.25)
+        w = upa_profiles([(17.0, 0.0)], 4, 3, 0.25)[0]
         assert np.array_equal(w, _plain_weights(np.kron(a, np.ones(3))))
 
     def test_full_panel_length(self):
         for dither in (False, True):
-            assert upa_profile(30.0, 0.0, 32, 32, 0.25, dither).shape == (1024,)
+            assert upa_profiles([(30.0, 0.0)], 32, 32, 0.25, dither)[0].shape == (1024,)
 
     def test_boresight_two_by_two(self):
-        assert np.array_equal(upa_profile(0.0, 0.0, 2, 2, 0.25), np.ones(4, dtype=complex))
+        assert np.array_equal(upa_profiles([(0.0, 0.0)], 2, 2, 0.25)[0], np.ones(4, dtype=complex))
 
     def test_kron_order_matches_axis_vectors(self):
         a_h = steering_vector(20.0, 3, 0.25)
         a_v = steering_vector(-10.0, 5, 0.25)
-        w = upa_profile(20.0, -10.0, 3, 5, 0.25)
+        w = upa_profiles([(20.0, -10.0)], 3, 5, 0.25)[0]
         assert np.array_equal(w, _plain_weights(np.kron(a_h, a_v)))
 
     def test_dithered_weights_realize_the_offset_rotated_code(self):
@@ -97,8 +97,8 @@ class TestUpaProfile:
         offsets = design_phase_offsets(6, 4)
         code = quantize_one_bit(np.kron(a_h, a_v) * np.exp(1j * offsets))
         want = np.exp(1j * (np.pi * code.astype(float) + offsets))
-        assert np.array_equal(upa_profile(20.0, -10.0, 6, 4, 0.25, dither=True), want)
-        assert not np.array_equal(want, upa_profile(20.0, -10.0, 6, 4, 0.25))
+        assert np.array_equal(upa_profiles([(20.0, -10.0)], 6, 4, 0.25, dither=True)[0], want)
+        assert not np.array_equal(want, upa_profiles([(20.0, -10.0)], 6, 4, 0.25)[0])
 
     def test_design_offsets_are_one_shared_read_only_table(self):
         offsets = design_phase_offsets(4, 3)
@@ -118,7 +118,7 @@ class TestArrayFactor:
         # 0.1-degree scan must land within half a degree of the target.
         grid = np.arange(0.0, 90.0001, 0.1)
         for dither in (False, True):
-            w = upa_profile(30.0, 0.0, 32, 32, 0.25, dither)
+            w = upa_profiles([(30.0, 0.0)], 32, 32, 0.25, dither)[0]
             gains = np.abs(pattern_gains(w, grid, 32, 32, 0.25))
             assert abs(grid[np.argmax(gains)] - 30.0) <= 0.5
 
@@ -159,7 +159,7 @@ class TestObservationBasisCache:
         assert len(setups) * len(self.GRIDS) > maxsize
         for (n_h, n_v), spacing in setups:
             for steer in (0.0, 17.5, 41.0):
-                weights = upa_profile(steer, 0.0, n_h, n_v, spacing, dither=n_h == 32)
+                weights = upa_profiles([(steer, 0.0)], n_h, n_v, spacing, dither=n_h == 32)[0]
                 for grid in self.GRIDS:
                     got = pattern_gains(weights, grid, n_h, n_v, spacing)
                     want = _uncached_gains(weights, grid, n_h, n_v, spacing)
@@ -239,7 +239,7 @@ class TestBeamMetrics:
     def test_peak_tracks_target_across_scan_range(self):
         step = 0.5
         for target in range(0, 61, 5):
-            w = upa_profile(float(target), 0.0, 32, 32, 0.25, dither=True)
+            w = upa_profiles([(float(target), 0.0)], 32, 32, 0.25, dither=True)[0]
             grid = np.arange(0.0, 90.0 + step / 2, step)
             gains = np.abs(pattern_gains(w, grid, 32, 32, 0.25))
             assert abs(grid[np.argmax(gains)] - target) <= step

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from reference_engine import effective_channel, rician_scatter
 from rissim import presets
-from rissim.array_model import pattern_gains, steering_vector, upa_profile
+from rissim.array_model import pattern_gains, steering_vector, upa_profiles
 from rissim.config import ExperimentConfig, from_flat
 from rissim.engine import RSRP_FLOOR_DBM, build_link_tables, link_setup
 
@@ -92,8 +92,8 @@ class TestEffectiveChannel:
         # oracle for the same sum.
         for own_deg, other_deg in ((30.0, 45.0), (45.0, 30.0)):
             h = _los(32, own_deg)
-            own = upa_profile(own_deg, 0.0, 32, 32, 0.25, dither=True)
-            other = upa_profile(other_deg, 0.0, 32, 32, 0.25, dither=True)
+            own = upa_profiles([(own_deg, 0.0)], 32, 32, 0.25, dither=True)[0]
+            other = upa_profiles([(other_deg, 0.0)], 32, 32, 0.25, dither=True)[0]
             aligned = abs(np.sum(own * h))
             crossed = abs(np.sum(other * h))
             oracle = abs(pattern_gains(other, own_deg, 32, 32, 0.25)[0])

@@ -15,6 +15,7 @@ from contextlib import redirect_stderr
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -133,7 +134,11 @@ class TestCli:
         assert len(csv) > 100
 
     def test_beam_pattern_does_not_load_the_engine(self, tmp_path):
+        # Nine targets: more than one evaluation block, so every path of the
+        # block loop and the CSV cell builder runs.
+        steers = [f"{5 * i}" for i in range(cli.BEAM_BLOCK + 1)]
         argv = ["--out-dir", str(tmp_path), "beam-pattern", "--grid-step-deg", "0.1"]
+        argv += ["--steer-deg", *steers]
         code = (
             "import sys\n"
             "from rissim.cli import main\n"
@@ -144,7 +149,9 @@ class TestCli:
         env = {**os.environ, "PYTHONPATH": str(src)}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
-        assert (tmp_path / "pattern_30deg.csv").exists()
+        assert sorted(p.name for p in tmp_path.glob("*")) == sorted(
+            f"pattern_{s}deg.csv" for s in steers
+        )
 
     def test_schedule_run_emits_files(self, tmp_path):
         rc = main(
@@ -223,6 +230,68 @@ class TestCli:
             ue, *values = row.split(",")
             for value, key in zip(values, fields.values()):
                 assert value == summary[f"{key}.{ue}"]
+
+
+def _cell_lines(values) -> list[str]:
+    """``cli.fixed4_cells`` of ``values`` as text, one line per value."""
+    cells = cli.fixed4_cells(values)
+    lines = np.zeros((len(cells), cells.shape[1] + 1), np.uint8)
+    lines[:, :-1] = cells
+    lines[:, -1] = ord("\n")
+    return lines.tobytes().replace(b"\0", b"").decode().splitlines()
+
+
+class TestFixed4Cells:
+    """``cli.fixed4_cells`` gives the text of ``f"{v:.4f}"`` for every value."""
+
+    @staticmethod
+    def assert_formats_like_python(values):
+        values = np.asarray(values, dtype=float)
+        got, want = _cell_lines(values), [f"{v:.4f}" for v in values.tolist()]
+        assert len(got) == len(want)
+        bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+        assert not bad, bad[:5]
+
+    def test_random_gains(self):
+        # The span of beam-pattern's gain cells: 0 dB down to the 1e-12 floor.
+        self.assert_formats_like_python(np.random.default_rng(28).uniform(-301.0, 0.0, 200_000))
+
+    def test_binary_ties(self):
+        # Odd multiples of 1/32 are the doubles whose value times 1e4 is
+        # exactly a half-integer: Python rounds them half to even.
+        values = np.arange(-301 * 32, 32 + 1) / 32
+        assert (values[1::2] * 1e4 % 1 == 0.5).all()
+        self.assert_formats_like_python(values)
+
+    def test_products_near_a_half_integer(self):
+        # The exact product is within 1e-9 of a half-integer, inside the
+        # float product's rounding error: only Python can tell the side.
+        rng = np.random.default_rng(29)
+        halves = (rng.integers(-3_010_000, 10_000, 20_000) + 0.5) / 1e4
+        jitter = rng.uniform(-1e-9, 1e-9, halves.size) / 1e4
+        self.assert_formats_like_python(
+            np.concatenate([
+                halves,
+                halves + jitter,
+                np.nextafter(halves, np.inf),
+                np.nextafter(halves, -np.inf),
+            ])
+        )
+
+    def test_zeros_signs_and_the_gain_floor(self):
+        floor_db = 20.0 * np.log10(np.maximum(0.0, 1e-12) / 1024)
+        assert -300.3 < floor_db < -300.2
+        self.assert_formats_like_python(
+            [0.0, -0.0, -1e-9, 1e-9, -0.00004999, 0.00004999, -0.00005, floor_db, -floor_db]
+        )
+
+    def test_values_outside_the_fixed_point_range(self):
+        self.assert_formats_like_python(
+            [1e5, -1e5, 99999.99995, -123456.789, 1e300, -5e-324, np.inf, -np.inf, np.nan]
+        )
+
+    def test_empty(self):
+        assert cli.fixed4_cells(np.array([])).shape[0] == 0
 
 
 class TestSubcommandFlags:

@@ -8,7 +8,7 @@ import pytest
 from reference_engine import rician_scatter
 from rissim import engine
 from rissim import presets
-from rissim.array_model import steering_vector, upa_profile
+from rissim.array_model import steering_vector, upa_profiles
 from rissim.config import aligned_states
 from rissim.engine import (
     DRAW_CHUNK,
@@ -57,7 +57,7 @@ def _states(cfg):
     """The surface's beam-state weights: one per UE, as no ``ris.angles`` is set."""
     g = cfg.geom
     return [
-        upa_profile(ue.nu_deg, ue.psi_deg, g.n_h, g.n_v, g.spacing_ratio, g.dither)
+        upa_profiles([(ue.nu_deg, ue.psi_deg)], g.n_h, g.n_v, g.spacing_ratio, g.dither)[0]
         for ue in cfg.ues
     ]
 

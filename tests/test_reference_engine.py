@@ -1,6 +1,7 @@
 """``engine.run`` against the literal reference loop, over generated configs.
 
-The trace columns and the bit counters must be equal slot for slot.  On
+The trace columns and the bit counters must be equal slot for slot, and
+the summary equal, field by field, to the reference's slot-by-slot one.  On
 the same configs the engine keeps bit conservation, MCS within
 [``la.mcs_min``, 28], served shares summing to 1, and determinism.
 """
@@ -126,6 +127,8 @@ def _assert_engine_equals_reference(cfg):
         assert list(getattr(trace, name)()) == getattr(ref, name), name
     for name in BITS:
         assert getattr(summary, name) == getattr(ref, name), name
+    want = reference_engine.summarize(cfg, ref)
+    assert reference_engine.same_summary(summary, want), (summary, want)
     return trace, summary
 
 

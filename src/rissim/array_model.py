@@ -49,20 +49,21 @@ class DegeneratePatternError(ValueError):
     """Pattern has no -3 dB crossing inside the observation grid."""
 
 
-def steering_vector(angle_deg: float, n: int, spacing_ratio: float = QUARTER_WAVE) -> np.ndarray:
-    """Length-``n`` unit-modulus steering vector toward ``angle_deg``.
+def steering_vector(angle_deg, n: int, spacing_ratio: float = QUARTER_WAVE) -> np.ndarray:
+    """Length-``n`` unit-modulus steering vector toward ``angle_deg``; for an
+    array of angles, one vector per angle along a new last axis.
 
     Element ``k`` has phase ``-k * 2*pi * spacing_ratio * sin(angle)``;
     element 0 is always ``1+0j``.
     """
     if n < 1:
         raise ValueError(f"element count must be >= 1, got {n}")
-    if abs(angle_deg) > 90.0:
+    if np.any(np.abs(angle_deg) > 90.0):
         raise ValueError(f"steering angle must be within +-90 deg, got {angle_deg}")
     if spacing_ratio <= 0.0:
         raise ValueError(f"spacing_ratio must be positive, got {spacing_ratio}")
     step = -2.0 * np.pi * spacing_ratio * np.sin(np.deg2rad(angle_deg))
-    return np.exp(1j * step * np.arange(n))
+    return np.exp(1j * np.asarray(step)[..., None] * np.arange(n))
 
 
 def quantize_one_bit(continuous: np.ndarray) -> np.ndarray:
@@ -110,17 +111,8 @@ def upa_profiles(
     elementwise, so a row has the same bits whatever else is in the batch.
     """
     pairs = np.asarray(angles_deg, dtype=float).reshape(-1, 2)
-    for n in (n_h, n_v):
-        if n < 1:
-            raise ValueError(f"element count must be >= 1, got {n}")
-    if np.any(np.abs(pairs) > 90.0):
-        raise ValueError(f"steering angles must be within +-90 deg, got {pairs.tolist()}")
-    if spacing_ratio <= 0.0:
-        raise ValueError(f"spacing_ratio must be positive, got {spacing_ratio}")
-    # Per pair, the phase steps of steering_vector along each axis.
-    step = -2.0 * np.pi * spacing_ratio * np.sin(np.deg2rad(pairs))
-    h = np.exp(1j * step[:, :1] * np.arange(n_h))
-    v = np.exp(1j * step[:, 1:] * np.arange(n_v))
+    h = steering_vector(pairs[:, 0], n_h, spacing_ratio)
+    v = steering_vector(pairs[:, 1], n_v, spacing_ratio)
     continuous = (h[:, :, None] * v[:, None, :]).reshape(len(pairs), n_h * n_v)
     if not dither:
         return np.exp(1j * (np.pi * quantize_one_bit(continuous).astype(float)))

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from rissim.array_model import (
     DegeneratePatternError,
+    _crossing,
+    _null_bound,
     _observation_basis,
     beam_metrics,
     design_phase_offsets,
@@ -99,6 +101,32 @@ class TestUpaProfile:
         want = np.exp(1j * (np.pi * code.astype(float) + offsets))
         assert np.array_equal(upa_profiles([(20.0, -10.0)], 6, 4, 0.25, dither=True)[0], want)
         assert not np.array_equal(want, upa_profiles([(20.0, -10.0)], 6, 4, 0.25)[0])
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        # Each row of a batch has the bits of the same pair built alone, on
+        # element counts that are and are not multiples of a SIMD width.
+        rng = np.random.default_rng(11)
+        for n_h, n_v in ((32, 32), (3, 5), (1, 1), (7, 3), (24, 4)):
+            for dither, spacing in itertools.product((False, True), (0.25, 0.37)):
+                pairs = [(0.25 * i, 0.0) for i in range(0, 241, 37)]
+                pairs += [tuple(p) for p in rng.uniform(-90.0, 90.0, (5, 2))]
+                pairs += [(90.0, -90.0), (-90.0, 90.0)]
+                batch = upa_profiles(pairs, n_h, n_v, spacing, dither)
+                assert batch.shape == (len(pairs), n_h * n_v)
+                for row, pair in zip(batch, pairs):
+                    alone = upa_profiles([pair], n_h, n_v, spacing, dither)[0]
+                    assert row.tobytes() == alone.tobytes()
+
+    def test_invalid_arguments(self):
+        for pairs, n_h, n_v, spacing in (
+            ([(95.0, 0.0)], 4, 4, 0.25),
+            ([(0.0, -90.5)], 4, 4, 0.25),
+            ([(0.0, 0.0)], 0, 4, 0.25),
+            ([(0.0, 0.0)], 4, 0, 0.25),
+            ([(0.0, 0.0)], 4, 4, 0.0),
+        ):
+            with pytest.raises(ValueError):
+                upa_profiles(pairs, n_h, n_v, spacing)
 
     def test_design_offsets_are_one_shared_read_only_table(self):
         offsets = design_phase_offsets(4, 3)
@@ -214,6 +242,51 @@ class TestOneBitOptimality:
             ratios.append(abs(np.sum(w * h)) ** 2 / float(np.sum(np.abs(h))) ** 2)
         loss_db = 10.0 * np.log10(np.mean(ratios))
         assert -4.5 <= loss_db <= -3.5
+
+
+def _walk_crossing(angles, mags, peak_idx, thr, step):
+    """The first threshold crossing from the peak, one index at a time."""
+    i = peak_idx
+    while 0 <= i + step < mags.size:
+        j = i + step
+        if mags[j] < thr:
+            frac = (mags[i] - thr) / (mags[i] - mags[j])
+            return angles[i] + frac * (angles[j] - angles[i]), j
+        i = j
+    return None, None
+
+
+def _walk_null_bound(mags, start_idx, step):
+    """The first local minimum outward from ``start_idx``, one index at a time."""
+    i = start_idx
+    while 0 <= i + step < mags.size and mags[i + step] < mags[i]:
+        i += step
+    return i
+
+
+class TestMainLobeWalks:
+    """``_crossing`` and ``_null_bound`` scan slices; the loops above walk."""
+
+    def test_scans_equal_the_walks(self):
+        rng = np.random.default_rng(3)
+        for trial in range(400):
+            size = int(rng.integers(1, 30))
+            # Small integers make plateaus and exact ties with the threshold.
+            mags = rng.integers(0, 5, size).astype(float) if trial % 2 else rng.random(size)
+            if trial % 5 == 0:
+                mags[rng.integers(size)] = np.nan
+            angles = np.sort(rng.random(size) * 90.0)
+            thr = float(rng.integers(0, 5)) if trial % 2 else float(rng.random())
+            for idx, step in itertools.product(range(size), (1, -1)):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    got = _crossing(angles, mags, idx, thr, step)
+                    want = _walk_crossing(angles, mags, idx, thr, step)
+                assert got[1] == want[1]
+                if want[0] is None:
+                    assert got[0] is None
+                else:
+                    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+                assert _null_bound(mags, idx, step) == _walk_null_bound(mags, idx, step)
 
 
 class TestBeamMetrics:

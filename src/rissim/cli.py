@@ -139,7 +139,7 @@ def cmd_beam_pattern(args) -> int:
         profiles = upa_profiles(
             [(steer, 0.0) for steer in block], g.n_h, g.n_v, g.spacing_ratio, g.dither
         )
-        metrics, gains, error = [], np.empty((len(block), len(angles))), None
+        metrics, gains, error = [], [], None
         for steer, weights in zip(block, profiles):
             try:
                 metrics.append(
@@ -154,10 +154,8 @@ def cmd_beam_pattern(args) -> int:
                     "(no -3 dB crossing inside it)"
                 )
                 break
-            gains[len(metrics) - 1] = np.abs(
-                pattern_gains(weights, angles, g.n_h, g.n_v, g.spacing_ratio)
-            )
-        db = 20.0 * np.log10(np.maximum(gains[: len(metrics)], 1e-12) / n)
+            gains.append(np.abs(pattern_gains(weights, angles, g.n_h, g.n_v, g.spacing_ratio)))
+        db = 20.0 * np.log10(np.maximum(np.reshape(gains, (-1, len(angles))), 1e-12) / n)
         if start == 0 and metrics:
             out_dir.mkdir(parents=True, exist_ok=True)  # only once a target has a pattern to write
         for steer, m, rows in zip(block, metrics, _csv_rows(angle_cells, db)):

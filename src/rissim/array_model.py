@@ -129,7 +129,7 @@ def pattern_gains(
     spacing_ratio: float = QUARTER_WAVE,
 ) -> np.ndarray:
     """Complex far-field gain of a surface with reflection phasors
-    ``weights`` (as :func:`upa_profile` returns them) over an azimuth grid.
+    ``weights`` (as :func:`upa_profiles` returns them) over an azimuth grid.
 
     The surface is illuminated broadside and observed in the azimuth
     plane at elevation 0.  Each element contributes its reflection phasor

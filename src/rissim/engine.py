@@ -38,18 +38,17 @@ them one step at a time and is checked against it.
 The run's one per-slot record is :class:`Trace`, which holds only the
 loop's decisions: one byte per slot in each of four typed columns (UE,
 MCS, NACK, retransmission), a log of the surface switches, and the RSRP
-and SNR tables of each channel epoch.  The surface state (-1 without the
-surface, also the slot's table row) and the TB size are derived on
-read, with numpy over :data:`CSV_CHUNK` slots of the columns at a time
-(:meth:`Trace.row_chunks`, :meth:`Trace.tb_chunks`).  :func:`summarize`
-counts the served slots in bulk per segment of one logged state and one
-epoch, and its acknowledged bits per chunk.  :func:`write_trace_csv`
-assembles each chunk's lines as bytes: the ``slot,time_ms,`` prefix
-from the slot's integer digits (the time is ``slot >> 1`` then ``.0``
-or ``.5``), then a head keyed on (epoch, state, UE) and a rest keyed on
-(MCS, TB size, NACK, retransmission), each formatted once per distinct
-key in the chunk.  Neither holds a copy of a column or of the whole
-file.
+and SNR tables of each channel epoch.  :meth:`Trace.chunks` is its one
+read: :data:`CSV_CHUNK` slots at a time, it derives each slot's epoch,
+surface state (-1 without the surface, also the slot's table row) and TB
+size with numpy, aligned with the stored columns.  Its two consumers
+are :func:`summarize`, a reduction over the chunks from the warm-up slot
+on, and :func:`write_trace_csv`, which assembles each chunk's lines as
+bytes: the ``slot,time_ms,`` prefix from the slot's integer digits (the
+time is ``slot >> 1`` then ``.0`` or ``.5``), then a head keyed on
+(epoch, state, UE) and a rest keyed on (MCS, TB size, NACK,
+retransmission), each formatted once per distinct key in the chunk.
+Neither holds a copy of a column or of the whole file.
 
 All randomness derives from one master seed through three independent
 streams (channel scatter, block outcomes, i.i.d. switching), so traces
@@ -63,7 +62,7 @@ import os
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -78,7 +77,7 @@ SUBCARRIERS_PER_PRB = 12
 DRAW_CHUNK = 4096  # block-outcome uniforms drawn per refill
 EPOCH_BLOCK = 16  # coherence epochs whose link tables are built together
 RSRP_FLOOR_DBM = -156.0  # NR reporting floor
-# Slots per chunk of the derived trace columns and of the CSV writer's byte matrices;
+# Slots per Trace.chunks() chunk, which the summary and the CSV writer's byte matrices read;
 # at 8192 the writer raised the 80,000-slot fading run's peak RSS by 1.3 MiB.
 CSV_CHUNK = 4096
 IDLE = MAX_UES  # a trace's UE and MCS byte on an idle slot: one past the last UE index
@@ -111,18 +110,12 @@ class Trace:
     :func:`simulate` switches (one entry at slot 0 in mode ``off``, state
     -1).  In genie mode the log is empty and a slot's state is the own
     state (``genie_states``) of the UE it serves, or of the last one
-    served on an uplink slot.  The TB size is derived: a new block's is
+    served on an uplink slot.  The TB size is not stored: a new block's is
     ``phase_tb[t % 10][mcs]`` and a retransmission resends the in-flight
-    block's.
-
-    The accessors :meth:`row`, :meth:`ue`, :meth:`mcs`, :meth:`tb_bits`,
-    :meth:`nack` and :meth:`retx` expand the columns as streams over every
-    slot (:meth:`row` and :meth:`tb_bits` chained from :meth:`row_chunks`
-    and :meth:`tb_chunks`): the state is -1 without the surface, and as an
-    index it is also the slot's link-table row, since the tables' last row
-    is the no-surface one; UE and MCS are None on idle (uplink) slots.  The
-    tables change at every channel rebuild: epoch ``e`` covers the slots
-    from ``e * coherence`` on.
+    block's.  :meth:`chunks` is the one read of the trace, and the one
+    place that derives a slot's state and TB size.  The tables change at
+    every channel rebuild: epoch ``e`` covers the slots from
+    ``e * coherence`` on.
     """
 
     def __init__(
@@ -155,94 +148,42 @@ class Trace:
         self._switch_slot.append(slot)
         self._switch_state.append(state)
 
-    def segments(self, start: int):
-        """(first slot, end slot, state, RSRP rows) of each run of slots from
-        ``start`` on with one logged state and one table epoch; the state is
-        None in genie mode, where it follows the served UE."""
+    def chunks(self):
+        """Each :data:`CSV_CHUNK` slots as aligned arrays: (slot, epoch, state,
+        UE, MCS, TB size, NACK, retransmission).
+
+        The state is -1 without the surface; as an index it is also the
+        slot's link-table row, since the tables' last row is the no-surface
+        one.  UE and MCS are :data:`IDLE` on an idle slot, whose TB size is
+        0.  In genie mode a slot's state is the own state of the last UE
+        served at or before it (UE 0's before the first); that UE, and the
+        size of the last new block, which a retransmission resends, carry
+        across chunks.
+        """
         n = len(self)
-        if self.genie_states is None:
-            firsts, states = self._switch_slot, self._switch_state
-        else:
-            firsts, states = (0,), (None,)
         span = self.coherence or n
-        for first, end, state in zip(firsts, chain(islice(firsts, 1, None), (n,)), states):
-            lo = max(first, start)
-            while lo < end:
-                hi = min(end, (lo // span + 1) * span)
-                yield lo, hi, state, self.rsrp[lo // span]
-                lo = hi
-
-    def row(self):
-        """Each slot's surface state, -1 without the surface."""
-        return chain.from_iterable(map(np.ndarray.tolist, self.row_chunks()))
-
-    def row_chunks(self):
-        """Each slot's surface state as one int64 array per :data:`CSV_CHUNK` slots.
-
-        In genie mode a slot's state is the own state of the last UE served
-        at or before it (UE 0's before the first); that UE carries across
-        chunks.
-        """
-        n = len(self)
-        if self.genie_states is None:
-            firsts = np.frombuffer(self._switch_slot, np.int64)
-            states = np.frombuffer(self._switch_state, np.int64)
-            for lo in range(0, n, CSV_CHUNK):
-                slots = np.arange(lo, min(lo + CSV_CHUNK, n))
-                yield states[np.searchsorted(firsts, slots, "right") - 1]
-            return
-        own = np.array(self.genie_states)
-        column = np.frombuffer(self._ue, np.uint8)
-        served = 0
-        for lo in range(0, n, CSV_CHUNK):
-            ues = column[lo:lo + CSV_CHUNK]
-            filled = _fill_forward(ues, ues != IDLE, served)
-            served = int(filled[-1])
-            yield own[filled]
-
-    def ue(self):
-        """Each slot's served UE, None on an idle slot."""
-        return _cells(self._ue)
-
-    def mcs(self):
-        """Each slot's MCS, None on an idle slot."""
-        return _cells(self._mcs)
-
-    def tb_bits(self):
-        """Each slot's TB size in bits, 0 on an idle slot."""
-        return chain.from_iterable(map(np.ndarray.tolist, self.tb_chunks()))
-
-    def tb_chunks(self):
-        """Each slot's TB size in bits (0 on an idle slot) as one int64 array
-        per :data:`CSV_CHUNK` slots.
-
-        A new block's size is ``phase_tb[t % 10][mcs]``; a retransmission
-        resends the last new block, whose size carries across chunks.
-        """
         sizes = np.zeros((len(self.phase_tb), IDLE + 1), np.int64)  # an idle MCS reads 0
         for phase, row in enumerate(self.phase_tb):
             if row is not None:
                 sizes[phase, :len(row)] = row
-        mcs_column = np.frombuffer(self._mcs, np.uint8)
-        retx_column = np.frombuffer(self._retx, np.uint8)
-        n = len(self)
-        tb = 0
+        firsts = np.frombuffer(self._switch_slot, np.int64)
+        states = np.frombuffer(self._switch_state, np.int64)
+        own = None if self.genie_states is None else np.array(self.genie_states)
+        columns = [np.frombuffer(c, np.uint8) for c in (self._ue, self._mcs, self._nack, self._retx)]
+        genie_ue = tb = 0
         for lo in range(0, n, CSV_CHUNK):
-            hi = min(lo + CSV_CHUNK, n)
-            mcs = mcs_column[lo:hi]
-            served = mcs != IDLE
-            new = served & (retx_column[lo:hi] == 0)
-            filled = _fill_forward(sizes[np.arange(lo, hi) % len(sizes), mcs], new, tb)
+            slots = np.arange(lo, min(lo + CSV_CHUNK, n))
+            ue, mcs, nack, retx = (column[lo:lo + CSV_CHUNK] for column in columns)
+            served = ue != IDLE
+            if own is None:
+                rows = states[np.searchsorted(firsts, slots, "right") - 1]
+            else:
+                filled = _fill_forward(ue, served, genie_ue)
+                genie_ue = int(filled[-1])
+                rows = own[filled]
+            filled = _fill_forward(sizes[slots % len(sizes), mcs], served & (retx == 0), tb)
             tb = int(filled[-1])
-            yield np.where(served, filled, 0)
-
-    def nack(self):
-        """1 where a slot's transmission failed, else 0 (also on an idle slot)."""
-        return iter(self._nack)
-
-    def retx(self):
-        """1 where a slot is a retransmission, else 0 (also on an idle slot)."""
-        return iter(self._retx)
+            yield slots, slots // span, rows, ue, mcs, np.where(served, filled, 0), nack, retx
 
     def __len__(self) -> int:
         return len(self._ue)
@@ -254,11 +195,6 @@ def _fill_forward(values: np.ndarray, keep: np.ndarray, carry: int) -> np.ndarra
     last = np.where(keep, np.arange(1, len(values) + 1), 0)
     np.maximum.accumulate(last, out=last)
     return np.concatenate(([carry], values))[last]
-
-
-def _cells(column: bytearray):
-    """A UE or MCS column's values, None for :data:`IDLE`."""
-    return map([*range(IDLE), None].__getitem__, column)
 
 
 @dataclass(eq=False)
@@ -641,67 +577,52 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
 
 def summarize(cfg: ExperimentConfig, trace: Trace, counters: tuple[int, ...]) -> RunSummary:
     """The run summary: statistics over the slots from the warm-up boundary
-    on, and :func:`simulate`'s whole-run bit counters."""
+    on, reduced one :meth:`Trace.chunks` chunk at a time, and
+    :func:`simulate`'s whole-run bit counters."""
     n_ues = len(cfg.ues)
     n_slots = len(trace)
     warmup_slot = to_slots(cfg.sim.warmup_s)
-    own = aligned_states(cfg)
     # Rates divide by the simulated span, a whole number of slots.
     measured_slots = max(n_slots - warmup_slot, 0)
     measured_s = measured_slots * SLOT_MS / 1000.0
 
-    # Window statistics over the slots from the warm-up slot on.  A state is
-    # aligned to each UE whose own state it is; state -1, no surface, to
-    # none, even where a UE has no own state (-1) either.
-    aligned_rows = [[r == a for a in own] for r in range(len(state_angles(cfg)))]
-    aligned_rows.append([False] * n_ues)
-    ue_range = range(n_ues)
-    ues = trace._ue
-    scheduled, served_aligned = [0] * n_ues, [0] * n_ues
-    rsrp_sum = [[0.0, 0.0] for _ in ue_range]  # per UE: [misaligned, aligned]
-    rsrp_n = [[0, 0] for _ in ue_range]
-    # Per segment (one logged state, one table epoch), the served slots are
-    # counted in bulk, and every downlink slot adds each UE's RSRP at the
-    # slot's row; the sums add in slot order, so the means keep their bits.
-    for lo, hi, state, rsrp_rows in trace.segments(warmup_slot):
-        counts = [ues.count(k, lo, hi) for k in ue_range]
-        # The row of a slot serving each UE: the logged state, or in genie mode its own.
-        rows = own if state is None else (state,) * n_ues
-        for k in ue_range:
-            scheduled[k] += counts[k]
-            served_aligned[k] += counts[k] * aligned_rows[rows[k]][k]
-            for j in ue_range:
-                rsrp_n[k][aligned_rows[rows[j]][k]] += counts[j]
-        if state is not None:
-            n_dl = sum(counts)  # every downlink slot serves one UE
-            for sums, hit, rsrp in zip(rsrp_sum, aligned_rows[state], rsrp_rows[state]):
-                total = sums[hit]
-                for _ in repeat(None, n_dl):
-                    total += rsrp
-                sums[hit] = total
-        else:
-            # Per served UE: what each UE's RSRP adds to.
-            adds = [tuple(zip(rsrp_sum, aligned_rows[r], rsrp_rows[r])) for r in own]
-            for ue in memoryview(ues)[lo:hi]:
-                if ue != IDLE:
-                    for sums, hit, rsrp in adds[ue]:
-                        sums[hit] += rsrp
-    served = memoryview(ues)[warmup_slot:]
-    retx_ues = bytes(compress(served, memoryview(trace._retx)[warmup_slot:]))
-    retx_count = [retx_ues.count(k) for k in ue_range]
-    # Acked bits per UE, a chunk at a time; an idle slot carries 0 bits.  The
-    # float sums are exact: config.MAX_SLOTS blocks of any TB size stay below 2 ** 53.
-    acked = np.zeros(IDLE + 1)
-    ue_column, nack_column = np.frombuffer(ues, np.uint8), np.frombuffer(trace._nack, np.uint8)
-    lo = 0
-    for tb in trace.tb_chunks():
-        hi = lo + len(tb)
-        first = max(lo, warmup_slot)
-        if first < hi:
-            bits = np.where(nack_column[first:hi], 0, tb[first - lo:])
-            acked += np.bincount(ue_column[first:hi], bits, IDLE + 1)
-        lo = hi
-    window_acked = [int(b) for b in acked[:n_ues].tolist()]
+    # A row is aligned to each UE whose own state it is; the last row, state
+    # -1 (no surface), to none, even where a UE has no own state (-1) either.
+    n_rows = len(state_angles(cfg)) + 1
+    aligned = np.arange(n_rows)[:, None] == np.array(aligned_states(cfg))
+    # Per (UE, row, retransmission): the served slots and their acknowledged
+    # bits.  The float sums are exact: config.MAX_SLOTS blocks of any TB size
+    # stay below 2 ** 53.
+    counts = np.zeros(n_ues * n_rows * 2, np.int64)
+    acked = np.zeros(n_ues * n_rows * 2)
+    # Per UE, [misaligned, aligned]: every downlink slot adds each UE's RSRP at
+    # the slot's row.  np.cumsum adds left to right, as slot-order += does, so
+    # with the running sum added into a chunk's first value the means keep
+    # their bits; np.sum adds pairwise, and sum() is compensated from Python 3.12 on.
+    rsrp_sum = [[0.0, 0.0] for _ in range(n_ues)]
+    rsrp_n = [[0, 0] for _ in range(n_ues)]
+    for slots, epochs, rows, ues, _, tb, nack, retx in trace.chunks():
+        dl = ues != IDLE
+        dl[:max(warmup_slot - slots[0], 0)] = False
+        if not dl.any():
+            continue
+        epochs, rows, ues = epochs[dl], rows[dl], ues[dl].astype(np.int64)
+        keys = (ues * n_rows + rows % n_rows) * 2 + retx[dl]
+        counts += np.bincount(keys, minlength=counts.size)
+        acked += np.bincount(keys, np.where(nack[dl], 0, tb[dl]), counts.size)
+        tables = np.array(trace.rsrp[epochs[0]:epochs[-1] + 1])  # per epoch, row, UE
+        values = tables[epochs - epochs[0], rows]
+        for sums, n, column, hit in zip(rsrp_sum, rsrp_n, values.T, aligned[rows].T):
+            for h, v in enumerate((column[~hit], column[hit])):
+                if len(v):
+                    v[0] += sums[h]
+                    sums[h] = float(np.cumsum(v)[-1])
+                    n[h] += len(v)
+    counts = counts.reshape(n_ues, n_rows, 2)
+    scheduled = counts.sum(axis=(1, 2)).tolist()
+    served_aligned = (counts.sum(axis=2) * aligned.T).sum(axis=1).tolist()
+    retx_count = counts[:, :, 1].sum(axis=1).tolist()
+    window_acked = [int(b) for b in acked.reshape(n_ues, -1).sum(axis=1).tolist()]
 
     def mean_rsrp(hit: int) -> tuple[float, ...]:
         return tuple(s[hit] / n[hit] if n[hit] else float("nan") for s, n in zip(rsrp_sum, rsrp_n))
@@ -768,9 +689,9 @@ def run_summaries(cfgs: Sequence[ExperimentConfig]) -> list[RunSummary]:
 def write_trace_csv(trace: Trace, path) -> None:
     """Exact trace schema: slot,time_ms,ris_state,ue,rsrp0_dbm,...,snr_db,mcs,tb_bits,outcome,is_retx.
 
-    The columns are read :data:`CSV_CHUNK` slots at a time and each chunk's
-    lines are assembled as bytes: the ``slot,time_ms,`` prefix from the slot
-    number's digits (:func:`_slot_prefixes`), then a head
+    Each :meth:`Trace.chunks` chunk's lines are assembled as bytes: the
+    ``slot,time_ms,`` prefix from the slot number's digits
+    (:func:`_slot_prefixes`), then a head
     ``ris_state,ue,rsrp...,snr_db,`` keyed on (epoch, state, UE) and a rest
     ``mcs,tb_bits,outcome,is_retx`` keyed on (MCS, TB size, NACK,
     retransmission), each formatted once per distinct key in the chunk.  So
@@ -780,11 +701,6 @@ def write_trace_csv(trace: Trace, path) -> None:
         raise ValueError(f"the trace's time cell is written as slot / 2; SLOT_MS is {SLOT_MS}")
     n_rows, n_ues = len(trace.rsrp[0]), len(trace.rsrp[0][0])
     rsrp_cols = ",".join(f"rsrp{k}_dbm" for k in range(n_ues))
-    span = trace.coherence or len(trace) or 1
-    ue_column = np.frombuffer(trace._ue, np.uint8)
-    mcs_column = np.frombuffer(trace._mcs, np.uint8)
-    nack_column = np.frombuffer(trace._nack, np.uint8)
-    retx_column = np.frombuffer(trace._retx, np.uint8)
 
     rsrp_cells = {}  # per (epoch, row) of one chunk: the UEs' RSRP cells
 
@@ -807,23 +723,15 @@ def write_trace_csv(trace: Trace, path) -> None:
 
     with open(path, "wb") as f:
         f.write(f"slot,time_ms,ris_state,ue,{rsrp_cols},snr_db,mcs,tb_bits,outcome,is_retx\n".encode())
-        lo = 0
-        for tb, rows in zip(trace.tb_chunks(), trace.row_chunks()):
-            hi = lo + len(tb)
-            slots = np.arange(lo, hi)
+        for slots, epochs, rows, ue, mcs, tb, nack, retx in trace.chunks():
             # The UE cell's key is the UE, or n_ues on an idle slot.
-            ue = np.minimum(ue_column[lo:hi], n_ues)
-            heads = ((slots // span) * n_rows + rows + 1) * (n_ues + 1) + ue
-            rests = (
-                tb << 10 | mcs_column[lo:hi].astype(np.int64) << 2
-                | nack_column[lo:hi] << 1 | retx_column[lo:hi]
-            )
+            heads = (epochs * n_rows + rows + 1) * (n_ues + 1) + np.minimum(ue, n_ues)
+            rests = tb << 10 | mcs.astype(np.int64) << 2 | nack << 1 | retx
             rsrp_cells.clear()
             lines = np.concatenate(
                 (_slot_prefixes(slots), _text_rows(heads, head), _text_rows(rests, rest)), axis=1
             )
             f.write(lines[lines != 0])
-            lo = hi
 
 
 def _text_rows(keys: np.ndarray, text) -> np.ndarray:

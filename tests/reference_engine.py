@@ -455,12 +455,26 @@ def conserves_bits(summary: engine.RunSummary) -> bool:
     return summary.new_tx_bits == summary.acked_bits + summary.discarded_bits + summary.inflight_bits
 
 
+def slot_columns(trace: engine.Trace) -> dict[str, list]:
+    """``trace.chunks()`` expanded per slot into the columns of
+    :class:`ReferenceRun` (surface state, UE, MCS, TB size, NACK,
+    retransmission), with UE and MCS None on an idle slot."""
+    columns = {name: [] for name in ("row", "ue", "mcs", "tb_bits", "nack", "retx")}
+    for _, _, rows, ues, mcss, tbs, nacks, retxs in trace.chunks():
+        for name, values in zip(columns, (rows, ues, mcss, tbs, nacks, retxs)):
+            columns[name] += values.tolist()
+    for name in ("ue", "mcs"):
+        columns[name] = [None if v == engine.IDLE else v for v in columns[name]]
+    return columns
+
+
 def tb_sizes(trace: engine.Trace) -> list[int]:
-    """Each slot's TB size, one slot at a time: 0 on an uplink slot, a new
-    block's from its TDD phase's TB table at its MCS, and a retransmission's
-    the in-flight block's, the last new one."""
+    """Each slot's TB size, one slot at a time from the stored MCS and
+    retransmission bytes: 0 on an uplink slot, a new block's from its TDD
+    phase's TB table at its MCS, and a retransmission's the in-flight
+    block's, the last new one."""
     sizes, inflight = [], 0
-    for t, (mcs, retx) in enumerate(zip(trace.mcs(), trace.retx())):
+    for t, (mcs, retx) in enumerate(zip(trace._mcs, trace._retx)):
         phase_sizes = trace.phase_tb[t % len(trace.phase_tb)]
         if phase_sizes is None:
             sizes.append(0)
@@ -472,14 +486,20 @@ def tb_sizes(trace: engine.Trace) -> list[int]:
 
 
 def surface_rows(trace: engine.Trace) -> list[int]:
-    """Each slot's surface state, one slot at a time: the logged state in
-    force, or in genie mode the own state of the last UE served (UE 0's
-    before the first)."""
+    """Each slot's surface state, one slot at a time: the last logged state
+    at or before the slot, or in genie mode the own state of the last UE
+    served (UE 0's before the first)."""
+    rows = []
     if trace.genie_states is None:
-        return [state for lo, hi, state, _ in trace.segments(0) for _ in range(lo, hi)]
-    rows, state = [], trace.genie_states[0]
-    for ue in trace.ue():
-        if ue is not None:
+        switches = dict(zip(trace._switch_slot, trace._switch_state))
+        state = None
+        for t in range(len(trace)):
+            state = switches.get(t, state)
+            rows.append(state)
+        return rows
+    state = trace.genie_states[0]
+    for ue in trace._ue:
+        if ue != engine.IDLE:
             state = trace.genie_states[ue]
         rows.append(state)
     return rows
@@ -499,13 +519,11 @@ def trace_csv(trace: engine.Trace) -> str:
     header = ["slot", "time_ms", "ris_state", "ue", *rsrp_names]
     header += ["snr_db", "mcs", "tb_bits", "outcome", "is_retx"]
     lines = [",".join(header)]
-    slots = zip(
-        surface_rows(trace), trace.ue(), trace.mcs(), tb_sizes(trace), trace.nack(), trace.retx()
-    )
+    slots = zip(surface_rows(trace), trace._ue, trace._mcs, tb_sizes(trace), trace._nack, trace._retx)
     for t, (row, ue, mcs, tb_bits, nack, retx) in enumerate(slots):
         epoch = t // trace.coherence if trace.coherence else 0
         rsrp = [f"{v:.4f}" for v in trace.rsrp[epoch][row]]
-        if ue is None:
+        if ue == engine.IDLE:
             ue_cell = snr = mcs_cell = ""
             outcome = "idle"
         else:

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reference_engine import conserves_bits, ewma_update, select_ue
+from reference_engine import conserves_bits, ewma_update, select_ue, slot_columns
 from rissim import presets
 from rissim.array_model import beam_metrics, quantize_one_bit, upa_profiles
 from rissim.config import SchedConfig
@@ -124,14 +124,15 @@ def test_criterion_4_bler_regulation(schedule_run):
         assert 0.05 <= b <= 0.15, f"UE{k} long-run BLER {b:.3f}"
 
     warm = round(WARMUP_S * 1000 / 0.5)
-    states = list(trace.row())
+    columns = slot_columns(trace)
+    states = columns["row"]
     transitions = [t for t in range(max(1, warm), len(trace)) if states[t] != states[t - 1]]
     assert transitions, "no dwell transitions inside the measured span"
     win = 200
     for t0 in transitions:
         promoted = states[t0]
         demoted = 1 - promoted
-        served = list(itertools.islice(zip(trace.ue(), trace.retx()), t0, t0 + win))
+        served = list(itertools.islice(zip(columns["ue"], columns["retx"]), t0, t0 + win))
         for ue, kind in ((demoted, "high-to-low"), (promoted, "low-to-high")):
             sched = sum(1 for u, _ in served if u == ue)
             retx = sum(1 for u, is_retx in served if u == ue and is_retx)
@@ -154,7 +155,7 @@ def test_criterion_5_rsrp_alternation(schedule_run):
     assert len(cfg.ues) == 2  # anti-phase is a two-UE property
     warm = round(WARMUP_S * 1000 / 0.5)
     (table,) = trace.rsrp  # one channel epoch: no scatter
-    rsrp = np.array(table)[list(trace.row())[warm:]]  # per measured slot, per UE
+    rsrp = np.array(table)[slot_columns(trace)["row"][warm:]]  # per measured slot, per UE
     levels = []
     for k in range(len(cfg.ues)):
         uniq = np.unique(rsrp[:, k].round(9))
@@ -203,7 +204,9 @@ def test_criterion_7_scheduling_fractions(schedule_run):
     n_ues = len(cfg.ues)
     mis_non_retx = [0] * n_ues
     served = [0] * n_ues
-    for row, ue, retx in itertools.islice(zip(trace.row(), trace.ue(), trace.retx()), warm, None):
+    columns = slot_columns(trace)
+    slots = zip(columns["row"], columns["ue"], columns["retx"])
+    for row, ue, retx in itertools.islice(slots, warm, None):
         if ue is None:
             continue
         served[ue] += 1

@@ -1,6 +1,7 @@
 """Config round-trip, validation messages, and the CLI surface."""
 
 import ast
+import functools
 import importlib
 import io
 import json
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rissim import cli, presets
+from rissim import cli, engine, presets
 from rissim.cli import main
 from rissim.config import (
     _RULES,
@@ -868,12 +869,30 @@ def _unresolved(spans) -> list[str]:
     return unresolved
 
 
-def _docstrings(path: Path) -> list[str]:
-    """The module, class and function docstrings of one source file."""
+def _docstrings(path: Path) -> list[tuple[str, str | None]]:
+    """The module, class and function docstrings of one source file, each
+    with the name of its class (a class's own, or its method's), else None."""
     tree = ast.parse(path.read_text())
     defs = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
     nodes = [tree, *(node for node in ast.walk(tree) if isinstance(node, defs))]
-    return [doc for node in nodes if (doc := ast.get_docstring(node))]
+    owner = {}
+    for node in nodes:
+        if isinstance(node, ast.ClassDef):
+            owner[node] = node.name
+            owner.update((item, node.name) for item in node.body if isinstance(item, defs))
+    return [(doc, owner.get(node)) for node in nodes if (doc := ast.get_docstring(node))]
+
+
+def _resolves(scopes, dotted: str) -> bool:
+    """Whether ``dotted`` names an attribute (or an attribute's attribute)
+    of any of ``scopes``."""
+    for scope in scopes:
+        try:
+            functools.reduce(getattr, dotted.split("."), scope)
+        except AttributeError:
+            continue
+        return True
+    return False
 
 
 class TestReadmeNames:
@@ -888,21 +907,49 @@ class TestReadmeNames:
             if module not in skip and name not in ("csv", "py")
         ) == []
 
+    def test_backticked_class_names_resolve(self):
+        # Every `<Class>.<name>` span names a rissim class and one of its
+        # attributes, or an attribute of its instances (`Trace.rsrp`), read
+        # from the objects a short run returns.
+        package = ROOT / "src" / "rissim"
+        modules = [importlib.import_module(f"rissim.{path.stem}") for path in package.glob("*.py")]
+        cfg = presets.schedule_config().with_overrides({"sim.duration_s": "0.01", "sim.warmup_s": "0"})
+        instances = {type(obj).__name__: obj for obj in engine.run(cfg)}
+        spans = re.findall(r"`([A-Z]\w*)\.([A-Za-z_]\w*)", README)
+        assert spans
+        unresolved = [
+            f"{cls}.{name}" for cls, name in spans
+            if not _resolves([getattr(m, cls) for m in modules if hasattr(m, cls)], name)
+            and not (cls in instances and _resolves([instances[cls]], name))
+        ]
+        assert unresolved == []
+
     def test_backticked_docstring_names_resolve(self):
         # Every backticked `<module>.<name>` span in a docstring, with or
         # without a `rissim.` prefix, whose module is a rissim module names
-        # something that module defines.
+        # something that module defines.  A Sphinx role without a module
+        # prefix (:func:`name`, :meth:`Class.name`) names something in the
+        # docstring's module, or in its class for a class or method docstring.
         package = ROOT / "src" / "rissim"
         modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
-        spans = [
-            span
-            for path in [*sorted(package.glob("*.py")), ROOT / "tests" / "reference_engine.py"]
-            for doc in _docstrings(path)
-            for span in re.findall(r"`(?:rissim\.)?([a-z_]+)\.([A-Za-z_]\w*)", doc)
-            if span[0] in modules
-        ]
-        assert spans
+        files = {f"rissim.{path.stem}": path for path in sorted(package.glob("*.py"))}
+        files["reference_engine"] = ROOT / "tests" / "reference_engine.py"
+        spans, roles = [], []
+        for module_name, path in files.items():
+            module = importlib.import_module(module_name)
+            for doc, cls in _docstrings(path):
+                spans += [
+                    span for span in re.findall(r"`(?:rissim\.)?([a-z_]+)\.([A-Za-z_]\w*)", doc)
+                    if span[0] in modules
+                ]
+                roles += [
+                    (module_name, target, [getattr(module, cls), module] if cls else [module])
+                    for target in re.findall(r":(?:func|meth|class|data):`~?([\w.]+)`", doc)
+                    if target.split(".")[0] not in modules | {"rissim"}
+                ]
+        assert spans and roles
         assert _unresolved(spans) == []
+        assert [f"{m}: {target}" for m, target, scopes in roles if not _resolves(scopes, target)] == []
 
 
 class TestReadmeCommands:

@@ -56,7 +56,8 @@ def served_fractions(trace, aligned_state, start):
     served slot is aligned when the surface is in the served UE's own beam
     state, which a slot without the surface (state -1) never is."""
     counts = {True: [0] * len(aligned_state), False: [0] * len(aligned_state)}
-    for row, ue in zip(list(trace.row())[start:], list(trace.ue())[start:]):
+    columns = reference_engine.slot_columns(trace)
+    for row, ue in zip(columns["row"][start:], columns["ue"][start:]):
         if ue is not None:
             counts[0 <= row == aligned_state[ue]][ue] += 1
     dl = sum(counts[True]) + sum(counts[False])
@@ -69,7 +70,7 @@ def served_fractions(trace, aligned_state, start):
 def rsrp_of(trace, k):
     """UE ``k``'s RSRP at every slot of a run with one channel epoch."""
     (table,) = trace.rsrp
-    return np.array([table[row][k] for row in trace.row()])
+    return np.array([table[row][k] for row in reference_engine.slot_columns(trace)["row"]])
 
 
 def summary_fractions(summary):
@@ -151,7 +152,7 @@ class TestTraceLayout:
         # Round robin reaches UE 254 in the 255th downlink slot.
         cfg = _many_ues(MAX_UES)
         trace, summary = run(cfg)
-        ues = list(trace.ue())
+        ues = reference_engine.slot_columns(trace)["ue"]
         assert max(u for u in ues if u is not None) == MAX_UES - 1
         assert ues == reference_engine.run(cfg).ue
         assert summary.served_share[-1] > 0.0
@@ -196,8 +197,9 @@ class TestRunBasics:
         trace, summary = run(short_schedule())
         assert conserves_bits(summary)
         # Retransmission slots never add new-transmission bits.
+        columns = reference_engine.slot_columns(trace)
         new_bits_from_trace = sum(
-            tb for ue, tb, retx in zip(trace.ue(), trace.tb_bits(), trace.retx())
+            tb for ue, tb, retx in zip(columns["ue"], columns["tb_bits"], columns["retx"])
             if ue is not None and not retx
         )
         assert new_bits_from_trace == summary.new_tx_bits
@@ -208,8 +210,9 @@ class TestRunBasics:
     def test_throughput_counts_acked_bits_once(self):
         trace, summary = run(short_schedule())
         assert summary.acked_bits <= summary.new_tx_bits
+        columns = reference_engine.slot_columns(trace)
         acked_rows = sum(
-            tb for ue, tb, nack in zip(trace.ue(), trace.tb_bits(), trace.nack())
+            tb for ue, tb, nack in zip(columns["ue"], columns["tb_bits"], columns["nack"])
             if ue is not None and not nack
         )
         # A block acked on a retransmission is credited once even though
@@ -233,8 +236,9 @@ class TestRunBasics:
 
     def test_idle_rows_only_on_uplink_slots(self):
         trace, _ = run(short_schedule(duration_s=5.0, warmup_s=1.0))
+        columns = reference_engine.slot_columns(trace)
         for t, (ue, mcs, tb, nack, retx) in enumerate(
-            zip(trace.ue(), trace.mcs(), trace.tb_bits(), trace.nack(), trace.retx())
+            zip(columns["ue"], columns["mcs"], columns["tb_bits"], columns["nack"], columns["retx"])
         ):
             if TDD_DL_SYMBOLS[t % len(TDD_DL_SYMBOLS)] == 0:
                 assert (ue, mcs, tb, nack, retx) == (None, None, 0, False, False)
@@ -268,7 +272,7 @@ class TestDeterminism:
     def test_seed_changes_outcomes(self):
         t1, _ = run(short_schedule(duration_s=6.0, warmup_s=1.0, seed=1))
         t2, _ = run(short_schedule(duration_s=6.0, warmup_s=1.0, seed=2))
-        assert list(t1.nack()) != list(t2.nack())
+        assert reference_engine.slot_columns(t1)["nack"] != reference_engine.slot_columns(t2)["nack"]
 
     def test_scatter_runs_are_reproducible(self):
         cfg = short_schedule(duration_s=6.0, warmup_s=1.0)
@@ -286,8 +290,9 @@ class TestDeterminism:
         faint = replace(base, chan=ChannelConfig(rician_k_db=200.0, coherence_slots=500))
         t1, _ = run(base)
         t2, _ = run(faint)
-        assert list(t1.nack()) == list(t2.nack())
-        assert list(t1.ue()) == list(t2.ue())
+        c1, c2 = reference_engine.slot_columns(t1), reference_engine.slot_columns(t2)
+        assert c1["nack"] == c2["nack"]
+        assert c1["ue"] == c2["ue"]
 
 
 class TestRsrpAlternation:
@@ -366,7 +371,8 @@ class TestRetransmissions:
         trace, summary = run(cfg)
         pending = None  # (ue, mcs, tb_bits) of the block awaiting retransmission
         attempts = retx_slots = discards = discarded_bits = 0
-        slots = zip(trace.ue(), trace.mcs(), trace.tb_bits(), trace.nack(), trace.retx())
+        columns = reference_engine.slot_columns(trace)
+        slots = zip(columns["ue"], columns["mcs"], columns["tb_bits"], columns["nack"], columns["retx"])
         for t, (ue, mcs, tb, nack, retx) in enumerate(slots):
             if ue is None:
                 continue
@@ -498,7 +504,7 @@ class TestSweep:
         fast = replace(base, sim=replace(base.sim, ts_scaling=2.0))
         t1, _ = run(base)
         t2, _ = run(fast)
-        rows1, rows2 = list(t1.row()), list(t2.row())
+        rows1, rows2 = (reference_engine.slot_columns(t)["row"] for t in (t1, t2))
         switches1 = sum(a != b for a, b in zip(rows1, rows1[1:]))
         switches2 = sum(a != b for a, b in zip(rows2, rows2[1:]))
         assert switches2 == pytest.approx(2 * switches1, abs=1)

@@ -123,8 +123,9 @@ def small_configs(draw, mode: str, kind: str):
 def _assert_engine_equals_reference(cfg):
     trace, summary = run(cfg)
     ref = reference_engine.run(cfg)
+    columns = reference_engine.slot_columns(trace)
     for name in COLUMNS:
-        assert list(getattr(trace, name)()) == getattr(ref, name), name
+        assert columns[name] == getattr(ref, name), name
     for name in BITS:
         assert getattr(summary, name) == getattr(ref, name), name
     want = reference_engine.summarize(cfg, ref)
@@ -145,22 +146,23 @@ def _assert_engine_equals_reference(cfg):
 def test_engine_equals_reference(mode, kind, data):
     cfg = data.draw(small_configs(mode, kind))
     trace, summary = _assert_engine_equals_reference(cfg)
+    columns = reference_engine.slot_columns(trace)
     # The restatements the reference CSV formatter reads, against the engine's columns.
-    assert reference_engine.tb_sizes(trace) == list(trace.tb_bits())
-    assert reference_engine.surface_rows(trace) == list(trace.row())
+    assert reference_engine.tb_sizes(trace) == columns["tb_bits"]
+    assert reference_engine.surface_rows(trace) == columns["row"]
 
     assert reference_engine.conserves_bits(summary)
-    served_mcs = [m for m in trace.mcs() if m is not None]
+    served_mcs = [m for m in columns["mcs"] if m is not None]
     assert all(cfg.la.mcs_min <= m <= 28 for m in served_mcs)
     warmup_slot = round(cfg.sim.warmup_s * 2000)
-    if any(ue is not None for ue in list(trace.ue())[warmup_slot:]):
+    if any(ue is not None for ue in columns["ue"][warmup_slot:]):
         assert sum(summary.served_share) == pytest.approx(1.0)
     else:
         assert summary.served_share == (0.0,) * len(cfg.ues)
 
     trace2, summary2 = run(cfg)
     assert reference_engine.same_summary(summary2, summary)
-    assert all(list(getattr(trace2, name)()) == list(getattr(trace, name)()) for name in COLUMNS)
+    assert reference_engine.slot_columns(trace2) == columns
     assert trace2.rsrp == trace.rsrp and trace2.snr == trace.snr
 
 
@@ -222,7 +224,7 @@ class TestSwitchLog:
         # Slot 0 always opens the log; with offset 0 it is also a dwell boundary.
         cfg = _short("periodic", **{"ris.ts_slots": "5", "ris.offset_slots": offset})
         trace, _ = _assert_engine_equals_reference(cfg)
-        rows = list(trace.row())
+        rows = reference_engine.slot_columns(trace)["row"]
         assert rows[:first_switch] == [0] * first_switch and rows[first_switch] == 1
 
     @pytest.mark.parametrize("mode", ["periodic", "iid"])
@@ -230,7 +232,7 @@ class TestSwitchLog:
         # (t + 3) % 10 == 0: every switch falls on slot 7 of a TDD period, an uplink slot.
         cfg = _short(mode, **{"ris.ts_slots": "10", "ris.offset_slots": "3"})
         trace, _ = _assert_engine_equals_reference(cfg)
-        rows = list(trace.row())
+        rows = reference_engine.slot_columns(trace)["row"]
         changes = [t for t in range(1, len(rows)) if rows[t] != rows[t - 1]]
         assert TDD_DL_SYMBOLS[7] == 0
         assert changes and all(t % 10 == 7 for t in changes)
@@ -240,13 +242,15 @@ class TestSwitchLog:
         # and the uplink slots 7 to 9 keep slot 6's state.
         cfg = _short("genie")
         trace, _ = _assert_engine_equals_reference(cfg)
-        rows, ues = list(trace.row()), list(trace.ue())
+        columns = reference_engine.slot_columns(trace)
+        rows, ues = columns["row"], columns["ue"]
         assert ues[5] != ues[6] and ues[7:10] == [None] * 3
         assert rows[7:10] == [rows[6]] * 3 and rows[6] != rows[5]
 
     def test_off_row_is_minus_1_throughout(self):
         trace, _ = _assert_engine_equals_reference(_short("off"))
-        assert set(trace.row()) == {-1} and len(list(trace.row())) == len(trace) == 200
+        rows = reference_engine.slot_columns(trace)["row"]
+        assert set(rows) == {-1} and len(rows) == len(trace) == 200
 
 
 @pytest.mark.parametrize("slope", ["2", "30"])
@@ -262,7 +266,7 @@ def test_bler_is_zero_past_the_overflow_guard(slope):
     })
     trace, summary = _assert_engine_equals_reference(cfg)
     assert min(trace.snr[0][-2]) > 350.0
-    assert not any(trace.nack())
+    assert not any(reference_engine.slot_columns(trace)["nack"])
     assert summary.acked_bits == summary.new_tx_bits > 0
 
 
@@ -277,7 +281,8 @@ def test_a_ue_without_signal_loses_every_block():
     })
     trace, summary = _assert_engine_equals_reference(cfg)
     assert trace.snr[0][-1][0] == float("-inf")
-    ue0 = [nack for ue, nack in zip(trace.ue(), trace.nack()) if ue == 0]
+    columns = reference_engine.slot_columns(trace)
+    ue0 = [nack for ue, nack in zip(columns["ue"], columns["nack"]) if ue == 0]
     assert ue0 and all(ue0)
     assert summary.discarded_bits > 0
 
@@ -298,7 +303,7 @@ def test_pf_ties_go_to_the_lowest_index(mode):
     # and whenever the averages sit on the floor.
     cfg = _three_ue_pf(mode, (UeConfig(nu_deg=30.0, noise_dbm=-50.0, noris_gain=0.5),) * 3, 1.0)
     trace, _ = run(cfg)
-    ues = list(trace.ue())
+    ues = reference_engine.slot_columns(trace)["ue"]
     assert ues[0] == 0
     assert ues == reference_engine.run(cfg).ue
 
@@ -312,7 +317,7 @@ def test_ewma_floor_holds_the_averages(mode):
         UeConfig(nu_deg=10.0, noise_dbm=-46.0, noris_gain=0.2),
     )
     cfg = _three_ue_pf(mode, ues, 0.5)
-    assert list(run(cfg)[0].ue()) == reference_engine.run(cfg).ue
+    assert reference_engine.slot_columns(run(cfg)[0])["ue"] == reference_engine.run(cfg).ue
 
 
 def test_cqi_cap_reaches_17_across_the_table_inversion():
@@ -331,5 +336,6 @@ def test_cqi_cap_reaches_17_across_the_table_inversion():
     )
     trace, _ = run(cfg)
     assert thr[17] <= trace.snr[0][-1][0] - cfg.la.cqi_backoff_db < thr[16]
-    assert max(m for m in trace.mcs() if m is not None) == 17
-    assert list(trace.mcs()) == reference_engine.run(cfg).mcs
+    mcs = reference_engine.slot_columns(trace)["mcs"]
+    assert max(m for m in mcs if m is not None) == 17
+    assert mcs == reference_engine.run(cfg).mcs

@@ -6,6 +6,7 @@ switching modes a slot's table row is the surface state in force.
 
 import pytest
 
+from reference_engine import slot_columns
 from rissim import presets
 from rissim.config import ConfigError, aligned_states
 from rissim.engine import iid_state, link_setup, run
@@ -23,7 +24,7 @@ def states(cfg, mode="periodic", slots=10, **ris):
     """The surface state of each of the first ``slots`` slots of a run."""
     overrides = {"ris.mode": mode, "sim.duration_s": str(slots * 0.5e-3)}
     overrides.update({f"ris.{key}": str(value) for key, value in ris.items()})
-    return list(run(cfg.with_overrides(overrides))[0].row())
+    return slot_columns(run(cfg.with_overrides(overrides))[0])["row"]
 
 
 class TestDistribution:

@@ -4,7 +4,8 @@
 chunks of ``engine.CSV_CHUNK`` slots.  The golden runs are shorter than
 one chunk, so the equality tests shrink the chunk until chunks cut TDD
 periods, channel epochs and retransmissions, and the in-flight TB size
-and the genie state carry from one chunk into the next.
+and the genie state carry from one chunk into the next.  The summary,
+which reads the same chunks, is checked at those chunk sizes too.
 """
 
 import tempfile
@@ -18,8 +19,8 @@ from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 import reference_engine
 from rissim import engine, presets
-from rissim.config import MAX_SLOTS, RIS_MODES, SCHED_KINDS, ChannelConfig
-from rissim.engine import TDD_DL_SYMBOLS, run, write_trace_csv
+from rissim.config import MAX_SLOTS, RIS_MODES, SCHED_KINDS, ChannelConfig, to_slots
+from rissim.engine import TDD_DL_SYMBOLS, link_setup, run, simulate, write_trace_csv
 from test_reference_engine import small_configs
 
 # Static line of sight, and Rician scatter redrawn every slot or every 13 slots.
@@ -46,7 +47,7 @@ def test_chunked_file_equals_reference(mode, kind, data):
         assert path.read_bytes() == reference_engine.trace_csv(trace).encode()
         # The row is the surface state: -1 without the surface, as the file writes it.
         states = [int(line.split(",")[2]) for line in path.read_text().splitlines()[1:]]
-        assert states == list(trace.row())
+        assert states == reference_engine.slot_columns(trace)["row"]
 
 
 # The preset surface, 100 ms (200 slots) each.
@@ -68,14 +69,16 @@ CHUNK_CASES = {
 @pytest.mark.parametrize("case", CHUNK_CASES.values(), ids=CHUNK_CASES)
 def test_chunk_boundaries_equal_reference(case, chunk, tmp_path):
     mode, overrides = case
+    # The summary's window opens at slot 23, inside a chunk of every size but 1.
     cfg = presets.schedule_config(mode).with_overrides({
-        "sim.duration_s": "0.1", "sim.warmup_s": "0", **overrides,
+        "sim.duration_s": "0.1", "sim.warmup_s": "0.0115", **overrides,
     })
-    trace, _ = run(cfg)
+    assert to_slots(cfg.sim.warmup_s) == 23
+    trace, counters = simulate(cfg, link_setup(cfg))
     # Chunks of 9 slots start on the uplink slots 9, 18 and 27.
     assert not any(TDD_DL_SYMBOLS[t % 10] for t in (9, 18, 27))
     if mode == "periodic":
-        retx = list(trace.retx())
+        retx = reference_engine.slot_columns(trace)["retx"]
         # Slot 0's block is resent on slots 1 to 3, slot 4's on 5, 6 and, past
         # the uplink slots, 10.
         assert [t for t in range(11) if retx[t]] == [1, 2, 3, 5, 6, 10]
@@ -83,7 +86,11 @@ def test_chunk_boundaries_equal_reference(case, chunk, tmp_path):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "CSV_CHUNK", chunk)
         write_trace_csv(trace, path)
+        summary = engine.summarize(cfg, trace, counters)
     assert path.read_bytes() == reference_engine.trace_csv(trace).encode()
+    # The RSRP sums, counts and acknowledged bits carry across chunks.
+    want = reference_engine.summarize(cfg, reference_engine.run(cfg))
+    assert reference_engine.same_summary(summary, want), (summary, want)
 
 
 def test_time_cell_is_the_float_format():

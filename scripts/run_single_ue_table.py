@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Single-UE comparison table: RSRP and throughput with and without the
-reflecting surface, for both UE positions.  The four runs are independent
-and go to ``engine.run_summaries``, which splits them between this process
-and a worker pool."""
+reflecting surface, for both UE positions: four independent runs of
+``engine.run``, one after another in this process."""
 
 from rissim import presets
-from rissim.engine import run_summaries
+from rissim.engine import run
 
 if __name__ == "__main__":
     cases = [(k, on) for k in range(2) for on in (True, False)]
-    summaries = run_summaries([presets.single_ue_config(k, ris_on=on) for k, on in cases])
+    summaries = [run(presets.single_ue_config(k, ris_on=on))[1] for k, on in cases]
     print(f"{'ue':>3} {'surface':>8} {'rsrp_dbm':>9} {'tput_mbps':>10} {'bler':>7}")
     tput = {}
     for (k, on), s in zip(cases, summaries):

@@ -305,7 +305,7 @@ def cmd_sweep(args) -> int:
 
     cfg = _config(args, presets.sweep_config)
     rows = sweep_rows(cfg, args.alphas)
-    summaries = engine.run_summaries([run_cfg for *_, run_cfg in rows])
+    summaries = [engine.run(run_cfg)[1] for *_, run_cfg in rows]
     out_dir: Path = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep_alpha.csv"

@@ -19,16 +19,22 @@ The slot loop runs in event segments.  At a segment's first slot it
 handles the events due there, in this order: the channel-coherence
 refresh, the surface switch and the CQI refresh of the rate estimates;
 the segment ends at the next slot where any of these, a BLER-window
-boundary or the run's end falls.  Its slots do only the TDD phase lookup
-and, on downlink slots, the MAC work: pick the UE (pending
-retransmissions first, then the configured policy), size the transport
-block, draw its outcome, and update HARQ, EWMA and window counters.
-After a segment that ends on a window boundary, every UE's MCS takes its
-window step.  The scheduler and the EWMA see
-the CQI-cadence rate estimates, as a CQI-driven MAC does; the block
-fails with the logistic block-error probability of the true current SNR
-at its MCS, computed when the outcome is drawn, which is what produces
-the measured-BLER excursions right after a surface switch.  The
+boundary or the run's end falls.  Within a segment each UE's table row,
+MCS and rate estimate are fixed, so its first slot also computes each
+UE's new-block error probability, its EWMA gain (alpha times its rate
+estimate) and PF's pick.  Its slots do only the TDD phase lookup and,
+on downlink slots, the MAC work: take the UE (pending retransmissions
+first, then the configured policy), size the transport block, draw its
+outcome, and update HARQ and the retransmission counters; the EWMA pass
+also picks the next slot's PF UE.  After a segment that ends on a window
+boundary, every UE's MCS takes its window step, on the window's
+retransmissions over its served slots, counted from the UE column.  The
+scheduler and the EWMA see the CQI-cadence rate estimates, as a
+CQI-driven MAC does; the block fails with the logistic block-error
+probability of the true current SNR at its MCS, which is what produces
+the measured-BLER excursions right after a surface switch.  A
+retransmission's probability is computed when it is drawn, since its
+block may come from an earlier segment.  The
 per-slot rules (PF argmax, EWMA, round robin, the block-error curve,
 HARQ, and the outer loop's CQI cap and BLER-window MCS step) are
 written inline in :func:`simulate`, their state in plain per-UE lists;
@@ -58,7 +64,6 @@ are bit-reproducible and enabling scatter does not perturb HARQ draws.
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -434,7 +439,6 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
     mcs_min = la.mcs_min
     mcs_of = [mcs_min] * n_ues
     cap_of = [len(MCS_TABLE_64QAM) - 1] * n_ues
-    win_sched = [0] * n_ues
     win_retx = [0] * n_ues
     thresholds = setup.thresholds_db
     cqi_levels = tuple(enumerate(thresholds))[mcs_min:]  # (index, threshold)
@@ -457,6 +461,7 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
     ).__next__
 
     rate_est = [0.0] * n_ues  # CQI-cadence rate estimates driving the scheduler
+    gain = [0.0] * n_ues  # alpha * rate_est: what serving a UE adds to its PF average
     ue_range = range(n_ues)
     ewma_range = () if round_robin else ue_range  # round robin reads no average
     dl_counter = 0
@@ -465,8 +470,8 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
     # other UE in the next downlink slot, so the block is the previous
     # downlink slot's (ue, mcs, tb).  ``attempts`` counts its transmissions;
     # 0 means none is in flight.
-    attempts = ue = mcs = tb = 0
-    row = -1 if mode == "off" else aligned_state[0] if genie else 0
+    attempts = ue = mcs = tb = pick = 0
+    row = -1 if mode == "off" else 0
     if mode == "off":
         trace.switch(0, row)
     # The slot of each event's next occurrence; n_slots where a mode has none.
@@ -491,21 +496,42 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
             trace.switch(t0, row)
             next_switch = (interval + 1) * ts_slots - offset
 
+        # Each UE's table row (its own state in genie mode) and true SNR,
+        # fixed until the next event.
+        rows = aligned_state if genie else (row,) * n_ues
+        snr = [snr_tab[r][k] for k, r in enumerate(rows)]
+
         # CQI cadence: refresh the scheduler-side rate estimates and caps
         # from the channel each UE currently measures.  The cap is the last
         # index whose threshold fits: index 16's threshold is above 17's.
         if t0 == next_cqi:
             for k in ue_range:
-                meas_row = aligned_state[k] if genie else row
-                limit = snr_tab[meas_row][k] - la.cqi_backoff_db
+                limit = snr[k] - la.cqi_backoff_db
                 cap = mcs_min
                 for index, threshold in cqi_levels:
                     if threshold <= limit:
                         cap = index
                 cap_of[k] = cap
                 mcs_of[k] = min(max(mcs_of[k], mcs_min), cap)
-                rate_est[k] = se_tab[meas_row][k]
+                rate_est[k] = se_tab[rows[k]][k]
+                gain[k] = alpha * rate_est[k]
             next_cqi += cqi_slots
+
+        # Block error: logistic in the true SNR, midpoint at the MCS's
+        # threshold.  Past x = 700 it is 0.0, and exp would overflow near 710.
+        # A new block's probability is fixed for the segment; a retransmitted
+        # block's MCS may differ from its UE's current one.
+        p_new = []
+        for k in ue_range:
+            x = slope * (snr[k] - thresholds[mcs_of[k]])
+            p_new.append(1.0 / (1.0 + exp(x)) if x <= 700.0 else 0.0)
+        # PF: the largest rate / average, ties to the lowest index.  The
+        # averages never fall below the floor (see the EWMA).
+        best = -1.0
+        for k in ewma_range:
+            m = rate_est[k] / t_avg[k]
+            if m > best:
+                pick, best = k, m
 
         # A segment: the slots up to the next event, none of which falls inside it.
         seg_end = min(next_coh, next_switch, next_cqi, next_win, n_slots)
@@ -513,61 +539,54 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
             tb_row = phase_tb[t % period]
             if tb_row is None:
                 continue  # uplink: an idle slot
-            retx = attempts > 0
-            if not retx:
-                if round_robin:
-                    ue = dl_counter % n_ues
-                else:  # PF: the largest rate / average, ties to the lowest index
-                    # The averages never fall below the floor (see the EWMA).
-                    ue, best = 0, -1.0
-                    for k in ue_range:
-                        m = rate_est[k] / t_avg[k]
-                        if m > best:
-                            ue, best = k, m
+            if attempts:  # the in-flight block's retransmission
+                win_retx[ue] += 1
+                retxs[t] = 1
+                x = slope * (snr[ue] - thresholds[mcs])
+                p = 1.0 / (1.0 + exp(x)) if x <= 700.0 else 0.0
+            else:
+                ue = dl_counter % n_ues if round_robin else pick
                 mcs = mcs_of[ue]
                 tb = tb_row[mcs]
                 new_tx_bits += tb
+                p = p_new[ue]
             attempts += 1
             dl_counter += 1
-            if genie:
-                row = aligned_state[ue]
-
-            # Block error: logistic in the true SNR, midpoint at the MCS's
-            # threshold.  Past x = 700 it is 0.0, and exp would overflow near 710.
-            x = slope * (snr_tab[row][ue] - thresholds[mcs])
-            nack = bler_draw() < (1.0 / (1.0 + exp(x)) if x <= 700.0 else 0.0)
-            if not nack:
-                acked_bits += tb
-                attempts = 0
-            else:
+            if bler_draw() < p:
                 nacks[t] = 1
                 if attempts == MAX_ATTEMPTS:  # the last retransmission failed
                     discarded_bits += tb
                     attempts = 0
-
-            win_sched[ue] += 1
-            if retx:
-                win_retx[ue] += 1
-                retxs[t] = 1
+            else:
+                acked_bits += tb
+                attempts = 0
 
             # PF's EWMA: every UE decays, the served one adds its rate;
-            # floored, as max(v, floor) would, without the call.
+            # floored, as max(v, floor) would, without the call.  The same
+            # pass picks the next slot's UE.
+            best = -1.0
             for k in ewma_range:
-                v = decay * t_avg[k] + (alpha * rate_est[k] if k == ue else 0.0)
-                t_avg[k] = floor if floor > v else v
+                v = decay * t_avg[k] + gain[k] if k == ue else decay * t_avg[k]
+                if floor > v:
+                    v = floor
+                t_avg[k] = v
+                m = rate_est[k] / v
+                if m > best:
+                    pick, best = k, m
 
             ues[t] = ue
             mcss[t] = mcs
 
         # Outer loop: at the end of each BLER window every UE's MCS steps one
-        # index on its retransmission ratio (0.0 for an empty window).
+        # index on its retransmission ratio (0.0 for an empty window); the
+        # UE column holds the window's served slots.
         if seg_end == next_win:
+            lo = next_win - window_slots
             for k in ue_range:
-                scheduled = win_sched[k]
+                scheduled = ues.count(k, lo, next_win)
                 ratio = win_retx[k] / scheduled if scheduled else 0.0
                 step = 1 if ratio < la.bler_low else -1 if ratio > la.bler_high else 0
                 mcs_of[k] = min(max(mcs_of[k] + step, mcs_min), cap_of[k])
-            win_sched = [0] * n_ues
             win_retx = [0] * n_ues
             next_win += window_slots
         t0 = seg_end
@@ -639,7 +658,7 @@ def summarize(cfg: ExperimentConfig, trace: Trace, counters: tuple[int, ...]) ->
         measured_s=measured_s,
         n_slots=n_slots,
         throughput_mbps=tput,
-        aggregate_mbps=float(sum(tput)),
+        aggregate_mbps=float(np.cumsum(tput)[-1]),  # left to right, unlike sum() on 3.12+
         long_run_bler=tuple((r / s) if s else 0.0 for r, s in zip(retx_count, scheduled)),
         mean_rsrp_aligned_dbm=mean_rsrp(1),
         mean_rsrp_misaligned_dbm=mean_rsrp(0),
@@ -653,37 +672,6 @@ def summarize(cfg: ExperimentConfig, trace: Trace, counters: tuple[int, ...]) ->
         discarded_bits=discarded_bits,
         inflight_bits=inflight_bits,
     )
-
-
-def _summary(cfg: ExperimentConfig) -> RunSummary:
-    return run(cfg)[1]
-
-
-def run_summaries(cfgs: Sequence[ExperimentConfig]) -> list[RunSummary]:
-    """The summaries of independent runs, in input order.
-
-    With W = min(runs, usable CPUs), this process runs every W-th run
-    (indices 0, W, 2W, ...) while a pool of W - 1 spawned worker
-    processes runs the rest, and only each summary comes back.  Every
-    run's seed is in its config, so the results do not depend on W; with
-    W = 1 every run executes in this process and no pool is created.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    stride = min(len(cfgs), cpus)  # W
-    if stride <= 1:
-        return [_summary(cfg) for cfg in cfgs]
-    # Imported here: at module top they add ~22 ms to every CLI start.
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    # Spawned, not forked: a fork inherits any lock another thread of the caller holds.
-    with ProcessPoolExecutor(max_workers=stride - 1, mp_context=get_context("spawn")) as pool:
-        pooled = {i: pool.submit(_summary, cfg) for i, cfg in enumerate(cfgs) if i % stride}
-        own = {i: _summary(cfgs[i]) for i in range(0, len(cfgs), stride)}
-        return [own[i] if i in own else pooled[i].result() for i in range(len(cfgs))]
 
 
 def write_trace_csv(trace: Trace, path) -> None:

@@ -413,12 +413,15 @@ def summarize(cfg: ExperimentConfig, out: ReferenceRun) -> engine.RunSummary:
         )
 
     tput = tuple(b / measured_s / 1e6 if measured_s > 0 else 0.0 for b in acked)
+    aggregate = 0.0
+    for v in tput:  # left to right: sum() is compensated from Python 3.12 on
+        aggregate += v
     return engine.RunSummary(
         duration_s=n_slots * SLOT_MS / 1000.0,
         measured_s=measured_s,
         n_slots=n_slots,
         throughput_mbps=tput,
-        aggregate_mbps=float(sum(tput)),
+        aggregate_mbps=aggregate,
         long_run_bler=tuple(r / s if s else 0.0 for r, s in zip(retx, scheduled)),
         mean_rsrp_aligned_dbm=mean_rsrp(True),
         mean_rsrp_misaligned_dbm=mean_rsrp(False),

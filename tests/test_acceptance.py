@@ -16,7 +16,7 @@ from rissim import presets
 from rissim.array_model import beam_metrics, quantize_one_bit, upa_profiles
 from rissim.config import SchedConfig
 from rissim.cli import sweep_rows
-from rissim.engine import run, run_summaries, write_trace_csv
+from rissim.engine import run, write_trace_csv
 
 WARMUP_S = 20.0
 
@@ -36,9 +36,9 @@ def schedule_run():
 
 @pytest.fixture(scope="module")
 def sweep_results():
-    # The CLI's table: the alpha rows and both references in one pool.
+    # The CLI's table: the alpha rows, then both references.
     rows = sweep_rows(presets.sweep_config(), list(presets.SWEEP_ALPHAS))
-    return run_summaries([cfg for *_, cfg in rows])
+    return [run(cfg)[1] for *_, cfg in rows]
 
 
 def test_criterion_1_beam_geometry():
@@ -97,10 +97,10 @@ def test_criterion_2_one_bit_loss():
 
 def test_criterion_3_single_ue_table():
     """Calibrated RSRP levels and the 20-25% throughput gain band."""
-    # The runs are independent: one pool, results in (UE, surface) order.
+    # Results in (UE, surface) order.
     n_ues = len(presets.UE_ANGLES)
     cases = [(k, on) for k in range(n_ues) for on in (True, False)]
-    summaries = run_summaries([presets.single_ue_config(k, ris_on=on) for k, on in cases])
+    summaries = [run(presets.single_ue_config(k, ris_on=on))[1] for k, on in cases]
     tput = {}
     for (k, on), s in zip(cases, summaries):
         tput[k, on] = s.throughput_mbps[0]

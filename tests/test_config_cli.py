@@ -583,7 +583,7 @@ class TestScripts:
         names = runpy.run_path(
             str(self.root / "scripts" / "run_single_ue_table.py"), run_name="not_main"
         )
-        assert callable(names["run_summaries"]) and names["presets"] is presets
+        assert names["run"] is engine.run and names["presets"] is presets
 
 
 # Generated configs: every section field, 1..4 UEs, optional keys present or absent.

@@ -1,11 +1,15 @@
 """Slot loop: TDD structure, transport blocks, accounting, traces."""
 
-import concurrent.futures
+import functools
 import math
+import operator
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +34,6 @@ from rissim.engine import (
     MCS_TABLE_64QAM,
     TDD_DL_SYMBOLS,
     run,
-    run_summaries,
     tb_table,
     write_trace_csv,
 )
@@ -192,6 +195,27 @@ class TestRunBasics:
         assert summary.measured_s == summary.duration_s == 0.0015
         assert summary.acked_bits > 0
         assert summary.aggregate_mbps == pytest.approx(summary.acked_bits / 0.0015 / 1e6)
+
+    def test_aggregate_adds_throughputs_left_to_right(self):
+        # With 6 to 8 UEs the order of the additions shows in the last bits:
+        # sum() is compensated from Python 3.12 on, so the aggregate's bits
+        # would depend on the Python version.
+        aggregates = []
+        for n_ues in (6, 7, 8):
+            cfg = short_schedule(duration_s=2.0, warmup_s=0.5).with_overrides({
+                "ris.ts_slots": "400",
+                "ue.angles": ",".join(f"{-60 + 120 * k / (n_ues - 1):g}:0" for k in range(n_ues)),
+                "ue.pathloss_db": ",".join(f"{60 + 0.7 * k:g}" for k in range(n_ues)),
+                "ue.noise_dbm": ",".join(f"{-60 + 0.3 * k:g}" for k in range(n_ues)),
+                "ue.direct_leak": ",".join(["0j"] * n_ues),
+                "ue.noris_gain": ",".join(f"{0.1 + 0.01 * k:g}" for k in range(n_ues)),
+            })
+            summary = run(cfg)[1]
+            tput = summary.throughput_mbps
+            assert summary.aggregate_mbps == functools.reduce(operator.add, tput)
+            aggregates.append(summary.aggregate_mbps != math.fsum(tput))
+        # At least one left-to-right sum differs from the correctly rounded one.
+        assert any(aggregates)
 
     def test_bit_conservation(self):
         trace, summary = run(short_schedule())
@@ -431,21 +455,13 @@ class TestAlignmentRule:
         assert served_fractions(trace, (0, 1), 2000) != summary_fractions(summary)
 
 
-def _configs(rows):
-    """The run configs of ``cli.sweep_rows`` rows."""
-    return [cfg for *_, cfg in rows]
-
-
 class TestSweep:
     def test_single_alpha_row_matches_run(self):
         cfg = short_schedule(duration_s=4.0, warmup_s=1.0)
-        rows = sweep_rows(cfg, [cfg.sched.alpha])
-        row, _, _ = run_summaries(_configs(rows))
-        alpha_cfg = rows[0][3]
+        (*_, alpha_cfg), _, _ = sweep_rows(cfg, [cfg.sched.alpha])
         seed = int(np.random.SeedSequence((cfg.sim.seed, 0)).generate_state(1)[0])
         assert alpha_cfg == replace(cfg, sim=replace(cfg.sim, seed=seed))
-        assert same_summary(row, run(alpha_cfg)[1])
-        assert row.aggregate_mbps > 0.0
+        assert run(alpha_cfg)[1].aggregate_mbps > 0.0
 
     def test_table_is_alpha_runs_then_references(self):
         cfg = short_schedule(duration_s=4.0, warmup_s=1.0)
@@ -457,10 +473,7 @@ class TestSweep:
         ]
         assert [alpha for _, _, alpha, _ in table[:2]] == alphas
         assert all(math.isnan(alpha) for _, _, alpha, _ in table[2:])
-        *rows, genie, off = run_summaries(_configs(table))
-        assert len(rows) == len(alphas)
-        alone = run_summaries(_configs(table[:2]))
-        assert len(alone) == len(rows) and all(map(same_summary, rows, alone))
+        *rows, genie, off = [run(run_cfg)[1] for *_, run_cfg in table]
         assert all(s.aggregate_mbps > 0.0 for s in rows)
         genie_alone = run(cfg.with_overrides({"ris.mode": "genie", "sched.kind": "rr"}))[1]
         assert same_summary(genie, genie_alone)
@@ -509,137 +522,57 @@ class TestSweep:
         switches2 = sum(a != b for a, b in zip(rows2, rows2[1:]))
         assert switches2 == pytest.approx(2 * switches1, abs=1)
 
+    def test_summaries_equal_per_config_runs_in_input_order(self, tmp_path, monkeypatch):
+        overrides = {"sim.duration_s": "2", "sim.warmup_s": "0.5", "ris.ts_slots": "400"}
+        args = [f"--set={key}={value}" for key, value in overrides.items()]
+        rows = sweep_rows(presets.sweep_config().with_overrides(overrides), [0.01, 0.002])
+        runs = []
 
-def _pool_configs():
-    """Independent runs of different kinds; the first is the longest."""
-    three_ues = {
-        "ue.angles": "20:0,40:0,-30:0",
-        "ue.pathloss_db": "60.0,61.5,59.0",
-        "ue.noise_dbm": "-60.0,-58.5,-61.0",
-        "ue.direct_leak": "0.01+0.02j,-0.015+0.005j,0j",
-        "ue.noris_gain": "0.1,0.12,0.08",
-    }
-    short = short_schedule(duration_s=2.0, warmup_s=0.5)
-    return [
-        short_schedule(duration_s=6.0, warmup_s=1.0),
-        timed(presets.single_ue_config(0, ris_on=True), 2.0, 0.5),
-        short.with_overrides({**three_ues, "ris.mode": "iid"}),
-        short.with_overrides({"ris.mode": "off"}),
-        short.with_overrides({"ris.mode": "genie", "sched.kind": "rr"}),
-    ]
+        def recorded(cfg):
+            trace, summary = run(cfg)
+            runs.append((cfg, summary))
+            return trace, summary
 
-
-def _no_pool(*args, **kwargs):
-    raise AssertionError("a worker pool was created")
-
-
-class _RecordingPool:
-    """Stands in for ``ProcessPoolExecutor``: runs each submitted call at
-    once, in this process, and records the configs it was given."""
-
-    def __init__(self, max_workers, mp_context):
-        self.max_workers = max_workers
-        self.start_method = mp_context.get_start_method()
-        self.submitted = []
-        self.exit_exc = self.shut_down = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.shut_down, self.exit_exc = True, exc_type
-
-    def submit(self, fn, cfg):
-        self.submitted.append(cfg)
-        future = concurrent.futures.Future()
-        future.set_result(fn(cfg))
-        return future
-
-
-@pytest.fixture
-def recording_pools(monkeypatch):
-    """The pools ``run_summaries`` creates, each a :class:`_RecordingPool`."""
-    pools = []
-
-    def make(*args, **kwargs):
-        pools.append(_RecordingPool(*args, **kwargs))
-        return pools[-1]
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make)
-    return pools
-
-
-class TestRunSummaries:
-    # as_kv_text, not ==: mode off has a NaN mean RSRP, and NaN != NaN.
-
-    def test_pool_equals_serial_in_input_order(self, monkeypatch):
-        # Three CPUs: this process runs runs 0 and 3, the long first one
-        # among them, while two workers run 1, 2 and 4, which end first.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        cfgs = _pool_configs()
+        monkeypatch.setattr(engine, "run", recorded)
+        assert main(["--out-dir", str(tmp_path), *args, "sweep-alpha", "--alphas", "0.01", "0.002"]) == 0
+        cfgs = [cfg for *_, cfg in rows]
+        assert [cfg for cfg, _ in runs] == cfgs
+        # as_kv_text, not ==: mode off has a NaN mean RSRP, and NaN != NaN.
         serial = [run(cfg)[1].as_kv_text() for cfg in cfgs]
-        assert [s.as_kv_text() for s in run_summaries(cfgs)] == serial
-        assert len(set(serial)) == len(cfgs)
+        assert [s.as_kv_text() for _, s in runs] == serial
+        assert len(set(serial)) == len(rows)
+        lines = (tmp_path / "sweep_alpha.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[3] for line in lines] == [f"{s.aggregate_mbps:.6f}" for _, s in runs]
 
-    def test_caller_runs_every_wth_run(self, monkeypatch, recording_pools):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})  # W = 3
-        cfgs = _pool_configs()
-        serial = [run(cfg)[1].as_kv_text() for cfg in cfgs]
-        assert [s.as_kv_text() for s in run_summaries(cfgs)] == serial
-        (pool,) = recording_pools
-        assert (pool.max_workers, pool.start_method) == (2, "spawn")
-        assert pool.submitted == [cfgs[i] for i in (1, 2, 4)]
-        assert pool.shut_down and pool.exit_exc is None
+    def test_sweep_starts_no_child_process(self, tmp_path, monkeypatch):
+        def no_child(*args, **kwargs):
+            raise AssertionError("a child process was started")
 
-    def test_caller_error_keeps_type_and_message(self, monkeypatch, recording_pools):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        short = short_schedule(duration_s=1.0, warmup_s=0.5)
-        genie = replace(short.ris, mode="genie", angles=((10.0, 0.0), (60.0, 0.0)))
-        no_aligned_state = replace(short, ris=genie)
-        # Run 0 is this process's share, run 1 the pool's.
-        with pytest.raises(ConfigError, match="ris.mode: genie requires a state aligned"):
-            run_summaries([no_aligned_state, short])
-        (pool,) = recording_pools
-        assert pool.submitted == [short]
-        # The error left run_summaries through the pool's shutdown.
-        assert pool.shut_down and pool.exit_exc is ConfigError
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_child)
+        monkeypatch.setattr("multiprocessing.get_context", no_child)
+        monkeypatch.setattr("multiprocessing.process.BaseProcess.start", no_child)
+        monkeypatch.setattr(subprocess, "Popen", no_child)
+        monkeypatch.setattr(os, "fork", no_child)
+        argv = ["--out-dir", str(tmp_path), "--duration-s", "1", "--set", "sim.warmup_s=0.5"]
+        assert main([*argv, "sweep-alpha", "--alphas", "0.01", "0.002"]) == 0
+        assert len((tmp_path / "sweep_alpha.csv").read_text().splitlines()) == 5
 
-    def test_one_cpu_runs_in_process(self, monkeypatch):
-        cfgs = _pool_configs()[1:3]
-        serial = [run(cfg)[1].as_kv_text() for cfg in cfgs]
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert [s.as_kv_text() for s in run_summaries(cfgs)] == serial
-
-    def test_cpu_count_without_affinity_call(self, monkeypatch):
-        cfgs = _pool_configs()[1:3]
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert len(run_summaries(cfgs)) == 2
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        with pytest.raises(AssertionError, match="pool was created"):
-            run_summaries(cfgs)
-
-    def test_single_config_runs_in_process(self, monkeypatch):
-        cfg = _pool_configs()[1]
-        serial = run(cfg)[1].as_kv_text()
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert [s.as_kv_text() for s in run_summaries([cfg])] == [serial]
-        assert run_summaries([]) == []
-        # Two configs on two CPUs do reach the pool.
-        with pytest.raises(AssertionError, match="pool was created"):
-            run_summaries([cfg, cfg])
-
-    def test_worker_error_keeps_type_and_message(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        short = short_schedule(duration_s=1.0, warmup_s=0.5)
-        # Built with replace: with_overrides would reject it here, before any worker.
-        genie = replace(short.ris, mode="genie", angles=((10.0, 0.0), (60.0, 0.0)))
-        no_aligned_state = replace(short, ris=genie)
-        with pytest.raises(ConfigError, match="ris.mode: genie requires a state aligned"):
-            run_summaries([short, no_aligned_state])
+    def test_script_without_main_guard_runs_a_sweep(self, tmp_path):
+        # A worker pool would re-import such a script in each worker.
+        script = tmp_path / "sweep.py"
+        script.write_text(
+            "from rissim.cli import main\n"
+            f"main(['--out-dir', {str(tmp_path)!r}, '--duration-s', '1',"
+            " '--set', 'sim.warmup_s=0.5', 'sweep-alpha', '--alphas', '0.01'])\n"
+        )
+        src = str(Path(engine.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.count("aggregate=") == 3
+        assert len((tmp_path / "sweep_alpha.csv").read_text().splitlines()) == 4
 
     def test_sweep_error_exits_2_naming_the_key(self, tmp_path, capsys):
         rc = main(

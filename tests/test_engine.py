@@ -526,14 +526,7 @@ class TestSweep:
         overrides = {"sim.duration_s": "2", "sim.warmup_s": "0.5", "ris.ts_slots": "400"}
         args = [f"--set={key}={value}" for key, value in overrides.items()]
         rows = sweep_rows(presets.sweep_config().with_overrides(overrides), [0.01, 0.002])
-        runs = []
-
-        def recorded(cfg):
-            trace, summary = run(cfg)
-            runs.append((cfg, summary))
-            return trace, summary
-
-        monkeypatch.setattr(engine, "run", recorded)
+        runs = recording_runs(monkeypatch)
         assert main(["--out-dir", str(tmp_path), *args, "sweep-alpha", "--alphas", "0.01", "0.002"]) == 0
         cfgs = [cfg for *_, cfg in rows]
         assert [cfg for cfg, _ in runs] == cfgs
@@ -545,14 +538,10 @@ class TestSweep:
         assert [line.split(",")[3] for line in lines] == [f"{s.aggregate_mbps:.6f}" for _, s in runs]
 
     def test_sweep_starts_no_child_process(self, tmp_path, monkeypatch):
-        def no_child(*args, **kwargs):
-            raise AssertionError("a child process was started")
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_child)
-        monkeypatch.setattr("multiprocessing.get_context", no_child)
-        monkeypatch.setattr("multiprocessing.process.BaseProcess.start", no_child)
-        monkeypatch.setattr(subprocess, "Popen", no_child)
-        monkeypatch.setattr(os, "fork", no_child)
+        # Four CPUs: a host with CPUs to spare still runs every config here.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        forbid_child_processes(monkeypatch)
         argv = ["--out-dir", str(tmp_path), "--duration-s", "1", "--set", "sim.warmup_s=0.5"]
         assert main([*argv, "sweep-alpha", "--alphas", "0.01", "0.002"]) == 0
         assert len((tmp_path / "sweep_alpha.csv").read_text().splitlines()) == 5
@@ -573,6 +562,91 @@ class TestSweep:
         assert done.returncode == 0, done.stderr
         assert done.stdout.count("aggregate=") == 3
         assert len((tmp_path / "sweep_alpha.csv").read_text().splitlines()) == 4
+
+
+def forbid_child_processes(monkeypatch):
+    """Make every way of starting a child process raise AssertionError."""
+
+    def no_child(*args, **kwargs):
+        raise AssertionError("a child process was started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_child)
+    monkeypatch.setattr("multiprocessing.get_context", no_child)
+    monkeypatch.setattr("multiprocessing.process.BaseProcess.start", no_child)
+    monkeypatch.setattr(subprocess, "Popen", no_child)
+    monkeypatch.setattr(os, "fork", no_child)
+
+
+def recording_runs(monkeypatch):
+    """``engine.run`` wrapped to record each config with its summary, or
+    with the exception it raised."""
+    runs = []
+
+    def recorded(cfg):
+        try:
+            trace, summary = run(cfg)
+        except Exception as exc:
+            runs.append((cfg, exc))
+            raise
+        runs.append((cfg, summary))
+        return trace, summary
+
+    monkeypatch.setattr(engine, "run", recorded)
+    return runs
+
+
+def no_aligned_state():
+    """A short genie config whose states point away from both UEs.
+
+    Built with replace: with_overrides would reject it before any run.
+    """
+    short = short_schedule(duration_s=1.0, warmup_s=0.5)
+    return replace(short, ris=replace(short.ris, mode="genie", angles=((10.0, 0.0), (60.0, 0.0))))
+
+
+class TestRunSummaries:
+    """Each config's summary is ``run(cfg)[1]``, computed in this process."""
+
+    # as_kv_text, not ==: mode off has a NaN mean RSRP, and NaN != NaN.
+    SHORT = ["--duration-s", "1", "--set", "sim.warmup_s=0.5"]
+
+    def test_one_cpu_runs_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        forbid_child_processes(monkeypatch)
+        runs = recording_runs(monkeypatch)
+        assert main(["--out-dir", str(tmp_path), *self.SHORT, "sweep-alpha", "--alphas", "0.01"]) == 0
+        serial = [run(cfg)[1].as_kv_text() for cfg, _ in runs]
+        assert [s.as_kv_text() for _, s in runs] == serial
+        assert [cfg.ris.mode for cfg, _ in runs] == ["periodic", "genie", "off"]
+        lines = (tmp_path / "sweep_alpha.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[3] for line in lines] == [f"{s.aggregate_mbps:.6f}" for _, s in runs]
+
+    def test_single_config_runs_in_process(self, tmp_path, monkeypatch):
+        forbid_child_processes(monkeypatch)
+        runs = recording_runs(monkeypatch)
+        assert main(["--out-dir", str(tmp_path), *self.SHORT, "schedule"]) == 0
+        ((cfg, summary),) = runs
+        assert summary.as_kv_text() == run(cfg)[1].as_kv_text()
+        assert (tmp_path / "schedule_periodic_summary.txt").read_text() == summary.as_kv_text()
+
+    def test_caller_error_keeps_type_and_message(self):
+        with pytest.raises(ConfigError) as exc:
+            run(no_aligned_state())
+        assert type(exc.value) is ConfigError
+        assert str(exc.value) == "ris.mode: genie requires a state aligned to every UE (ris.angles)"
+
+    def test_worker_error_keeps_type_and_message(self, tmp_path, monkeypatch, capsys):
+        # The genie reference fails after the alpha row has run; main
+        # reports that run's own ConfigError, and the no-surface row never runs.
+        runs = recording_runs(monkeypatch)
+        argv = ["--out-dir", str(tmp_path), *self.SHORT, "--set", "ris.angles=10:0,60:0"]
+        assert main([*argv, "sweep-alpha", "--alphas", "0.01"]) == 2
+        assert [cfg.ris.mode for cfg, _ in runs] == ["periodic", "genie"]
+        (_, summary), (_, exc) = runs
+        assert summary.aggregate_mbps > 0.0
+        assert type(exc) is ConfigError
+        assert capsys.readouterr().err == f"config error: {exc}\n"
 
     def test_sweep_error_exits_2_naming_the_key(self, tmp_path, capsys):
         rc = main(

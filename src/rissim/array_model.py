@@ -114,9 +114,7 @@ def upa_profiles(
     h = steering_vector(pairs[:, 0], n_h, spacing_ratio)
     v = steering_vector(pairs[:, 1], n_v, spacing_ratio)
     continuous = (h[:, :, None] * v[:, None, :]).reshape(len(pairs), n_h * n_v)
-    if not dither:
-        return np.exp(1j * (np.pi * quantize_one_bit(continuous).astype(float)))
-    offsets = design_phase_offsets(n_h, n_v)
+    offsets = design_phase_offsets(n_h, n_v) if dither else np.zeros(n_h * n_v)
     code = quantize_one_bit(continuous * np.exp(1j * offsets))
     return np.exp(1j * (np.pi * code.astype(float) + offsets))
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import presets  # presets load the engine only when they calibrate
 from .array_model import DegeneratePatternError, beam_metrics, pattern_gains, upa_profiles
+from .cells import fixed4_cells, text_lines
 from .config import RIS_MODES, ConfigError, ExperimentConfig, parse_text, serialize
 
 EXIT_OK = 0
@@ -27,8 +28,9 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 # beam-pattern evaluates its targets this many at a time: one phasor build
-# and one CSV assembly per block, and the block's arrays stay small.
+# and one formatting of the gain cells per block, and its arrays stay small.
 BEAM_BLOCK = 8
+MIN_STEP_DEG = 0.001  # beam-pattern's finest angle step: 90,001 angles from 0 to 90 deg
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,17 +102,18 @@ def _check_beam_flags(args) -> None:
     """The ranges the pattern code accepts; NaN fails every comparison.
 
     The metrics and the CSV observe 0 to 90 deg, so a negative target's
-    main lobe would be off the grid.
+    main lobe would be off the grid.  A step below :data:`MIN_STEP_DEG`
+    would ask for a grid too large to allocate.
     """
     bad = [
         f"--steer-deg: must be in [0, 90], got {s!r}"
         for s in args.steer_deg
         if not 0.0 <= s <= 90.0
     ]
-    if not 0.0 < args.grid_step_deg <= 0.1:
-        bad.append(f"--grid-step-deg: must be in (0, 0.1], got {args.grid_step_deg!r}")
-    if not 0.0 < args.csv_step_deg < math.inf:
-        bad.append(f"--csv-step-deg: must be positive and finite, got {args.csv_step_deg!r}")
+    if not MIN_STEP_DEG <= args.grid_step_deg <= 0.1:
+        bad.append(f"--grid-step-deg: must be in [{MIN_STEP_DEG}, 0.1], got {args.grid_step_deg!r}")
+    if not MIN_STEP_DEG <= args.csv_step_deg < math.inf:
+        bad.append(f"--csv-step-deg: must be >= {MIN_STEP_DEG} and finite, got {args.csv_step_deg!r}")
     if bad:
         raise ConfigError("; ".join(bad))
 
@@ -158,9 +161,10 @@ def cmd_beam_pattern(args) -> int:
         db = 20.0 * np.log10(np.maximum(np.reshape(gains, (-1, len(angles))), 1e-12) / n)
         if start == 0 and metrics:
             out_dir.mkdir(parents=True, exist_ok=True)  # only once a target has a pattern to write
-        for steer, m, rows in zip(block, metrics, _csv_rows(angle_cells, db)):
+        for steer, m, gain_cells in zip(block, metrics, fixed4_cells(db)):
             path = out_dir / f"pattern_{steer:g}deg.csv"
-            path.write_bytes(b"angle_deg,gain_db\n" + rows)
+            rows = text_lines(angle_cells, b",", gain_cells, b"\n")
+            path.write_bytes(b"angle_deg,gain_db\n" + rows.tobytes())  # one write call
             print(
                 f"steer={steer:g} peak={m.peak_angle_deg:.2f} deg "
                 f"peak_gain={m.peak_gain_db:.2f} dB hpbw={m.hpbw_deg:.2f} deg "
@@ -169,59 +173,6 @@ def cmd_beam_pattern(args) -> int:
         if error is not None:
             raise error
     return EXIT_OK
-
-
-def _csv_rows(angle_cells: np.ndarray, db: np.ndarray):
-    """``angle,gain\\n`` rows of each target's gains ``db[t]`` as one bytes
-    object per target; ``angle_cells`` are the angles' :func:`fixed4_cells`."""
-    n_targets, n_angles = db.shape
-    cells = fixed4_cells(db.ravel())
-    gain_cells = cells.reshape(n_targets, n_angles, cells.shape[1])
-    width = angle_cells.shape[1]
-    lines = np.empty((n_targets, n_angles, width + gain_cells.shape[2] + 2), np.uint8)
-    lines[:, :, :width] = angle_cells
-    lines[:, :, width] = ord(",")
-    lines[:, :, width + 1 : -1] = gain_cells
-    lines[:, :, -1] = ord("\n")
-    return (rows.tobytes().replace(b"\0", b"") for rows in lines)
-
-
-def fixed4_cells(values: np.ndarray) -> np.ndarray:
-    """``f"{v:.4f}"`` of each value as a NUL-padded row of bytes.
-
-    ``rint(v * 1e4)`` is the correctly rounded count of ten-thousandths
-    wherever it is taken: for ``|v| < 1e5`` the float product is within
-    6e-8 of the exact one (3e-10 for the gain cells, ``|v| < 302``), so it
-    rounds the same way unless the exact product is that close to a
-    half-integer.  A product within 1e-6 of one, or a value not below 1e5
-    in magnitude (NaN included), is formatted by Python instead.  The sign
-    is the sign bit, so ``-0.0`` and ``-1e-9`` give ``-0.0000``.
-    """
-    values = np.asarray(values, dtype=float)
-    scaled = values * 1e4
-    with np.errstate(invalid="ignore"):  # inf - inf: such a value is not exact anyway
-        exact = (np.abs(values) < 1e5) & (np.abs(scaled - np.floor(scaled) - 0.5) > 1e-6)
-    counts = np.abs(np.rint(np.where(exact, scaled, 0.0))).astype(np.int64)
-    # The count's digits: four after the point, at least one before it.
-    n_digits = max(5, len(str(int(counts.max())))) if counts.size else 5
-    digits = np.empty((len(values), n_digits), np.uint8)
-    rest = counts
-    for j in reversed(range(n_digits)):
-        rest, digits[:, j] = np.divmod(rest, 10)
-    digits += ord("0")
-    for j in range(n_digits - 5):
-        digits[counts < 10 ** (n_digits - 1 - j), j] = 0
-    inexact = np.flatnonzero(~exact).tolist()
-    texts = [format(values[k], ".4f").encode() for k in inexact]
-    cells = np.zeros((len(values), max([n_digits + 2, *map(len, texts)])), np.uint8)
-    cells[:, 0] = np.where(np.signbit(values), ord("-"), 0)
-    cells[:, 1 : n_digits - 3] = digits[:, :-4]
-    cells[:, n_digits - 3] = ord(".")
-    cells[:, n_digits - 2 : n_digits + 2] = digits[:, -4:]
-    for k, text in zip(inexact, texts):
-        cells[k] = 0
-        cells[k, : len(text)] = np.frombuffer(text, np.uint8)
-    return cells
 
 
 def _emit_run(cfg: ExperimentConfig, out_dir: Path, tag: str, histogram: bool = False) -> None:

@@ -50,11 +50,11 @@ surface state (-1 without the surface, also the slot's table row) and TB
 size with numpy, aligned with the stored columns.  Its two consumers
 are :func:`summarize`, a reduction over the chunks from the warm-up slot
 on, and :func:`write_trace_csv`, which assembles each chunk's lines as
-bytes: the ``slot,time_ms,`` prefix from the slot's integer digits (the
-time is ``slot >> 1`` then ``.0`` or ``.5``), then a head keyed on
-(epoch, state, UE) and a rest keyed on (MCS, TB size, NACK,
-retransmission), each formatted once per distinct key in the chunk.
-Neither holds a copy of a column or of the whole file.
+bytes through ``cells.text_lines``: the ``slot,time_ms,`` prefix from
+integer digits (the time is ``slot * 5`` tenths of a millisecond, so it
+is exact), then a head keyed on (epoch, state, UE) and a rest keyed on
+(MCS, TB size, NACK, retransmission), each formatted once per distinct
+key in the chunk.  Neither holds a copy of a column or of the whole file.
 
 All randomness derives from one master seed through three independent
 streams (channel scatter, block outcomes, i.i.d. switching), so traces
@@ -73,6 +73,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .array_model import steering_vector, upa_profiles
+from .cells import digit_cells, text_lines
 from .config import (
     MAX_UES, SLOT_MS, ExperimentConfig, aligned_states, scaled, state_angles, to_slots, validate,
 )
@@ -677,9 +678,10 @@ def summarize(cfg: ExperimentConfig, trace: Trace, counters: tuple[int, ...]) ->
 def write_trace_csv(trace: Trace, path) -> None:
     """Exact trace schema: slot,time_ms,ris_state,ue,rsrp0_dbm,...,snr_db,mcs,tb_bits,outcome,is_retx.
 
-    Each :meth:`Trace.chunks` chunk's lines are assembled as bytes: the
-    ``slot,time_ms,`` prefix from the slot number's digits
-    (:func:`_slot_prefixes`), then a head
+    Each :meth:`Trace.chunks` chunk's lines are assembled as bytes by
+    ``cells.text_lines``: the ``slot,time_ms,`` prefix from integer digits
+    (``cells.digit_cells`` of the slot, and of five times the slot with one
+    decimal place, which is the time in ms exactly), then a head
     ``ris_state,ue,rsrp...,snr_db,`` keyed on (epoch, state, UE) and a rest
     ``mcs,tb_bits,outcome,is_retx`` keyed on (MCS, TB size, NACK,
     retransmission), each formatted once per distinct key in the chunk.  So
@@ -716,10 +718,10 @@ def write_trace_csv(trace: Trace, path) -> None:
             heads = (epochs * n_rows + rows + 1) * (n_ues + 1) + np.minimum(ue, n_ues)
             rests = tb << 10 | mcs.astype(np.int64) << 2 | nack << 1 | retx
             rsrp_cells.clear()
-            lines = np.concatenate(
-                (_slot_prefixes(slots), _text_rows(heads, head), _text_rows(rests, rest)), axis=1
-            )
-            f.write(lines[lines != 0])
+            f.write(text_lines(
+                digit_cells(slots), b",", digit_cells(slots * 5, 1), b",",
+                _text_rows(heads, head), _text_rows(rests, rest),
+            ))
 
 
 def _text_rows(keys: np.ndarray, text) -> np.ndarray:
@@ -728,34 +730,3 @@ def _text_rows(keys: np.ndarray, text) -> np.ndarray:
     distinct, inverse = np.unique(keys, return_inverse=True)
     table = np.array([text(key).encode() for key in distinct.tolist()], dtype=bytes)
     return table.view(np.uint8).reshape(len(distinct), -1)[inverse]
-
-
-def _slot_prefixes(slots: np.ndarray) -> np.ndarray:
-    """``slot,time_ms,`` of each slot as a NUL-padded row of bytes.
-
-    The time is the slot halved, ``slot >> 1`` then ``.0`` or ``.5``: the
-    bytes of ``f"{slot * 0.5:.1f}"``, with no float formatting.
-    """
-    slot_digits, half_digits = _digits(slots), _digits(slots >> 1)
-    width = slot_digits.shape[1]
-    prefixes = np.empty((len(slots), width + half_digits.shape[1] + 4), np.uint8)
-    prefixes[:, :width] = slot_digits
-    prefixes[:, width] = ord(",")
-    prefixes[:, width + 1:-3] = half_digits
-    prefixes[:, -3] = ord(".")
-    prefixes[:, -2] = ord("0") + 5 * (slots & 1)
-    prefixes[:, -1] = ord(",")
-    return prefixes
-
-
-def _digits(values: np.ndarray) -> np.ndarray:
-    """The decimal digits of non-negative integers, one row each, NUL-padded on the left."""
-    width = len(str(int(values.max())))
-    digits = np.empty((len(values), width), np.uint8)
-    quotients = values
-    for j in reversed(range(width)):
-        quotients, digits[:, j] = np.divmod(quotients, 10)
-    digits += ord("0")
-    for j in range(width - 1):
-        digits[values < 10 ** (width - 1 - j), j] = 0
-    return digits

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rissim import cli, engine, presets
+from rissim import cells, cli, engine, presets
 from rissim.cli import main
 from rissim.config import (
     _RULES,
@@ -234,16 +234,12 @@ class TestCli:
 
 
 def _cell_lines(values) -> list[str]:
-    """``cli.fixed4_cells`` of ``values`` as text, one line per value."""
-    cells = cli.fixed4_cells(values)
-    lines = np.zeros((len(cells), cells.shape[1] + 1), np.uint8)
-    lines[:, :-1] = cells
-    lines[:, -1] = ord("\n")
-    return lines.tobytes().replace(b"\0", b"").decode().splitlines()
+    """``cells.fixed4_cells`` of ``values`` as text, one line per value."""
+    return cells.text_lines(cells.fixed4_cells(values), b"\n").tobytes().decode().splitlines()
 
 
 class TestFixed4Cells:
-    """``cli.fixed4_cells`` gives the text of ``f"{v:.4f}"`` for every value."""
+    """``cells.fixed4_cells`` gives the text of ``f"{v:.4f}"`` for every value."""
 
     @staticmethod
     def assert_formats_like_python(values):
@@ -292,7 +288,7 @@ class TestFixed4Cells:
         )
 
     def test_empty(self):
-        assert cli.fixed4_cells(np.array([])).shape[0] == 0
+        assert cells.fixed4_cells(np.array([])).shape[0] == 0
 
 
 class TestSubcommandFlags:
@@ -783,6 +779,11 @@ class TestOneConfigPath:
             (["--steer-deg", "95"], "--steer-deg"),
             (["--steer-deg", "-30"], "--steer-deg"),
             (["--steer-deg", "30", "nan"], "--steer-deg"),
+            # Below the 0.001 deg floor; 1e-300 asks for a grid numpy cannot allocate.
+            (["--csv-step-deg", "1e-300"], "--csv-step-deg"),
+            (["--csv-step-deg", "0.0009"], "--csv-step-deg"),
+            (["--grid-step-deg", "1e-300"], "--grid-step-deg"),
+            (["--grid-step-deg", "0.0009"], "--grid-step-deg"),
         ],
     )
     def test_beam_pattern_rejects_bad_flags(self, tmp_path, capsys, flags, flag):

@@ -230,7 +230,7 @@ def test_golden_config_text(name):
     assert _sha(serialize(TEXT_CONFIGS[name]()).encode()) == TEXT_PINS[name]
 
 
-# A short sweep through the CLI: its runs execute on the worker pool.
+# A short sweep through the CLI: its runs execute one after another in this process.
 SWEEP_ARGS = (
     "--duration-s", "4", "--set", "sim.warmup_s=1", "sweep-alpha", "--alphas", "0.01", "5e-4",
 )

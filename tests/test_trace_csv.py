@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 import reference_engine
 from rissim import engine, presets
+from rissim.cells import digit_cells, text_lines
 from rissim.config import MAX_SLOTS, RIS_MODES, SCHED_KINDS, ChannelConfig, to_slots
 from rissim.engine import TDD_DL_SYMBOLS, link_setup, run, simulate, write_trace_csv
 from test_reference_engine import small_configs
@@ -94,15 +95,26 @@ def test_chunk_boundaries_equal_reference(case, chunk, tmp_path):
 
 
 def test_time_cell_is_the_float_format():
-    # The writer builds `slot,time_ms,` from integers; the time cell equals
-    # the float format at every digit-width change of the slot and of its
-    # half, and at the longest run's last slots.
+    # The writer builds `slot,time_ms,` from integers: `digit_cells` of the
+    # slot, and of five times the slot with one place.  Each equals the
+    # float format at every digit-width change, of the slot, of its half
+    # and of the counts themselves, and at the longest run's last slots.
     widths = [10**k + d for k in range(1, 8) for d in (-1, 0, 1)]
     widths += [2 * w for w in widths] + [2 * w + 1 for w in widths]
-    slots = np.array(sorted({*range(200_001), *widths, MAX_SLOTS - 1, MAX_SLOTS, MAX_SLOTS + 1}))
-    prefixes = engine._slot_prefixes(slots)
-    text = prefixes[prefixes != 0].tobytes().decode()
-    assert text == "".join(f"{t},{t * engine.SLOT_MS:.1f}," for t in slots.tolist())
+    counts = np.array(sorted({*range(200_001), *widths, MAX_SLOTS - 1, MAX_SLOTS, MAX_SLOTS + 1}))
+    for places in (0, 1):
+        text = text_lines(digit_cells(counts, places), b",").tobytes().decode()
+        assert text == "".join(f"{c / 10**places:.{places}f}," for c in counts.tolist())
+    prefixes = text_lines(digit_cells(counts), b",", digit_cells(counts * 5, 1), b",")
+    assert prefixes.tobytes().decode() == "".join(
+        f"{t},{t * engine.SLOT_MS:.1f}," for t in counts.tolist()
+    )
+
+
+def test_digit_cells_of_no_counts():
+    for places in (0, 1, 4):
+        assert digit_cells(np.array([], np.int64), places).shape == (0, places + 1 + (places > 0))
+        assert text_lines(digit_cells(np.array([], np.int64), places), b"\n").size == 0
 
 
 def test_writer_refuses_another_slot_length(tmp_path):

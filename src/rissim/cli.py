@@ -21,7 +21,7 @@ import numpy as np
 from . import presets  # presets load the engine only when they calibrate
 from .array_model import DegeneratePatternError, beam_metrics, pattern_gains, upa_profiles
 from .cells import fixed4_cells, text_lines
-from .config import RIS_MODES, ConfigError, ExperimentConfig, parse_text, serialize
+from .config import MEMORY_BUDGET, RIS_MODES, ConfigError, ExperimentConfig, parse_text, serialize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -135,7 +135,15 @@ def cmd_beam_pattern(args) -> int:
     n = g.n_h * g.n_v
     # The CSV ends at the last multiple of the step within 90 deg; rounding absorbs
     # the float error of 90 / step (the default 0.1 deg gives 901 angles, 0 to 90).
-    angles = np.arange(math.floor(round(90.0 / args.csv_step_deg, 9)) + 1) * args.csv_step_deg
+    n_csv = math.floor(round(90.0 / args.csv_step_deg, 9)) + 1
+    # pattern_gains caches one complex basis row of geom.n_h per angle of each grid.
+    n_grid = math.ceil((90.0 + args.grid_step_deg / 2) / args.grid_step_deg)
+    if (size := (n_grid + n_csv) * g.n_h * 16) > MEMORY_BUDGET:
+        raise ConfigError(
+            f"geom.n_h/--grid-step-deg/--csv-step-deg: must be at most {MEMORY_BUDGET} bytes of "
+            f"observation bases, got ({n_grid} + {n_csv} angles) x {g.n_h} x 16 B = {size}"
+        )
+    angles = np.arange(n_csv) * args.csv_step_deg
     angle_cells = fixed4_cells(angles)
     for start in range(0, len(args.steer_deg), BEAM_BLOCK):
         block = args.steer_deg[start : start + BEAM_BLOCK]

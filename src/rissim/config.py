@@ -18,11 +18,14 @@ from dataclasses import MISSING, dataclass, field, fields
 RIS_MODES = ("periodic", "iid", "genie", "off")
 SCHED_KINDS = ("pf", "rr")
 SLOT_MS = 0.5
-# The slot cap of an earlier trace layout, six 8-byte list cells per slot in
-# 1 GiB, kept so that no input changes its exit code: 22,369,621 slots (about
-# 11,185 s).  engine.Trace now keeps four bytes per slot and 16 per surface
-# switch, at most 20 per slot (about 427 MiB at the cap).
-MAX_SLOTS = 2**30 // (6 * 8)
+MEMORY_BUDGET = 2**30  # the bytes a run (run_bytes) or beam-pattern's grids may ask for
+# The slot cap of an earlier trace layout, six 8-byte list cells per slot in the
+# budget, kept so that no input changes its exit code: 22,369,621 slots (about
+# 11,185 s).  The size rule holds what a run asks for at any length to the budget.
+MAX_SLOTS = MEMORY_BUDGET // (6 * 8)
+SIZE_KEYS = "sim.duration_s/chan.coherence_slots/geom.n_h/geom.n_v/ris.angles/ue.angles"
+SIZE_RULE = f"the estimated run memory must be at most {MEMORY_BUDGET} bytes (1 GiB)"
+EPOCH_BLOCK = 16  # coherence epochs whose link tables engine.build_link_tables builds together
 # engine.Trace keeps a slot's UE in one byte, 0 to 254; 255 marks an idle slot.
 MAX_UES = 255
 GENIE_TOL_DEG = 1e-9  # a state within this of a UE's angles is steered at it
@@ -409,8 +412,31 @@ def validate(cfg: ExperimentConfig) -> None:
             f"sim.warmup_s: must be in [0, sim.duration_s = {cfg.sim.duration_s}), "
             f"got {cfg.sim.warmup_s}"
         )
+    if not errors and (size := run_bytes(cfg)) > MEMORY_BUDGET:
+        errors.append(f"{SIZE_KEYS}: {SIZE_RULE}, got {size} bytes")
     if errors:
         raise ConfigError("; ".join(errors))
+
+
+def epoch_count(n_slots: int, coherence: int) -> int:
+    """The channel epochs of a run of ``n_slots``: one without redraws."""
+    return -(-max(n_slots, 1) // coherence) if coherence else 1
+
+
+def run_bytes(cfg: ExperimentConfig) -> int:
+    """The estimated bytes that a run of a valid ``cfg`` asks for, term by
+    term as README's size rule lists them."""
+    n_slots = to_slots(cfg.sim.duration_s)
+    n_epochs = epoch_count(n_slots, cfg.chan.coherence_slots)
+    block = min(n_epochs, EPOCH_BLOCK)
+    n_states, n_ues = len(state_angles(cfg)), len(cfg.ues)
+    n = cfg.geom.n_h * cfg.geom.n_v
+    return (
+        4 * n_slots + 16 * (n_slots // scaled(cfg)[1] + 2)
+        + (24 * n_epochs + 16 * block + 128) * (n_states + 1) * n_ues
+        + 16 * (n_states + n_ues) * n
+        + 48 * block * n_ues * n
+    )
 
 
 def _float_or_inf(compute) -> float:

@@ -12,8 +12,9 @@ in turn (periodic) or by an independent draw per interval (i.i.d.,
 UE's own state from ``config.aligned_states``.  :func:`link_setup` is
 also the link model's one home: each UE's line-of-sight channel, SNR
 gain, transmit power minus path loss, and the scatter scale.  A run's
-link tables (SNR, spectral efficiency and RSRP per row and UE), one per
-coherence epoch, come from one :func:`build_link_tables` generator.
+link tables (SNR, spectral efficiency and RSRP per row and UE of each
+coherence epoch) are one float64 array from one :func:`build_link_tables`
+call before the loop.
 
 The slot loop runs in event segments.  At a segment's first slot it
 handles the events due there, in this order: the channel-coherence
@@ -43,18 +44,15 @@ them one step at a time and is checked against it.
 
 The run's one per-slot record is :class:`Trace`, which holds only the
 loop's decisions: one byte per slot in each of four typed columns (UE,
-MCS, NACK, retransmission), a log of the surface switches, and the RSRP
-and SNR tables of each channel epoch.  :meth:`Trace.chunks` is its one
-read: :data:`CSV_CHUNK` slots at a time, it derives each slot's epoch,
-surface state (-1 without the surface, also the slot's table row) and TB
-size with numpy, aligned with the stored columns.  Its two consumers
-are :func:`summarize`, a reduction over the chunks from the warm-up slot
-on, and :func:`write_trace_csv`, which assembles each chunk's lines as
-bytes through ``cells.text_lines``: the ``slot,time_ms,`` prefix from
-integer digits (the time is ``slot * 5`` tenths of a millisecond, so it
-is exact), then a head keyed on (epoch, state, UE) and a rest keyed on
-(MCS, TB size, NACK, retransmission), each formatted once per distinct
-key in the chunk.  Neither holds a copy of a column or of the whole file.
+MCS, NACK, retransmission), a log of the surface switches, and views of
+the RSRP and SNR planes of the run's link-table array.
+:meth:`Trace.chunks` is its one read: :data:`CSV_CHUNK` slots at a time,
+it derives each slot's epoch, surface state (-1 without the surface,
+also the slot's table row) and TB size with numpy, aligned with the
+stored columns.  Its two consumers are :func:`summarize`, a reduction
+over the chunks from the warm-up slot on, and :func:`write_trace_csv`,
+which formats each chunk's lines as bytes.  Neither holds a copy of a
+column or of the whole file.
 
 All randomness derives from one master seed through three independent
 streams (channel scatter, block outcomes, i.i.d. switching), so traces
@@ -68,20 +66,19 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
 from .array_model import steering_vector, upa_profiles
 from .cells import digit_cells, text_lines
 from .config import (
-    MAX_UES, SLOT_MS, ExperimentConfig, aligned_states, scaled, state_angles, to_slots, validate,
+    EPOCH_BLOCK, MAX_UES, SLOT_MS, ExperimentConfig, aligned_states, epoch_count, scaled,
+    state_angles, to_slots, validate,
 )
 from .link_adapt import MAX_ATTEMPTS, MCS_TABLE_64QAM, thresholds_db
 
 SUBCARRIERS_PER_PRB = 12
 DRAW_CHUNK = 4096  # block-outcome uniforms drawn per refill
-EPOCH_BLOCK = 16  # coherence epochs whose link tables are built together
 RSRP_FLOOR_DBM = -156.0  # NR reporting floor
 # Slots per Trace.chunks() chunk, which the summary and the CSV writer's byte matrices read;
 # at 8192 the writer raised the 80,000-slot fading run's peak RSS by 1.3 MiB.
@@ -119,9 +116,9 @@ class Trace:
     served on an uplink slot.  The TB size is not stored: a new block's is
     ``phase_tb[t % 10][mcs]`` and a retransmission resends the in-flight
     block's.  :meth:`chunks` is the one read of the trace, and the one
-    place that derives a slot's state and TB size.  The tables change at
-    every channel rebuild: epoch ``e`` covers the slots from
-    ``e * coherence`` on.
+    place that derives a slot's state and TB size.  ``rsrp`` and ``snr``
+    are (epoch, row, UE) views of the run's :func:`build_link_tables`
+    array: epoch ``e`` covers the slots from ``e * coherence`` on.
     """
 
     def __init__(
@@ -130,6 +127,7 @@ class Trace:
         coherence: int,
         phase_tb: tuple[tuple[int, ...] | None, ...],
         genie_states: tuple[int, ...] | None,
+        tables: np.ndarray,
     ):
         self.coherence = coherence
         self.phase_tb = phase_tb  # per TDD phase: None on uplink, else the TB size per MCS
@@ -140,14 +138,7 @@ class Trace:
         self._retx = bytearray(n_slots)
         self._switch_slot = array("q")
         self._switch_state = array("q")
-        # Only the RSRP and SNR tables, not whole LinkTables: also keeping each epoch's SE
-        # rows raised the 4,000-epoch fading run's peak RSS from 45.0 to 46.7 MiB (+1.7).
-        self.rsrp: list[list[tuple[float, ...]]] = []  # per epoch, per row, per UE
-        self.snr: list[list[tuple[float, ...]]] = []  # per epoch, per row, per UE
-
-    def add_epoch(self, rsrp: list[tuple[float, ...]], snr: list[tuple[float, ...]]) -> None:
-        self.rsrp.append(rsrp)
-        self.snr.append(snr)
+        self.snr, self.rsrp = tables[:, :, 0], tables[:, :, 2]  # views, per epoch, row, UE
 
     def switch(self, slot: int, state: int) -> None:
         """Log that the surface takes ``state`` from ``slot`` on."""
@@ -236,21 +227,6 @@ class RunSummary:
         return "\n".join(lines) + "\n"
 
 
-class LinkTables(NamedTuple):
-    """Per-(row, UE) channel constants of one coherence epoch, as plain floats.
-
-    Rows are the surface states, then the no-surface scalar channel, so
-    that state -1 (mode "off") indexes the last row and shares the lookup
-    path.  Plain-float lookups are what make the slot loop cheap; RSRP
-    rows are tuples because trace records share them.  A block's error
-    probability is computed from its row's SNR when its outcome is drawn.
-    """
-
-    snr_db: list[tuple[float, ...]]  # per row, per UE
-    se: list[tuple[float, ...]]
-    rsrp: list[tuple[float, ...]]
-
-
 @dataclass(frozen=True)
 class LinkSetup:
     """The link model's per-run constants; only the scatter is redrawn,
@@ -313,35 +289,35 @@ def link_setup(cfg: ExperimentConfig) -> LinkSetup:
 
 def build_link_tables(
     cfg: ExperimentConfig, setup: LinkSetup, rng_channel: np.random.Generator, n_epochs: int
-):
-    """Yield the link tables of ``n_epochs`` successive channel draws, one per coherence epoch.
+) -> np.ndarray:
+    """The link tables of ``n_epochs`` successive channel draws, one per
+    coherence epoch, as one float64 array of shape (epoch, row, (SNR dB,
+    SE, RSRP), UE).
 
-    A run builds ``setup`` once with :func:`link_setup`, and one generator
-    serves all its epochs.  Without ``chan.rician_k_db`` every epoch has
-    the same tables.  With it, each epoch draws scatter from
-    ``rng_channel`` UE by UE, real parts before imaginary parts, drawn
-    :data:`EPOCH_BLOCK` epochs at a time into scratch allocated at the
-    first block: normals (B, K, 2, n), cascaded channels (B, K, n) and
-    their products with one state's weights (B, K, n), about 1.5 MiB for
-    the presets' two UEs and 1,024 elements.
+    Rows are the surface states, then the no-surface scalar channel, so
+    that state -1 (mode "off") indexes the last row.  A run calls this
+    once, on :func:`link_setup`'s constants.  Without ``chan.rician_k_db``
+    every epoch has the same tables.  With it, each epoch draws scatter
+    from ``rng_channel`` UE by UE, real parts before imaginary parts,
+    :data:`EPOCH_BLOCK` epochs at a time.  The scratch holds one block of
+    B epochs: normals (B, K, 2, n), cascaded channels (B, K, n) and their
+    products with one state's weights (B, K, n), about 1.5 MiB for the
+    presets' two UEs and 1,024 elements at B = 16.  The values are
+    :func:`_row_values`'s, one state at a time.
     """
     los = np.stack(setup.los)  # (K, n)
     leaks = [ue.direct_leak for ue in cfg.ues]
-    off = _row_values([complex(ue.noris_gain) for ue in cfg.ues], setup, cfg.rsrp_offset_db)
-    buffers = None
+    offset = cfg.rsrp_offset_db
+    tables = np.empty((n_epochs, len(setup.weights) + 1, 3, len(leaks)))
+    tables[:, -1] = _row_values([complex(ue.noris_gain) for ue in cfg.ues], setup, offset)
+    b, (k, n) = min(EPOCH_BLOCK, n_epochs), los.shape
+    scratch = (np.empty((b, k, 2, n)), np.empty((b, k, n), complex), np.empty((b, k, n), complex))
     for first in range(0, n_epochs, EPOCH_BLOCK):
         m = min(EPOCH_BLOCK, n_epochs - first)
+        normals, h, prod = (a[:m] for a in scratch)
         if setup.scatter_sigma is None:
-            sums = setup.surface_channels(np.broadcast_to(los, (m,) + los.shape))
+            h[:] = los
         else:
-            if buffers is None:
-                k, n = los.shape
-                buffers = (
-                    np.empty((EPOCH_BLOCK, k, 2, n)),
-                    np.empty((EPOCH_BLOCK, k, n), dtype=complex),
-                    np.empty((EPOCH_BLOCK, k, n), dtype=complex),
-                )
-            normals, h, prod = (a[:m] for a in buffers)
             rng_channel.standard_normal(out=normals)
             # sigma * (re + 1j * im) / sqrt(2) as real operations, in that order;
             # numpy divides a complex by a real by multiplying by the reciprocal.
@@ -349,19 +325,13 @@ def build_link_tables(
             normals *= 1.0 / math.sqrt(2.0)
             np.add(los.real, normals[:, :, 0], out=h.real)
             np.add(los.imag, normals[:, :, 1], out=h.imag)
-            sums = setup.surface_channels(h, prod)
-        for rows in sums.transpose(1, 0, 2).tolist():  # per epoch: per state, per UE
-            values = [
-                _row_values(
-                    [h_eff + leak for h_eff, leak in zip(row, leaks)], setup, cfg.rsrp_offset_db
-                )
-                for row in rows
-            ] + [off]
-            yield LinkTables(
-                [snr for snr, _, _ in values],
-                [se for _, se, _ in values],
-                [rsrp for _, _, rsrp in values],
-            )
+        sums = setup.surface_channels(h, prod)
+        for s, block in enumerate(sums):  # per state: (epoch, UE)
+            tables[first:first + m, s] = [
+                _row_values([h_eff + leak for h_eff, leak in zip(row, leaks)], setup, offset)
+                for row in block.tolist()
+            ]
+    return tables
 
 
 def _row_values(
@@ -449,13 +419,9 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
     # Per TDD phase: None on uplink slots, else the TB size per MCS index.
     phase_tb = tuple(map(tb_table(cfg.sim.prbs).get, TDD_DL_SYMBOLS))
     period = len(TDD_DL_SYMBOLS)
-    trace = Trace(n_slots, coherence, phase_tb, aligned_state if genie else None)
+    tables = build_link_tables(cfg, setup, rng_channel, epoch_count(n_slots, coherence))
+    trace = Trace(n_slots, coherence, phase_tb, aligned_state if genie else None, tables)
     ues, mcss, nacks, retxs = trace._ue, trace._mcs, trace._nack, trace._retx
-    # One table per coherence epoch, from one generator.
-    n_epochs = -(-max(n_slots, 1) // coherence) if coherence else 1
-    next_tables = build_link_tables(cfg, setup, rng_channel, n_epochs).__next__
-    snr_tab, se_tab, rsrp_tab = next_tables()
-    trace.add_epoch(rsrp_tab, snr_tab)
     # One uniform per transmission; chunked draws equal the scalar ones.
     bler_draw = chain.from_iterable(
         iter(lambda: rng_blocks.random(DRAW_CHUNK).tolist(), None)
@@ -476,19 +442,18 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
     if mode == "off":
         trace.switch(0, row)
     # The slot of each event's next occurrence; n_slots where a mode has none.
-    next_coh = coherence or n_slots
+    epoch_span = coherence or n_slots  # a static channel is one epoch
+    next_coh = next_cqi = 0
     next_switch = 0 if switching else n_slots
-    next_cqi = 0
     next_win = window_slots
     offset = cfg.ris.offset_slots
 
     t0 = 0
     while t0 < n_slots:
         # Scatter evolves on its own coherence grid, from its own stream.
-        if t0 == next_coh:
-            snr_tab, se_tab, rsrp_tab = next_tables()
-            trace.add_epoch(rsrp_tab, snr_tab)
-            next_coh += coherence
+        if t0 == next_coh:  # the epoch's SNR and SE per row and UE, as plain floats
+            snr_tab, se_tab = tables[t0 // epoch_span, :, :2].swapaxes(0, 1).tolist()
+            next_coh += epoch_span
 
         # One state per switching interval, set at its first slot.
         if t0 == next_switch:
@@ -630,8 +595,7 @@ def summarize(cfg: ExperimentConfig, trace: Trace, counters: tuple[int, ...]) ->
         keys = (ues * n_rows + rows % n_rows) * 2 + retx[dl]
         counts += np.bincount(keys, minlength=counts.size)
         acked += np.bincount(keys, np.where(nack[dl], 0, tb[dl]), counts.size)
-        tables = np.array(trace.rsrp[epochs[0]:epochs[-1] + 1])  # per epoch, row, UE
-        values = tables[epochs - epochs[0], rows]
+        values = trace.rsrp[epochs, rows]
         for sums, n, column, hit in zip(rsrp_sum, rsrp_n, values.T, aligned[rows].T):
             for h, v in enumerate((column[~hit], column[hit])):
                 if len(v):
@@ -689,7 +653,7 @@ def write_trace_csv(trace: Trace, path) -> None:
     """
     if SLOT_MS != 0.5:
         raise ValueError(f"the trace's time cell is written as slot / 2; SLOT_MS is {SLOT_MS}")
-    n_rows, n_ues = len(trace.rsrp[0]), len(trace.rsrp[0][0])
+    n_rows, n_ues = trace.rsrp.shape[1:]
     rsrp_cols = ",".join(f"rsrp{k}_dbm" for k in range(n_ues))
 
     rsrp_cells = {}  # per (epoch, row) of one chunk: the UEs' RSRP cells
@@ -700,10 +664,10 @@ def write_trace_csv(trace: Trace, path) -> None:
         row -= 1
         rsrp = rsrp_cells.get((epoch, row))
         if rsrp is None:
-            rsrp = rsrp_cells[epoch, row] = ",".join(f"{v:.4f}" for v in trace.rsrp[epoch][row])
+            rsrp = rsrp_cells[epoch, row] = ",".join(f"{v:.4f}" for v in trace.rsrp[epoch, row])
         if k == n_ues:
             return f"{row},,{rsrp},,"
-        return f"{row},{k},{rsrp},{trace.snr[epoch][row][k]:.4f},"
+        return f"{row},{k},{rsrp},{trace.snr[epoch, row, k]:.4f},"
 
     def rest(key: int) -> str:
         tb, mcs, nack, retx = key >> 10, key >> 2 & 0xFF, key >> 1 & 1, key & 1

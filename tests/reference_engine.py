@@ -27,7 +27,7 @@ Rules (README "What is modeled"):
   i.i.d. switching draws one uniform from ``SeedSequence((seed,
   interval))`` against the cumulative ``ris.probs`` (uniform if unset).
 - Link tables come from ``engine.link_setup`` and a one-epoch
-  ``engine.build_link_tables`` generator per coherence epoch
+  ``engine.build_link_tables`` call per coherence epoch
   (``tests/test_fast_paths.py`` checks them against
   :func:`rician_scatter` and the literal SNR, SE and RSRP formulas).
 - CQI cadence: each UE's rate estimate and MCS cap come from the
@@ -298,7 +298,8 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
 
     for t in range(n_slots):
         if t == 0 or (coherence and t % coherence == 0):
-            tables = next(engine.build_link_tables(cfg, setup, rng_channel, 1))
+            (epoch,) = engine.build_link_tables(cfg, setup, rng_channel, 1)
+            snr_db, se, rsrp = epoch.swapaxes(0, 1).tolist()  # per row, per UE
         if mode in ("periodic", "iid"):
             interval = (t + cfg.ris.offset_slots) // ts_slots
             if mode == "periodic":
@@ -317,14 +318,14 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
             for k in range(n_ues):
                 measured = own_beam[k] if mode == "genie" else surface
                 link[k].cqi_cap = cqi_update(
-                    tables.snr_db[measured][k], setup.thresholds_db, la.cqi_backoff_db, la.mcs_min
+                    snr_db[measured][k], setup.thresholds_db, la.cqi_backoff_db, la.mcs_min
                 )
                 clamp_mcs(link[k])
-                rate[k] = tables.se[measured][k]
+                rate[k] = se[measured][k]
 
         symbols = DL_SYMBOLS[t % len(DL_SYMBOLS)]
         if symbols == 0:
-            out.record(surface, tables.rsrp[surface])
+            out.record(surface, rsrp[surface])
         else:
             retx = proc is not None
             if not retx:
@@ -340,9 +341,9 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
             ue = proc.ue
             if mode == "genie":
                 surface = own_beam[ue]
-            curve = bler_curve(tables.snr_db[surface][ue], setup.thresholds_db, la.slope)
+            curve = bler_curve(snr_db[surface][ue], setup.thresholds_db, la.slope)
             nack = rng_blocks.random() < curve[proc.mcs_used]
-            out.record(surface, tables.rsrp[surface], ue, proc.mcs_used, proc.tb_bits, nack, retx)
+            out.record(surface, rsrp[surface], ue, proc.mcs_used, proc.tb_bits, nack, retx)
             if not nack:
                 out.acked_bits += proc.tb_bits
                 proc = None
@@ -435,6 +436,15 @@ def summarize(cfg: ExperimentConfig, out: ReferenceRun) -> engine.RunSummary:
         discarded_bits=out.discarded_bits,
         inflight_bits=out.inflight_bits,
     )
+
+
+def trace_fields(trace: engine.Trace) -> dict:
+    """``vars(trace)`` with the link-table views as nested lists, so that
+    two traces compare field by field with ``==``."""
+    return {
+        key: value.tolist() if isinstance(value, np.ndarray) else value
+        for key, value in vars(trace).items()
+    }
 
 
 def same_summary(a: engine.RunSummary, b: engine.RunSummary) -> bool:

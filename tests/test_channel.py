@@ -21,8 +21,8 @@ def _los(n: int, nu_deg: float) -> np.ndarray:
 
 
 def _first_tables(cfg):
-    """The link tables of a config's first channel epoch."""
-    return next(build_link_tables(cfg, link_setup(cfg), np.random.default_rng(0), 1))
+    """(SNR dB, SE, RSRP) per row and UE of a config's first channel epoch."""
+    return build_link_tables(cfg, link_setup(cfg), np.random.default_rng(0), 1)[0].swapaxes(0, 1)
 
 
 def _no_surface(noris_gains, overrides=()):
@@ -40,8 +40,7 @@ def _no_surface(noris_gains, overrides=()):
         "geom.n_v": "1",
         **dict(overrides),
     })
-    tables = _first_tables(cfg)
-    return tables.snr_db[-1], tables.se[-1], tables.rsrp[-1]
+    return tuple(tuple(plane[-1].tolist()) for plane in _first_tables(cfg))
 
 
 class TestLosChannel:
@@ -140,22 +139,22 @@ class TestLinkMaps:
 
 class TestCalibratedLevels:
     def test_two_ue_preset_reproduces_measured_rsrp(self):
-        tables = _first_tables(presets.schedule_config())
+        _, _, rsrp = _first_tables(presets.schedule_config())
         for k, (hi, lo) in enumerate(zip(presets.RSRP_ALIGNED_DBM, presets.RSRP_MISALIGNED_DBM)):
-            assert tables.rsrp[k][k] == pytest.approx(hi, abs=1e-6)
-            assert tables.rsrp[1 - k][k] == pytest.approx(lo, abs=1e-6)
+            assert rsrp[k][k] == pytest.approx(hi, abs=1e-6)
+            assert rsrp[1 - k][k] == pytest.approx(lo, abs=1e-6)
 
     def test_single_ue_preset_rsrp_with_and_without_surface(self):
         for k in range(2):
-            tables = _first_tables(presets.single_ue_config(k, ris_on=True))
-            assert tables.rsrp[0][0] == pytest.approx(presets.RSRP_ALIGNED_DBM[k], abs=1e-6)
+            _, _, rsrp = _first_tables(presets.single_ue_config(k, ris_on=True))
+            assert rsrp[0][0] == pytest.approx(presets.RSRP_ALIGNED_DBM[k], abs=1e-6)
             # Last row is the no-surface scalar channel.
-            assert tables.rsrp[-1][0] == pytest.approx(presets.RSRP_NO_SURFACE_DBM[k], abs=1e-6)
+            assert rsrp[-1][0] == pytest.approx(presets.RSRP_NO_SURFACE_DBM[k], abs=1e-6)
 
     def test_pure_geometry_alignment_gap_exceeds_7db(self):
         # Without the residual direct path the gap is set by the array
         # cross-correlation alone and must still clear 7 dB.
-        tables = _first_tables(ExperimentConfig())
+        snr_db, _, rsrp = _first_tables(ExperimentConfig())
         for k in range(2):
-            assert tables.rsrp[k][k] - tables.rsrp[1 - k][k] >= 7.0
-            assert tables.snr_db[k][k] - tables.snr_db[1 - k][k] >= 7.0
+            assert rsrp[k][k] - rsrp[1 - k][k] >= 7.0
+            assert snr_db[k][k] - snr_db[1 - k][k] >= 7.0

@@ -25,6 +25,7 @@ from rissim.cli import main
 from rissim.config import (
     _RULES,
     MAX_SLOTS,
+    MEMORY_BUDGET,
     RIS_MODES,
     SCHED_KINDS,
     SLOT_MS,
@@ -34,10 +35,13 @@ from rissim.config import (
     GeometryConfig,
     LaConfig,
     RisConfig,
+    SIZE_KEYS,
+    SIZE_RULE,
     SchedConfig,
     SimConfig,
     UeConfig,
     parse_text,
+    run_bytes,
     serialize,
     to_flat,
     to_slots,
@@ -497,6 +501,66 @@ class TestNonFinite:
         assert "sim.duration_s" in err and str(MAX_SLOTS) in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "key,build,hi",
+        [
+            # One channel epoch per slot: 148 bytes a slot, about 7.25 million slots.
+            ("sim.duration_s", lambda n: ExperimentConfig(
+                chan=ChannelConfig(rician_k_db=6.0, coherence_slots=1),
+                sim=SimConfig(duration_s=n * SLOT_MS / 1000.0),
+            ), MAX_SLOTS),
+            ("geom.n_h", lambda n: ExperimentConfig(geom=GeometryConfig(n_h=n)), 2**30),
+            ("geom.n_v", lambda n: ExperimentConfig(
+                geom=GeometryConfig(n_v=n), chan=ChannelConfig(rician_k_db=6.0),
+            ), 2**30),
+            # About 64,000 states of 1,024 elements.
+            ("ris.angles", lambda n: ExperimentConfig(
+                ris=RisConfig(angles=((0.0, 0.0),) * n)
+            ), 2**17),
+        ],
+    )
+    def test_size_rule_just_inside_and_just_past_the_budget(self, key, build, hi):
+        # The largest value of the key whose estimate fits, found on the estimate alone
+        # below ``hi``, which is past it; neither side is simulated.
+        lo = 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if run_bytes(build(mid)) <= MEMORY_BUDGET else (lo, mid)
+        validate(build(lo))
+        with pytest.raises(ConfigError) as raised:
+            validate(build(hi))
+        assert str(raised.value) == f"{SIZE_KEYS}: {SIZE_RULE}, got {run_bytes(build(hi))} bytes"
+        assert key in SIZE_KEYS.split("/")
+        if key == "sim.duration_s":
+            assert to_slots(build(hi).sim.duration_s) == hi < MAX_SLOTS
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["--set", "geom.n_h=100000", "--set", "geom.n_v=100000"],
+            ["--set", "ris.angles=" + ",".join(["30:0"] * 10_000), "--set", "geom.n_h=1000"],
+            ["--duration-s", "11184", "--set", "chan.rician_k_db=6", "--set", "chan.coherence_slots=1"],
+        ],
+        ids=["surface", "states", "epochs"],
+    )
+    def test_runs_past_the_size_budget_exit_2_naming_the_keys(self, tmp_path, capsys, overrides):
+        # Each validates without the size rule and would ask for gigabytes.
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), *overrides, "schedule"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {SIZE_KEYS}: {SIZE_RULE}, got ")
+        assert not out.exists()
+
+    def test_every_preset_fits_the_size_budget(self):
+        for cfg in (
+            ExperimentConfig(),
+            presets.schedule_config(),
+            presets.sweep_config(),
+            presets.single_ue_config(0, ris_on=True),
+            presets.single_ue_config(1, ris_on=False),
+        ):
+            assert run_bytes(cfg) < MEMORY_BUDGET // 100
+
     def test_parse_names_key(self):
         text = serialize(ExperimentConfig()).replace(
             "budget.rsrp_offset_db = 0.0", "budget.rsrp_offset_db = -inf"
@@ -784,11 +848,26 @@ class TestOneConfigPath:
             (["--csv-step-deg", "0.0009"], "--csv-step-deg"),
             (["--grid-step-deg", "1e-300"], "--grid-step-deg"),
             (["--grid-step-deg", "0.0009"], "--grid-step-deg"),
+            # Observation bases past the 1 GiB budget: (90,001 + 90,001) angles x 1,024
+            # columns x 16 bytes, about 2.9 GB; and the default grids' 2,702 angles at
+            # one column past the budget.
+            (
+                ["--set", "geom.n_h=1024", "--grid-step-deg", "0.001", "--csv-step-deg", "0.001"],
+                "geom.n_h/--grid-step-deg/--csv-step-deg",
+            ),
+            (
+                ["--set", f"geom.n_h={MEMORY_BUDGET // (2702 * 16) + 1}", "--set", "geom.n_v=1"],
+                "geom.n_h/--grid-step-deg/--csv-step-deg",
+            ),
         ],
     )
     def test_beam_pattern_rejects_bad_flags(self, tmp_path, capsys, flags, flag):
         out = tmp_path / "out"
-        rc = main(["--out-dir", str(out), "beam-pattern", "--steer-deg", "30", *flags])
+        # Leading --set overrides go before the subcommand, its flags after.
+        sets = []
+        while flags[:1] == ["--set"]:
+            sets, flags = sets + flags[:2], flags[2:]
+        rc = main(["--out-dir", str(out), *sets, "beam-pattern", "--steer-deg", "30", *flags])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"config error: {flag}: must be")
         assert not out.exists()
@@ -857,6 +936,10 @@ class TestReadmeKeys:
         # the text of the error that rejects it.
         rows = dict(re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \|(.*)$", README, flags=re.MULTILINE))
         assert [f"{key}: {need}" for key, (need, _) in _RULES.items() if need not in rows[key]] == []
+
+    def test_readme_states_the_size_rule(self):
+        # Word for word, as the error that rejects a config over the budget reads.
+        assert f"{SIZE_KEYS}: {SIZE_RULE}" in README.replace("\n", " ")
 
 
 def _unresolved(spans) -> list[str]:

@@ -99,8 +99,8 @@ def _reference_tables(cfg, states, rng, rician_k_db):
 
 
 def _arrays(tables):
-    """(snr, se, rsrp) of one epoch's tables as arrays."""
-    return tuple(np.array(a) for a in tables)
+    """(snr, se, rsrp) per row and UE of one epoch of the builder's array."""
+    return tuple(tables.swapaxes(0, 1))
 
 
 THREE_UES = {
@@ -147,7 +147,8 @@ def test_hoisted_builder_is_bitwise_equal_to_reference(rician_k_db):
             assert got.tobytes() == want.tobytes()
     # Both consumed the channel stream identically.
     assert rng_fast.random() == rng_ref.random()
-    assert np.isneginf(tables.snr_db[-1][1]) and tables.rsrp[-1][1] == RSRP_FLOOR_DBM
+    snr_db, _, rsrp = _arrays(tables)
+    assert np.isneginf(snr_db[-1][1]) and rsrp[-1][1] == RSRP_FLOOR_DBM
     assert aligned_states(cfg) == (0, 1, 2)
 
 
@@ -168,18 +169,20 @@ def test_run_tables_are_bitwise_equal_to_reference(n_ues, coherence, n_epochs, m
     built = []
 
     def spy(*args):
-        for tables in build_link_tables(*args):
-            built.append(tables)
-            yield tables
+        built.append(build_link_tables(*args))
+        return built[-1]
 
     monkeypatch.setattr(engine, "build_link_tables", spy)
     trace, _ = engine.run(cfg)
     assert len(trace) == n_epochs * coherence - coherence // 2
-    assert len(built) == len(trace.snr) == n_epochs
+    (array,) = built  # one call per run
+    assert len(array) == len(trace.snr) == n_epochs
+    # The trace's tables are views of the built array, not copies.
+    assert trace.snr.base is array and trace.rsrp.base is array
     rng_ref = np.random.default_rng(np.random.SeedSequence(cfg.sim.seed).spawn(3)[0])
     states = _states(cfg)
-    for tables, snr, rsrp in zip(built, trace.snr, trace.rsrp):
-        assert snr is tables.snr_db and rsrp is tables.rsrp
+    for tables, snr, rsrp in zip(array, trace.snr, trace.rsrp):
+        assert snr.tobytes() == tables[:, 0].tobytes() and rsrp.tobytes() == tables[:, 2].tobytes()
         reference = _reference_tables(cfg, states, rng_ref, 6.0)
         for got, want in zip(_arrays(tables), reference):
             assert got.tobytes() == want.tobytes()

@@ -10,6 +10,7 @@ re-pin it; regenerate the table with
 
 import hashlib
 import io
+import platform
 from contextlib import redirect_stdout
 from dataclasses import replace
 
@@ -21,6 +22,21 @@ from rissim import presets
 from rissim.cli import main
 from rissim.config import ChannelConfig, ExperimentConfig, serialize
 from rissim.engine import build_link_tables, link_setup, run, write_trace_csv
+
+# The stack the pins were taken on.  Another stack may give other bits (README
+# "Reproducibility"), so a mismatch names both.
+PIN_STACK = "Python 3.11.7, numpy 2.4.6, glibc 2.36, x86-64"
+
+
+def _stacks() -> str:
+    """The failure message of a digest mismatch: the pins' stack and this one."""
+    libc, version = platform.libc_ver()
+    running = (
+        f"Python {platform.python_version()}, numpy {np.__version__}, "
+        f"{libc or 'libc'} {version or '?'}, {platform.machine()}"
+    )
+    return f"pinned on {PIN_STACK}; running on {running}"
+
 
 HISTOGRAM_KEYS = (
     "aligned_fraction", "misaligned_fraction",
@@ -119,12 +135,13 @@ def table_digest(cfg, rebuilds: int = 3) -> str:
     """
     setup = link_setup(cfg)
     h = hashlib.sha256()
-    for tables in build_link_tables(cfg, setup, np.random.default_rng(3), rebuilds):
+    for epoch in build_link_tables(cfg, setup, np.random.default_rng(3), rebuilds):
+        snr_db, se, rsrp = epoch.swapaxes(0, 1).tolist()  # per row, per UE
         bler = [
             [bler_curve(snr, setup.thresholds_db, cfg.la.slope) for snr in row]
-            for row in tables.snr_db
+            for row in snr_db
         ]
-        for a in (tables.snr_db, tables.se, tables.rsrp, bler):
+        for a in (snr_db, se, rsrp, bler):
             h.update(np.array(a).tobytes())
     return h.hexdigest()
 
@@ -180,7 +197,7 @@ PINS = {
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_digests(name, tmp_path):
-    assert digests(CONFIGS[name](), tmp_path) == PINS[name]
+    assert digests(CONFIGS[name](), tmp_path) == PINS[name], _stacks()
 
 
 TABLE_PINS = {
@@ -192,7 +209,7 @@ TABLE_PINS = {
 
 @pytest.mark.parametrize("name", sorted(TABLE_PINS))
 def test_golden_link_tables(name):
-    assert table_digest(CONFIGS[name]()) == TABLE_PINS[name]
+    assert table_digest(CONFIGS[name]()) == TABLE_PINS[name], _stacks()
 
 
 def _optional_sections():
@@ -227,7 +244,7 @@ TEXT_PINS = {
 
 @pytest.mark.parametrize("name", sorted(TEXT_PINS))
 def test_golden_config_text(name):
-    assert _sha(serialize(TEXT_CONFIGS[name]()).encode()) == TEXT_PINS[name]
+    assert _sha(serialize(TEXT_CONFIGS[name]()).encode()) == TEXT_PINS[name], _stacks()
 
 
 # A short sweep through the CLI: its runs execute one after another in this process.
@@ -246,7 +263,7 @@ def sweep_digest(out_dir) -> str:
 
 
 def test_golden_sweep_csv(tmp_path):
-    assert sweep_digest(tmp_path) == SWEEP_PIN
+    assert sweep_digest(tmp_path) == SWEEP_PIN, _stacks()
 
 
 # beam-pattern through the CLI: several targets on the default grids, one
@@ -340,7 +357,7 @@ BEAM_PINS = {
 
 @pytest.mark.parametrize("name", sorted(BEAM_ARGS))
 def test_golden_beam_pattern(name, tmp_path):
-    assert beam_digests(BEAM_ARGS[name], tmp_path) == BEAM_PINS[name]
+    assert beam_digests(BEAM_ARGS[name], tmp_path) == BEAM_PINS[name], _stacks()
 
 
 if __name__ == "__main__":

@@ -163,7 +163,7 @@ def test_engine_equals_reference(mode, kind, data):
     trace2, summary2 = run(cfg)
     assert reference_engine.same_summary(summary2, summary)
     assert reference_engine.slot_columns(trace2) == columns
-    assert trace2.rsrp == trace.rsrp and trace2.snr == trace.snr
+    assert trace2.rsrp.tolist() == trace.rsrp.tolist() and trace2.snr.tolist() == trace.snr.tolist()
 
 
 # Event cadences in slots: coherence, switch, CQI (la.cqi_period_ms / 0.5)

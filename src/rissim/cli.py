@@ -21,7 +21,10 @@ import numpy as np
 from . import presets  # presets load the engine only when they calibrate
 from .array_model import DegeneratePatternError, beam_metrics, pattern_gains, upa_profiles
 from .cells import fixed4_cells, text_lines
-from .config import MEMORY_BUDGET, RIS_MODES, ConfigError, ExperimentConfig, parse_text, serialize
+from .config import (
+    MEMORY_BUDGET, PHASOR_BUILD_BYTES, RIS_MODES, ConfigError, ExperimentConfig, parse_text,
+    serialize,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -136,12 +139,16 @@ def cmd_beam_pattern(args) -> int:
     # The CSV ends at the last multiple of the step within 90 deg; rounding absorbs
     # the float error of 90 / step (the default 0.1 deg gives 901 angles, 0 to 90).
     n_csv = math.floor(round(90.0 / args.csv_step_deg, 9)) + 1
-    # pattern_gains caches one complex basis row of geom.n_h per angle of each grid.
+    # pattern_gains caches one complex basis row of geom.n_h per angle of each grid,
+    # and upa_profiles builds one block's phasors at a time.
     n_grid = math.ceil((90.0 + args.grid_step_deg / 2) / args.grid_step_deg)
-    if (size := (n_grid + n_csv) * g.n_h * 16) > MEMORY_BUDGET:
+    n_block = min(BEAM_BLOCK, len(args.steer_deg))
+    if (size := (n_grid + n_csv) * g.n_h * 16 + n_block * n * PHASOR_BUILD_BYTES) > MEMORY_BUDGET:
         raise ConfigError(
             f"geom.n_h/--grid-step-deg/--csv-step-deg: must be at most {MEMORY_BUDGET} bytes of "
-            f"observation bases, got ({n_grid} + {n_csv} angles) x {g.n_h} x 16 B = {size}"
+            f"observation bases and target phasors, got ({n_grid} + {n_csv} angles) x {g.n_h} "
+            f"x 16 B + {n_block} targets x {g.n_h} x geom.n_v={g.n_v} elements "
+            f"x {PHASOR_BUILD_BYTES} B = {size}"
         )
     angles = np.arange(n_csv) * args.csv_step_deg
     angle_cells = fixed4_cells(angles)

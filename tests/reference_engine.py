@@ -10,7 +10,7 @@ which is checked in every slot.  The rules live here and not in the
 package: ``engine.run`` inlines them, and
 ``tests/test_reference_engine.py`` asserts that both give the same
 trace columns and bit counters.  Only the MCS table and the HARQ budget
-come from ``rissim.link_adapt``; the block-error curve is
+come from ``rissim.engine``; the block-error curve is
 :func:`bler_curve`, evaluated at every MCS index for each transmission.
 
 Rules (README "What is modeled"):
@@ -64,7 +64,7 @@ import numpy as np
 
 from rissim import engine
 from rissim.config import SLOT_MS, ExperimentConfig, LaConfig, scaled, to_slots, validate
-from rissim.link_adapt import MCS_TABLE_64QAM, MAX_ATTEMPTS
+from rissim.engine import MCS_TABLE_64QAM, MAX_ATTEMPTS
 
 # Schedulable downlink symbols per slot of one TDD period: 6 DL, 1 mixed, 3 UL.
 DL_SYMBOLS = (13, 13, 13, 13, 13, 13, 6, 0, 0, 0)

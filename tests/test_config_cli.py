@@ -12,6 +12,7 @@ import runpy
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr
 from dataclasses import replace
 from pathlib import Path
@@ -20,12 +21,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rissim import cells, cli, engine, presets
+from rissim import array_model, cells, cli, engine, presets
 from rissim.cli import main
 from rissim.config import (
     _RULES,
     MAX_SLOTS,
     MEMORY_BUDGET,
+    PHASOR_BUILD_BYTES,
     RIS_MODES,
     SCHED_KINDS,
     SLOT_MS,
@@ -561,6 +563,36 @@ class TestNonFinite:
         ):
             assert run_bytes(cfg) < MEMORY_BUDGET // 100
 
+    def test_ten_thousand_states_at_32_by_32_fit_the_size_budget(self):
+        cfg = ExperimentConfig(ris=RisConfig(angles=((30.0, 0.0),) * 10_000))
+        validate(cfg)
+        assert run_bytes(cfg) > PHASOR_BUILD_BYTES * 10_000 * 32 * 32
+
+    @pytest.mark.parametrize(
+        "geom,angles",
+        [
+            (GeometryConfig(n_h=400, n_v=400), None),
+            (GeometryConfig(n_h=1, n_v=200_000), None),
+            (GeometryConfig(n_h=128, n_v=128), tuple((0.5 * i, 0.0) for i in range(64))),
+        ],
+        ids=["2x400x400", "2x1x200000", "64x128x128"],
+    )
+    def test_run_peak_is_within_the_estimate(self, geom, angles):
+        # 20 slots of states x elements, from a cold design-offset cache.  At 16 B per
+        # state and element, before the phasor build was counted, these read 1.28,
+        # 1.25 and 2.77 times the estimate.
+        cfg = ExperimentConfig(
+            geom=geom, ris=RisConfig(angles=angles), sim=SimConfig(duration_s=0.01, warmup_s=0.0)
+        )
+        array_model.design_phase_offsets.cache_clear()
+        tracemalloc.start()
+        try:
+            engine.run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= run_bytes(cfg)
+
     def test_parse_names_key(self):
         text = serialize(ExperimentConfig()).replace(
             "budget.rsrp_offset_db = 0.0", "budget.rsrp_offset_db = -inf"
@@ -870,6 +902,18 @@ class TestOneConfigPath:
         rc = main(["--out-dir", str(out), *sets, "beam-pattern", "--steer-deg", "30", *flags])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"config error: {flag}: must be")
+        assert not out.exists()
+
+    def test_beam_pattern_bound_counts_the_target_block(self, tmp_path, capsys, monkeypatch):
+        # Eight targets of 32 x 2,000 elements under a 4 MiB budget: the default grids'
+        # bases, 2,702 angles x 32 x 16 B, take about 1.4 MB of it, and one block's
+        # phasors about 41 MB at their build peak.
+        monkeypatch.setattr(cli, "MEMORY_BUDGET", 4 * 2**20)
+        out = tmp_path / "out"
+        steers = [f"{5 * i}" for i in range(cli.BEAM_BLOCK)]
+        argv = ["--out-dir", str(out), "--set", "geom.n_v=2000", "beam-pattern"]
+        assert main([*argv, "--steer-deg", *steers]) == 2
+        assert "geom.n_v=2000" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -31,13 +31,13 @@ from rissim.config import (
     aligned_states,
 )
 from rissim.engine import (
+    MAX_ATTEMPTS,
     MCS_TABLE_64QAM,
     TDD_DL_SYMBOLS,
     run,
     tb_table,
     write_trace_csv,
 )
-from rissim.link_adapt import MAX_ATTEMPTS
 
 
 def timed(cfg, duration_s, warmup_s, seed=1):

@@ -13,12 +13,12 @@ from rissim.config import aligned_states
 from rissim.engine import (
     DRAW_CHUNK,
     EPOCH_BLOCK,
+    MCS_TABLE_64QAM,
     RSRP_FLOOR_DBM,
     build_link_tables,
     link_setup,
     tb_table,
 )
-from rissim.link_adapt import MCS_TABLE_64QAM
 
 
 @pytest.mark.parametrize("prbs", [106, 51])

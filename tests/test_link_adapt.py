@@ -17,7 +17,7 @@ from reference_engine import (
     step_mcs,
 )
 from rissim.config import LaConfig
-from rissim.link_adapt import MCS_TABLE_64QAM, thresholds_db
+from rissim.engine import MCS_TABLE_64QAM, thresholds_db
 
 THRESHOLDS = thresholds_db(LaConfig.impl_margin_db)
 CQI = (LaConfig.cqi_backoff_db, LaConfig.mcs_min)

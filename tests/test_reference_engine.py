@@ -26,8 +26,7 @@ from rissim.config import (
     UeConfig,
     to_slots,
 )
-from rissim.engine import TDD_DL_SYMBOLS, run
-from rissim.link_adapt import thresholds_db
+from rissim.engine import TDD_DL_SYMBOLS, run, thresholds_db
 
 COLUMNS = ("row", "ue", "mcs", "tb_bits", "nack", "retx")
 BITS = ("new_tx_bits", "acked_bits", "discarded_bits", "inflight_bits")

@@ -24,9 +24,9 @@ Without dither the offsets are zero: the plain two-level surface.
 
 :func:`upa_profiles` builds the states of a sequence of angle pairs in
 one batch, one row per pair; every step is elementwise, so a row has the
-same bits whatever else is in the batch.  The simulator's link set-up
-builds all of a run's states in one call.  ``beam-pattern`` builds its
-targets ``cli.BEAM_BLOCK`` at a time and evaluates each target's metrics
+same bits whatever else is in the batch.  The simulator builds all of a
+run's states in one call, and its line-of-sight channels are
+:func:`upa_steering` rows.  ``beam-pattern`` builds its targets ``cli.BEAM_BLOCK`` at a time and evaluates each target's metrics
 and pattern on its own row; a target whose beam is wider than the
 observation grid stops the command, after every target before it, in
 its block too, has written its output.
@@ -91,6 +91,16 @@ def design_phase_offsets(n_h: int, n_v: int) -> np.ndarray:
     return offsets
 
 
+def upa_steering(angles_deg, n_h: int, n_v: int, spacing_ratio: float = QUARTER_WAVE) -> np.ndarray:
+    """Steering vectors toward each (azimuth, elevation) pair of ``angles_deg``,
+    one row per pair in Kronecker (horizontal-major) order: the outer product
+    of its horizontal and vertical vectors, which has ``np.kron``'s products."""
+    pairs = np.asarray(angles_deg, dtype=float).reshape(-1, 2)
+    h = steering_vector(pairs[:, 0], n_h, spacing_ratio)
+    v = steering_vector(pairs[:, 1], n_v, spacing_ratio)
+    return (h[:, :, None] * v[:, None, :]).reshape(len(pairs), n_h * n_v)
+
+
 def upa_profiles(
     angles_deg,
     n_h: int,
@@ -100,23 +110,25 @@ def upa_profiles(
 ) -> np.ndarray:
     """Realized reflection phasors of the one-bit states steered to each
     (azimuth ``nu``, elevation ``psi``) pair of ``angles_deg``, one row per
-    pair, each flattened in Kronecker (horizontal-major) order.
+    pair, in :func:`upa_steering`'s element order.
 
-    The continuous profile of a pair is the Kronecker product of its
-    horizontal and vertical steering vectors, built here as their outer
-    product, which has the same element products.  The one-bit code
-    quantizes it rotated by the design offsets (zero without ``dither``),
-    so the realized phase ``offset + pi*code`` is the nearer two-level
-    approximation of the profile at every element.  Every step is
-    elementwise, so a row has the same bits whatever else is in the batch.
+    The one-bit code quantizes the pair's :func:`upa_steering` row rotated
+    by the design offsets (zero without ``dither``), so the realized phase
+    ``offset + pi*code`` is the nearer two-level approximation of it at
+    every element.  The rotated row is let go before one float and one
+    complex buffer build the phasors.  Every step is elementwise.
     """
-    pairs = np.asarray(angles_deg, dtype=float).reshape(-1, 2)
-    h = steering_vector(pairs[:, 0], n_h, spacing_ratio)
-    v = steering_vector(pairs[:, 1], n_v, spacing_ratio)
-    continuous = (h[:, :, None] * v[:, None, :]).reshape(len(pairs), n_h * n_v)
+    continuous = upa_steering(angles_deg, n_h, n_v, spacing_ratio)
     offsets = design_phase_offsets(n_h, n_v) if dither else np.zeros(n_h * n_v)
-    code = quantize_one_bit(continuous * np.exp(1j * offsets))
-    return np.exp(1j * (np.pi * code.astype(float) + offsets))
+    rotation = np.multiply(1j, offsets)
+    continuous *= np.exp(rotation, out=rotation)
+    del rotation
+    phase = quantize_one_bit(continuous).astype(float)
+    del continuous
+    phase *= np.pi
+    phase += offsets
+    phasors = np.multiply(1j, phase)
+    return np.exp(phasors, out=phasors)
 
 
 def pattern_gains(

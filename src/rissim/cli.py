@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import presets  # presets load the engine only when they calibrate
+from . import presets  # presets load array_model, not the engine
 from .array_model import DegeneratePatternError, beam_metrics, pattern_gains, upa_profiles
 from .cells import fixed4_cells, text_lines
 from .config import (

@@ -27,8 +27,8 @@ SIZE_KEYS = "sim.duration_s/chan.coherence_slots/geom.n_h/geom.n_v/ris.angles/ue
 SIZE_RULE = f"the estimated run memory must be at most {MEMORY_BUDGET} bytes (1 GiB)"
 EPOCH_BLOCK = 16  # coherence epochs whose link tables engine.build_link_tables builds together
 # Bytes per phasor row and element at array_model.upa_profiles' peak while it builds them,
-# its result included: tracemalloc read 49 to 77 on panels of 4,096 to 200,000 elements.
-PHASOR_BUILD_BYTES = 80
+# its result included: tracemalloc read 33 to 56 on panels of 4,096 to 200,000 elements.
+PHASOR_BUILD_BYTES = 62
 # engine.Trace keeps a slot's UE in one byte, 0 to 254; 255 marks an idle slot.
 MAX_UES = 255
 GENIE_TOL_DEG = 1e-9  # a state within this of a UE's angles is steered at it

@@ -1,20 +1,17 @@
 """Slot-ordered downlink MAC loop.
 
-:func:`run` is four phases, each a module-level function:
-``config.validate``, :func:`link_setup`, :func:`simulate` (the slot
-loop and the whole-run bit counters) and :func:`summarize` (the
-warm-up window's statistics).  :func:`link_setup` builds one beam state
-per ``config.state_angles`` entry, the realized reflection phasors of
-the one-bit profile steered at its angles (``array_model.upa_profiles``);
-:func:`simulate` switches between them every ``ris.ts_slots``,
-in turn (periodic) or by an independent draw per interval (i.i.d.,
+:func:`run` is three module-level phases: ``config.validate``,
+:func:`simulate` (the slot loop and the whole-run bit counters) and
+:func:`summarize` (the warm-up window's statistics).  :func:`simulate`
+calls :func:`build_link_tables` once, before its loop: the link model's
+one home, it builds one beam state per ``config.state_angles`` entry
+(``array_model.upa_profiles``), each UE's line-of-sight channel and link
+budget, and from them the run's link tables (SNR, spectral efficiency
+and RSRP per row and UE of each coherence epoch) as one float64 array.
+:func:`simulate` switches between the states every ``ris.ts_slots``, in
+turn (periodic) or by an independent draw per interval (i.i.d.,
 :func:`iid_state`).  :func:`simulate` and :func:`summarize` read each
-UE's own state from ``config.aligned_states``.  :func:`link_setup` is
-also the link model's one home: each UE's line-of-sight channel, SNR
-gain, transmit power minus path loss, and the scatter scale.  A run's
-link tables (SNR, spectral efficiency and RSRP per row and UE of each
-coherence epoch) are one float64 array from one :func:`build_link_tables`
-call before the loop.
+UE's own state from ``config.aligned_states``.
 
 The slot loop runs in event segments.  At a segment's first slot it
 handles the events due there, in this order: the channel-coherence
@@ -69,7 +66,7 @@ from itertools import chain
 
 import numpy as np
 
-from .array_model import steering_vector, upa_profiles
+from .array_model import upa_profiles, upa_steering
 from .cells import digit_cells, text_lines
 from .config import (
     EPOCH_BLOCK, MAX_UES, SLOT_MS, ExperimentConfig, aligned_states, epoch_count, scaled,
@@ -275,115 +272,67 @@ class RunSummary:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class LinkSetup:
-    """The link model's per-run constants; only the scatter is redrawn,
-    by :func:`build_link_tables`.  Under a surface state UE ``k``'s link is
-    one complex scalar ``h``: SNR ``|h|**2 * snr_gain[k]``, RSRP
-    ``rx_dbm[k] + 20 log10|h| + budget.rsrp_offset_db``, floored.
-    """
-
-    los: tuple[np.ndarray, ...]  # per UE: array response at its angles times 1 / (n_h * n_v)
-    weights: tuple[np.ndarray, ...]  # per-state realized reflection weights
-    snr_gain: tuple[float, ...]  # per UE: 10 ** ((tx - pathloss - noise) / 10)
-    rx_dbm: tuple[float, ...]  # per UE: tx - pathloss
-    scatter_sigma: float | None  # amplitude / sqrt(K): scatter power is LoS power / K
-    thresholds_db: tuple[float, ...]  # per-MCS BLER midpoints
-
-    def surface_channels(self, h: np.ndarray, prod: np.ndarray | None = None) -> np.ndarray:
-        """Effective channel of every surface state over the cascaded channels ``h``.
-
-        ``h`` holds the elements on its last axis; the states come first in
-        the result.  ``np.sum`` over each contiguous row adds in the same
-        order as over that row alone, so a block of channels gives the bits
-        of one channel at a time.  ``prod`` is scratch of ``h``'s shape.
-        """
-        if prod is None:
-            prod = np.empty(h.shape, dtype=complex)
-        sums = np.empty((len(self.weights),) + h.shape[:-1], dtype=complex)
-        for s, w in enumerate(self.weights):
-            np.multiply(w, h, out=prod)
-            sums[s] = prod.sum(axis=-1)
-        return sums
-
-
-def link_setup(cfg: ExperimentConfig) -> LinkSetup:
-    """Compute the run constants of :func:`build_link_tables` once.
-
-    State ``s`` is the realized reflection phasors that
-    :func:`array_model.upa_profiles` gives for the one-bit profile steered at
-    ``config.state_angles(cfg)[s]``.
-    """
-    g = cfg.geom
-    amplitude = 1.0 / (g.n_h * g.n_v)
-    k_db = cfg.chan.rician_k_db
-    return LinkSetup(
-        los=tuple(
-            amplitude * np.kron(
-                steering_vector(ue.nu_deg, g.n_h, g.spacing_ratio),
-                steering_vector(ue.psi_deg, g.n_v, g.spacing_ratio),
-            )
-            for ue in cfg.ues
-        ),
-        weights=tuple(upa_profiles(state_angles(cfg), g.n_h, g.n_v, g.spacing_ratio, g.dither)),
-        snr_gain=tuple(
-            10.0 ** ((cfg.tx_power_dbm - ue.pathloss_db - ue.noise_dbm) / 10.0) for ue in cfg.ues
-        ),
-        rx_dbm=tuple(cfg.tx_power_dbm - ue.pathloss_db for ue in cfg.ues),
-        scatter_sigma=None if k_db is None else amplitude / math.sqrt(10.0 ** (k_db / 10.0)),
-        thresholds_db=thresholds_db(cfg.la.impl_margin_db),
-    )
-
-
 def build_link_tables(
-    cfg: ExperimentConfig, setup: LinkSetup, rng_channel: np.random.Generator, n_epochs: int
+    cfg: ExperimentConfig, rng_channel: np.random.Generator, n_epochs: int
 ) -> np.ndarray:
     """The link tables of ``n_epochs`` successive channel draws, one per
     coherence epoch, as one float64 array of shape (epoch, row, (SNR dB,
     SE, RSRP), UE).
 
     Rows are the surface states, then the no-surface scalar channel, so
-    that state -1 (mode "off") indexes the last row.  A run calls this
-    once, on :func:`link_setup`'s constants.  Without ``chan.rician_k_db``
-    every epoch has the same tables.  With it, each epoch draws scatter
+    that state -1 (mode "off") indexes the last row.  Under a state a UE's
+    link is the sum of the state's phasors times its cascaded channel, plus
+    its direct leak.  With ``chan.rician_k_db``, each epoch draws scatter
     from ``rng_channel`` UE by UE, real parts before imaginary parts,
-    :data:`EPOCH_BLOCK` epochs at a time.  The scratch holds one block of
-    B epochs: normals (B, K, 2, n), cascaded channels (B, K, n) and their
-    products with one state's weights (B, K, n), about 1.5 MiB for the
-    presets' two UEs and 1,024 elements at B = 16.  The values are
-    :func:`_row_values`'s, one state at a time.
+    :data:`EPOCH_BLOCK` (B) epochs at a time, into scratch of normals
+    (B, K, 2, n), cascaded channels (B, K, n) and their products with one
+    state's phasors (B, K, n): about 1.5 MiB for two UEs and 1,024
+    elements.  ``np.sum`` over each contiguous row adds in the same order
+    as over that row alone, so a block gives the bits of one epoch at a time.
     """
-    los = np.stack(setup.los)  # (K, n)
-    leaks = [ue.direct_leak for ue in cfg.ues]
-    offset = cfg.rsrp_offset_db
-    tables = np.empty((n_epochs, len(setup.weights) + 1, 3, len(leaks)))
-    tables[:, -1] = _row_values([complex(ue.noris_gain) for ue in cfg.ues], setup, offset)
+    g, ues = cfg.geom, cfg.ues
+    amplitude = 1.0 / (g.n_h * g.n_v)
+    los = upa_steering([(ue.nu_deg, ue.psi_deg) for ue in ues], g.n_h, g.n_v, g.spacing_ratio)
+    los *= amplitude  # (K, n)
+    weights = upa_profiles(state_angles(cfg), g.n_h, g.n_v, g.spacing_ratio, g.dither)
+    # Per UE: the SNR gain 10 ** ((tx - pathloss - noise) / 10) and tx - pathloss.
+    budget = (
+        [10.0 ** ((cfg.tx_power_dbm - ue.pathloss_db - ue.noise_dbm) / 10.0) for ue in ues],
+        [cfg.tx_power_dbm - ue.pathloss_db for ue in ues],
+        cfg.rsrp_offset_db,
+    )
+    leaks = np.array([ue.direct_leak for ue in ues], complex)
+    k_db = cfg.chan.rician_k_db
+    # amplitude / sqrt(K): scatter power is LoS power / K.
+    sigma = None if k_db is None else amplitude / math.sqrt(10.0 ** (k_db / 10.0))
+
+    tables = np.empty((n_epochs, len(weights) + 1, 3, len(ues)))
+    tables[:, -1] = _row_values([complex(ue.noris_gain) for ue in ues], *budget)
     b, (k, n) = min(EPOCH_BLOCK, n_epochs), los.shape
     scratch = (np.empty((b, k, 2, n)), np.empty((b, k, n), complex), np.empty((b, k, n), complex))
     for first in range(0, n_epochs, EPOCH_BLOCK):
         m = min(EPOCH_BLOCK, n_epochs - first)
         normals, h, prod = (a[:m] for a in scratch)
-        if setup.scatter_sigma is None:
+        if sigma is None:
             h[:] = los
         else:
             rng_channel.standard_normal(out=normals)
             # sigma * (re + 1j * im) / sqrt(2) as real operations, in that order;
             # numpy divides a complex by a real by multiplying by the reciprocal.
-            normals *= setup.scatter_sigma
+            normals *= sigma
             normals *= 1.0 / math.sqrt(2.0)
             np.add(los.real, normals[:, :, 0], out=h.real)
             np.add(los.imag, normals[:, :, 1], out=h.imag)
-        sums = setup.surface_channels(h, prod)
-        for s, block in enumerate(sums):  # per state: (epoch, UE)
-            tables[first:first + m, s] = [
-                _row_values([h_eff + leak for h_eff, leak in zip(row, leaks)], setup, offset)
-                for row in block.tolist()
-            ]
+        for s, w in enumerate(weights):
+            np.multiply(w, h, out=prod)
+            effs = prod.sum(axis=-1)  # (epoch, UE)
+            effs += leaks
+            tables[first:first + m, s] = [_row_values(row, *budget) for row in effs.tolist()]
     return tables
 
 
 def _row_values(
-    effs: list[complex], setup: LinkSetup, offset: float
+    effs: list[complex], snr_gain: list[float], rx_dbm: list[float], offset: float
 ) -> tuple[tuple[float, ...], ...]:
     """(SNR dB, Shannon spectral efficiency, RSRP) per UE of one table row, in scalar math.
 
@@ -391,10 +340,10 @@ def _row_values(
     bit on some inputs, and the MAC decisions compare against these values.
     """
     values = []
-    for h_eff, gain, rx_dbm in zip(effs, setup.snr_gain, setup.rx_dbm):
+    for h_eff, gain, rx in zip(effs, snr_gain, rx_dbm):
         mag = abs(h_eff)
         snr = mag ** 2 * gain
-        rsrp = rx_dbm + 20.0 * math.log10(mag) + offset if mag else RSRP_FLOOR_DBM
+        rsrp = rx + 20.0 * math.log10(mag) + offset if mag else RSRP_FLOOR_DBM
         values.append((
             10.0 * math.log10(snr) if snr > 0 else -math.inf,
             math.log2(1.0 + snr),
@@ -422,12 +371,11 @@ def iid_state(seed: int, interval: int, probs: Sequence[float]) -> int:
 def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:
     """Simulate one configuration; returns the slot trace and summary."""
     validate(cfg)
-    setup = link_setup(cfg)
-    trace, counters = simulate(cfg, setup)
+    trace, counters = simulate(cfg)
     return trace, summarize(cfg, trace, counters)
 
 
-def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int, ...]]:
+def simulate(cfg: ExperimentConfig) -> tuple[Trace, tuple[int, ...]]:
     """The slot loop over a valid ``cfg``: the trace, and the whole run's
     (new, acked, discarded, in-flight) bit counters."""
     n_ues = len(cfg.ues)
@@ -440,7 +388,7 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
     ris_seed = cfg.ris.seed if cfg.ris.seed is not None else int(ss_ris.generate_state(1)[0])
 
     coherence = cfg.chan.coherence_slots
-    n_states = len(setup.weights)
+    n_states = len(state_angles(cfg))
     aligned_state = aligned_states(cfg)
     mode = cfg.ris.mode
     genie = mode == "genie"
@@ -459,7 +407,7 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
     mcs_of = [mcs_min] * n_ues
     cap_of = [len(MCS_TABLE_64QAM) - 1] * n_ues
     win_retx = [0] * n_ues
-    thresholds = setup.thresholds_db
+    thresholds = thresholds_db(la.impl_margin_db)
     cqi_levels = tuple(enumerate(thresholds))[mcs_min:]  # (index, threshold)
     slope = la.slope
     exp = math.exp
@@ -467,7 +415,7 @@ def simulate(cfg: ExperimentConfig, setup: LinkSetup) -> tuple[Trace, tuple[int,
     # Per TDD phase: None on uplink slots, else the TB size per MCS index.
     phase_tb = tuple(map(tb_table(cfg.sim.prbs).get, TDD_DL_SYMBOLS))
     period = len(TDD_DL_SYMBOLS)
-    tables = build_link_tables(cfg, setup, rng_channel, epoch_count(n_slots, coherence))
+    tables = build_link_tables(cfg, rng_channel, epoch_count(n_slots, coherence))
     trace = Trace(n_slots, coherence, phase_tb, aligned_state if genie else None, tables)
     ues, mcss, nacks, retxs = trace._ue, trace._mcs, trace._nack, trace._retx
     # One uniform per transmission; chunked draws equal the scalar ones.

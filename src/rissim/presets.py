@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+from .array_model import upa_profiles, upa_steering
 from .config import (
     ExperimentConfig,
     GeometryConfig,
@@ -75,17 +76,17 @@ def _intersect_circles(c1: complex, r1: float, c2: complex, r2: float) -> comple
 def _calibrate(snr_aligned_db: tuple[float, float]) -> tuple[tuple[UeConfig, ...], float]:
     """Solve per-UE budgets and the shared RSRP offset from the targets.
 
-    The surface channels come from the engine's own link setup, with one
-    beam state per UE (state ``k`` steered at UE ``k``).
+    The surface channels are the link model's, from ``array_model`` alone:
+    one beam state per UE (state ``k`` steered at UE ``k``).
     """
-    from . import engine  # here, so that importing the presets does not load the engine
-
-    cfg = ExperimentConfig(geom=GEOMETRY, ues=tuple(UeConfig(nu, psi) for nu, psi in UE_ANGLES))
-    setup = engine.link_setup(cfg)
+    g = GEOMETRY
+    los = upa_steering(UE_ANGLES, g.n_h, g.n_v, g.spacing_ratio)
+    los *= 1.0 / (g.n_h * g.n_v)
+    weights = upa_profiles(UE_ANGLES, g.n_h, g.n_v, g.spacing_ratio, g.dither)
     ues = []
     rsrp_offset_db = 0.0
     for k, (nu, psi) in enumerate(UE_ANGLES):
-        effs = setup.surface_channels(setup.los[k]).tolist()
+        effs = (weights * los[k]).sum(axis=-1).tolist()
         own, other = effs[k], effs[1 - k]
         gap_db = RSRP_ALIGNED_DBM[k] - RSRP_MISALIGNED_DBM[k]
         mis_target = abs(own) * 10.0 ** (-gap_db / 20.0)

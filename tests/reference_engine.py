@@ -26,9 +26,8 @@ Rules (README "What is modeled"):
   periodic switching takes the states in turn, one per interval, and
   i.i.d. switching draws one uniform from ``SeedSequence((seed,
   interval))`` against the cumulative ``ris.probs`` (uniform if unset).
-- Link tables come from ``engine.link_setup`` and a one-epoch
-  ``engine.build_link_tables`` call per coherence epoch
-  (``tests/test_fast_paths.py`` checks them against
+- Link tables come from a one-epoch ``engine.build_link_tables`` call
+  per coherence epoch (``tests/test_fast_paths.py`` checks them against
   :func:`rician_scatter` and the literal SNR, SE and RSRP formulas).
 - CQI cadence: each UE's rate estimate and MCS cap come from the
   channel it measures: its own beam under genie, else the state in
@@ -274,7 +273,7 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
     rng_blocks = np.random.default_rng(ss_blocks)
     ris_seed = cfg.ris.seed if cfg.ris.seed is not None else int(ss_ris.generate_state(1)[0])
 
-    setup = engine.link_setup(cfg)
+    thresholds = engine.thresholds_db(la.impl_margin_db)
     coherence = cfg.chan.coherence_slots if cfg.chan.rician_k_db is not None else 0
     mode = cfg.ris.mode
     if cfg.ris.angles is not None:
@@ -298,7 +297,7 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
 
     for t in range(n_slots):
         if t == 0 or (coherence and t % coherence == 0):
-            (epoch,) = engine.build_link_tables(cfg, setup, rng_channel, 1)
+            (epoch,) = engine.build_link_tables(cfg, rng_channel, 1)
             snr_db, se, rsrp = epoch.swapaxes(0, 1).tolist()  # per row, per UE
         if mode in ("periodic", "iid"):
             interval = (t + cfg.ris.offset_slots) // ts_slots
@@ -318,7 +317,7 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
             for k in range(n_ues):
                 measured = own_beam[k] if mode == "genie" else surface
                 link[k].cqi_cap = cqi_update(
-                    snr_db[measured][k], setup.thresholds_db, la.cqi_backoff_db, la.mcs_min
+                    snr_db[measured][k], thresholds, la.cqi_backoff_db, la.mcs_min
                 )
                 clamp_mcs(link[k])
                 rate[k] = se[measured][k]
@@ -341,7 +340,7 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
             ue = proc.ue
             if mode == "genie":
                 surface = own_beam[ue]
-            curve = bler_curve(snr_db[surface][ue], setup.thresholds_db, la.slope)
+            curve = bler_curve(snr_db[surface][ue], thresholds, la.slope)
             nack = rng_blocks.random() < curve[proc.mcs_used]
             out.record(surface, rsrp[surface], ue, proc.mcs_used, proc.tb_bits, nack, retx)
             if not nack:

@@ -17,6 +17,7 @@ from rissim.array_model import (
     quantize_one_bit,
     steering_vector,
     upa_profiles,
+    upa_steering,
 )
 
 
@@ -90,6 +91,14 @@ class TestUpaProfile:
         a_v = steering_vector(-10.0, 5, 0.25)
         w = upa_profiles([(20.0, -10.0)], 3, 5, 0.25)[0]
         assert np.array_equal(w, _plain_weights(np.kron(a_h, a_v)))
+        # upa_steering's rows, the simulator's line-of-sight channels, keep np.kron's bits.
+        pairs = [(20.0, -10.0), (-35.5, 12.25), (61.0, 47.0), (30.0, -90.0)]
+        for n_h, n_v in ((1, 1), (3, 5), (7, 3), (24, 4), (32, 32)):
+            for spacing in (0.25, 0.37):
+                for row, (nu, psi) in zip(upa_steering(pairs, n_h, n_v, spacing), pairs):
+                    a_h = steering_vector(nu, n_h, spacing)
+                    a_v = steering_vector(psi, n_v, spacing)
+                    assert row.tobytes() == np.kron(a_h, a_v).tobytes()
 
     def test_dithered_weights_realize_the_offset_rotated_code(self):
         # exp(j*(offset + pi*code)), the code quantized from the profile

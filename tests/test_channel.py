@@ -1,5 +1,5 @@
-"""The link model of ``engine.link_setup``: line-of-sight channels, scatter,
-and the SNR / SE / RSRP of the link tables."""
+"""The link model of ``engine.build_link_tables``: line-of-sight channels,
+scatter, and the SNR / SE / RSRP of the link tables."""
 
 import math
 
@@ -9,20 +9,19 @@ from hypothesis import given, settings, strategies as st
 
 from reference_engine import effective_channel, rician_scatter
 from rissim import presets
-from rissim.array_model import pattern_gains, steering_vector, upa_profiles
+from rissim.array_model import pattern_gains, steering_vector, upa_profiles, upa_steering
 from rissim.config import ExperimentConfig, from_flat
-from rissim.engine import RSRP_FLOOR_DBM, build_link_tables, link_setup
+from rissim.engine import RSRP_FLOOR_DBM, build_link_tables
 
 
 def _los(n: int, nu_deg: float) -> np.ndarray:
     """The line-of-sight channel of one UE at ``nu_deg`` on an n x n surface."""
-    cfg = from_flat({"ue.angles": f"{nu_deg}:0", "geom.n_h": str(n), "geom.n_v": str(n)})
-    return link_setup(cfg).los[0]
+    return 1.0 / (n * n) * upa_steering([(nu_deg, 0.0)], n, n)[0]
 
 
 def _first_tables(cfg):
     """(SNR dB, SE, RSRP) per row and UE of a config's first channel epoch."""
-    return build_link_tables(cfg, link_setup(cfg), np.random.default_rng(0), 1)[0].swapaxes(0, 1)
+    return build_link_tables(cfg, np.random.default_rng(0), 1)[0].swapaxes(0, 1)
 
 
 def _no_surface(noris_gains, overrides=()):

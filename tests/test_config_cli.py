@@ -151,6 +151,10 @@ class TestCli:
             "from rissim.cli import main\n"
             f"assert main({argv!r}) == 0\n"
             "assert 'rissim.engine' not in sys.modules, 'beam-pattern loaded rissim.engine'\n"
+            # Calibrating a preset reads array_model alone.
+            "from rissim import presets\n"
+            "presets.schedule_config(), presets.single_ue_config(0), presets.sweep_config()\n"
+            "assert 'rissim.engine' not in sys.modules, 'a preset loaded rissim.engine'\n"
         )
         src = Path(cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src)}
@@ -635,6 +639,33 @@ class TestBenchmarkWorkloads:
         if args.command == "beam-pattern":
             cli._check_beam_flags(args)
         validate(cli._config(args, base))
+
+
+class TestBenchmarkWraps:
+    """``perfbench/traced_child.py`` wraps functions by name and skips a name
+    that does not resolve, so a rename would zero its per-layer metric."""
+
+    # The (module, attribute) targets of its WRAPS that resolve.
+    LIVE = [
+        ("rissim.engine", "run"),
+        ("rissim.engine", "build_link_tables"),
+        ("rissim.engine", "write_trace_csv"),
+        ("rissim.array_model", "pattern_gains"),
+        ("rissim.cli", "beam_metrics"),
+        ("rissim.cli", "pattern_gains"),
+        ("rissim.presets", "schedule_config"),
+        ("rissim.config", "from_flat"),
+    ]
+
+    def test_live_targets_still_resolve(self):
+        tracer = Path(cli.__file__).resolve().parents[2] / "perfbench" / "traced_child.py"
+        wraps = runpy.run_path(str(tracer), run_name="not_main")["WRAPS"]
+        assert set(self.LIVE) <= {(module, path) for module, path, _, _ in wraps}
+        for module, path in self.LIVE:
+            owner = importlib.import_module(module)
+            for attr in path.split("."):
+                owner = getattr(owner, attr)
+            assert callable(owner), f"{module}.{path}"
 
 
 class TestBenchmarkSetupProbe:

@@ -141,10 +141,9 @@ class TestTraceLayout:
         cfg = presets.schedule_config("genie").with_overrides(
             {"sim.duration_s": "20", "sim.warmup_s": "1"}
         )
-        setup = engine.link_setup(cfg)
         tracemalloc.start()
         try:
-            trace, _ = engine.simulate(cfg, setup)
+            trace, _ = engine.simulate(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -266,7 +265,7 @@ class TestRunBasics:
         # The phases are module-level functions that a benchmark can wrap by name.
         cfg = short_schedule(duration_s=2.0, warmup_s=0.5)
         unwrapped = run(cfg)
-        calls = dict.fromkeys(["validate", "link_setup", "simulate", "summarize"], 0)
+        calls = dict.fromkeys(["validate", "build_link_tables", "simulate", "summarize"], 0)
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(engine, name)):
                 calls[_name] += 1

@@ -16,7 +16,6 @@ from rissim.engine import (
     MCS_TABLE_64QAM,
     RSRP_FLOOR_DBM,
     build_link_tables,
-    link_setup,
     tb_table,
 )
 
@@ -132,13 +131,12 @@ def test_hoisted_builder_is_bitwise_equal_to_reference(rician_k_db):
             {"chan.rician_k_db": str(rician_k_db), "chan.coherence_slots": "20"}
         )
     states = _states(cfg)
-    setup = link_setup(cfg)
     rng_fast = np.random.default_rng(5)
     rng_ref = np.random.default_rng(5)
     # A full and a partial block in one call, then a second call on the same stream.
     epochs = [
-        *build_link_tables(cfg, setup, rng_fast, EPOCH_BLOCK + 1),
-        *build_link_tables(cfg, setup, rng_fast, 1),
+        *build_link_tables(cfg, rng_fast, EPOCH_BLOCK + 1),
+        *build_link_tables(cfg, rng_fast, 1),
     ]
     for tables in epochs:
         reference = _reference_tables(cfg, states, rng_ref, rician_k_db)

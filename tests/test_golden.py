@@ -21,7 +21,7 @@ from reference_engine import bler_curve
 from rissim import presets
 from rissim.cli import main
 from rissim.config import ChannelConfig, ExperimentConfig, serialize
-from rissim.engine import build_link_tables, link_setup, run, write_trace_csv
+from rissim.engine import build_link_tables, run, thresholds_db, write_trace_csv
 
 # The stack the pins were taken on.  Another stack may give other bits (README
 # "Reproducibility"), so a mismatch names both.
@@ -133,12 +133,12 @@ def table_digest(cfg, rebuilds: int = 3) -> str:
     its block-error probability at every MCS index, from the reference
     curve.
     """
-    setup = link_setup(cfg)
+    thresholds = thresholds_db(cfg.la.impl_margin_db)
     h = hashlib.sha256()
-    for epoch in build_link_tables(cfg, setup, np.random.default_rng(3), rebuilds):
+    for epoch in build_link_tables(cfg, np.random.default_rng(3), rebuilds):
         snr_db, se, rsrp = epoch.swapaxes(0, 1).tolist()  # per row, per UE
         bler = [
-            [bler_curve(snr, setup.thresholds_db, cfg.la.slope) for snr in row]
+            [bler_curve(snr, thresholds, cfg.la.slope) for snr in row]
             for row in snr_db
         ]
         for a in (snr_db, se, rsrp, bler):

@@ -4,12 +4,13 @@ The switching sequences are read from ``engine.run``'s trace: in the
 switching modes a slot's table row is the surface state in force.
 """
 
+import numpy as np
 import pytest
 
 from reference_engine import slot_columns
 from rissim import presets
 from rissim.config import ConfigError, aligned_states
-from rissim.engine import iid_state, link_setup, run
+from rissim.engine import build_link_tables, iid_state, run
 
 
 @pytest.fixture(scope="module")
@@ -29,14 +30,15 @@ def states(cfg, mode="periodic", slots=10, **ris):
 
 class TestDistribution:
     def test_two_states_equal_probability(self, base):
-        assert len(link_setup(base).weights) == 2 and aligned_states(base) == (0, 1)
+        rows = build_link_tables(base, np.random.default_rng(0), 1)[0]  # two states, no surface
+        assert len(rows) == 3 and aligned_states(base) == (0, 1)
         # Without ris.probs every state is equally likely.
         seq = states(base, "iid", slots=50, ts_slots=1, seed=42)
         assert seq == [iid_state(42, t, [0.5, 0.5]) for t in range(50)]
 
     def test_identical_angles_still_two_entries(self, base):
         cfg = base.with_overrides({"ris.angles": "30:0,30:0"})
-        assert len(link_setup(cfg).weights) == 2
+        assert len(build_link_tables(cfg, np.random.default_rng(0), 1)[0]) == 3
         assert aligned_states(cfg) == (0, -1)  # the first match
 
 

@@ -21,7 +21,7 @@ import reference_engine
 from rissim import engine, presets
 from rissim.cells import digit_cells, text_lines
 from rissim.config import MAX_SLOTS, RIS_MODES, SCHED_KINDS, ChannelConfig, to_slots
-from rissim.engine import TDD_DL_SYMBOLS, link_setup, run, simulate, write_trace_csv
+from rissim.engine import TDD_DL_SYMBOLS, run, simulate, write_trace_csv
 from test_reference_engine import small_configs
 
 # Static line of sight, and Rician scatter redrawn every slot or every 13 slots.
@@ -75,7 +75,7 @@ def test_chunk_boundaries_equal_reference(case, chunk, tmp_path):
         "sim.duration_s": "0.1", "sim.warmup_s": "0.0115", **overrides,
     })
     assert to_slots(cfg.sim.warmup_s) == 23
-    trace, counters = simulate(cfg, link_setup(cfg))
+    trace, counters = simulate(cfg)
     # Chunks of 9 slots start on the uplink slots 9, 18 and 27.
     assert not any(TDD_DL_SYMBOLS[t % 10] for t in (9, 18, 27))
     if mode == "periodic":

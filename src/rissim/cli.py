@@ -22,8 +22,8 @@ from . import presets  # presets load array_model, not the engine
 from .array_model import DegeneratePatternError, beam_metrics, pattern_gains, upa_profiles
 from .cells import fixed4_cells, text_lines
 from .config import (
-    MEMORY_BUDGET, PHASOR_BUILD_BYTES, RIS_MODES, ConfigError, ExperimentConfig, parse_text,
-    serialize,
+    MEMORY_BUDGET, PHASOR_BUILD_BYTES, RIS_MODES, ConfigError, ExperimentConfig, SchedConfig,
+    parse_text, serialize, validate,
 )
 
 EXIT_OK = 0
@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     su.add_argument("--ris", choices=("on", "off"), help="ris.mode genie or off (preset: on)")
 
     sc = sub.add_parser("schedule", help="two-UE alternating-surface run")
-    sc.add_argument("--alpha", type=float, help=f"sched.alpha (preset: {presets.BASE_ALPHA!r})")
+    sc.add_argument("--alpha", type=float, help=f"sched.alpha (preset: {SchedConfig.alpha!r})")
     sc.add_argument("--mode", choices=RIS_MODES, help="ris.mode (preset: periodic)")
 
     sw = sub.add_parser("sweep-alpha", help="throughput vs EWMA weight table")
@@ -133,7 +133,7 @@ def cmd_beam_pattern(args) -> int:
     ignored = [key for key in _overrides(args) if not key.startswith("geom.")]
     if ignored:
         raise ConfigError(f"{', '.join(ignored)}: beam-pattern takes only geom.* overrides")
-    g = _config(args, ExperimentConfig).geom  # default geometry is presets.GEOMETRY; no calibration
+    g = _config(args, ExperimentConfig).geom  # the lab geometry, without the presets' calibration
     out_dir: Path = args.out_dir
     n = g.n_h * g.n_v
     # The CSV ends at the last multiple of the step within 90 deg; rounding absorbs
@@ -271,6 +271,8 @@ def cmd_sweep(args) -> int:
 
     cfg = _config(args, presets.sweep_config)
     rows = sweep_rows(cfg, args.alphas)
+    for *_, run_cfg in rows:
+        validate(run_cfg)  # a bad row exits 2 before the first run, not after the rows before it
     summaries = [engine.run(run_cfg)[1] for *_, run_cfg in rows]
     out_dir: Path = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)

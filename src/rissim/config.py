@@ -29,6 +29,10 @@ EPOCH_BLOCK = 16  # coherence epochs whose link tables engine.build_link_tables 
 # Bytes per phasor row and element at array_model.upa_profiles' peak while it builds them,
 # its result included: tracemalloc read 33 to 56 on panels of 4,096 to 200,000 elements.
 PHASOR_BUILD_BYTES = 62
+# A run's chunked working set: engine.summarize's CSV_CHUNK-slot arrays, each UE's RSRP column
+# among them, and engine.simulate's DRAW_CHUNK uniforms.  tracemalloc read up to 545 KB past the
+# other terms on one UE and 42 KB more per UE (1 to 64 UEs, 1-element panel), plus 10%.
+RUN_FIXED_BYTES, RUN_UE_BYTES = 600 * 1024, 48 * 1024
 # engine.Trace keeps a slot's UE in one byte, 0 to 254; 255 marks an idle slot.
 MAX_UES = 255
 GENIE_TOL_DEG = 1e-9  # a state within this of a UE's angles is steered at it
@@ -439,6 +443,7 @@ def run_bytes(cfg: ExperimentConfig) -> int:
         + (24 * n_epochs + 16 * block + 128) * (n_states + 1) * n_ues
         + (PHASOR_BUILD_BYTES * n_states + 16 * n_ues) * n
         + 48 * block * n_ues * n
+        + RUN_FIXED_BYTES + RUN_UE_BYTES * n_ues
     )
 
 

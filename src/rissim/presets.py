@@ -1,8 +1,8 @@
 """Calibrated experiment presets.
 
-The lab geometry is fixed (32x32 surface, quarter-wave cells, UEs at 30
-and 45 degrees azimuth).  Link-budget constants are solved once, at
-preset construction, from measurement targets: per-UE RSRP levels in
+The lab is ``ExperimentConfig()``'s defaults; a preset adds the
+calibration and its own choices.  Link-budget constants are solved once,
+at preset construction, from measurement targets: per-UE RSRP levels in
 the aligned and misaligned surface states, the no-surface RSRP, and the
 operating SNR of the aligned state.  The solve is deterministic, so the
 "one-time calibration" is reproducible from the targets alone.
@@ -26,20 +26,9 @@ import math
 from dataclasses import replace
 
 from .array_model import upa_profiles, upa_steering
-from .config import (
-    ExperimentConfig,
-    GeometryConfig,
-    LaConfig,
-    RisConfig,
-    SchedConfig,
-    SimConfig,
-    UeConfig,
-)
+from .config import ExperimentConfig
 
-GEOMETRY = GeometryConfig(n_h=32, n_v=32, spacing_ratio=0.25, dither=True)
-UE_ANGLES = ((30.0, 0.0), (45.0, 0.0))
-TX_POWER_DBM = 23.0
-NOMINAL_PATHLOSS_DB = 60.0
+GEOMETRY = ExperimentConfig().geom  # the lab surface
 
 # Measured targets the calibration reproduces.
 RSRP_ALIGNED_DBM = (-105.0, -102.0)
@@ -50,8 +39,6 @@ RSRP_NO_SURFACE_DBM = (-112.0, -110.0)
 SNR_ALIGNED_SCHED_DB = (18.1, 19.44)
 SNR_ALIGNED_SINGLE_DB = (25.75, 26.75)
 
-BASE_ALPHA = 5e-5
-BASE_TS_SLOTS = 18000  # 9 s of 0.5 ms slots
 SWEEP_ALPHAS = (0.01, 5e-4, 5e-5)
 
 
@@ -73,19 +60,22 @@ def _intersect_circles(c1: complex, r1: float, c2: complex, r2: float) -> comple
     return p1 if abs(p1) <= abs(p2) else p2
 
 
-def _calibrate(snr_aligned_db: tuple[float, float]) -> tuple[tuple[UeConfig, ...], float]:
-    """Solve per-UE budgets and the shared RSRP offset from the targets.
+def _calibrate(snr_aligned_db: tuple[float, float]) -> ExperimentConfig:
+    """The lab with per-UE budgets and the shared RSRP offset solved from the targets.
 
-    The surface channels are the link model's, from ``array_model`` alone:
-    one beam state per UE (state ``k`` steered at UE ``k``).
+    The geometry, the UE angles, the transmit power and UE 0's path loss
+    are the lab's.  The surface channels are the link model's, from
+    ``array_model`` alone: one beam state per UE (state ``k`` steered at UE ``k``).
     """
-    g = GEOMETRY
-    los = upa_steering(UE_ANGLES, g.n_h, g.n_v, g.spacing_ratio)
+    lab = ExperimentConfig()
+    g, tx = lab.geom, lab.tx_power_dbm
+    angles = tuple((ue.nu_deg, ue.psi_deg) for ue in lab.ues)
+    los = upa_steering(angles, g.n_h, g.n_v, g.spacing_ratio)
     los *= 1.0 / (g.n_h * g.n_v)
-    weights = upa_profiles(UE_ANGLES, g.n_h, g.n_v, g.spacing_ratio, g.dither)
+    weights = upa_profiles(angles, g.n_h, g.n_v, g.spacing_ratio, g.dither)
     ues = []
     rsrp_offset_db = 0.0
-    for k, (nu, psi) in enumerate(UE_ANGLES):
+    for k, ue in enumerate(lab.ues):
         effs = (weights * los[k]).sum(axis=-1).tolist()
         own, other = effs[k], effs[1 - k]
         gap_db = RSRP_ALIGNED_DBM[k] - RSRP_MISALIGNED_DBM[k]
@@ -95,29 +85,24 @@ def _calibrate(snr_aligned_db: tuple[float, float]) -> tuple[tuple[UeConfig, ...
         leak = _intersect_circles(-own, abs(own), -other, mis_target)
         aligned_amp_db = 20.0 * math.log10(abs(own + leak))
         if k == 0:
-            rsrp_offset_db = (
-                RSRP_ALIGNED_DBM[0] - TX_POWER_DBM + NOMINAL_PATHLOSS_DB - aligned_amp_db
-            )
-            pathloss_db = NOMINAL_PATHLOSS_DB
+            rsrp_offset_db = RSRP_ALIGNED_DBM[0] - tx + ue.pathloss_db - aligned_amp_db
+            pathloss_db = ue.pathloss_db
         else:
-            pathloss_db = (
-                TX_POWER_DBM + aligned_amp_db + rsrp_offset_db - RSRP_ALIGNED_DBM[k]
-            )
-        noise_dbm = aligned_amp_db + TX_POWER_DBM - pathloss_db - snr_aligned_db[k]
+            pathloss_db = tx + aligned_amp_db + rsrp_offset_db - RSRP_ALIGNED_DBM[k]
+        noise_dbm = aligned_amp_db + tx - pathloss_db - snr_aligned_db[k]
         noris_gain = 10.0 ** (
-            (RSRP_NO_SURFACE_DBM[k] - TX_POWER_DBM + pathloss_db - rsrp_offset_db) / 20.0
+            (RSRP_NO_SURFACE_DBM[k] - tx + pathloss_db - rsrp_offset_db) / 20.0
         )
         ues.append(
-            UeConfig(
-                nu_deg=nu,
-                psi_deg=psi,
+            replace(
+                ue,
                 pathloss_db=pathloss_db,
                 noise_dbm=noise_dbm,
                 direct_leak=leak,
                 noris_gain=noris_gain,
             )
         )
-    return tuple(ues), rsrp_offset_db
+    return replace(lab, ues=tuple(ues), rsrp_offset_db=rsrp_offset_db)
 
 
 def schedule_config(mode: str = "periodic") -> ExperimentConfig:
@@ -126,17 +111,12 @@ def schedule_config(mode: str = "periodic") -> ExperimentConfig:
     Mode "genie" is the reference instead: round-robin service with the
     surface aligned to the served UE.
     """
-    ues, rsrp_offset = _calibrate(SNR_ALIGNED_SCHED_DB)
-    kind = "rr" if mode == "genie" else "pf"
-    return ExperimentConfig(
-        geom=GEOMETRY,
-        ues=ues,
-        ris=RisConfig(mode=mode, ts_slots=BASE_TS_SLOTS, offset_slots=50),
-        sched=SchedConfig(kind=kind, alpha=BASE_ALPHA),
-        la=LaConfig(cqi_backoff_db=0.0),
-        sim=SimConfig(duration_s=120.0, warmup_s=20.0, seed=1),
-        tx_power_dbm=TX_POWER_DBM,
-        rsrp_offset_db=rsrp_offset,
+    cfg = _calibrate(SNR_ALIGNED_SCHED_DB)
+    return replace(
+        cfg,
+        ris=replace(cfg.ris, mode=mode),
+        sched=replace(cfg.sched, kind="rr" if mode == "genie" else "pf"),
+        la=replace(cfg.la, cqi_backoff_db=0.0),
     )
 
 
@@ -144,16 +124,12 @@ def single_ue_config(ue_index: int, ris_on: bool = True) -> ExperimentConfig:
     """One connected UE, surface beamformed at it or absent, 120 s."""
     if ue_index not in (0, 1):
         raise ValueError(f"ue_index must be 0 or 1, got {ue_index}")
-    ues, rsrp_offset = _calibrate(SNR_ALIGNED_SINGLE_DB)
-    return ExperimentConfig(
-        geom=GEOMETRY,
-        ues=(ues[ue_index],),
-        ris=RisConfig(mode="genie" if ris_on else "off", ts_slots=BASE_TS_SLOTS),
-        sched=SchedConfig(kind="pf", alpha=BASE_ALPHA),
-        la=LaConfig(),
-        sim=SimConfig(duration_s=120.0, warmup_s=10.0, seed=1),
-        tx_power_dbm=TX_POWER_DBM,
-        rsrp_offset_db=rsrp_offset,
+    cfg = _calibrate(SNR_ALIGNED_SINGLE_DB)
+    return replace(
+        cfg,
+        ues=(cfg.ues[ue_index],),
+        ris=replace(cfg.ris, mode="genie" if ris_on else "off"),
+        sim=replace(cfg.sim, warmup_s=10.0),
     )
 
 
@@ -167,4 +143,3 @@ def sweep_config() -> ExperimentConfig:
     """
     cfg = schedule_config()
     return replace(cfg, sim=replace(cfg.sim, duration_s=128.0, seed=7, ts_scaling=2.0))
-

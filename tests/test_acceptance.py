@@ -14,7 +14,7 @@ import pytest
 from reference_engine import conserves_bits, ewma_update, select_ue, slot_columns
 from rissim import presets
 from rissim.array_model import beam_metrics, quantize_one_bit, upa_profiles
-from rissim.config import SchedConfig
+from rissim.config import ExperimentConfig, SchedConfig
 from rissim.cli import sweep_rows
 from rissim.engine import run, write_trace_csv
 
@@ -98,7 +98,7 @@ def test_criterion_2_one_bit_loss():
 def test_criterion_3_single_ue_table():
     """Calibrated RSRP levels and the 20-25% throughput gain band."""
     # Results in (UE, surface) order.
-    n_ues = len(presets.UE_ANGLES)
+    n_ues = len(ExperimentConfig().ues)  # the lab's UEs
     cases = [(k, on) for k in range(n_ues) for on in (True, False)]
     summaries = [run(presets.single_ue_config(k, ris_on=on))[1] for k, on in cases]
     tput = {}

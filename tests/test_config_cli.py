@@ -573,20 +573,26 @@ class TestNonFinite:
         assert run_bytes(cfg) > PHASOR_BUILD_BYTES * 10_000 * 32 * 32
 
     @pytest.mark.parametrize(
-        "geom,angles",
+        "geom,angles,duration_s,n_ues",
         [
-            (GeometryConfig(n_h=400, n_v=400), None),
-            (GeometryConfig(n_h=1, n_v=200_000), None),
-            (GeometryConfig(n_h=128, n_v=128), tuple((0.5 * i, 0.0) for i in range(64))),
+            (GeometryConfig(n_h=400, n_v=400), None, 0.01, 2),
+            (GeometryConfig(n_h=1, n_v=200_000), None, 0.01, 2),
+            (GeometryConfig(n_h=128, n_v=128), tuple((0.5 * i, 0.0) for i in range(64)), 0.01, 2),
+            (GeometryConfig(), None, 10.0, 1),
+            (GeometryConfig(), None, 10.0, 2),
         ],
-        ids=["2x400x400", "2x1x200000", "64x128x128"],
+        ids=["2x400x400", "2x1x200000", "64x128x128", "10s_one_ue", "10s_two_ues"],
     )
-    def test_run_peak_is_within_the_estimate(self, geom, angles):
-        # 20 slots of states x elements, from a cold design-offset cache.  At 16 B per
-        # state and element, before the phasor build was counted, these read 1.28,
-        # 1.25 and 2.77 times the estimate.
+    def test_run_peak_is_within_the_estimate(self, geom, angles, duration_s, n_ues):
+        # From a cold design-offset cache: 20 slots of states x elements, and 10 s
+        # static runs, longer than one summary chunk.  At 16 B per state and element,
+        # before the phasor build was counted, the first three read 1.28, 1.25 and 2.77
+        # times the estimate; without the chunk terms the 10 s runs read 2.7 and 1.7.
         cfg = ExperimentConfig(
-            geom=geom, ris=RisConfig(angles=angles), sim=SimConfig(duration_s=0.01, warmup_s=0.0)
+            geom=geom,
+            ues=ExperimentConfig().ues[:n_ues],
+            ris=RisConfig(angles=angles),
+            sim=SimConfig(duration_s=duration_s, warmup_s=0.0),
         )
         array_model.design_phase_offsets.cache_clear()
         tracemalloc.start()
@@ -938,7 +944,7 @@ class TestOneConfigPath:
     def test_beam_pattern_bound_counts_the_target_block(self, tmp_path, capsys, monkeypatch):
         # Eight targets of 32 x 2,000 elements under a 4 MiB budget: the default grids'
         # bases, 2,702 angles x 32 x 16 B, take about 1.4 MB of it, and one block's
-        # phasors about 41 MB at their build peak.
+        # phasors about 31.7 MB at their build peak (8 x 32 x 2,000 x 62 B).
         monkeypatch.setattr(cli, "MEMORY_BUDGET", 4 * 2**20)
         out = tmp_path / "out"
         steers = [f"{5 * i}" for i in range(cli.BEAM_BLOCK)]

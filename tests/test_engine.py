@@ -29,6 +29,7 @@ from rissim.config import (
     SimConfig,
     UeConfig,
     aligned_states,
+    validate,
 )
 from rissim.engine import (
     MAX_ATTEMPTS,
@@ -393,9 +394,9 @@ class TestGenieAggregates:
         for k in range(2):
             _, s = run(timed(presets.single_ue_config(k, ris_on=True), 30.0, 5.0))
             singles.append(s.throughput_mbps[0])
-        ues, offset = presets._calibrate(presets.SNR_ALIGNED_SINGLE_DB)
+        single = presets._calibrate(presets.SNR_ALIGNED_SINGLE_DB)
         cfg = timed(presets.schedule_config("genie"), 30.0, 5.0)
-        cfg = replace(cfg, ues=ues, rsrp_offset_db=offset)
+        cfg = replace(cfg, ues=single.ues, rsrp_offset_db=single.rsrp_offset_db)
         _, sg = run(cfg)
         assert sg.aggregate_mbps == pytest.approx(np.mean(singles), rel=0.02)
 
@@ -655,16 +656,16 @@ class TestRunSummaries:
         assert str(exc.value) == "ris.mode: genie requires a state aligned to every UE (ris.angles)"
 
     def test_worker_error_keeps_type_and_message(self, tmp_path, monkeypatch, capsys):
-        # The genie reference fails after the alpha row has run; main
-        # reports that run's own ConfigError, and the no-surface row never runs.
+        # The genie reference is invalid; main reports its own ConfigError
+        # before any row runs.
         runs = recording_runs(monkeypatch)
         argv = ["--out-dir", str(tmp_path), *self.SHORT, "--set", "ris.angles=10:0,60:0"]
         assert main([*argv, "sweep-alpha", "--alphas", "0.01"]) == 2
-        assert [cfg.ris.mode for cfg, _ in runs] == ["periodic", "genie"]
-        (_, summary), (_, exc) = runs
-        assert summary.aggregate_mbps > 0.0
-        assert type(exc) is ConfigError
-        assert capsys.readouterr().err == f"config error: {exc}\n"
+        assert runs == []
+        with pytest.raises(ConfigError) as exc:
+            validate(no_aligned_state())
+        assert type(exc.value) is ConfigError
+        assert capsys.readouterr().err == f"config error: {exc.value}\n"
 
     def test_sweep_error_exits_2_naming_the_key(self, tmp_path, capsys):
         rc = main(

@@ -226,8 +226,12 @@ def _optional_sections():
 TEXT_CONFIGS = {
     "default": ExperimentConfig,
     "schedule": presets.schedule_config,
+    "schedule_genie": lambda: presets.schedule_config("genie"),
+    "schedule_iid": lambda: presets.schedule_config("iid"),
     "sweep": presets.sweep_config,
     "single_ue_0_on": lambda: presets.single_ue_config(0),
+    "single_ue_0_off": lambda: presets.single_ue_config(0, ris_on=False),
+    "single_ue_1_on": lambda: presets.single_ue_config(1),
     "single_ue_1_off": lambda: presets.single_ue_config(1, ris_on=False),
     "optional_sections": _optional_sections,
 }
@@ -236,8 +240,12 @@ TEXT_PINS = {
     "default": "34029d2d8635dd74dc82b8e206d15409632b12d700c6c1ac8c77c533ba5fde5a",
     "optional_sections": "a4dd4cfbebf3d07ea9a9948fe1a27f3a9c5ee4a7cf82f78ceecc098be725432a",
     "schedule": "35e1a449a77410e933820e6c2dfd4780a56c01a22713c57dffce27a2e8517ad9",
+    "schedule_genie": "619a1ff7bc8b702ef0befeb839e5bac12926818d4bec2bc35165d6b50264432f",
+    "schedule_iid": "edae4910b1a013825617f1aa20d56b5e5268e44296d6b930f4e6507ff4e70097",
+    "single_ue_0_off": "b6ddae75962abfcfd0d51f98d9fa7a915fbc5947dcb9e57fcfadbde0072bda50",
     "single_ue_0_on": "bc34791c7624b739a989154743c6eca09772a769ae9b4f5f7366350bb7436308",
     "single_ue_1_off": "53add788e4f8ea6d1865130e8e6b503217ebb838a2ed1de20f74c0c8ee2f0a0a",
+    "single_ue_1_on": "06260b107304f3a6fccd67821fb146094db0aca76e4928cc055ea8df272b3ffe",
     "sweep": "25524243c317db3f0a20df516e24707c0da3d2147c8845a4d81d8915b4669683",
 }
 

@@ -39,6 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .streams import uniforms
+
 QUARTER_WAVE = 0.25
 
 # Fixed array-design constant; changing it changes the hardware.
@@ -81,12 +83,16 @@ def quantize_one_bit(continuous: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def design_phase_offsets(n_h: int, n_v: int) -> np.ndarray:
-    """Static per-element phase offsets of the manufactured surface.
+    """Static per-element phase offsets of the manufactured surface:
+    ``-pi + 2*pi*u`` over the first ``n_h * n_v`` uniforms of
+    :data:`DESIGN_DITHER_SEED`'s stream (``streams.uniforms``), the bits of
+    numpy's ``default_rng(SeedSequence(seed)).uniform(-pi, pi, n)``.
 
     Returned read-only because every caller gets the same array.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(DESIGN_DITHER_SEED))
-    offsets = rng.uniform(-np.pi, np.pi, size=n_h * n_v)
+    offsets = uniforms(DESIGN_DITHER_SEED, n_h * n_v)
+    offsets *= 2.0 * np.pi
+    offsets -= np.pi
     offsets.flags.writeable = False
     return offsets
 
@@ -113,20 +119,25 @@ def upa_profiles(
     pair, in :func:`upa_steering`'s element order.
 
     The one-bit code quantizes the pair's :func:`upa_steering` row rotated
-    by the design offsets (zero without ``dither``), so the realized phase
-    ``offset + pi*code`` is the nearer two-level approximation of it at
-    every element.  The rotated row is let go before one float and one
-    complex buffer build the phasors.  Every step is elementwise.
+    by the design offsets, so the realized phase ``offset + pi*code`` is
+    the nearer two-level approximation of it at every element.  Without
+    ``dither`` the offsets are zero and neither the rotation nor the
+    offsets run: a rotation by ``exp(0j)`` could only flip the sign of a
+    zero component, which no code sees.  The rotated row is let go before
+    one float and one complex buffer build the phasors.  Every step is
+    elementwise.
     """
     continuous = upa_steering(angles_deg, n_h, n_v, spacing_ratio)
-    offsets = design_phase_offsets(n_h, n_v) if dither else np.zeros(n_h * n_v)
-    rotation = np.multiply(1j, offsets)
-    continuous *= np.exp(rotation, out=rotation)
-    del rotation
+    if dither:
+        offsets = design_phase_offsets(n_h, n_v)
+        rotation = np.multiply(1j, offsets)
+        continuous *= np.exp(rotation, out=rotation)
+        del rotation
     phase = quantize_one_bit(continuous).astype(float)
     del continuous
     phase *= np.pi
-    phase += offsets
+    if dither:
+        phase += offsets
     phasors = np.multiply(1j, phase)
     return np.exp(phasors, out=phasors)
 

@@ -25,6 +25,7 @@ from .config import (
     MEMORY_BUDGET, PHASOR_BUILD_BYTES, RIS_MODES, ConfigError, ExperimentConfig, SchedConfig,
     parse_text, serialize, validate,
 )
+from .streams import seed_words
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -256,7 +257,7 @@ def sweep_rows(
     """
     rows = []
     for i, alpha in enumerate(alphas):
-        seed = int(np.random.SeedSequence((cfg.sim.seed, i)).generate_state(1)[0])
+        seed = seed_words((cfg.sim.seed, i), 1)[0]  # SeedSequence((sim.seed, i))'s first word
         sub = replace(cfg, sched=replace(cfg.sched, alpha=alpha), sim=replace(cfg.sim, seed=seed))
         rows.append(("random", f"alpha={alpha:g}", alpha, sub))
     ris = replace(cfg.ris, seed=None, probs=None)

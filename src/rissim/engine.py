@@ -52,8 +52,13 @@ which formats each chunk's lines as bytes.  Neither holds a copy of a
 column or of the whole file.
 
 All randomness derives from one master seed through three independent
-streams (channel scatter, block outcomes, i.i.d. switching), so traces
-are bit-reproducible and enabling scatter does not perturb HARQ draws.
+streams, the children of ``SeedSequence(sim.seed).spawn(3)`` as
+``rissim.streams`` computes them: channel scatter, block outcomes and the
+i.i.d. switching seed.  The block outcomes and the switching draws are
+``streams``' uniforms; only the scatter's normals come from numpy, a
+``Generator`` on a ``PCG64`` that ``streams`` seeds, so a run without
+scatter never imports ``numpy.random``.  Traces are bit-reproducible,
+and enabling scatter does not perturb HARQ draws.
 """
 
 from __future__ import annotations
@@ -72,9 +77,9 @@ from .config import (
     EPOCH_BLOCK, MAX_UES, SLOT_MS, ExperimentConfig, aligned_states, epoch_count, scaled,
     state_angles, to_slots, validate,
 )
+from .streams import DRAW_CHUNK, normal_generator, seed_words, uniform, uniform_blocks
 
 SUBCARRIERS_PER_PRB = 12
-DRAW_CHUNK = 4096  # block-outcome uniforms drawn per refill
 RSRP_FLOOR_DBM = -156.0  # NR reporting floor
 # Slots per Trace.chunks() chunk, which the summary and the CSV writer's byte matrices read;
 # at 8192 the writer raised the 80,000-slot fading run's peak RSS by 1.3 MiB.
@@ -273,7 +278,7 @@ class RunSummary:
 
 
 def build_link_tables(
-    cfg: ExperimentConfig, rng_channel: np.random.Generator, n_epochs: int
+    cfg: ExperimentConfig, rng_channel: np.random.Generator | None, n_epochs: int
 ) -> np.ndarray:
     """The link tables of ``n_epochs`` successive channel draws, one per
     coherence epoch, as one float64 array of shape (epoch, row, (SNR dB,
@@ -283,10 +288,10 @@ def build_link_tables(
     that state -1 (mode "off") indexes the last row.  Under a state a UE's
     link is the sum of the state's phasors times its cascaded channel, plus
     its direct leak.  With ``chan.rician_k_db``, each epoch draws scatter
-    from ``rng_channel`` UE by UE, real parts before imaginary parts,
-    :data:`EPOCH_BLOCK` (B) epochs at a time, into scratch of normals
-    (B, K, 2, n), cascaded channels (B, K, n) and their products with one
-    state's phasors (B, K, n): about 1.5 MiB for two UEs and 1,024
+    from ``rng_channel`` (None without it) UE by UE, real parts before
+    imaginary parts, :data:`EPOCH_BLOCK` (B) epochs at a time, into scratch
+    of normals (B, K, 2, n), cascaded channels (B, K, n) and their products
+    with one state's phasors (B, K, n): about 1.5 MiB for two UEs and 1,024
     elements.  ``np.sum`` over each contiguous row adds in the same order
     as over that row alone, so a block gives the bits of one epoch at a time.
     """
@@ -355,11 +360,12 @@ def _row_values(
 def iid_state(seed: int, interval: int, probs: Sequence[float]) -> int:
     """The state of switching interval ``interval`` under i.i.d. switching.
 
-    One uniform from ``SeedSequence((seed, interval))`` against the
-    cumulative probabilities, so each interval's state depends on the
-    seed and the interval alone.
+    One uniform, the first ``random()`` of ``SeedSequence((seed, interval))``'s
+    PCG64 stream (``streams.uniform``), against the cumulative
+    probabilities, so each interval's state depends on the seed and the
+    interval alone.
     """
-    u = np.random.default_rng(np.random.SeedSequence((seed, interval))).random()
+    u = uniform((seed, interval))
     acc = 0.0
     for i, p in enumerate(probs):
         acc += p
@@ -382,10 +388,12 @@ def simulate(cfg: ExperimentConfig) -> tuple[Trace, tuple[int, ...]]:
     alpha, ts_slots, window_slots, cqi_slots = scaled(cfg)
     n_slots = to_slots(cfg.sim.duration_s)
 
-    ss_channel, ss_blocks, ss_ris = np.random.SeedSequence(cfg.sim.seed).spawn(3)
-    rng_channel = np.random.default_rng(ss_channel)
-    rng_blocks = np.random.default_rng(ss_blocks)
-    ris_seed = cfg.ris.seed if cfg.ris.seed is not None else int(ss_ris.generate_state(1)[0])
+    # The master seed's three spawned streams, spawn keys (0,) to (2,): channel
+    # scatter (numpy's normals, loaded only when there is scatter), block
+    # outcomes and the i.i.d. switching seed.
+    seed = cfg.sim.seed
+    rng_channel = None if cfg.chan.rician_k_db is None else normal_generator(seed, (0,))
+    ris_seed = cfg.ris.seed if cfg.ris.seed is not None else seed_words(seed, 1, (2,))[0]
 
     coherence = cfg.chan.coherence_slots
     n_states = len(state_angles(cfg))
@@ -418,10 +426,9 @@ def simulate(cfg: ExperimentConfig) -> tuple[Trace, tuple[int, ...]]:
     tables = build_link_tables(cfg, rng_channel, epoch_count(n_slots, coherence))
     trace = Trace(n_slots, coherence, phase_tb, aligned_state if genie else None, tables)
     ues, mcss, nacks, retxs = trace._ue, trace._mcs, trace._nack, trace._retx
-    # One uniform per transmission; chunked draws equal the scalar ones.
-    bler_draw = chain.from_iterable(
-        iter(lambda: rng_blocks.random(DRAW_CHUNK).tolist(), None)
-    ).__next__
+    # One uniform per transmission, read as a float from each DRAW_CHUNK block's
+    # buffer: no list of the block's floats is built.
+    bler_draw = chain.from_iterable(map(memoryview, uniform_blocks(seed, DRAW_CHUNK, (1,)))).__next__
 
     rate_est = [0.0] * n_ues  # CQI-cadence rate estimates driving the scheduler
     gain = [0.0] * n_ues  # alpha * rate_est: what serving a UE adds to its PF average

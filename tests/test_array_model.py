@@ -126,6 +126,28 @@ class TestUpaProfile:
                     alone = upa_profiles([pair], n_h, n_v, spacing, dither)[0]
                     assert row.tobytes() == alone.tobytes()
 
+    def test_plain_rows_equal_the_zero_offset_rotation(self):
+        # Without dither no rotation runs; the rows keep the bits of the
+        # rotation by exp(1j * zeros) and the zero offsets added to the phase.
+        # Multiplying by 1+0j may flip the sign of a zero component, which
+        # the quantizer's |angle| > pi/2 does not see.
+        rng = np.random.default_rng(13)
+        zero_components = 0
+        for n_h, n_v in ((3, 5), (7, 3), (1, 1), (24, 4)):
+            for spacing in (0.25, 0.37, 0.5):
+                pairs = [(0.0, 0.0), (30.0, 0.0), (-30.0, 90.0), (90.0, -90.0), (0.0, 45.0)]
+                pairs += [tuple(p) for p in rng.uniform(-90.0, 90.0, (6, 2))]
+                continuous = upa_steering(pairs, n_h, n_v, spacing)
+                zero_components += np.count_nonzero(continuous.real == 0.0)
+                zero_components += np.count_nonzero(continuous.imag == 0.0)
+                offsets = np.zeros(n_h * n_v)
+                continuous *= np.exp(1j * offsets)
+                phase = np.pi * quantize_one_bit(continuous).astype(float) + offsets
+                want = np.exp(1j * phase)
+                got = upa_profiles(pairs, n_h, n_v, spacing)
+                assert got.tobytes() == want.tobytes(), (n_h, n_v, spacing)
+        assert zero_components > 0
+
     def test_invalid_arguments(self):
         for pairs, n_h, n_v, spacing in (
             ([(95.0, 0.0)], 4, 4, 0.25),

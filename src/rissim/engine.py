@@ -77,7 +77,7 @@ from .config import (
     EPOCH_BLOCK, MAX_UES, SLOT_MS, ExperimentConfig, aligned_states, epoch_count, scaled,
     state_angles, to_slots, validate,
 )
-from .streams import DRAW_CHUNK, normal_generator, seed_words, uniform, uniform_blocks
+from .streams import normal_generator, seed_words, uniform, uniform_blocks
 
 SUBCARRIERS_PER_PRB = 12
 RSRP_FLOOR_DBM = -156.0  # NR reporting floor
@@ -92,51 +92,20 @@ MAX_ATTEMPTS = 4
 TDD_DL_SYMBOLS = (13,) * 6 + (6,) + (0,) * 3
 
 
-@dataclass(frozen=True)
-class McsEntry:
-    modulation_order: int
-    code_rate: float
-    se: float  # bits/s/Hz
-
-
-# 64QAM PDSCH table: entry i is MCS index i; 29 entries, modulation orders 2/4/6, peak 5.5547.
+# Spectral efficiency (bits/s/Hz) per MCS index of the 64QAM PDSCH table, TS 38.214
+# Table 5.1.3.1-1 (modulation order times code rate): indices 0-9 have modulation
+# order 2 (QPSK), 10-16 order 4 (16QAM) and 17-28 order 6 (64QAM); peak 5.5547.
 MCS_TABLE_64QAM = (
-    McsEntry(2, 120 / 1024, 0.2344),
-    McsEntry(2, 157 / 1024, 0.3066),
-    McsEntry(2, 193 / 1024, 0.3770),
-    McsEntry(2, 251 / 1024, 0.4902),
-    McsEntry(2, 308 / 1024, 0.6016),
-    McsEntry(2, 379 / 1024, 0.7402),
-    McsEntry(2, 449 / 1024, 0.8770),
-    McsEntry(2, 526 / 1024, 1.0273),
-    McsEntry(2, 602 / 1024, 1.1758),
-    McsEntry(2, 679 / 1024, 1.3262),
-    McsEntry(4, 340 / 1024, 1.3281),
-    McsEntry(4, 378 / 1024, 1.4766),
-    McsEntry(4, 434 / 1024, 1.6953),
-    McsEntry(4, 490 / 1024, 1.9141),
-    McsEntry(4, 553 / 1024, 2.1602),
-    McsEntry(4, 616 / 1024, 2.4063),
-    McsEntry(4, 658 / 1024, 2.5703),
-    McsEntry(6, 438 / 1024, 2.5664),
-    McsEntry(6, 466 / 1024, 2.7305),
-    McsEntry(6, 517 / 1024, 3.0293),
-    McsEntry(6, 567 / 1024, 3.3223),
-    McsEntry(6, 616 / 1024, 3.6094),
-    McsEntry(6, 666 / 1024, 3.9023),
-    McsEntry(6, 719 / 1024, 4.2129),
-    McsEntry(6, 772 / 1024, 4.5234),
-    McsEntry(6, 822 / 1024, 4.8164),
-    McsEntry(6, 873 / 1024, 5.1152),
-    McsEntry(6, 910 / 1024, 5.3320),
-    McsEntry(6, 948 / 1024, 5.5547),
+    0.2344, 0.3066, 0.3770, 0.4902, 0.6016, 0.7402, 0.8770, 1.0273, 1.1758, 1.3262,
+    1.3281, 1.4766, 1.6953, 1.9141, 2.1602, 2.4063, 2.5703,
+    2.5664, 2.7305, 3.0293, 3.3223, 3.6094, 3.9023, 4.2129, 4.5234, 4.8164, 5.1152, 5.3320, 5.5547,
 )
 
 
 def thresholds_db(impl_margin_db: float) -> tuple[float, ...]:
     """SNR anchor of the logistic block-error curve per MCS index: the
     Shannon limit of the entry's spectral efficiency plus ``impl_margin_db``."""
-    return tuple(10.0 * math.log10(2.0 ** e.se - 1.0) + impl_margin_db for e in MCS_TABLE_64QAM)
+    return tuple(10.0 * math.log10(2.0 ** se - 1.0) + impl_margin_db for se in MCS_TABLE_64QAM)
 
 
 def tb_table(prbs: int) -> dict[int, tuple[int, ...]]:
@@ -144,8 +113,7 @@ def tb_table(prbs: int) -> dict[int, tuple[int, ...]]:
     efficiency times resource elements."""
     return {
         symbols: tuple(
-            math.floor(entry.se * SUBCARRIERS_PER_PRB * prbs * symbols)
-            for entry in MCS_TABLE_64QAM
+            math.floor(se * SUBCARRIERS_PER_PRB * prbs * symbols) for se in MCS_TABLE_64QAM
         )
         for symbols in sorted(set(TDD_DL_SYMBOLS))
         if symbols > 0
@@ -428,7 +396,7 @@ def simulate(cfg: ExperimentConfig) -> tuple[Trace, tuple[int, ...]]:
     ues, mcss, nacks, retxs = trace._ue, trace._mcs, trace._nack, trace._retx
     # One uniform per transmission, read as a float from each DRAW_CHUNK block's
     # buffer: no list of the block's floats is built.
-    bler_draw = chain.from_iterable(map(memoryview, uniform_blocks(seed, DRAW_CHUNK, (1,)))).__next__
+    bler_draw = chain.from_iterable(map(memoryview, uniform_blocks(seed, (1,)))).__next__
 
     rate_est = [0.0] * n_ues  # CQI-cadence rate estimates driving the scheduler
     gain = [0.0] * n_ues  # alpha * rate_est: what serving a UE adds to its PF average

@@ -11,7 +11,7 @@ generator and ``secrets`` with it):
 - :func:`pcg64_state` is the (state, increment) of ``PCG64`` seeded from
   that sequence;
 - :func:`uniform` is the sequence's first ``Generator.random()`` draw,
-  :func:`uniform_blocks` its successive ``random(width)`` arrays, and
+  :func:`uniform_blocks` its successive ``random(DRAW_CHUNK)`` arrays, and
   :func:`uniforms` its first ``n``: ``(raw >> 11) * 2**-53`` of each raw
   64-bit output.
 
@@ -28,11 +28,9 @@ each further round copies the lanes so far and jumps the copies.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-DRAW_CHUNK = 4096  # uniforms per block of the slot loop's stream, and uniforms()' widest block
+DRAW_CHUNK = 4096  # uniforms per block of every stream
 LANES = 1024  # states a stream advances at once: a DRAW_CHUNK block is its lanes jumped four times
 SERIAL_STATES = 64  # a stream's first states, stepped in Python before the lanes double
 MASK32, MASK64, MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -103,30 +101,27 @@ def uniform(entropy, spawn_key: tuple[int, ...] = ()) -> float:
     return ((x >> rot | x << (-rot & 63) & MASK64) >> 11) * 2.0**-53
 
 
-def uniform_blocks(entropy, width: int, spawn_key: tuple[int, ...] = ()):
-    """The seeded stream's draws, ``width`` at a time, as float64 arrays:
-    the arrays of successive ``Generator.random(width)`` calls.  A block
-    wider than :data:`LANES` takes them in turn; where it is not a multiple
-    of them, the stream holds their greatest common divisor instead."""
-    lanes = width if width <= LANES else math.gcd(width, LANES)
+def uniform_blocks(entropy, spawn_key: tuple[int, ...] = ()):
+    """The seeded stream's draws, :data:`DRAW_CHUNK` at a time, as float64
+    arrays: the arrays of successive ``Generator.random(DRAW_CHUNK)`` calls."""
     state, inc = pcg64_state(entropy, spawn_key)
-    hi, lo, *scratch = np.empty((5, lanes), np.uint64)
-    n, states = min(lanes, SERIAL_STATES), []
+    hi, lo, *scratch = np.empty((5, LANES), np.uint64)
+    n, states = SERIAL_STATES, []
     for _ in range(n):
         state = (state * PCG_MULT + inc) & MASK128
         states.append(state)
     hi[:n] = [s >> 64 for s in states]
     lo[:n] = [s & MASK64 for s in states]
-    while n < lanes:  # lanes [n, n + m) are lanes [0, m) jumped n steps
-        m = min(n, lanes - n)
+    while n < LANES:  # lanes [n, n + m) are lanes [0, m) jumped n steps
+        m = min(n, LANES - n)
         hi[n:n + m], lo[n:n + m] = hi[:m], lo[:m]
         _affine(hi[n:n + m], lo[n:n + m], _jump(n, inc), [row[:m] for row in scratch])
         n += m
-    jump = _jump(lanes, inc)
+    jump = _jump(LANES, inc)
     while True:
-        block = np.empty(width)
-        for first in range(0, width, lanes):
-            _uniforms(hi, lo, scratch, block[first:first + lanes])
+        block = np.empty(DRAW_CHUNK)
+        for first in range(0, DRAW_CHUNK, LANES):
+            _uniforms(hi, lo, scratch, block[first:first + LANES])
             _affine(hi, lo, jump, scratch)
         yield block
 
@@ -134,7 +129,7 @@ def uniform_blocks(entropy, width: int, spawn_key: tuple[int, ...] = ()):
 def uniforms(entropy, n: int) -> np.ndarray:
     """The first ``n`` draws of the seeded stream: ``Generator.random(n)``."""
     out = np.empty(n)
-    blocks = uniform_blocks(entropy, n if n <= LANES else DRAW_CHUNK)
+    blocks = uniform_blocks(entropy)
     for first in range(0, n, DRAW_CHUNK):
         out[first:first + DRAW_CHUNK] = next(blocks)[:n - first]
     return out

@@ -52,17 +52,38 @@ Rules (README "What is modeled"):
   ``la.bler_low`` and down above ``la.bler_high`` of its window's
   retransmission ratio (0.0 for an empty window), is clamped, and the
   window restarts.
+
+The module also holds what several test files share: per-slot views of
+an engine trace (:func:`slot_columns`), the summary comparison
+(:func:`same_summary`), the generated configurations
+(:func:`small_configs`) and the stack the byte pins were taken on
+(:data:`PIN_STACK`, :func:`stacks`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import platform
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from hypothesis import strategies as st
 
 from rissim import engine
-from rissim.config import SLOT_MS, ExperimentConfig, LaConfig, scaled, to_slots, validate
+from rissim.config import (
+    SLOT_MS,
+    ChannelConfig,
+    ExperimentConfig,
+    GeometryConfig,
+    LaConfig,
+    RisConfig,
+    SchedConfig,
+    SimConfig,
+    UeConfig,
+    scaled,
+    to_slots,
+    validate,
+)
 from rissim.engine import MCS_TABLE_64QAM, MAX_ATTEMPTS
 
 # Schedulable downlink symbols per slot of one TDD period: 6 DL, 1 mixed, 3 UL.
@@ -333,7 +354,7 @@ def run(cfg: ExperimentConfig) -> ReferenceRun:
                 else:
                     ue = select_ue(t_avg, rate, cfg.sched.floor)
                 mcs = link[ue].mcs
-                tb = math.floor(MCS_TABLE_64QAM[mcs].se * 12 * cfg.sim.prbs * symbols)
+                tb = math.floor(MCS_TABLE_64QAM[mcs] * 12 * cfg.sim.prbs * symbols)
                 proc = HarqProcess(tb_bits=tb, mcs_used=mcs, ue=ue)
                 out.new_tx_bits += tb
             dl_slots += 1
@@ -547,3 +568,105 @@ def trace_csv(trace: engine.Trace) -> str:
         cells += [snr, mcs_cell, str(tb_bits), outcome, str(int(retx))]
         lines.append(",".join(cells))
     return "".join(line + "\n" for line in lines)
+
+
+# The stack the pins were taken on.  Another stack may give other bits (README
+# "Reproducibility"), so a mismatch names both.
+PIN_STACK = "Python 3.11.7, numpy 2.4.6, glibc 2.36, x86-64"
+
+
+def stacks() -> str:
+    """The failure message of a digest mismatch: the pins' stack and this one."""
+    libc, version = platform.libc_ver()
+    running = (
+        f"Python {platform.python_version()}, numpy {np.__version__}, "
+        f"{libc or 'libc'} {version or '?'}, {platform.machine()}"
+    )
+    return f"pinned on {PIN_STACK}; running on {running}"
+
+
+def _angle_pairs(n):
+    angle = st.floats(-60.0, 60.0)
+    return st.lists(st.tuples(angle, st.sampled_from([0.0, 10.0])), min_size=n, max_size=n)
+
+
+@st.composite
+def small_configs(draw, mode: str, kind: str):
+    """Small surfaces, 1 to 4 UEs whose aligned SNRs span the MCS table, runs under 2 s."""
+    n_ues = draw(st.integers(1, 4))
+    tx_dbm, pathloss_db = 23.0, 60.0
+    ues = tuple(
+        UeConfig(
+            nu_deg=nu,
+            psi_deg=psi,
+            pathloss_db=pathloss_db,
+            # tx - pathloss - noise: the SNR of a unit effective channel.
+            noise_dbm=tx_dbm - pathloss_db - draw(st.floats(1.0, 40.0)),
+            direct_leak=complex(draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.2, 0.2))),
+            noris_gain=draw(st.just(0.0) | st.floats(0.0, 1.0)),
+        )
+        for nu, psi in draw(_angle_pairs(n_ues))
+    )
+    if draw(st.booleans()):
+        # Identical UEs tie on the PF metric, which the lowest index must win.
+        ues = ues[:1] * n_ues
+    # Genie needs every UE's own beam: its states are the UE angles.
+    angles = None if mode == "genie" else draw(
+        st.none() | st.integers(1, 4).flatmap(_angle_pairs).map(tuple)
+    )
+    n_states = n_ues if angles is None else len(angles)
+    probs = None
+    if mode == "iid" and draw(st.booleans()):
+        weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n_states, max_size=n_states))
+        probs = tuple(w / sum(weights) for w in weights)
+    rician_k_db = draw(st.none() | st.floats(-3.0, 10.0))
+    n_slots = draw(st.integers(0, 3999))
+    bler_low, bler_high = draw(st.sampled_from([(0.05, 0.15), (0.3, 0.6), (0.0, 1.0)]))
+    cfg = ExperimentConfig(
+        geom=GeometryConfig(
+            n_h=draw(st.integers(1, 6)),
+            n_v=draw(st.integers(1, 3)),
+            spacing_ratio=draw(st.sampled_from([0.25, 0.5])),
+            dither=draw(st.booleans()),
+        ),
+        ues=ues,
+        ris=RisConfig(
+            mode=mode,
+            ts_slots=draw(st.integers(1, 60)),
+            seed=draw(st.none() | st.integers(0, 1000)),
+            offset_slots=draw(st.integers(0, 60)),
+            angles=angles,
+            probs=probs,
+        ),
+        sched=SchedConfig(
+            kind=kind,
+            alpha=draw(st.floats(1e-4, 0.3)),
+            floor=draw(st.sampled_from([1e-6, 0.05, 0.5, 1.0])),
+        ),
+        la=LaConfig(
+            impl_margin_db=draw(st.sampled_from([3.0, 0.0])),
+            slope=draw(st.sampled_from([2.0, 0.7])),
+            cqi_backoff_db=draw(st.sampled_from([2.0, 0.0])),
+            window_ms=draw(st.sampled_from([100.0, 3.0, 0.5])),
+            cqi_period_ms=draw(st.sampled_from([80.0, 7.0, 0.5])),
+            bler_low=bler_low,
+            bler_high=bler_high,
+            mcs_min=draw(st.sampled_from([3, 0, 27])),
+        ),
+        sim=SimConfig(
+            duration_s=n_slots / 2000,
+            warmup_s=draw(st.integers(0, max(n_slots - 1, 0))) / 2000,
+            seed=draw(st.integers(0, 2**32)),
+            # Not 1: the CQI and window cadences then fall off the 10-slot TDD period.
+            ts_scaling=draw(st.sampled_from([1.0, 0.6, 1.7, 3.0])),
+            prbs=draw(st.sampled_from([106, 7])),
+        ),
+        chan=ChannelConfig(
+            rician_k_db=rician_k_db,
+            coherence_slots=0 if rician_k_db is None else draw(st.sampled_from([0, 1, 13])),
+        ),
+        tx_power_dbm=tx_dbm,
+        rsrp_offset_db=0.0,
+    )
+    # Only i.i.d. switching reads ris.seed; the other modes reject it.
+    return cfg if mode == "iid" else replace(cfg, ris=replace(cfg.ris, seed=None))

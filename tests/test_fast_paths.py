@@ -12,14 +12,13 @@ from rissim import presets
 from rissim.array_model import steering_vector, upa_profiles
 from rissim.config import aligned_states
 from rissim.engine import (
-    DRAW_CHUNK,
     EPOCH_BLOCK,
     MCS_TABLE_64QAM,
     RSRP_FLOOR_DBM,
     build_link_tables,
     tb_table,
 )
-from rissim.streams import uniform_blocks
+from rissim.streams import DRAW_CHUNK, uniform_blocks
 
 
 @pytest.mark.parametrize("prbs", [106, 51])
@@ -29,14 +28,14 @@ def test_tb_table_matches_tb_bits(prbs):
     for symbols in (6, 13):
         assert len(table[symbols]) == 29
         for mcs in range(29):
-            se = MCS_TABLE_64QAM[mcs].se
+            se = MCS_TABLE_64QAM[mcs]
             assert table[symbols][mcs] == math.floor(se * 12 * prbs * symbols)
 
 
 def test_chunked_uniforms_equal_scalar_draws():
     # The slot loop reads streams' DRAW_CHUNK blocks through a memoryview; the
     # reference engine draws numpy's uniforms one at a time.
-    chunked = chain.from_iterable(map(memoryview, uniform_blocks(11, DRAW_CHUNK)))
+    chunked = chain.from_iterable(map(memoryview, uniform_blocks(11)))
     scalar = np.random.default_rng(np.random.SeedSequence(11))
     n = 2 * DRAW_CHUNK + 1
     assert list(islice(chunked, n)) == [scalar.random() for _ in range(n)]

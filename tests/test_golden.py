@@ -10,33 +10,17 @@ re-pin it; regenerate the table with
 
 import hashlib
 import io
-import platform
 from contextlib import redirect_stdout
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from reference_engine import bler_curve
+from reference_engine import bler_curve, stacks
 from rissim import presets
 from rissim.cli import main
 from rissim.config import ChannelConfig, ExperimentConfig, serialize
 from rissim.engine import build_link_tables, run, thresholds_db, write_trace_csv
-
-# The stack the pins were taken on.  Another stack may give other bits (README
-# "Reproducibility"), so a mismatch names both.
-PIN_STACK = "Python 3.11.7, numpy 2.4.6, glibc 2.36, x86-64"
-
-
-def _stacks() -> str:
-    """The failure message of a digest mismatch: the pins' stack and this one."""
-    libc, version = platform.libc_ver()
-    running = (
-        f"Python {platform.python_version()}, numpy {np.__version__}, "
-        f"{libc or 'libc'} {version or '?'}, {platform.machine()}"
-    )
-    return f"pinned on {PIN_STACK}; running on {running}"
-
 
 HISTOGRAM_KEYS = (
     "aligned_fraction", "misaligned_fraction",
@@ -197,7 +181,7 @@ PINS = {
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_digests(name, tmp_path):
-    assert digests(CONFIGS[name](), tmp_path) == PINS[name], _stacks()
+    assert digests(CONFIGS[name](), tmp_path) == PINS[name], stacks()
 
 
 TABLE_PINS = {
@@ -209,7 +193,7 @@ TABLE_PINS = {
 
 @pytest.mark.parametrize("name", sorted(TABLE_PINS))
 def test_golden_link_tables(name):
-    assert table_digest(CONFIGS[name]()) == TABLE_PINS[name], _stacks()
+    assert table_digest(CONFIGS[name]()) == TABLE_PINS[name], stacks()
 
 
 def _optional_sections():
@@ -252,7 +236,7 @@ TEXT_PINS = {
 
 @pytest.mark.parametrize("name", sorted(TEXT_PINS))
 def test_golden_config_text(name):
-    assert _sha(serialize(TEXT_CONFIGS[name]()).encode()) == TEXT_PINS[name], _stacks()
+    assert _sha(serialize(TEXT_CONFIGS[name]()).encode()) == TEXT_PINS[name], stacks()
 
 
 # A short sweep through the CLI: its runs execute one after another in this process.
@@ -271,7 +255,7 @@ def sweep_digest(out_dir) -> str:
 
 
 def test_golden_sweep_csv(tmp_path):
-    assert sweep_digest(tmp_path) == SWEEP_PIN, _stacks()
+    assert sweep_digest(tmp_path) == SWEEP_PIN, stacks()
 
 
 # beam-pattern through the CLI: several targets on the default grids, one
@@ -365,7 +349,7 @@ BEAM_PINS = {
 
 @pytest.mark.parametrize("name", sorted(BEAM_ARGS))
 def test_golden_beam_pattern(name, tmp_path):
-    assert beam_digests(BEAM_ARGS[name], tmp_path) == BEAM_PINS[name], _stacks()
+    assert beam_digests(BEAM_ARGS[name], tmp_path) == BEAM_PINS[name], stacks()
 
 
 if __name__ == "__main__":

@@ -30,14 +30,19 @@ def windowed(mcs=10, scheduled=0, retx=0, **kwargs):
 
 class TestMcsEntries:
     def test_shape_and_orders(self):
-        assert len(MCS_TABLE_64QAM) == 29
-        assert {e.modulation_order for e in MCS_TABLE_64QAM} == {2, 4, 6}
+        # TS 38.214 Table 5.1.3.1-1: each index's modulation order and code
+        # rate x 1024; the spectral efficiency is their product, rounded half
+        # up to 4 places (index 15: 2.40625 -> 2.4063).
+        orders = (2,) * 10 + (4,) * 7 + (6,) * 12
+        rates = (120, 157, 193, 251, 308, 379, 449, 526, 602, 679, 340, 378, 434, 490, 553,
+                 616, 658, 438, 466, 517, 567, 616, 666, 719, 772, 822, 873, 910, 948)
+        assert MCS_TABLE_64QAM == tuple((q * r * 10_000 + 512) // 1024 / 1e4 for q, r in zip(orders, rates))
 
     def test_se_increasing_and_capped(self):
         # The cited table is strictly increasing except for the single
         # 16QAM-to-64QAM handover at indices 16 -> 17 (2.5703 -> 2.5664),
         # which is verbatim from the standard.
-        ses = [e.se for e in MCS_TABLE_64QAM]
+        ses = MCS_TABLE_64QAM
         inversions = [i for i, (a, b) in enumerate(zip(ses, ses[1:])) if b <= a]
         assert inversions == [16]
         assert ses[16] == pytest.approx(2.5703)
@@ -46,8 +51,8 @@ class TestMcsEntries:
 
     def test_thresholds_are_shannon_limit_plus_margin(self):
         for margin in (0.0, 3.0, -1.5):
-            for e, thr in zip(MCS_TABLE_64QAM, thresholds_db(margin), strict=True):
-                assert thr == 10.0 * math.log10(2.0**e.se - 1.0) + margin
+            for se, thr in zip(MCS_TABLE_64QAM, thresholds_db(margin), strict=True):
+                assert thr == 10.0 * math.log10(2.0**se - 1.0) + margin
 
 
 class TestBlerModel:

@@ -87,5 +87,7 @@ class TestGenieLookup:
     def test_missing_angle_raises(self, base):
         cfg = base.with_overrides({"ris.angles": "30:0,60:0"})
         assert aligned_states(cfg) == (0, -1)
-        with pytest.raises(ConfigError, match="ris.mode: genie"):
+        with pytest.raises(ConfigError) as exc:
             run(cfg.with_overrides({"ris.mode": "genie", "sim.duration_s": "0.01"}))
+        assert type(exc.value) is ConfigError
+        assert str(exc.value) == "ris.mode: genie requires a state aligned to every UE (ris.angles)"

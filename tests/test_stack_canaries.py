@@ -26,11 +26,11 @@ from functools import cache
 import numpy as np
 import pytest
 
+from reference_engine import stacks
 from rissim import engine, presets, streams
 from rissim.array_model import upa_profiles, upa_steering
 from rissim.config import EPOCH_BLOCK, state_angles
 from rissim.engine import CSV_CHUNK, build_link_tables, thresholds_db
-from test_golden import _stacks
 
 PRESETS = {
     "schedule": presets.schedule_config,
@@ -79,7 +79,7 @@ def _preset_canaries(name):
     mags = [abs(eff) for effs, *_ in calls for eff in effs]
     snr = _snr(name)
     log10_in = [m for m in mags if m] + snr
-    log10_in += [2.0 ** entry.se - 1.0 for entry in engine.MCS_TABLE_64QAM]  # thresholds_db's
+    log10_in += [2.0 ** se - 1.0 for se in engine.MCS_TABLE_64QAM]  # thresholds_db's
     slope, thresholds = cfg.la.slope, thresholds_db(cfg.la.impl_margin_db)
     exp_in = [
         x for s in snr for thr in thresholds if (x := slope * (10.0 * math.log10(s) - thr)) <= 700.0
@@ -188,8 +188,8 @@ PINS = {
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_canary(name):
     inputs, results = canaries()[name]
-    assert inputs == PINS[name][0], f"{name}: its inputs moved, so a primitive before it did; {_stacks()}"
-    assert results == PINS[name][1], f"{name} gives other bits on the pinned inputs; {_stacks()}"
+    assert inputs == PINS[name][0], f"{name}: its inputs moved, so a primitive before it did; {stacks()}"
+    assert results == PINS[name][1], f"{name} gives other bits on the pinned inputs; {stacks()}"
 
 
 def test_every_canary_is_pinned():

@@ -25,7 +25,7 @@ def numpy_generator(entropy, spawn_key=()):
 
 def drawn(entropy, n, spawn_key=()):
     """The first ``n`` draws of the stream, as ``engine.simulate`` takes them."""
-    blocks = streams.uniform_blocks(entropy, DRAW_CHUNK, spawn_key)
+    blocks = streams.uniform_blocks(entropy, spawn_key)
     return list(islice(chain.from_iterable(map(memoryview, blocks)), n))
 
 
@@ -58,15 +58,6 @@ def test_pcg64_state_and_first_draw(entropy, spawn_key):
 def test_blocks_are_generator_random(n, entropy, spawn_key):
     expected = numpy_generator(entropy, spawn_key).random(n)
     assert drawn(entropy, n, spawn_key) == expected.tolist()
-
-
-@pytest.mark.parametrize("width", [1, 5, 1000, 1536])
-def test_blocks_of_any_width_are_successive_random_calls(width):
-    # Up to LANES wide a block is its lanes; 1536 is three jumps of 512 lanes.
-    generator = numpy_generator(11, (1,))
-    blocks = streams.uniform_blocks(11, width, (1,))
-    for _ in range(3):
-        assert next(blocks).tobytes() == generator.random(width).tobytes()
 
 
 @pytest.mark.parametrize("n_h,n_v", [(1, 1), (32, 32), (400, 400)])

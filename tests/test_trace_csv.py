@@ -18,11 +18,11 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 import reference_engine
+from reference_engine import small_configs
 from rissim import engine, presets
 from rissim.cells import digit_cells, text_lines
 from rissim.config import MAX_SLOTS, RIS_MODES, SCHED_KINDS, ChannelConfig, to_slots
 from rissim.engine import TDD_DL_SYMBOLS, run, simulate, write_trace_csv
-from test_reference_engine import small_configs
 
 # Static line of sight, and Rician scatter redrawn every slot or every 13 slots.
 CHANNELS = (ChannelConfig(), ChannelConfig(6.0, 1), ChannelConfig(6.0, 13))

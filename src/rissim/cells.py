@@ -1,4 +1,4 @@
-"""Numbers as CSV bytes, for the trace CSV and the beam-pattern CSVs.
+"""Numbers as CSV text: the trace and beam-pattern CSVs' byte cells, and the run tables.
 
 A cell matrix holds each cell's text as a row of uint8 bytes, padded
 with NULs; its leading axes are the cells' shape.
@@ -73,3 +73,11 @@ def text_lines(*parts) -> np.ndarray:
         lines[:, end : end + part.shape[-1]] = part
         end += part.shape[-1]
     return lines[lines != 0]
+
+
+def table_text(columns, rows) -> str:
+    """The ``columns`` header line, then one line per ``(label, values)`` row:
+    the label as ``str`` gives it, then each value as ``f"{v:.6f}"``."""
+    lines = [",".join(columns)]
+    lines += [",".join([str(label), *(f"{v:.6f}" for v in values)]) for label, values in rows]
+    return "\n".join(lines) + "\n"

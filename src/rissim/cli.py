@@ -20,7 +20,7 @@ import numpy as np
 
 from . import presets  # presets load array_model, not the engine
 from .array_model import DegeneratePatternError, beam_metrics, pattern_gains, upa_profiles
-from .cells import fixed4_cells, text_lines
+from .cells import fixed4_cells, table_text, text_lines
 from .config import (
     MEMORY_BUDGET, PHASOR_BUILD_BYTES, RIS_MODES, ConfigError, ExperimentConfig, SchedConfig,
     parse_text, serialize, validate,
@@ -199,11 +199,12 @@ def _emit_run(cfg: ExperimentConfig, out_dir: Path, tag: str, histogram: bool = 
     trace_path = out_dir / f"{tag}_trace.csv"
     engine.write_trace_csv(trace, trace_path)
     summary_path = out_dir / f"{tag}_summary.txt"
-    summary_path.write_text(summary.as_kv_text())
+    summary_text = summary.as_kv_text()
+    summary_path.write_text(summary_text)
     (out_dir / f"{tag}_config.txt").write_text(serialize(cfg))
     print(f"trace -> {trace_path}")
     print(f"summary -> {summary_path}")
-    print(summary.as_kv_text(), end="")
+    print(summary_text, end="")
     if histogram:
         hist_path = out_dir / f"{tag}_histogram.csv"
         fractions = zip(
@@ -212,13 +213,9 @@ def _emit_run(cfg: ExperimentConfig, out_dir: Path, tag: str, histogram: bool = 
             summary.served_frac_aligned_total,
             summary.served_frac_misaligned_total,
         )
-        with open(hist_path, "w") as f:
-            f.write(
-                "ue,aligned_fraction,misaligned_fraction,"
-                "aligned_fraction_total,misaligned_fraction_total\n"
-            )
-            for k, row in enumerate(fractions):
-                f.write(f"{k}," + ",".join(f"{v:.6f}" for v in row) + "\n")
+        columns = ["ue", "aligned_fraction", "misaligned_fraction"]
+        columns += ["aligned_fraction_total", "misaligned_fraction_total"]
+        hist_path.write_text(table_text(columns, enumerate(fractions)))
         print(f"histogram -> {hist_path}")
 
 
@@ -278,14 +275,13 @@ def cmd_sweep(args) -> int:
     out_dir: Path = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "sweep_alpha.csv"
-    cols = ["mode", "alpha", "inv_alpha", "aggregate_mbps"] + [
-        f"throughput{k}_mbps" for k in range(len(cfg.ues))
-    ] + [f"served_share{k}" for k in range(len(cfg.ues))]
-    with open(path, "w") as f:
-        f.write(",".join(cols) + "\n")
-        for (mode, _, alpha, _), s in zip(rows, summaries):
-            vals = [alpha, 1.0 / alpha, s.aggregate_mbps, *s.throughput_mbps, *s.served_share]
-            f.write(mode + "," + ",".join(f"{v:.6f}" for v in vals) + "\n")
+    ks = range(len(cfg.ues))
+    columns = ["mode", "alpha", "inv_alpha", "aggregate_mbps"]
+    columns += [f"throughput{k}_mbps" for k in ks] + [f"served_share{k}" for k in ks]
+    path.write_text(table_text(columns, [
+        (mode, [alpha, 1.0 / alpha, s.aggregate_mbps, *s.throughput_mbps, *s.served_share])
+        for (mode, _, alpha, _), s in zip(rows, summaries)
+    ]))
     for (_, label, _, _), s in zip(rows, summaries):
         print(f"{label} aggregate={s.aggregate_mbps:.2f} Mbit/s")
     print(f"table -> {path}")

@@ -67,7 +67,7 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -334,12 +334,7 @@ def iid_state(seed: int, interval: int, probs: Sequence[float]) -> int:
     interval alone.
     """
     u = uniform((seed, interval))
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return i
-    return len(probs) - 1
+    return next((i for i, acc in enumerate(accumulate(probs)) if u < acc), len(probs) - 1)
 
 
 def run(cfg: ExperimentConfig) -> tuple[Trace, RunSummary]:

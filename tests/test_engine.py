@@ -30,7 +30,6 @@ from rissim.config import (
 )
 from rissim.engine import (
     MAX_ATTEMPTS,
-    MCS_TABLE_64QAM,
     TDD_DL_SYMBOLS,
     run,
     tb_table,
@@ -86,33 +85,11 @@ def summary_fractions(summary):
 class TestTddStructure:
     """One TDD period as the slot loop reads it: slot ``t`` has phase ``t % 10``."""
 
-    def test_first_slot_is_full_downlink(self):
-        assert TDD_DL_SYMBOLS[0] == 13
-
-    def test_slot_six_is_mixed(self):
-        assert TDD_DL_SYMBOLS[6] == 6
-
-    def test_slot_seventeen_is_uplink(self):
-        assert TDD_DL_SYMBOLS[17 % len(TDD_DL_SYMBOLS)] == 0
-
     def test_period_composition(self):
         assert TDD_DL_SYMBOLS == (13, 13, 13, 13, 13, 13, 6, 0, 0, 0)
 
 
 class TestTransportBlocks:
-    def test_unit_se_full_slot(self):
-        # se very close to 1 at index 7 is not exactly 1; use a direct
-        # arithmetic check at the two slot shapes instead.
-        table = tb_table(106)
-        for mcs in range(29):
-            se = MCS_TABLE_64QAM[mcs]
-            assert table[13][mcs] == int(se * 12 * 106 * 13)
-            assert table[6][mcs] == int(se * 12 * 106 * 6)
-
-    def test_reference_sizes_at_unit_se(self):
-        assert 12 * 106 * 13 == 16536
-        assert 12 * 106 * 6 == 7632
-
     def test_mixed_slot_is_six_thirteenths(self):
         table = tb_table(106)
         for mcs in (3, 12, 28):

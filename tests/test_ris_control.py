@@ -62,11 +62,6 @@ class TestPeriodicSwitching:
 
 
 class TestIidSwitching:
-    def test_reproducible_from_seed(self):
-        seq1 = [iid_state(42, i, [0.5, 0.5]) for i in range(50)]
-        seq2 = [iid_state(42, i, [0.5, 0.5]) for i in range(50)]
-        assert seq1 == seq2
-
     def test_constant_within_interval(self, base):
         seq = states(base, "iid", slots=100, ts_slots=10, seed=7)
         for start in range(0, 100, 10):

@@ -26,10 +26,11 @@ Without dither the offsets are zero: the plain two-level surface.
 one batch, one row per pair; every step is elementwise, so a row has the
 same bits whatever else is in the batch.  The simulator builds all of a
 run's states in one call, and its line-of-sight channels are
-:func:`upa_steering` rows.  ``beam-pattern`` builds its targets ``cli.BEAM_BLOCK`` at a time and evaluates each target's metrics
-and pattern on its own row; a target whose beam is wider than the
-observation grid stops the command, after every target before it, in
-its block too, has written its output.
+:func:`upa_steering` rows.  ``beam-pattern`` builds its targets
+``cli.BEAM_BLOCK`` at a time and evaluates each target's metrics and
+pattern on its own row; a target whose beam is wider than the
+observation grid stops the command at once, after every target before
+it has written its output.
 """
 
 from __future__ import annotations

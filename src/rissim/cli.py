@@ -125,9 +125,10 @@ def _check_beam_flags(args) -> None:
 def cmd_beam_pattern(args) -> int:
     """Write each target's pattern CSV and print its metrics, in target order.
 
-    The targets are evaluated :data:`BEAM_BLOCK` at a time.  A target whose
-    beam is wider than the grid exits 2; every target before it, in its block
-    too, has its CSV and its line already.
+    The gain cells are computed and formatted :data:`BEAM_BLOCK` targets at a
+    time; then each target of the block gets its metrics, its CSV and its
+    line in one pass.  A target whose beam is wider than the grid exits 2 at
+    once, so every target before it has its CSV and its line already.
     """
     _check_beam_flags(args)
     # Only the geometry shapes a pattern: any other override would be ignored.
@@ -158,26 +159,19 @@ def cmd_beam_pattern(args) -> int:
         profiles = upa_profiles(
             [(steer, 0.0) for steer in block], g.n_h, g.n_v, g.spacing_ratio, g.dither
         )
-        metrics, gains, error = [], [], None
-        for steer, weights in zip(block, profiles):
+        gains = [np.abs(pattern_gains(w, angles, g.n_h, g.n_v, g.spacing_ratio)) for w in profiles]
+        db = 20.0 * np.log10(np.maximum(gains, 1e-12) / n)
+        for steer, w, gain_cells in zip(block, profiles, fixed4_cells(db)):
             try:
-                metrics.append(
-                    beam_metrics(
-                        weights, g.n_h, g.n_v, g.spacing_ratio, grid_step_deg=args.grid_step_deg
-                    )
-                )
+                m = beam_metrics(w, g.n_h, g.n_v, g.spacing_ratio, grid_step_deg=args.grid_step_deg)
             except DegeneratePatternError:
-                error = ConfigError(
+                raise ConfigError(
                     f"--steer-deg {steer:g}: the beam of geom.n_h={g.n_h} elements at "
                     f"geom.spacing_ratio={g.spacing_ratio!r} is wider than the 0-90 deg grid "
                     "(no -3 dB crossing inside it)"
-                )
-                break
-            gains.append(np.abs(pattern_gains(weights, angles, g.n_h, g.n_v, g.spacing_ratio)))
-        db = 20.0 * np.log10(np.maximum(np.reshape(gains, (-1, len(angles))), 1e-12) / n)
-        if start == 0 and metrics:
-            out_dir.mkdir(parents=True, exist_ok=True)  # only once a target has a pattern to write
-        for steer, m, gain_cells in zip(block, metrics, fixed4_cells(db)):
+                ) from None
+            if not out_dir.is_dir():  # only once a target has a pattern to write
+                out_dir.mkdir(parents=True)
             path = out_dir / f"pattern_{steer:g}deg.csv"
             rows = text_lines(angle_cells, b",", gain_cells, b"\n")
             path.write_bytes(b"angle_deg,gain_db\n" + rows.tobytes())  # one write call
@@ -186,8 +180,6 @@ def cmd_beam_pattern(args) -> int:
                 f"peak_gain={m.peak_gain_db:.2f} dB hpbw={m.hpbw_deg:.2f} deg "
                 f"sll={m.sll_db:.2f} dB -> {path}"
             )
-        if error is not None:
-            raise error
     return EXIT_OK
 
 

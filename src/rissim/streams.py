@@ -20,8 +20,7 @@ and low 64-bit limbs, and turns them into that many draws at once; then
 it jumps every lane ``LANES`` steps with one affine map mod 2**128,
 applied in place with 32-bit partial products into three scratch rows.
 A :data:`DRAW_CHUNK` block is four such turns, and allocates only its
-floats.  The first :data:`SERIAL_STATES` states are stepped in Python;
-each further round copies the lanes so far and jumps the copies.
+floats.  The first :data:`LANES` states are stepped in Python.
 :func:`normal_generator` is the one way to ``numpy.random``: a
 ``Generator`` on a ``PCG64`` set to :func:`pcg64_state`, for normal draws.
 """
@@ -32,7 +31,6 @@ import numpy as np
 
 DRAW_CHUNK = 4096  # uniforms per block of every stream
 LANES = 1024  # states a stream advances at once: a DRAW_CHUNK block is its lanes jumped four times
-SERIAL_STATES = 64  # a stream's first states, stepped in Python before the lanes double
 MASK32, MASK64, MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 POOL_WORDS = 4
 HASH_INIT_A, HASH_MULT_A = 0x43B0D7E5, 0x931E8875
@@ -106,17 +104,12 @@ def uniform_blocks(entropy, spawn_key: tuple[int, ...] = ()):
     arrays: the arrays of successive ``Generator.random(DRAW_CHUNK)`` calls."""
     state, inc = pcg64_state(entropy, spawn_key)
     hi, lo, *scratch = np.empty((5, LANES), np.uint64)
-    n, states = SERIAL_STATES, []
-    for _ in range(n):
+    states = []
+    for _ in range(LANES):
         state = (state * PCG_MULT + inc) & MASK128
         states.append(state)
-    hi[:n] = [s >> 64 for s in states]
-    lo[:n] = [s & MASK64 for s in states]
-    while n < LANES:  # lanes [n, n + m) are lanes [0, m) jumped n steps
-        m = min(n, LANES - n)
-        hi[n:n + m], lo[n:n + m] = hi[:m], lo[:m]
-        _affine(hi[n:n + m], lo[n:n + m], _jump(n, inc), [row[:m] for row in scratch])
-        n += m
+    hi[:] = [s >> 64 for s in states]
+    lo[:] = [s & MASK64 for s in states]
     jump = _jump(LANES, inc)
     while True:
         block = np.empty(DRAW_CHUNK)
@@ -149,19 +142,7 @@ def normal_generator(entropy, spawn_key: tuple[int, ...] = ()):
     return Generator(bit_generator)
 
 
-def _constant(value, dtype=np.uint64) -> np.ndarray:
-    """``value`` as a read-only 0-d array: as a ufunc operand it costs less
-    than a numpy or Python scalar."""
-    array = np.array(value, dtype)
-    array.flags.writeable = False
-    return array
-
-
-SHIFT_11, SHIFT_32, SHIFT_58, LOW_6, LOW_32 = map(_constant, (11, 32, 58, 63, MASK32))
-UNIT = _constant(2.0**-53, np.float64)  # (raw >> 11) * UNIT is a draw
-
-
-def _jump(steps: int, inc: int) -> tuple[np.ndarray, ...]:
+def _jump(steps: int, inc: int) -> tuple[int, ...]:
     """``steps`` generator steps as one affine map mod 2**128, state * mult + add,
     as :func:`_affine` takes it: the 32-bit halves of the multiplier's low limb,
     then the low and high limbs of the multiplier and of the addend."""
@@ -172,10 +153,10 @@ def _jump(steps: int, inc: int) -> tuple[np.ndarray, ...]:
         a, c = a * a & MASK128, c * (a + 1) & MASK128
         steps >>= 1
     m_lo = mult & MASK64
-    return tuple(map(_constant, (m_lo & MASK32, m_lo >> 32, m_lo, mult >> 64, add & MASK64, add >> 64)))
+    return m_lo & MASK32, m_lo >> 32, m_lo, mult >> 64, add & MASK64, add >> 64
 
 
-def _affine(hi: np.ndarray, lo: np.ndarray, jump: tuple[np.ndarray, ...], scratch) -> None:
+def _affine(hi: np.ndarray, lo: np.ndarray, jump: tuple[int, ...], scratch) -> None:
     """Each state (hi, lo) = state * mult + add mod 2**128, in place.  The high
     64 bits of ``lo * m_lo`` come from its four 32-bit partial products, into
     the three scratch rows; no sum overflows."""
@@ -184,20 +165,20 @@ def _affine(hi: np.ndarray, lo: np.ndarray, jump: tuple[np.ndarray, ...], scratc
     hi *= m_lo
     np.multiply(lo, m_hi, out=s1)
     hi += s1
-    np.right_shift(lo, SHIFT_32, out=s3)  # x1, lo's high half
+    np.right_shift(lo, 32, out=s3)  # x1, lo's high half
     np.multiply(s3, m1, out=s1)
     hi += s1
-    np.bitwise_and(lo, LOW_32, out=s2)  # x0, lo's low half
+    np.bitwise_and(lo, MASK32, out=s2)  # x0, lo's low half
     np.multiply(s2, m1, out=s1)
     s2 *= m0
-    s2 >>= SHIFT_32
+    s2 >>= 32
     s3 *= m0
     s3 += s2  # x1 * m0 + (x0 * m0 >> 32)
-    np.bitwise_and(s3, LOW_32, out=s2)
+    np.bitwise_and(s3, MASK32, out=s2)
     s1 += s2  # x0 * m1 + the low half of that
-    s3 >>= SHIFT_32
+    s3 >>= 32
     hi += s3
-    s1 >>= SHIFT_32
+    s1 >>= 32
     hi += s1
     lo *= m_lo
     lo += a_lo
@@ -212,11 +193,11 @@ def _uniforms(hi: np.ndarray, lo: np.ndarray, scratch, out: np.ndarray) -> None:
     over 2**53."""
     x, rot, right = scratch
     np.bitwise_xor(hi, lo, out=x)
-    np.right_shift(hi, SHIFT_58, out=rot)
+    np.right_shift(hi, 58, out=rot)
     np.right_shift(x, rot, out=right)
     np.negative(rot, out=rot)
-    rot &= LOW_6
+    rot &= 63
     x <<= rot
     x |= right
-    x >>= SHIFT_11
-    np.multiply(x.view(np.int64), UNIT, out=out)  # below 2**53: int64 converts faster
+    x >>= 11
+    np.multiply(x.view(np.int64), 2.0**-53, out=out)  # below 2**53: int64 converts faster

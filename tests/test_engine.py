@@ -32,7 +32,6 @@ from rissim.engine import (
     MAX_ATTEMPTS,
     TDD_DL_SYMBOLS,
     run,
-    tb_table,
     write_trace_csv,
 )
 
@@ -87,13 +86,6 @@ class TestTddStructure:
 
     def test_period_composition(self):
         assert TDD_DL_SYMBOLS == (13, 13, 13, 13, 13, 13, 6, 0, 0, 0)
-
-
-class TestTransportBlocks:
-    def test_mixed_slot_is_six_thirteenths(self):
-        table = tb_table(106)
-        for mcs in (3, 12, 28):
-            assert table[6][mcs] == pytest.approx(table[13][mcs] * 6 / 13, abs=13)
 
 
 def _many_ues(n_ues):

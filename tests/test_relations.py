@@ -11,7 +11,10 @@ two runs follows from the set-up itself:
   advanced by one dwell, put the same beam on the surface in every slot,
   so only the state's index swaps, in the row column and the link tables;
 - R3: no slot depends on how long the run goes on after it, so a shorter
-  run's slot columns and link tables are a prefix of a longer run's.
+  run's slot columns and link tables are a prefix of a longer run's;
+- R4: ``sim.ts_scaling=2`` compresses time by an exact power of two, so it
+  equals the unscaled run with an even ``ris.ts_slots``, ``la.window_ms``
+  and ``la.cqi_period_ms`` halved and ``sched.alpha`` doubled.
 """
 
 from dataclasses import replace
@@ -110,3 +113,26 @@ def test_r3_shorter_run_is_a_prefix(mode, kind, data):
         assert short_columns[name] == columns[name][:n_slots], name
     n_epochs = len(short.snr)
     assert _tables(short) == (trace.snr[:n_epochs].tolist(), trace.rsrp[:n_epochs].tolist())
+
+
+@pytest.mark.parametrize("kind", SCHED_KINDS)
+@pytest.mark.parametrize("mode", RIS_MODES)
+@given(data=st.data())
+@relation_settings(3)
+def test_r4_time_scaling_by_two_is_halved_timing(mode, kind, data):
+    cfg = data.draw(small_configs(mode, kind))
+    # The scaled run's dwell is even; the other run takes it, and every other time, halved.
+    doubled = replace(
+        _with_ris(cfg, ts_slots=2 * cfg.ris.ts_slots), sim=replace(cfg.sim, ts_scaling=2.0)
+    )
+    halved = replace(
+        cfg,
+        la=replace(cfg.la, window_ms=cfg.la.window_ms / 2, cqi_period_ms=cfg.la.cqi_period_ms / 2),
+        sched=replace(cfg.sched, alpha=2 * cfg.sched.alpha),
+        sim=replace(cfg.sim, ts_scaling=1.0),
+    )
+    trace, summary = run(doubled)
+    other, other_summary = run(halved)
+    assert reference_engine.slot_columns(other) == reference_engine.slot_columns(trace)
+    assert reference_engine.same_summary(other_summary, summary)
+    assert _tables(other) == _tables(trace)
